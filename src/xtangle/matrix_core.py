@@ -78,13 +78,9 @@ def hermitian_eig(a) -> Spectrum:
     vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    for i in range(4):
-        col = vecs[:, i]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        j = nz[0] if nz.size else 0
-        phase = col[j] / abs(col[j]) if abs(col[j]) > 0 else 1.0
-        vecs[:, i] = col / phase
-    return Spectrum(values=vals, eigvecs=vecs)
+    # a unit column always has an entry of magnitude >= 1/2, so lead != 0
+    lead = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(4)]
+    return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
 
 
 def partial_transpose(a) -> np.ndarray:

@@ -23,8 +23,9 @@ SPIN_FLIP = np.array([
     [-1.0, 0.0, 0.0, 0.0],
 ])
 
-# floating-point dust floor clamped to zero inside square roots
-NEG_CLAMP = -1e-12
+# eigenvalues at or below this are eigensolver noise on a unit-trace 4x4
+# matrix; their square roots would otherwise reach the spin-flip roots
+EIG_FLOOR = 4.0 * np.finfo(float).eps
 
 
 class OutOfRegimeError(ValueError):
@@ -32,8 +33,7 @@ class OutOfRegimeError(ValueError):
 
 
 def _sqrt_clamped(vals: np.ndarray) -> np.ndarray:
-    v = np.where((vals < 0.0) & (vals >= NEG_CLAMP), 0.0, vals)
-    return np.sqrt(np.maximum(v, 0.0))
+    return np.sqrt(np.where(vals > EIG_FLOOR, vals, 0.0))
 
 
 def purity_general(rho) -> float:

@@ -258,15 +258,6 @@ def _min_sqrt(val: float) -> float:
     return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
-def rank2_kind12_cmax(p: float) -> float:
-    """Concurrence ceiling q(p) = sqrt(2p - 1) of the rank-2 kind-1/2 family.
-
-    Strictly below u(p) for p < 1, so that family never reaches the
-    admissible maximum.
-    """
-    return scalar_q(p)
-
-
 def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     """Grid rows for the diagram CSVs.
 

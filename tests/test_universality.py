@@ -240,6 +240,9 @@ def test_solve_tau_endpoints():
     c0 = concurrence_along(p, sol, 0.0)
     assert solve_tau(p, sol, c0, "concurrence") == 0.0
     assert solve_tau(p, sol, 0.0, "concurrence") == 1.0
+    n0 = negativity_along(p, sol, 0.0)
+    assert solve_tau(p, sol, n0, "negativity") == 0.0
+    assert solve_tau(p, sol, 0.0, "negativity") == 1.0
     with pytest.raises(TargetOutOfRangeError):
         solve_tau(p, sol, c0 + 0.1, "concurrence")
     with pytest.raises(TargetOutOfRangeError):
@@ -332,8 +335,11 @@ def test_counterpart_separable_input():
 
 
 def test_counterpart_random_smoke():
+    # rank-deficient draws are where round-off eigenvalues reach the
+    # spin-flip roots of the concurrence
+    kinds = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
     for i in range(25):
-        rho = random_density(child_seed(91, i))
+        rho = random_density(child_seed(91, i), kinds[i % 4])
         for measure, fn in (("concurrence", concurrence_general),
                             ("negativity", negativity_general)):
             res = counterpart_details(rho, measure)
