@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,6 +71,16 @@ def _matrix_to_obj(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _is_finite_number(v) -> bool:
+    # bool is an int subclass; an int too large for a float overflows
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _matrix_from_obj(obj) -> np.ndarray:
     if (not isinstance(obj, list) or len(obj) != 4
             or any(not isinstance(r, list) or len(r) != 4 for r in obj)):
@@ -77,9 +88,10 @@ def _matrix_from_obj(obj) -> np.ndarray:
     m = np.empty((4, 4), dtype=complex)
     for i, row in enumerate(obj):
         for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) for v in cell)):
+            if not isinstance(cell, list) or len(cell) != 2:
                 raise ParseError(f"entry ({i},{j}) is not an [re, im] pair")
+            if not all(_is_finite_number(v) for v in cell):
+                raise ParseError(f"entry ({i},{j}) is not a pair of finite numbers")
             m[i, j] = complex(cell[0], cell[1])
     return m
 

@@ -42,8 +42,27 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _entry_problem(m: np.ndarray) -> str:
+    """Finiteness, Hermiticity and unit trace; "" when all hold."""
+    if not np.isfinite(m).all():
+        return "non-finite entry"
+    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+        return "not Hermitian"
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        return f"trace {tr:.17g} differs from 1"
+    return ""
+
+
+def _psd_problem(lowest: float, tol: float) -> str:
+    """Positive semidefiniteness from the smallest eigenvalue; "" when it holds."""
+    if lowest < -max(tol, PSD_TOL):
+        return f"negative eigenvalue {lowest:.3e}"
+    return ""
+
+
 def is_density_matrix(a, tol: float = PSD_TOL) -> tuple[bool, str]:
-    """Check Hermiticity, unit trace and positive semidefiniteness.
+    """Check finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
     Returns (ok, reason). reason is "" when ok, otherwise it names the
     failed check. Hermiticity and trace are held to fixed tight tolerances;
@@ -53,15 +72,8 @@ def is_density_matrix(a, tol: float = PSD_TOL) -> tuple[bool, str]:
         m = as_matrix(a)
     except ValueError as exc:
         return False, str(exc)
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-        return False, "not Hermitian"
-    tr = m.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        return False, f"trace {tr:.17g} differs from 1"
-    evals = np.linalg.eigvalsh(m)
-    if evals.min() < -max(tol, PSD_TOL):
-        return False, f"negative eigenvalue {evals.min():.3e}"
-    return True, ""
+    why = _entry_problem(m) or _psd_problem(np.linalg.eigvalsh(m).min(), tol)
+    return not why, why
 
 
 def hermitian_eig(a) -> Spectrum:
@@ -81,6 +93,24 @@ def hermitian_eig(a) -> Spectrum:
     # a unit column always has an entry of magnitude >= 1/2, so lead != 0
     lead = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(4)]
     return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
+
+
+def density_spectrum(a) -> Spectrum:
+    """hermitian_eig of a density matrix, validated from that one eigensolve.
+
+    Runs the checks of is_density_matrix at its default tolerance, the
+    eigenvalue floor on the returned spectrum's smallest value, and raises
+    ValueError naming the failed check.
+    """
+    m = as_matrix(a)
+    why = _entry_problem(m)
+    if why:
+        raise ValueError(f"not a density matrix: {why}")
+    spec = hermitian_eig(m)
+    why = _psd_problem(spec.values[-1], PSD_TOL)
+    if why:
+        raise ValueError(f"not a density matrix: {why}")
+    return spec
 
 
 def partial_transpose(a) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix_core import as_matrix, hermitian_eig, partial_transpose, trace_norm
+from .matrix_core import Spectrum, as_matrix, hermitian_eig, partial_transpose, trace_norm
 from .xstate import DEFAULT_TOL, NotXFormError, XParams, coeffs, is_physical, is_x_form
 from .xstate import UnphysicalError
 
@@ -32,8 +32,9 @@ class OutOfRegimeError(ValueError):
     """Continuity bound requested outside its validity region."""
 
 
-def _sqrt_clamped(vals: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.where(vals > EIG_FLOOR, vals, 0.0))
+def floored(vals: np.ndarray) -> np.ndarray:
+    """Eigenvalues with those at or below EIG_FLOOR set to exactly 0."""
+    return np.where(vals > EIG_FLOOR, vals, 0.0)
 
 
 def purity_general(rho) -> float:
@@ -50,14 +51,8 @@ def purity_x(p: XParams) -> float:
     return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - p.y + co.h_cal - p.x)
 
 
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    s = hermitian_eig(rho)
-    root = _sqrt_clamped(s.values)
-    return (s.eigvecs * root) @ s.eigvecs.conj().T
-
-
-def concurrence_general(rho) -> float:
-    """Concurrence via the spin-flipped product.
+def concurrence_from_eig(spec: Spectrum) -> float:
+    """Concurrence of the state with eigendecomposition spec.
 
     With K = sqrt(rho) (sy x sy) sqrt(rho)*, the Hermitian product
     K K^dagger equals sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho), so
@@ -65,11 +60,15 @@ def concurrence_general(rho) -> float:
     concurrence. Taking them from an SVD keeps vanishing roots at
     absolute round-off instead of the square root of eigenvalue noise.
     """
-    m = as_matrix(rho)
-    s = _sqrtm_psd(m)
+    s = (spec.eigvecs * np.sqrt(floored(spec.values))) @ spec.eigvecs.conj().T
     k = s @ SPIN_FLIP @ s.conj()
     roots = np.linalg.svd(k, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+def concurrence_general(rho) -> float:
+    """Concurrence via the spin-flipped product; see concurrence_from_eig."""
+    return concurrence_from_eig(hermitian_eig(rho))
 
 
 def concurrence_x(rho, tol: float = DEFAULT_TOL) -> float:

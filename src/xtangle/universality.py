@@ -33,6 +33,29 @@ negativity sqrt((B/2)^2 + x_tau - G) - B/2, with B the partner block sum,
 so a target value fixes the coherence t the walk must reach. The half
 angle above, taken with that t, is the rotation reaching it, and its
 ratio to the full angle b is the tau of the target.
+
+For the conversion both legs are closed forms in the input's eigenvalues
+l1 >= l2 >= l3 >= l4, those at or below measures.EIG_FLOOR taken as 0,
+so one eigendecomposition of the input serves the validation, the basis
+change, the concurrence target and the walk. The MEMS has diagonal
+(l4, (l1 + l3)/2, (l1 + l3)/2, l2) and inner coherence (l1 - l3)/2. Its
+inner block is exactly degenerate (g = 0), and its inner product
+((l1 + l3)/2)^2 is never below the outer one l2 l4, so the walk rotates
+the inner block from coherence a = ((l1 - l3)/2)^2, population
+difference 0, down to the floor l2 l4, with partner sum l2 + l4. The
+ceilings are
+
+    C = max(0, l1 - l3 - 2 sqrt(l2 l4)),
+    N = max(0, sqrt(((l1 - l3)/2)^2 + ((l2 - l4)/2)^2) - (l2 + l4)/2),
+
+and the rotation reaching a target value has
+
+    cos 2b = (C + 2 sqrt(l2 l4)) / (l1 - l3)             (concurrence C),
+    cos 2b = 2 sqrt((N + l2)(N + l4)) / (l1 - l3)        (negativity N).
+
+A conversion therefore reports branch "g_zero", or "already_separable"
+when the chosen measure's ceiling is exactly 0 and there is nothing to
+walk.
 """
 
 from __future__ import annotations
@@ -41,14 +64,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, conjugate, hermitian_eig, is_density_matrix, Spectrum
-from .measures import concurrence_general, concurrence_x, negativity_general, negativity_x
+from .matrix_core import Spectrum, as_matrix, conjugate, density_spectrum, hermitian_eig
+from .measures import (
+    concurrence_from_eig,
+    concurrence_general,
+    concurrence_x,
+    floored,
+    negativity_general,
+    negativity_x,
+)
 from .xstate import (
+    OFF_X_INDICES,
+    NotXFormError,
     XParams,
     coeffs,
     diagonal,
-    from_density,
     is_separable,
+    is_x_form,
     params_from_entries,
     to_density,
     validate_params,
@@ -116,7 +148,10 @@ class CounterpartResult:
     state = unitary @ input @ unitary^dagger, tau the path parameter,
     target the input's measure value, achieved the output's, clip the
     amount (if any) the target exceeded the MEMS ceiling by and was
-    cut back; nonzero clip only ever reflects numerical noise.
+    cut back; nonzero clip only ever reflects numerical noise. branch is
+    "g_zero" when the walk rotates the MEMS's exactly degenerate inner
+    block, and "already_separable" (tau = 0, the MEMS itself) when the
+    MEMS ceiling of the chosen measure is exactly 0.
     """
 
     state: np.ndarray
@@ -282,13 +317,21 @@ def _coherence_at(a: float, dd: float, b: float, tau: float) -> float:
     return r * r
 
 
+def _concurrence_at(x: float, floor: float) -> float:
+    return 2.0 * max(0.0, np.sqrt(x) - np.sqrt(floor))
+
+
+def _negativity_at(x: float, floor: float, partner: float) -> float:
+    half = 0.5 * partner
+    return max(0.0, np.sqrt(max(half * half + x - floor, 0.0)) - half)
+
+
 def concurrence_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
     """Concurrence of the walk at tau, in closed form."""
     if sol.branch == "already_separable":
         return 0.0
     a, dd, floor, _, b = _path_inputs(p, sol)
-    x_tau = _coherence_at(a, dd, b, tau)
-    return 2.0 * max(0.0, np.sqrt(x_tau) - np.sqrt(floor))
+    return _concurrence_at(_coherence_at(a, dd, b, tau), floor)
 
 
 def negativity_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
@@ -296,9 +339,26 @@ def negativity_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
     if sol.branch == "already_separable":
         return 0.0
     a, dd, floor, partner, b = _path_inputs(p, sol)
-    x_tau = _coherence_at(a, dd, b, tau)
-    half = 0.5 * partner
-    return max(0.0, np.sqrt(max(half * half + x_tau - floor, 0.0)) - half)
+    return _negativity_at(_coherence_at(a, dd, b, tau), floor, partner)
+
+
+def _walk_tau(a: float, dd: float, floor: float, partner: float, b: float,
+              ceiling: float, target: float, measure: str) -> float:
+    """tau at which a walk with ceiling > 0 brings the measure to target.
+
+    Target 0 gives tau = 1 and a target within TARGET_SLACK of the
+    ceiling tau = 0, both exactly: the walk is flat at tau = 0, where a
+    last-ulp miss of the ceiling would otherwise be read as a finite angle.
+    """
+    if target <= 0.0:
+        return 1.0
+    if target >= ceiling - TARGET_SLACK:
+        return 0.0
+    if measure == "concurrence":
+        x_t = floor + target * (np.sqrt(floor) + 0.25 * target)
+    else:
+        x_t = floor + target * (target + partner)
+    return float(min(max(_half_angle(a, x_t, dd)[0] / b, 0.0), 1.0))
 
 
 def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
@@ -310,7 +370,8 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     x_t = floor + C (sqrt(floor) + C/4) and negativity N through
     x_t = floor + N (N + B) with B the partner block sum. tau is the
     ratio of the half angle reaching x_t to the full path angle, clamped
-    to [0, 1]. Target 0 gives tau = 1 exactly.
+    to [0, 1]. Target 0 gives tau = 1 exactly, and a target within
+    TARGET_SLACK of the walk's starting value gives tau = 0 exactly.
     """
     if measure == "concurrence":
         fn = concurrence_along
@@ -324,24 +385,20 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
         raise TargetOutOfRangeError(
             f"target {target!r} outside [0, {value0!r}] for {measure}"
         )
-    target = min(max(target, 0.0), value0)
     if value0 == 0.0 or sol.branch == "already_separable":
         return 0.0
-    if target == value0:
-        return 0.0
-    a, dd, floor, partner, b = _path_inputs(p, sol)
-    # expanded so that target 0 reproduces floor, hence tau = 1, exactly
-    if measure == "concurrence":
-        x_t = floor + target * (np.sqrt(floor) + 0.25 * target)
-    else:
-        x_t = floor + target * (target + partner)
-    return float(min(max(_half_angle(a, x_t, dd)[0] / b, 0.0), 1.0))
+    return _walk_tau(*_path_inputs(p, sol), value0,
+                     min(max(target, 0.0), value0), measure)
+
+
+def _mems_basis(spec: Spectrum) -> np.ndarray:
+    """Unitary taking the state with eigendecomposition spec to its MEMS."""
+    return O_BASIS @ spec.eigvecs.conj().T
 
 
 def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
     """Unitary taking rho to the maximally entangled state of its spectrum."""
-    spec = hermitian_eig(as_matrix(rho))
-    return O_BASIS @ spec.eigvecs.conj().T
+    return _mems_basis(hermitian_eig(as_matrix(rho)))
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
@@ -364,39 +421,50 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
     """Convert rho to an X-state of equal spectrum and equal measure.
 
-    The returned unitary W satisfies state = W rho W^dagger. The target
-    can exceed the MEMS ceiling only through numerical noise; any excess
-    is clipped and reported.
+    The returned unitary W satisfies state = W rho W^dagger. Everything
+    but the target's negativity and the re-measured output comes from one
+    eigendecomposition of rho; see the module docstring for the walk.
+    The target can exceed the MEMS ceiling only through numerical noise;
+    any excess is clipped and reported.
     """
     rho = as_matrix(rho)
-    ok, why = is_density_matrix(rho)
-    if not ok:
-        raise ValueError(f"not a density matrix: {why}")
+    spec = density_spectrum(rho)
     if measure == "concurrence":
-        target = concurrence_general(rho)
+        target = concurrence_from_eig(spec)
     elif measure == "negativity":
         target = negativity_general(rho)
     else:
         raise ValueError(f"unknown measure {measure!r}")
 
-    u = verstraete_unitary(rho)
-    mems = conjugate(rho, u)
-    pm = from_density(mems)
-    sol = disentangle_params(pm)
-    fn = concurrence_along if measure == "concurrence" else negativity_along
-    ceiling = fn(pm, sol, 0.0)
-
+    # the MEMS walk: inner coherence ((l1 - l3)/2)^2 over an exactly
+    # degenerate inner block, floor l2 l4 and partner sum l2 + l4
+    l1, l2, l3, l4 = floored(spec.values)
+    a = (0.5 * (l1 - l3)) ** 2
+    floor, partner = l2 * l4, l2 + l4
+    if measure == "concurrence":
+        ceiling = _concurrence_at(a, floor)
+    else:
+        ceiling = _negativity_at(a, floor, partner)
     clip = max(0.0, target - ceiling)
-    tau = solve_tau(pm, sol, min(target, ceiling), measure)
+    if ceiling == 0.0:
+        branch, tau, angle = "already_separable", 0.0, 0.0
+    else:
+        b = _half_angle(a, floor, 0.0)[0]
+        branch = "g_zero"
+        tau = _walk_tau(a, 0.0, floor, partner, b, ceiling,
+                        min(target, ceiling), measure)
+        angle = b * tau
 
-    v = x_unitary(sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
-    w = v @ u
+    w = x_unitary(0.0, 0.0, angle, 0.0) @ _mems_basis(spec)
     out = conjugate(rho, w)
+    if not is_x_form(out):
+        worst = max(abs(out[i, j]) for i, j in OFF_X_INDICES)
+        raise NotXFormError(f"off-X entry of magnitude {worst:.3e} in the counterpart")
     if measure == "concurrence":
         achieved = concurrence_general(out)
     else:
         achieved = negativity_general(out)
-    return CounterpartResult(state=out, unitary=w, tau=tau, branch=sol.branch,
+    return CounterpartResult(state=out, unitary=w, tau=tau, branch=branch,
                              measure=measure, target=target, achieved=achieved,
                              clip=clip)
 

@@ -183,3 +183,18 @@ def test_exit_invalid_state(tmp_path, capsys):
 def test_file_not_found(capsys):
     assert cli.main(["measure", "--in", "/nonexistent/state.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cell", [
+    "[NaN, 0.0]", "[0.25, Infinity]", "[-Infinity, 0.0]", "[1e999, 0.0]",
+    "[true, 0.0]", "[0.25, false]", "[1" + "0" * 400 + ", 0.0]",
+], ids=["nan", "inf", "neg_inf", "float_overflow", "true", "false", "huge_int"])
+def test_exit_parse_non_finite_or_bool(tmp_path, capsys, cell):
+    # MAX_MIXED with entry (0,0) replaced by the raw JSON text of cell
+    text = json.dumps({"matrix": cli._matrix_to_obj(MAX_MIXED)})
+    text = text.replace("[0.25, 0.0]", cell, 1)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["measure", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "entry (0,0)" in err

@@ -13,6 +13,7 @@ from xtangle import (
     partial_transpose,
     trace_norm,
 )
+from xtangle.matrix_core import density_spectrum
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -168,3 +169,35 @@ def test_is_density_matrix():
 def test_as_matrix_shape_guard():
     with pytest.raises(ValueError):
         as_matrix(np.eye(3))
+
+
+def _non_finite_inputs():
+    all_nan = np.full((4, 4), np.nan, dtype=complex)
+    diag_nan = MAX_MIXED.astype(complex)
+    diag_nan[1, 1] = np.nan
+    off_inf = MAX_MIXED.astype(complex)
+    off_inf[0, 3] = off_inf[3, 0] = np.inf
+    return all_nan, diag_nan, off_inf
+
+
+def test_is_density_matrix_rejects_non_finite():
+    for m in _non_finite_inputs():
+        assert is_density_matrix(m) == (False, "non-finite entry")
+        with pytest.raises(ValueError, match="non-finite entry"):
+            density_spectrum(m)
+
+
+def test_density_spectrum_shares_checks():
+    not_hermitian = MAX_MIXED.astype(complex)
+    not_hermitian[0, 1] = 0.3
+    cases = (np.diag([1.5, -0.5, 0.0, 0.0]), not_hermitian, np.eye(4),
+             np.diag([0.5, 0.5, 1e-9, -1e-9]))
+    for m in cases:
+        ok, why = is_density_matrix(m)
+        assert not ok
+        with pytest.raises(ValueError) as err:
+            density_spectrum(m)
+        assert str(err.value) == f"not a density matrix: {why}"
+    spec = density_spectrum(M40)
+    np.testing.assert_array_equal(spec.values, hermitian_eig(M40).values)
+    np.testing.assert_array_equal(spec.eigvecs, hermitian_eig(M40).eigvecs)

@@ -1,5 +1,7 @@
 """Block rotations, disentangling walk, measure paths, X-counterpart."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -348,3 +350,79 @@ def test_counterpart_random_smoke():
                                        hermitian_eig(rho).values, atol=1e-9)
             assert abs(res.achieved - fn(rho)) <= 1e-9
             assert res.clip <= 1e-9
+
+
+def test_counterpart_near_separable_spectrum():
+    # the MEMS of this spectrum has concurrence 1.8e-6 and a squared
+    # coherence of 8.1e-13, inside the separability slack of the X chart
+    d = np.array([1.0 / 3.0 + 9e-7, 1.0 / 3.0, 1.0 / 3.0 - 9e-7, 0.0])
+    rho = np.diag(d / d.sum()).astype(complex)
+    for measure, fn in (("concurrence", concurrence_general),
+                        ("negativity", negativity_general)):
+        res = counterpart_details(rho, measure)
+        assert abs(fn(res.state) - fn(rho)) <= 1e-9
+        assert res.target == 0.0 and res.tau == 1.0
+
+
+def test_counterpart_rejects_non_finite():
+    rho = MAX_MIXED.astype(complex)
+    rho[2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite entry"):
+        counterpart_details(rho, "concurrence")
+
+
+def test_solve_tau_snaps_to_the_ceiling():
+    p = entangled_draw(11)
+    sol = disentangle_params(p)
+    for measure, fn in (("concurrence", concurrence_along),
+                        ("negativity", negativity_along)):
+        v0 = fn(p, sol, 0.0)
+        assert solve_tau(p, sol, v0 - 0.5e-12, measure) == 0.0
+        assert solve_tau(p, sol, v0 - 2e-12, measure) > 0.0
+
+
+def _reference_counterpart(rho, measure):
+    """The X-chart route: MEMS parameters, general walk, solved tau."""
+    u = verstraete_unitary(rho)
+    pm = from_density(conjugate(rho, u))
+    sol = disentangle_params(pm)
+    if measure == "concurrence":
+        target, ceiling = concurrence_general(rho), concurrence_along(pm, sol, 0.0)
+    else:
+        target, ceiling = negativity_general(rho), negativity_along(pm, sol, 0.0)
+    tau = solve_tau(pm, sol, min(target, ceiling), measure)
+    w = x_unitary(sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4) @ u
+    return conjugate(rho, w), tau
+
+
+def _counting_solvers(monkeypatch):
+    counts = Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+SOLVER_CALLS = {"concurrence": {"eigh": 2, "svd": 2},
+                "negativity": {"eigh": 1, "eigvalsh": 2}}
+
+
+def test_counterpart_matches_chart_route(monkeypatch):
+    kinds = ("hilbert_schmidt", "rank_1", "rank_2", "rank_3", "pure_haar")
+    inputs = [random_density(child_seed(92, i), kinds[i % 5]) for i in range(40)]
+    inputs += [MAX_MIXED, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
+               np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex), BELL_PHI_PLUS]
+    counts = _counting_solvers(monkeypatch)
+    for rho in inputs:
+        for measure, fn in (("concurrence", concurrence_general),
+                            ("negativity", negativity_general)):
+            counts.clear()
+            res = counterpart_details(rho, measure)
+            assert counts == SOLVER_CALLS[measure]
+            state, tau = _reference_counterpart(rho, measure)
+            np.testing.assert_allclose(res.state, state, rtol=0.0, atol=1e-10)
+            assert abs(res.tau - tau) <= 1e-9
+            assert abs(res.achieved - fn(state)) <= 1e-12
+            assert res.branch in ("g_zero", "already_separable")
