@@ -24,14 +24,20 @@ import re
 
 import numpy as np
 
-from .xstate import DEFAULT_TOL, RankClass, XParams, classify_rank, coeffs, is_separable
+from .matrix_core import DEFAULT_TOL, ROUNDOFF
+from .xstate import (
+    RANK_KIND_PAIRS,
+    RankClass,
+    XParams,
+    classify_rank,
+    coeffs,
+    is_separable,
+)
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-ENTANGLED_FLOOR = 1e-12
 
 # keep pinned diagonals comfortably away from the classifier tolerance
 _ANGLE_LO = 0.15
@@ -125,7 +131,7 @@ def _draw_angles(rng: SplitMix64, interior: bool) -> tuple[float, float, float]:
     return rng.uniform(0.0, half_pi), rng.uniform(0.0, half_pi), rng.uniform(0.0, half_pi)
 
 
-def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams | None:
+def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
     two_pi = 2.0 * math.pi
     half_pi = 0.5 * math.pi
     mu = rng.uniform(0.0, two_pi)
@@ -162,11 +168,10 @@ def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams | None:
         p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
         cf = coeffs(p)
         return XParams(theta, phi, psi, cf.h_cal, frac * cf.g_cal, mu, nu)
-    if (rank, kind) == (4, 1):
-        p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(theta, phi, psi, frac * cf.h_cal, frac2 * cf.g_cal, mu, nu)
-    return None
+    # (4, 1): random_xparams passes only classes in RANK_KIND_PAIRS
+    p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
+    cf = coeffs(p)
+    return XParams(theta, phi, psi, frac * cf.h_cal, frac2 * cf.g_cal, mu, nu)
 
 
 _RANK_KIND_RE = re.compile(r"rank_([1-4])_kind_([1-3])")
@@ -189,7 +194,7 @@ def random_xparams(seed: int, constraint: str = "any", tol: float = DEFAULT_TOL,
         if not m:
             raise ValueError(f"unknown constraint {constraint!r}")
         want = (int(m.group(1)), int(m.group(2)))
-        if want in ((1, 3), (3, 3), (4, 2), (4, 3)):
+        if want not in RANK_KIND_PAIRS:
             raise ConstraintInfeasibleError(
                 f"no X-state has rank {want[0]} with kind {want[1]}"
             )
@@ -197,8 +202,6 @@ def random_xparams(seed: int, constraint: str = "any", tol: float = DEFAULT_TOL,
     for _ in range(max_tries):
         if want is not None:
             p = _pinned_draw(rng, *want)
-            if p is None:
-                raise ConstraintInfeasibleError(f"unsupported target {constraint!r}")
             if classify_rank(p, tol=tol) == RankClass(*want):
                 return p
             continue
@@ -221,7 +224,7 @@ def random_xparams(seed: int, constraint: str = "any", tol: float = DEFAULT_TOL,
             return p
         conc = 2.0 * max(math.sqrt(p.x) - math.sqrt(cf.g_cal),
                          math.sqrt(p.y) - math.sqrt(cf.h_cal))
-        if conc > ENTANGLED_FLOOR:
+        if conc > ROUNDOFF:
             return p
     raise ConstraintInfeasibleError(
         f"no draw met {constraint!r} within {max_tries} tries (seed {seed})"

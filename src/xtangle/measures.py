@@ -4,16 +4,28 @@ Purity, concurrence (general and X-specialized), entanglement of
 formation, negativity (general and X-specialized), and a continuity
 bound for the relative entropy of entanglement. X-specialized forms are
 closed-form in the matrix entries and agree with the general routes to
-1e-10 on valid inputs.
+within matrix_core.SOLVER_TOL on valid inputs. The general routes raise
+ValueError for a non-finite entry.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .matrix_core import Spectrum, as_matrix, hermitian_eig, partial_transpose, trace_norm
-from .xstate import DEFAULT_TOL, NotXFormError, XParams, coeffs, is_physical, is_x_form
-from .xstate import UnphysicalError
+from .matrix_core import (
+    DEFAULT_TOL,
+    EIG_FLOOR,
+    NON_FINITE,
+    ROUNDOFF,
+    Spectrum,
+    as_matrix,
+    hermitian_eig,
+    partial_transpose,
+    trace_norm,
+)
+from .xstate import NotXFormError, UnphysicalError, XParams, coeffs, is_physical, is_x_form
 
 # (sigma_y (x) sigma_y): real, anti-diagonal (-1, 1, 1, -1)
 SPIN_FLIP = np.array([
@@ -22,10 +34,6 @@ SPIN_FLIP = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
 ])
-
-# eigenvalues at or below this are eigensolver noise on a unit-trace 4x4
-# matrix; their square roots would otherwise reach the spin-flip roots
-EIG_FLOOR = 4.0 * np.finfo(float).eps
 
 
 class OutOfRegimeError(ValueError):
@@ -40,7 +48,10 @@ def floored(vals: np.ndarray) -> np.ndarray:
 def purity_general(rho) -> float:
     """tr rho^2, in [1/4, 1] for a valid state."""
     m = as_matrix(rho)
-    return float((m @ m).trace().real)
+    purity = float((m @ m).trace().real)
+    if not math.isfinite(purity):
+        raise ValueError(NON_FINITE)
+    return purity
 
 
 def purity_x(p: XParams) -> float:
@@ -101,7 +112,14 @@ def eof(rho) -> float:
 def negativity_general(rho) -> float:
     """Minus the smallest partial-transpose eigenvalue, floored at 0."""
     pt = partial_transpose(as_matrix(rho))
-    return float(max(0.0, -np.linalg.eigvalsh(pt).min()))
+    try:
+        lowest = float(np.linalg.eigvalsh(pt).min())
+    except np.linalg.LinAlgError:
+        lowest = math.nan
+    # a non-finite entry ends here as LinAlgError, NaN or inf; max(0.0, nan) is 0.0
+    if not math.isfinite(lowest):
+        raise ValueError(NON_FINITE)
+    return max(0.0, -lowest)
 
 
 def negativity_x(rho, tol: float = DEFAULT_TOL) -> float:
@@ -131,7 +149,7 @@ def fannes_ree_bound(rho1, rho2) -> float:
     two relative entropies of entanglement is at most 8t - 2t log2(t).
     """
     t = trace_norm(as_matrix(rho1) - as_matrix(rho2))
-    if t > 1.0 / 3.0 + 1e-12:
+    if t > 1.0 / 3.0 + ROUNDOFF:
         raise OutOfRegimeError(f"trace distance {t:.6g} exceeds 1/3")
     if t <= 0.0:
         return 0.0

@@ -35,7 +35,7 @@ angle above, taken with that t, is the rotation reaching it, and its
 ratio to the full angle b is the tau of the target.
 
 For the conversion both legs are closed forms in the input's eigenvalues
-l1 >= l2 >= l3 >= l4, those at or below measures.EIG_FLOOR taken as 0,
+l1 >= l2 >= l3 >= l4, those at or below matrix_core.EIG_FLOOR taken as 0,
 so one eigendecomposition of the input serves the validation, the basis
 change, the concurrence target and the walk. The MEMS has diagonal
 (l4, (l1 + l3)/2, (l1 + l3)/2, l2) and inner coherence (l1 - l3)/2. Its
@@ -64,7 +64,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import Spectrum, as_matrix, conjugate, density_spectrum, hermitian_eig
+from .matrix_core import (
+    DEFAULT_TOL,
+    ROUNDOFF,
+    Spectrum,
+    as_matrix,
+    conjugate,
+    density_spectrum,
+    hermitian_eig,
+)
 from .measures import (
     concurrence_from_eig,
     concurrence_general,
@@ -85,9 +93,6 @@ from .xstate import (
     to_density,
     validate_params,
 )
-
-TAU_SLACK = 1e-12
-TARGET_SLACK = 1e-12
 
 # eigenbasis-to-X rotation: maps diag(l1..l4), non-ascending, onto the
 # maximally entangled mixed state of that spectrum
@@ -288,7 +293,7 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
 
 def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
     """Full-matrix state of the walk at tau in [0, 1]."""
-    if tau < -TAU_SLACK or tau > 1.0 + TAU_SLACK:
+    if tau < -ROUNDOFF or tau > 1.0 + ROUNDOFF:
         raise ValueError(f"tau {tau!r} outside [0, 1]")
     tau = min(max(tau, 0.0), 1.0)
     q = conjugate_x(p, sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
@@ -302,11 +307,11 @@ def _path_inputs(p: XParams, sol: DisentangleSolution) -> tuple[float, float, fl
     """(coherence, population difference, floor target, partner sum, angle)."""
     cf = coeffs(p)
     if sol.branch in ("HgtG", "h_zero"):
-        if cf.h_cal < cf.g_cal - 1e-9:
+        if cf.h_cal < cf.g_cal - DEFAULT_TOL:
             raise ValueError("solution branch does not match the state")
         return p.x, cf.h_low, cf.g_cal, cf.b_cal, sol.b1
     if sol.branch in ("GgtH", "g_zero"):
-        if cf.g_cal < cf.h_cal - 1e-9:
+        if cf.g_cal < cf.h_cal - DEFAULT_TOL:
             raise ValueError("solution branch does not match the state")
         return p.y, cf.g_low, cf.h_cal, cf.c_cal, sol.b3
     return 0.0, 0.0, 0.0, 0.0, 0.0
@@ -346,13 +351,13 @@ def _walk_tau(a: float, dd: float, floor: float, partner: float, b: float,
               ceiling: float, target: float, measure: str) -> float:
     """tau at which a walk with ceiling > 0 brings the measure to target.
 
-    Target 0 gives tau = 1 and a target within TARGET_SLACK of the
+    Target 0 gives tau = 1 and a target within ROUNDOFF of the
     ceiling tau = 0, both exactly: the walk is flat at tau = 0, where a
     last-ulp miss of the ceiling would otherwise be read as a finite angle.
     """
     if target <= 0.0:
         return 1.0
-    if target >= ceiling - TARGET_SLACK:
+    if target >= ceiling - ROUNDOFF:
         return 0.0
     if measure == "concurrence":
         x_t = floor + target * (np.sqrt(floor) + 0.25 * target)
@@ -371,7 +376,7 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     x_t = floor + N (N + B) with B the partner block sum. tau is the
     ratio of the half angle reaching x_t to the full path angle, clamped
     to [0, 1]. Target 0 gives tau = 1 exactly, and a target within
-    TARGET_SLACK of the walk's starting value gives tau = 0 exactly.
+    ROUNDOFF of the walk's starting value gives tau = 0 exactly.
     """
     if measure == "concurrence":
         fn = concurrence_along
@@ -381,7 +386,7 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
         raise ValueError(f"unknown measure {measure!r}")
 
     value0 = fn(p, sol, 0.0)
-    if target < -TARGET_SLACK or target > value0 + TARGET_SLACK:
+    if target < -ROUNDOFF or target > value0 + ROUNDOFF:
         raise TargetOutOfRangeError(
             f"target {target!r} outside [0, {value0!r}] for {measure}"
         )

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import as_matrix, hermitian_eig
-
-DEFAULT_TOL = 1e-9
-PHYS_SLACK = 1e-12
-ANGLE_SLACK = 1e-12
+from .matrix_core import DEFAULT_TOL, DEGENERATE, ROUNDOFF, as_matrix, hermitian_eig
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,7 +69,8 @@ class XCoeffs:
     h_low: float
 
 
-_RANK_KIND_PAIRS = {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)}
+# every (rank, kind) class an X-state can fall in
+RANK_KIND_PAIRS = frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)})
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,7 @@ class RankClass:
     kind: int
 
     def __post_init__(self) -> None:
-        if (self.rank, self.kind) not in _RANK_KIND_PAIRS:
+        if (self.rank, self.kind) not in RANK_KIND_PAIRS:
             raise ValueError(f"no rank-{self.rank} class of kind {self.kind}")
 
 
@@ -103,13 +100,13 @@ def validate_params(p: XParams) -> None:
     half_pi = 0.5 * np.pi
     for name in ("theta", "phi", "psi"):
         v = getattr(p, name)
-        if not (-ANGLE_SLACK <= v <= half_pi + ANGLE_SLACK):
+        if not (-ROUNDOFF <= v <= half_pi + ROUNDOFF):
             raise ValueError(f"{name}={v!r} outside [0, pi/2]")
     for name in ("mu", "nu"):
         v = getattr(p, name)
-        if not (-ANGLE_SLACK <= v <= TWO_PI + ANGLE_SLACK):
+        if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
             raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
-    if p.x < -PHYS_SLACK or p.y < -PHYS_SLACK:
+    if p.x < -ROUNDOFF or p.y < -ROUNDOFF:
         raise ValueError(f"negative coherence weight x={p.x!r} y={p.y!r}")
 
 
@@ -142,14 +139,14 @@ def is_physical(p: XParams) -> bool:
     """True iff x <= h_cal and y <= g_cal (within slack): all eigenvalues >= 0."""
     validate_params(p)
     co = coeffs(p)
-    return bool(p.x <= co.h_cal + PHYS_SLACK and p.y <= co.g_cal + PHYS_SLACK)
+    return bool(p.x <= co.h_cal + ROUNDOFF and p.y <= co.g_cal + ROUNDOFF)
 
 
 def to_density(p: XParams) -> np.ndarray:
     """Assemble the 4x4 density matrix for physical parameters."""
     validate_params(p)
     co = coeffs(p)
-    if p.x > co.h_cal + PHYS_SLACK or p.y > co.g_cal + PHYS_SLACK:
+    if p.x > co.h_cal + ROUNDOFF or p.y > co.g_cal + ROUNDOFF:
         raise UnphysicalError(
             f"x={p.x!r} (max {co.h_cal!r}) or y={p.y!r} (max {co.g_cal!r}) "
             "exceeds the positivity range"
@@ -186,13 +183,13 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
     """
     theta = np.arccos(np.sqrt(_clamp01(d1)))
     st2 = 1.0 - _clamp01(d1)
-    if st2 <= 1e-15:
+    if st2 <= DEGENERATE:
         phi = 0.0
         psi = 0.0
     else:
         phi = np.arccos(np.sqrt(_clamp01(d2 / st2)))
         sp2 = st2 * _clamp01(1.0 - d2 / st2)
-        if sp2 <= 1e-15:
+        if sp2 <= DEGENERATE:
             psi = 0.0
         else:
             psi = np.arccos(np.sqrt(_clamp01(d3 / sp2)))
@@ -273,7 +270,7 @@ def is_separable(p: XParams) -> bool:
     if not is_physical(p):
         raise UnphysicalError("separability is defined for physical states only")
     co = coeffs(p)
-    lim = min(co.g_cal, co.h_cal) + PHYS_SLACK
+    lim = min(co.g_cal, co.h_cal) + ROUNDOFF
     return bool(p.x <= lim and p.y <= lim)
 
 

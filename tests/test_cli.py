@@ -70,6 +70,36 @@ def test_counterpart_both_measures(tmp_path, capsys):
         np.testing.assert_array_equal(matrix, written)
 
 
+def test_counterpart_rejects_non_density_and_tol(tmp_path, capsys):
+    path = write_json(tmp_path / "notdensity.json", np.diag([1.5, -0.5, 0.0, 0.0]))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["counterpart", "--in", path, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "invalid state: not a density matrix: negative eigenvalue -5.000e-01\n")
+    good = write_json(tmp_path / "m40.json", M40)
+    assert cli.main(["counterpart", "--in", good, "--out", out, "--tol", "1e-9"]) == 1
+
+
+def _count_solver_calls(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("preserve, count", [("concurrence", 6), ("negativity", 5)])
+def test_counterpart_solver_calls(tmp_path, capsys, monkeypatch, preserve, count):
+    # the conversion (4 or 3 calls) plus the input's and the output's spectrum
+    path = write_json(tmp_path / "in.json", M40)
+    calls = _count_solver_calls(monkeypatch)
+    assert cli.main(["counterpart", "--in", path, "--preserve", preserve,
+                     "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == count, calls
+
+
 def test_counterpart_lossless_roundtrip(tmp_path):
     rho = random_density(42)
     path = write_json(tmp_path / "r.json", rho)
@@ -126,6 +156,21 @@ def test_sweep_single_check(capsys):
     out = capsys.readouterr().out
     assert "ok measures" in out
     assert "classify" not in out
+
+
+def test_sweep_tol_gates_counterpart(capsys):
+    # a conversion's off-X entries are round-off, none as small as 1e-30
+    assert cli.main(["sweep", "counterpart", "--count", "2", "--seed", "7",
+                     "--tol", "1e-30"]) == 4
+    assert "FAIL counterpart" in capsys.readouterr().out
+
+
+def test_rank_kind_targets_order():
+    # the classify check picks RANK_KIND_TARGETS[seed % 8]
+    assert cli.RANK_KIND_TARGETS == (
+        "rank_1_kind_1", "rank_1_kind_2", "rank_2_kind_1", "rank_2_kind_2",
+        "rank_2_kind_3", "rank_3_kind_1", "rank_3_kind_2", "rank_4_kind_1",
+    )
 
 
 def test_sweep_failure_exit_and_seed(monkeypatch, capsys):

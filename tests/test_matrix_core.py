@@ -6,11 +6,14 @@ import pytest
 from xtangle import (
     NonHermitianError,
     as_matrix,
+    concurrence_general,
     conjugate,
     hermitian_eig,
     is_density_matrix,
     is_unitary,
+    negativity_general,
     partial_transpose,
+    purity_general,
     trace_norm,
 )
 from xtangle.matrix_core import density_spectrum
@@ -185,6 +188,19 @@ def test_is_density_matrix_rejects_non_finite():
         assert is_density_matrix(m) == (False, "non-finite entry")
         with pytest.raises(ValueError, match="non-finite entry"):
             density_spectrum(m)
+
+
+# numpy warns of the invalid arithmetic a NaN or inf entry causes
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+@pytest.mark.parametrize("where", [(1, 1), (0, 3)], ids=["diagonal", "off_diagonal"])
+@pytest.mark.parametrize("fn", [hermitian_eig, concurrence_general, negativity_general,
+                                trace_norm, purity_general], ids=lambda fn: fn.__name__)
+def test_non_finite_entry_raises(fn, where, value):
+    m = MAX_MIXED.astype(complex)
+    m[where] = m[where[::-1]] = value
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        fn(m)
 
 
 def test_density_spectrum_shares_checks():
