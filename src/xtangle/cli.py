@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 usage, 2 parse, 3 invalid state, 4 check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import ensemble, minimal_set, universality
-from .matrix_core import DEFAULT_TOL, SOLVER_TOL, conjugate, hermitian_eig, is_density_matrix
+from .matrix_core import DEFAULT_TOL, SOLVER_TOL, conjugate, hermitian_eigvals, is_density_matrix
 from .measures import (
     concurrence_general,
     concurrence_x,
@@ -156,8 +157,8 @@ def cmd_counterpart(args) -> int:
     # counterpart_details validates; its "not a density matrix" ValueError exits 3
     rho = read_state(args.in_path)
     res = universality.counterpart_details(rho, measure=args.preserve)
-    spec_in = hermitian_eig(rho).values
-    spec_out = hermitian_eig(res.state).values
+    spec_in = hermitian_eigvals(rho)
+    spec_out = hermitian_eigvals(res.state)
     write_state(args.out_path, res.state, unitary=res.unitary)
     _report([
         ("measure", res.measure),
@@ -254,12 +255,12 @@ def _check_disentangle(seed: int, tol: float) -> bool:
 
 def _check_counterpart(seed: int, tol: float) -> bool:
     rho = ensemble.random_density(seed)
-    spec_in = hermitian_eig(rho).values
+    spec_in = hermitian_eigvals(rho)
     for measure in ("concurrence", "negativity"):
         out, _ = universality.x_counterpart(rho, measure)
         if not is_x_form(out, tol=tol):
             return False
-        if float(np.abs(hermitian_eig(out).values - spec_in).max()) > tol:
+        if float(np.abs(hermitian_eigvals(out) - spec_in).max()) > tol:
             return False
         if measure == "concurrence":
             delta = abs(concurrence_general(out) - concurrence_general(rho))
@@ -287,19 +288,21 @@ def cmd_sweep(args) -> int:
     failures = 0
     for name in names:
         fn = _CHECK_FNS[name]
+        failed = 0
         for i in range(args.count):
             child = ensemble.child_seed(args.seed, i)
             try:
                 ok = fn(child, args.tol)
             except Exception as exc:
                 print(f"FAIL {name} seed={child}: {exc!r}")
-                failures += 1
+                failed += 1
                 continue
             if not ok:
                 print(f"FAIL {name} seed={child}")
-                failures += 1
-        if failures == 0:
+                failed += 1
+        if not failed:
             print(f"ok {name} (count={args.count})")
+        failures += failed
     if failures:
         print(f"{failures} failure(s)")
         return EXIT_CHECK
@@ -355,10 +358,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built on the first main call of a process.
+
+    Building one takes a large share of a short command's run time, and
+    an argparse parser keeps no state between parse_args calls, so main
+    reuses it. Not built at import: importing the module stays cheap.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -106,12 +106,9 @@ def is_density_matrix(a, tol: float = SOLVER_TOL) -> tuple[bool, str]:
     return not why, why
 
 
-def hermitian_eig(a) -> Spectrum:
-    """Eigendecomposition of a Hermitian 4x4 matrix, sorted non-ascending.
+def _hermitian_part(a) -> np.ndarray:
+    """The symmetrised 4x4 matrix of a Hermitian input, the eigensolvers' entry gate.
 
-    Ties are broken by the solver's deterministic output order; each
-    eigenvector's first component of magnitude > ROUNDOFF is rotated to
-    the positive real axis so repeated calls give identical columns.
     Raises ValueError for a non-finite entry and NonHermitianError for
     asymmetry above SOLVER_TOL.
     """
@@ -122,13 +119,33 @@ def hermitian_eig(a) -> Spectrum:
         if not np.isfinite(m).all():
             raise ValueError(NON_FINITE)
         raise NonHermitianError(f"matrix is not Hermitian within {SOLVER_TOL:g}")
-    m = 0.5 * (m + m.conj().T)
-    vals, vecs = np.linalg.eigh(m)
+    return 0.5 * (m + m.conj().T)
+
+
+def hermitian_eig(a) -> Spectrum:
+    """Eigendecomposition of a Hermitian 4x4 matrix, sorted non-ascending.
+
+    Ties are broken by the solver's deterministic output order; each
+    eigenvector's first component of magnitude > ROUNDOFF is rotated to
+    the positive real axis so repeated calls give identical columns.
+    Raises ValueError for a non-finite entry and NonHermitianError for
+    asymmetry above SOLVER_TOL.
+    """
+    vals, vecs = np.linalg.eigh(_hermitian_part(a))
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     # a unit column always has an entry of magnitude >= 1/2, so lead != 0
     lead = vecs[(np.abs(vecs) > ROUNDOFF).argmax(axis=0), np.arange(4)]
     return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
+
+
+def hermitian_eigvals(a) -> np.ndarray:
+    """The values of hermitian_eig(a), non-ascending, from a values-only solve.
+
+    Same gate as hermitian_eig: ValueError for a non-finite entry,
+    NonHermitianError for asymmetry above SOLVER_TOL.
+    """
+    return np.linalg.eigvalsh(_hermitian_part(a))[::-1]
 
 
 def density_spectrum(a) -> Spectrum:

@@ -5,7 +5,8 @@ formation, negativity (general and X-specialized), and a continuity
 bound for the relative entropy of entanglement. X-specialized forms are
 closed-form in the matrix entries and agree with the general routes to
 within matrix_core.SOLVER_TOL on valid inputs. The general routes raise
-ValueError for a non-finite entry.
+ValueError for a non-finite entry, the X-form routes for a non-finite
+entry they read.
 """
 
 from __future__ import annotations
@@ -86,13 +87,23 @@ def concurrence_x(rho, tol: float = DEFAULT_TOL) -> float:
     """Closed-form concurrence for X-form input.
 
     2 max[0, |inner coherence| - sqrt(d1 d4), |outer coherence| - sqrt(d2 d3)].
+
+    Reads the diagonal and the lower coherences (2,1) and (3,0), and
+    raises ValueError for a non-finite one; a non-finite entry it does
+    not read goes unchecked, as does any asymmetry of a non-Hermitian
+    input.
     """
     m = as_matrix(rho)
     if not is_x_form(m, tol):
         raise NotXFormError("concurrence_x requires an X-form matrix")
     d1, d2, d3, d4 = (m[i, i].real for i in range(4))
-    inner = abs(m[2, 1]) - np.sqrt(max(d4 * d1, 0.0))
-    outer = abs(m[3, 0]) - np.sqrt(max(d3 * d2, 0.0))
+    h = d4 * d1
+    g = d3 * d2
+    inner = abs(m[2, 1]) - np.sqrt(max(h, 0.0))
+    outer = abs(m[3, 0]) - np.sqrt(max(g, 0.0))
+    # the products too: max(-inf, 0.0) would hide a diagonal -inf
+    if not math.isfinite(inner + outer + h + g):
+        raise ValueError(NON_FINITE)
     return float(2.0 * max(0.0, inner, outer))
 
 
@@ -131,7 +142,10 @@ def negativity_x(rho, tol: float = DEFAULT_TOL) -> float:
         t1 = (d2 + d3)/2 - sqrt(((d2 - d3)/2)^2 + |outer|^2)
         t2 = (d1 + d4)/2 - sqrt(((d1 - d4)/2)^2 + |inner|^2)
 
-    and the negativity is -min(0, t1, t2).
+    and the negativity is -min(0, t1, t2). Reads the diagonal and the
+    lower coherences (2,1) and (3,0), and raises ValueError for a
+    non-finite one; a non-finite entry it does not read goes unchecked,
+    as does any asymmetry of a non-Hermitian input.
     """
     m = as_matrix(rho)
     if not is_x_form(m, tol):
@@ -139,6 +153,8 @@ def negativity_x(rho, tol: float = DEFAULT_TOL) -> float:
     d1, d2, d3, d4 = (m[i, i].real for i in range(4))
     t1 = 0.5 * (d2 + d3) - np.sqrt((0.5 * (d2 - d3)) ** 2 + abs(m[3, 0]) ** 2)
     t2 = 0.5 * (d1 + d4) - np.sqrt((0.5 * (d1 - d4)) ** 2 + abs(m[2, 1]) ** 2)
+    if not math.isfinite(t1 + t2):
+        raise ValueError(NON_FINITE)
     return float(-min(0.0, t1, t2) + 0.0)
 
 

@@ -15,11 +15,19 @@ mu, nu in [0, 2 pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, DEGENERATE, ROUNDOFF, as_matrix, hermitian_eig
+from .matrix_core import (
+    DEFAULT_TOL,
+    DEGENERATE,
+    NON_FINITE,
+    ROUNDOFF,
+    as_matrix,
+    hermitian_eigvals,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,8 +187,14 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
 
     Convention at degenerate diagonals: theta = arccos(sqrt(d1)); if
     sin(theta) vanishes, phi = psi = 0; if sin(phi) vanishes, psi = 0.
-    Phases below the coherence magnitude tol are set to 0.
+    Phases below the coherence magnitude tol are set to 0. Raises
+    ValueError for a non-finite argument, read from the sum of the
+    diagonal and the squared coherences.
     """
+    x = abs(coh_outer) ** 2
+    y = abs(coh_inner) ** 2
+    if not math.isfinite(d1 + d2 + d3 + d4 + x + y):
+        raise ValueError(NON_FINITE)
     theta = np.arccos(np.sqrt(_clamp01(d1)))
     st2 = 1.0 - _clamp01(d1)
     if st2 <= DEGENERATE:
@@ -193,8 +207,6 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
             psi = 0.0
         else:
             psi = np.arccos(np.sqrt(_clamp01(d3 / sp2)))
-    x = abs(coh_outer) ** 2
-    y = abs(coh_inner) ** 2
     mu = float(np.angle(coh_outer)) % TWO_PI if abs(coh_outer) >= tol else 0.0
     nu = float(np.angle(coh_inner)) % TWO_PI if abs(coh_inner) >= tol else 0.0
     return XParams(theta=float(theta), phi=float(phi), psi=float(psi),
@@ -202,7 +214,13 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
 
 
 def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
-    """Invert to_density. Requires the input to be X-form within tol."""
+    """Invert to_density. Requires the input to be X-form within tol.
+
+    Reads the diagonal and the upper coherences (0,3) and (1,2), and
+    raises ValueError for a non-finite one; a non-finite entry it does
+    not read goes unchecked, as does any asymmetry of a non-Hermitian
+    input.
+    """
     m = as_matrix(rho)
     if not is_x_form(m, tol):
         worst = max(abs(m[i, j]) for i, j in OFF_X_INDICES)
@@ -276,4 +294,4 @@ def is_separable(p: XParams) -> bool:
 
 def numerical_rank(rho, tol: float = DEFAULT_TOL) -> int:
     """Number of eigenvalues above tol."""
-    return int((hermitian_eig(rho).values > tol).sum())
+    return int((hermitian_eigvals(rho) > tol).sum())

@@ -1,6 +1,9 @@
 """CLI commands, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +186,49 @@ def test_sweep_failure_exit_and_seed(monkeypatch, capsys):
     for seed in bad:
         assert f"FAIL measures seed={seed}" in out
     assert f"{len(bad)} failure(s)" in out
+
+
+def test_sweep_reports_each_check(monkeypatch, capsys):
+    # a failing check does not hide the ok line of the checks after it
+    monkeypatch.setitem(cli._CHECK_FNS, "measures", lambda seed, tol: False)
+    assert cli.main(["sweep", "measures", "classify", "--count", "2", "--seed", "7"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"FAIL measures seed={cli.ensemble.child_seed(7, i)}" for i in range(2)]
+    assert lines[2:] == ["ok classify (count=2)", "2 failure(s)"]
+
+
+def test_parser_reuse_runs_like_fresh_calls(capsys):
+    assert cli.main(["sweep", "measures", "--count", "1", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "ok measures (count=1)\n"
+    # the default check list is not left holding the previous call's
+    assert cli.main(["sweep", "--count", "1", "--seed", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"ok {name} (count=1)" for name in cli.SWEEP_CHECKS]
+    assert cli.main(["sweep", "--count", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert cli.main(["sweep", "classify", "--count", "1", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "ok classify (count=1)\n"
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import xtangle.cli\n"
+        "assert not built, built\n"
+        "xtangle.cli.main(['sweep', '--count', '0'])\n"
+        "assert built\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_exit_usage(capsys):

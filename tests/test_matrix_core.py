@@ -9,11 +9,13 @@ from xtangle import (
     concurrence_general,
     conjugate,
     hermitian_eig,
+    hermitian_eigvals,
     is_density_matrix,
     is_unitary,
     negativity_general,
     partial_transpose,
     purity_general,
+    random_density,
     trace_norm,
 )
 from xtangle.matrix_core import density_spectrum
@@ -78,6 +80,24 @@ def test_eig_rejects_non_hermitian():
     bad[0, 1] = 0.5
     with pytest.raises(NonHermitianError):
         hermitian_eig(bad)
+
+
+def test_eigvals_rejects_non_hermitian():
+    # eigvalsh alone would read one triangle and accept this
+    bad = MAX_MIXED.astype(complex)
+    bad[0, 1] = 0.5
+    with pytest.raises(NonHermitianError):
+        hermitian_eigvals(bad)
+
+
+@pytest.mark.parametrize("kind", ["hilbert_schmidt", "rank_1", "rank_2", "rank_3", "pure_haar"])
+def test_eigvals_match_eig(kind):
+    for seed in range(50):
+        rho = random_density(seed, kind)
+        np.testing.assert_allclose(
+            hermitian_eigvals(rho), hermitian_eig(rho).values, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(
+        hermitian_eigvals(MAX_MIXED), hermitian_eig(MAX_MIXED).values, rtol=0.0, atol=1e-14)
 
 
 def test_partial_transpose_product_diagonal():
@@ -195,7 +215,8 @@ def test_is_density_matrix_rejects_non_finite():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
 @pytest.mark.parametrize("where", [(1, 1), (0, 3)], ids=["diagonal", "off_diagonal"])
 @pytest.mark.parametrize("fn", [hermitian_eig, concurrence_general, negativity_general,
-                                trace_norm, purity_general], ids=lambda fn: fn.__name__)
+                                trace_norm, purity_general, hermitian_eigvals],
+                         ids=lambda fn: fn.__name__)
 def test_non_finite_entry_raises(fn, where, value):
     m = MAX_MIXED.astype(complex)
     m[where] = m[where[::-1]] = value

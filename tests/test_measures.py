@@ -10,6 +10,7 @@ from xtangle import (
     concurrence_x,
     eof,
     fannes_ree_bound,
+    from_density,
     is_separable,
     negativity_general,
     negativity_x,
@@ -148,3 +149,19 @@ def test_fannes_bound():
     c = np.diag([0.8, 0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(OutOfRegimeError):
         fannes_ree_bound(a, c)
+
+
+# numpy warns of the invalid arithmetic a NaN or inf entry causes
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+@pytest.mark.parametrize("where", [(1, 1), (0, 0), (0, 3)],
+                         ids=["diagonal", "corner_diagonal", "coherence"])
+@pytest.mark.parametrize("fn", [concurrence_x, negativity_x, from_density],
+                         ids=lambda fn: fn.__name__)
+def test_x_form_non_finite_entry_raises(fn, where, value):
+    # (0, 3) and (3, 0) are both set: from_density reads the upper
+    # coherence, the measures the lower one
+    m = MAX_MIXED.astype(complex)
+    m[where] = m[where[::-1]] = value
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        fn(m)
