@@ -24,7 +24,6 @@ import re
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, ROUNDOFF
 from .xstate import (
     RANK_KIND_PAIRS,
     RankClass,
@@ -39,11 +38,15 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+_HALF_PI = 0.5 * math.pi
 # keep pinned diagonals comfortably away from the classifier tolerance
 _ANGLE_LO = 0.15
-_ANGLE_HI = 0.5 * math.pi - 0.15
+_ANGLE_HI = _HALF_PI - 0.15
 _FRACTION_LO = 0.05
 _FRACTION_HI = 0.95
+
+# draws random_xparams makes before declaring a constraint infeasible
+MAX_TRIES = 10_000
 
 
 class ConstraintInfeasibleError(ValueError):
@@ -127,64 +130,49 @@ def _draw_angles(rng: SplitMix64, interior: bool) -> tuple[float, float, float]:
         return (rng.uniform(_ANGLE_LO, _ANGLE_HI),
                 rng.uniform(_ANGLE_LO, _ANGLE_HI),
                 rng.uniform(_ANGLE_LO, _ANGLE_HI))
-    half_pi = 0.5 * math.pi
-    return rng.uniform(0.0, half_pi), rng.uniform(0.0, half_pi), rng.uniform(0.0, half_pi)
+    return rng.uniform(0.0, _HALF_PI), rng.uniform(0.0, _HALF_PI), rng.uniform(0.0, _HALF_PI)
+
+
+# (rank, kind) -> the (theta, phi, psi) pins (None keeps the drawn angle)
+# and the factors taking x from h_cal and y from g_cal: a number, or the
+# name of a drawn fraction
+_PINNED_DRAWS = {
+    (1, 1): ((None, _HALF_PI, _HALF_PI), 1.0, 0.0),
+    (1, 2): ((_HALF_PI, None, 0.0), 0.0, 1.0),
+    (2, 1): ((None, _HALF_PI, _HALF_PI), "frac", 0.0),
+    (2, 2): ((_HALF_PI, None, 0.0), 0.0, "frac"),
+    (2, 3): ((None, None, None), 1.0, 1.0),
+    (3, 1): ((None, None, None), "frac", 1.0),
+    (3, 2): ((None, None, None), 1.0, "frac"),
+    (4, 1): ((None, None, None), "frac", "frac2"),
+}
 
 
 def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
     two_pi = 2.0 * math.pi
-    half_pi = 0.5 * math.pi
     mu = rng.uniform(0.0, two_pi)
     nu = rng.uniform(0.0, two_pi)
-    theta, phi, psi = _draw_angles(rng, interior=True)
-    frac = rng.uniform(_FRACTION_LO, _FRACTION_HI)
-    frac2 = rng.uniform(_FRACTION_LO, _FRACTION_HI)
-
-    if (rank, kind) == (1, 1):
-        p = XParams(theta, half_pi, half_pi, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(theta, half_pi, half_pi, cf.h_cal, 0.0, mu, nu)
-    if (rank, kind) == (1, 2):
-        p = XParams(half_pi, phi, 0.0, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(half_pi, phi, 0.0, 0.0, cf.g_cal, mu, nu)
-    if (rank, kind) == (2, 1):
-        p = XParams(theta, half_pi, half_pi, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(theta, half_pi, half_pi, frac * cf.h_cal, 0.0, mu, nu)
-    if (rank, kind) == (2, 2):
-        p = XParams(half_pi, phi, 0.0, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(half_pi, phi, 0.0, 0.0, frac * cf.g_cal, mu, nu)
-    if (rank, kind) == (2, 3):
-        p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(theta, phi, psi, cf.h_cal, cf.g_cal, mu, nu)
-    if (rank, kind) == (3, 1):
-        p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(theta, phi, psi, frac * cf.h_cal, cf.g_cal, mu, nu)
-    if (rank, kind) == (3, 2):
-        p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
-        cf = coeffs(p)
-        return XParams(theta, phi, psi, cf.h_cal, frac * cf.g_cal, mu, nu)
-    # (4, 1): random_xparams passes only classes in RANK_KIND_PAIRS
-    p = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
-    cf = coeffs(p)
-    return XParams(theta, phi, psi, frac * cf.h_cal, frac2 * cf.g_cal, mu, nu)
+    drawn = _draw_angles(rng, interior=True)
+    fractions = {"frac": rng.uniform(_FRACTION_LO, _FRACTION_HI),
+                 "frac2": rng.uniform(_FRACTION_LO, _FRACTION_HI)}
+    pins, x_factor, y_factor = _PINNED_DRAWS[rank, kind]
+    theta, phi, psi = (a if pin is None else pin for a, pin in zip(drawn, pins))
+    cf = coeffs(XParams(theta, phi, psi, 0.0, 0.0, mu, nu))
+    return XParams(theta, phi, psi,
+                   fractions.get(x_factor, x_factor) * cf.h_cal,
+                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu)
 
 
 _RANK_KIND_RE = re.compile(r"rank_([1-4])_kind_([1-3])")
 
 
-def random_xparams(seed: int, constraint: str = "any", tol: float = DEFAULT_TOL,
-                   max_tries: int = 10_000) -> XParams:
+def random_xparams(seed: int, constraint: str = "any") -> XParams:
     """Random physical X-state parameters under a constraint.
 
     constraint: "any", "entangled", "separable", or "rank_R_kind_K".
-    Every draw is verified (classification for rank/kind targets) and
-    redrawn on failure; after max_tries the constraint is declared
-    infeasible.
+    Every draw is verified (is_separable for the first two,
+    classify_rank for rank/kind targets) and redrawn on failure; after
+    MAX_TRIES the constraint is declared infeasible.
     """
     rng = SplitMix64(seed)
     two_pi = 2.0 * math.pi
@@ -199,10 +187,10 @@ def random_xparams(seed: int, constraint: str = "any", tol: float = DEFAULT_TOL,
                 f"no X-state has rank {want[0]} with kind {want[1]}"
             )
 
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if want is not None:
             p = _pinned_draw(rng, *want)
-            if classify_rank(p, tol=tol) == RankClass(*want):
+            if classify_rank(p) == RankClass(*want):
                 return p
             continue
 
@@ -220,14 +208,10 @@ def random_xparams(seed: int, constraint: str = "any", tol: float = DEFAULT_TOL,
             continue
         p = XParams(theta, phi, psi, rng.uniform(0.0, cf.h_cal),
                     rng.uniform(0.0, cf.g_cal), mu, nu)
-        if constraint == "any":
-            return p
-        conc = 2.0 * max(math.sqrt(p.x) - math.sqrt(cf.g_cal),
-                         math.sqrt(p.y) - math.sqrt(cf.h_cal))
-        if conc > ROUNDOFF:
+        if constraint == "any" or not is_separable(p):
             return p
     raise ConstraintInfeasibleError(
-        f"no draw met {constraint!r} within {max_tries} tries (seed {seed})"
+        f"no draw met {constraint!r} within {MAX_TRIES} tries (seed {seed})"
     )
 
 

@@ -14,25 +14,27 @@ import numpy as np
 # that defines any; the others import the entries they use by name.
 
 # Round-off slack on unit-scale inputs and bounds: the Hermiticity and
-# unit-trace gates of a density matrix; the chart's positivity,
-# separability and angle-range slack; the domain edges of the minimal-set
-# scalars and constructions; tau's range [0, 1]; the snap of a walk
-# target to its ceiling; the concurrence an "entangled" draw must exceed;
-# the lead eigenvector component; the 1/3 edge of the continuity bound.
+# unit-trace gates of a density matrix; the chart's positivity and
+# angle-range slack; the domain edges of the minimal-set scalars and
+# constructions; tau's range [0, 1]; the snap of a walk target to its
+# ceiling; the lead eigenvector component; the 1/3 edge of the
+# continuity bound.
 # About 4500 ulps of 1: room for the round-off of a short chain of
 # products and square roots, far below any physical scale.
 ROUNDOFF = 1e-12
 # Gates on computed eigenvalues and matrix products: the PSD floor of a
 # density matrix, unitarity, the Hermiticity hermitian_eig accepts (it
 # takes conjugated states u rho u^dagger with their round-off asymmetry),
-# and the CLI's PPT test on the negativity. 100 x ROUNDOFF, to leave room
-# for the eigensolver's and the products' error on top of the input's.
+# the chart's separability test and the CLI's PPT test on the negativity,
+# which are one rule. 100 x ROUNDOFF, to leave room for the eigensolver's
+# and the products' error on top of the input's.
 SOLVER_TOL = 1e-10
-# User-facing comparisons: the default tol of the X-form, chart and rank
-# tests and of the CLI's --tol, which also gates the sweep's checks; the
-# branch check of a walk solution against
-# its state; the purity-1 test of the rank-1 constructions. Loose enough
-# for quantities computed through several eigendecompositions.
+# User-facing comparisons: the default tol of the X-form, chart and
+# rank/kind tests and of the CLI's --tol, which also gates the sweep's
+# checks; the eigenvalue threshold of the numerical rank; the branch check
+# of a walk solution against its state; the purity-1 test of the rank-1
+# constructions. Loose enough for quantities computed through several
+# eigendecompositions.
 DEFAULT_TOL = 1e-9
 # Eigenvalues at or below this are eigensolver noise on a unit-trace 4x4
 # matrix and are taken as exactly 0; their square roots would otherwise
@@ -84,25 +86,25 @@ def _entry_problem(m: np.ndarray) -> str:
     return ""
 
 
-def _psd_problem(lowest: float, tol: float) -> str:
+def _psd_problem(lowest: float) -> str:
     """Positive semidefiniteness from the smallest eigenvalue; "" when it holds."""
-    if lowest < -max(tol, SOLVER_TOL):
+    if lowest < -SOLVER_TOL:
         return f"negative eigenvalue {lowest:.3e}"
     return ""
 
 
-def is_density_matrix(a, tol: float = SOLVER_TOL) -> tuple[bool, str]:
+def is_density_matrix(a) -> tuple[bool, str]:
     """Check finiteness, Hermiticity, unit trace and positive semidefiniteness.
 
     Returns (ok, reason). reason is "" when ok, otherwise it names the
-    failed check. Hermiticity and trace are held to fixed tight tolerances;
-    tol only loosens the eigenvalue floor.
+    failed check. Hermiticity and trace are held to ROUNDOFF, the lowest
+    eigenvalue to -SOLVER_TOL.
     """
     try:
         m = as_matrix(a)
     except ValueError as exc:
         return False, str(exc)
-    why = _entry_problem(m) or _psd_problem(np.linalg.eigvalsh(m).min(), tol)
+    why = _entry_problem(m) or _psd_problem(np.linalg.eigvalsh(m).min())
     return not why, why
 
 
@@ -151,16 +153,16 @@ def hermitian_eigvals(a) -> np.ndarray:
 def density_spectrum(a) -> Spectrum:
     """hermitian_eig of a density matrix, validated from that one eigensolve.
 
-    Runs the checks of is_density_matrix at its default tolerance, the
-    eigenvalue floor on the returned spectrum's smallest value, and raises
-    ValueError naming the failed check.
+    Runs the checks of is_density_matrix, the eigenvalue floor on the
+    returned spectrum's smallest value, and raises ValueError naming the
+    failed check.
     """
     m = as_matrix(a)
     why = _entry_problem(m)
     if why:
         raise ValueError(f"not a density matrix: {why}")
     spec = hermitian_eig(m)
-    why = _psd_problem(spec.values[-1], SOLVER_TOL)
+    why = _psd_problem(spec.values[-1])
     if why:
         raise ValueError(f"not a density matrix: {why}")
     return spec
@@ -181,10 +183,10 @@ def trace_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def is_unitary(u, tol: float = SOLVER_TOL) -> bool:
-    """True iff u'u = I within tol."""
+def is_unitary(u) -> bool:
+    """True iff u'u = I within SOLVER_TOL."""
     m = as_matrix(u)
-    return bool(np.abs(m.conj().T @ m - np.eye(4)).max() <= tol)
+    return bool(np.abs(m.conj().T @ m - np.eye(4)).max() <= SOLVER_TOL)
 
 
 def conjugate(rho, u) -> np.ndarray:

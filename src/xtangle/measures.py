@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .matrix_core import (
-    DEFAULT_TOL,
     EIG_FLOOR,
     NON_FINITE,
     ROUNDOFF,
@@ -26,7 +25,15 @@ from .matrix_core import (
     partial_transpose,
     trace_norm,
 )
-from .xstate import NotXFormError, UnphysicalError, XParams, coeffs, is_physical, is_x_form
+from .xstate import (
+    NotXFormError,
+    UnphysicalError,
+    XParams,
+    coeffs,
+    is_physical,
+    is_x_form,
+    partial_transpose_lows,
+)
 
 # (sigma_y (x) sigma_y): real, anti-diagonal (-1, 1, 1, -1)
 SPIN_FLIP = np.array([
@@ -83,7 +90,7 @@ def concurrence_general(rho) -> float:
     return concurrence_from_eig(hermitian_eig(rho))
 
 
-def concurrence_x(rho, tol: float = DEFAULT_TOL) -> float:
+def concurrence_x(rho) -> float:
     """Closed-form concurrence for X-form input.
 
     2 max[0, |inner coherence| - sqrt(d1 d4), |outer coherence| - sqrt(d2 d3)].
@@ -94,7 +101,7 @@ def concurrence_x(rho, tol: float = DEFAULT_TOL) -> float:
     input.
     """
     m = as_matrix(rho)
-    if not is_x_form(m, tol):
+    if not is_x_form(m):
         raise NotXFormError("concurrence_x requires an X-form matrix")
     d1, d2, d3, d4 = (m[i, i].real for i in range(4))
     h = d4 * d1
@@ -133,26 +140,24 @@ def negativity_general(rho) -> float:
     return max(0.0, -lowest)
 
 
-def negativity_x(rho, tol: float = DEFAULT_TOL) -> float:
+def negativity_x(rho) -> float:
     """Closed-form negativity for X-form input.
 
-    The partial transpose swaps the two coherences, so its eigenvalue
-    pairs mix each diagonal block with the opposite coherence:
+    -min(0, t1, t2) for the lower partial-transpose eigenvalues of
+    xstate.partial_transpose_lows, with b = d2 + d3, c = d1 + d4,
+    g_low = d2 - d3, h_low = d1 - d4, x = |outer|^2 and y = |inner|^2.
 
-        t1 = (d2 + d3)/2 - sqrt(((d2 - d3)/2)^2 + |outer|^2)
-        t2 = (d1 + d4)/2 - sqrt(((d1 - d4)/2)^2 + |inner|^2)
-
-    and the negativity is -min(0, t1, t2). Reads the diagonal and the
-    lower coherences (2,1) and (3,0), and raises ValueError for a
-    non-finite one; a non-finite entry it does not read goes unchecked,
-    as does any asymmetry of a non-Hermitian input.
+    Reads the diagonal and the lower coherences (2,1) and (3,0), and
+    raises ValueError for a non-finite one; a non-finite entry it does
+    not read goes unchecked, as does any asymmetry of a non-Hermitian
+    input.
     """
     m = as_matrix(rho)
-    if not is_x_form(m, tol):
+    if not is_x_form(m):
         raise NotXFormError("negativity_x requires an X-form matrix")
     d1, d2, d3, d4 = (m[i, i].real for i in range(4))
-    t1 = 0.5 * (d2 + d3) - np.sqrt((0.5 * (d2 - d3)) ** 2 + abs(m[3, 0]) ** 2)
-    t2 = 0.5 * (d1 + d4) - np.sqrt((0.5 * (d1 - d4)) ** 2 + abs(m[2, 1]) ** 2)
+    t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
+                                    abs(m[3, 0]) ** 2, abs(m[2, 1]) ** 2)
     if not math.isfinite(t1 + t2):
         raise ValueError(NON_FINITE)
     return float(-min(0.0, t1, t2) + 0.0)

@@ -274,7 +274,7 @@ def diagram_data(kind: str, grid_n: int) -> list[tuple]:
         for c in np.linspace(0.0, cmax, grid_n):
             state = minset_state(p, c)
             neg = negativity_x(state)
-            rk = classify_rank(from_density(state), tol=DEFAULT_TOL)
+            rk = classify_rank(from_density(state))
             if kind == "cp":
                 rows.append((p, c, neg, rk.rank, rk.kind,
                              scal.u, scal.v, scal.q, scal.r))

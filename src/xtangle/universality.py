@@ -407,11 +407,8 @@ def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
-    """Maximally entangled mixed X-state with the given eigenvalues."""
-    if isinstance(spectrum, Spectrum):
-        vals = spectrum.values
-    else:
-        vals = np.asarray(spectrum, dtype=float)
+    """Maximally entangled mixed X-state with the given four eigenvalues."""
+    vals = np.asarray(spectrum, dtype=float)
     if vals.shape != (4,):
         raise ValueError("spectrum must hold exactly four values")
     l1, l2, l3, l4 = np.sort(vals)[::-1]

@@ -25,6 +25,7 @@ from .matrix_core import (
     DEGENERATE,
     NON_FINITE,
     ROUNDOFF,
+    SOLVER_TOL,
     as_matrix,
     hermitian_eigvals,
 )
@@ -114,8 +115,8 @@ def validate_params(p: XParams) -> None:
         v = getattr(p, name)
         if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
             raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
-    if p.x < -ROUNDOFF or p.y < -ROUNDOFF:
-        raise ValueError(f"negative coherence weight x={p.x!r} y={p.y!r}")
+    if not (p.x >= -ROUNDOFF and p.y >= -ROUNDOFF):
+        raise ValueError(f"coherence weight x={p.x!r} y={p.y!r} is negative or NaN")
 
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
@@ -143,22 +144,49 @@ def coeffs(p: XParams) -> XCoeffs:
     )
 
 
-def is_physical(p: XParams) -> bool:
-    """True iff x <= h_cal and y <= g_cal (within slack): all eigenvalues >= 0."""
+def _physical_coeffs(p: XParams) -> XCoeffs:
+    """coeffs(p) of valid parameters whose matrix has no negative eigenvalue.
+
+    Runs validate_params, then raises UnphysicalError unless x <= h_cal
+    and y <= g_cal within ROUNDOFF; a NaN weight fails the test too.
+    """
     validate_params(p)
     co = coeffs(p)
-    return bool(p.x <= co.h_cal + ROUNDOFF and p.y <= co.g_cal + ROUNDOFF)
-
-
-def to_density(p: XParams) -> np.ndarray:
-    """Assemble the 4x4 density matrix for physical parameters."""
-    validate_params(p)
-    co = coeffs(p)
-    if p.x > co.h_cal + ROUNDOFF or p.y > co.g_cal + ROUNDOFF:
+    if not (p.x <= co.h_cal + ROUNDOFF and p.y <= co.g_cal + ROUNDOFF):
         raise UnphysicalError(
             f"x={p.x!r} (max {co.h_cal!r}) or y={p.y!r} (max {co.g_cal!r}) "
             "exceeds the positivity range"
         )
+    return co
+
+
+def partial_transpose_lows(b, c, g_low, h_low, x, y):
+    """The lower eigenvalues (t1, t2) of the two blocks of the partial transpose.
+
+    The partial transpose of an X-state swaps its coherences, so each
+    diagonal block meets the opposite coherence weight:
+
+        t1 = b/2 - sqrt((g_low/2)^2 + x),  t2 = c/2 - sqrt((h_low/2)^2 + y)
+
+    Both are returned, not their minimum, which would drop a NaN.
+    """
+    t1 = 0.5 * b - np.sqrt((0.5 * g_low) ** 2 + x)
+    t2 = 0.5 * c - np.sqrt((0.5 * h_low) ** 2 + y)
+    return t1, t2
+
+
+def is_physical(p: XParams) -> bool:
+    """True iff x <= h_cal and y <= g_cal (within slack): all eigenvalues >= 0."""
+    try:
+        _physical_coeffs(p)
+    except UnphysicalError:
+        return False
+    return True
+
+
+def to_density(p: XParams) -> np.ndarray:
+    """Assemble the 4x4 density matrix for physical parameters."""
+    _physical_coeffs(p)
     d1, d2, d3, d4 = diagonal(p)
     cx = np.sqrt(max(p.x, 0.0)) * np.exp(1j * p.mu)
     cy = np.sqrt(max(p.y, 0.0)) * np.exp(1j * p.nu)
@@ -252,9 +280,7 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     configurations are tested first so that overlapping tolerance bands
     resolve to the lowest rank.
     """
-    if not is_physical(p):
-        raise UnphysicalError("cannot classify an unphysical parameter set")
-    co = coeffs(p)
+    co = _physical_coeffs(p)
     x_at_top = abs(p.x - co.h_cal) <= tol
     y_at_top = abs(p.y - co.g_cal) <= tol
     x_zero = p.x <= tol
@@ -280,18 +306,20 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
 
 
 def is_separable(p: XParams) -> bool:
-    """True iff both coherence weights fit under min(g_cal, h_cal).
+    """True iff the partial transpose's lowest eigenvalue is >= -SOLVER_TOL.
 
-    Equivalent to positivity of the partial transpose, which for two
-    qubits decides separability exactly.
+    The positive-partial-transpose test, which for two qubits decides
+    separability exactly, taken in closed form from the chart (see
+    partial_transpose_lows) at the scale of negativity_general(rho) <=
+    SOLVER_TOL. Raises UnphysicalError for unphysical parameters.
     """
-    if not is_physical(p):
-        raise UnphysicalError("separability is defined for physical states only")
-    co = coeffs(p)
-    lim = min(co.g_cal, co.h_cal) + ROUNDOFF
-    return bool(p.x <= lim and p.y <= lim)
+    co = _physical_coeffs(p)
+    # a weight in [-ROUNDOFF, 0) passes validation; to_density reads it as 0
+    t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low,
+                                    max(p.x, 0.0), max(p.y, 0.0))
+    return bool(min(t1, t2) >= -SOLVER_TOL)
 
 
-def numerical_rank(rho, tol: float = DEFAULT_TOL) -> int:
-    """Number of eigenvalues above tol."""
-    return int((hermitian_eigvals(rho) > tol).sum())
+def numerical_rank(rho) -> int:
+    """Number of eigenvalues above DEFAULT_TOL."""
+    return int((hermitian_eigvals(rho) > DEFAULT_TOL).sum())

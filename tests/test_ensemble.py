@@ -1,5 +1,7 @@
 """Seeded generators: SplitMix64 stream, densities, constrained X-params."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from xtangle import (
     random_xparams,
     to_density,
 )
+from xtangle.cli import RANK_KIND_TARGETS
 
 # reference stream: published test vectors for this generator, seed 0
 SEED0_U64 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -36,6 +39,9 @@ SEED42_U64 = (
 SEED42_UNIFORM = (0.7415648787718233, 0.1599103928769201, 0.27860113025513866)
 SEED42_NORMAL = (0.4147197504315305, 0.6526812221519427,
                  -0.8918862136277562, 1.3268335628141064)
+
+# sha256 of test_random_xparams_frozen_draws' lines
+FROZEN_DRAWS_SHA256 = "058b9007510db5a5cc6f2d66dd79fa5a93ed0f68b8c875333e68b0e48f16ea02"
 
 
 def test_splitmix_reference_stream():
@@ -147,3 +153,14 @@ def test_random_unitary():
         u = random_unitary(child_seed(64, i))
         assert is_unitary(u)
     np.testing.assert_array_equal(random_unitary(5), random_unitary(5))
+
+
+def test_random_xparams_frozen_draws():
+    # the first 50 draws of seed 2026 under every constraint, as exact hex
+    h = hashlib.sha256()
+    for constraint in ("any", "entangled", "separable", *RANK_KIND_TARGETS):
+        for i in range(50):
+            p = random_xparams(child_seed(2026, i), constraint)
+            fields = (p.theta, p.phi, p.psi, p.x, p.y, p.mu, p.nu)
+            h.update((" ".join(float(v).hex() for v in fields) + "\n").encode())
+    assert h.hexdigest() == FROZEN_DRAWS_SHA256

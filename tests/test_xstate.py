@@ -1,5 +1,7 @@
 """X-state chart: coefficients, construction, inversion, classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from xtangle import (
     char_poly,
     classify_rank,
     coeffs,
+    conjugate_x,
     diagonal,
     from_density,
     is_physical,
@@ -206,3 +209,15 @@ def test_numerical_rank_reference():
     assert numerical_rank(M40) == 3
     assert numerical_rank(BELL_PHI_PLUS) == 1
     assert numerical_rank(MAX_MIXED) == 4
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+@pytest.mark.parametrize("fn", [
+    to_density, char_poly, lambda p: conjugate_x(p, 0.1), classify_rank,
+    is_separable, is_physical,
+], ids=["to_density", "char_poly", "conjugate_x", "classify_rank",
+        "is_separable", "is_physical"])
+def test_nan_coherence_weight_raises(fn, field):
+    p = XParams(0.7, 0.8, 0.9, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        fn(dataclasses.replace(p, **{field: float("nan")}))
