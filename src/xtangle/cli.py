@@ -31,6 +31,7 @@ from .measures import (
 from .xstate import (
     RANK_KIND_PAIRS,
     UnphysicalError,
+    block_eigvals,
     classify_rank,
     coeffs,
     from_density,
@@ -157,8 +158,11 @@ def cmd_counterpart(args) -> int:
     # counterpart_details validates; its "not a density matrix" ValueError exits 3
     rho = read_state(args.in_path)
     res = universality.counterpart_details(rho, measure=args.preserve)
-    spec_in = hermitian_eigvals(rho)
-    spec_out = hermitian_eigvals(res.state)
+    # the state is X-form, so its spectrum is that of its two 2x2 blocks
+    out = res.state
+    d1, d2, d3, d4 = out.diagonal().real.tolist()
+    spec_out = sorted(block_eigvals(d1, d4, abs(out[3, 0]))
+                      + block_eigvals(d2, d3, abs(out[2, 1])), reverse=True)
     write_state(args.out_path, res.state, unitary=res.unitary)
     _report([
         ("measure", res.measure),
@@ -167,7 +171,7 @@ def cmd_counterpart(args) -> int:
         ("target", res.target),
         ("achieved", res.achieved),
         ("measure_delta", abs(res.achieved - res.target)),
-        ("spectrum_delta", float(np.abs(spec_in - spec_out).max())),
+        ("spectrum_delta", float(np.abs(res.spectrum - spec_out).max())),
         ("clip", res.clip),
         ("out", args.out_path),
     ])

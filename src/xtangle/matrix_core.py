@@ -38,7 +38,8 @@ SOLVER_TOL = 1e-10
 DEFAULT_TOL = 1e-9
 # Eigenvalues at or below this are eigensolver noise on a unit-trace 4x4
 # matrix and are taken as exactly 0; their square roots would otherwise
-# reach the concurrence's spin-flip roots.
+# reach the concurrence's spin-flip roots. The X-state concurrence floors
+# the closed-form eigenvalues of its two 2x2 blocks the same way.
 EIG_FLOOR = 4.0 * np.finfo(float).eps
 # Negative square-root arguments down to -SQRT_CLAMP in the minimal-set
 # scalars are boundary round-off and clamp to 0; below that they raise.
@@ -124,6 +125,16 @@ def _hermitian_part(a) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _sorted_eigh(m: np.ndarray) -> Spectrum:
+    """hermitian_eig's solve and ordering, for an already symmetrised matrix."""
+    vals, vecs = np.linalg.eigh(m)
+    vals = vals[::-1]
+    vecs = vecs[:, ::-1]
+    # a unit column always has an entry of magnitude >= 1/2, so lead != 0
+    lead = vecs[(np.abs(vecs) > ROUNDOFF).argmax(axis=0), np.arange(4)]
+    return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
+
+
 def hermitian_eig(a) -> Spectrum:
     """Eigendecomposition of a Hermitian 4x4 matrix, sorted non-ascending.
 
@@ -133,12 +144,7 @@ def hermitian_eig(a) -> Spectrum:
     Raises ValueError for a non-finite entry and NonHermitianError for
     asymmetry above SOLVER_TOL.
     """
-    vals, vecs = np.linalg.eigh(_hermitian_part(a))
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    # a unit column always has an entry of magnitude >= 1/2, so lead != 0
-    lead = vecs[(np.abs(vecs) > ROUNDOFF).argmax(axis=0), np.arange(4)]
-    return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
+    return _sorted_eigh(_hermitian_part(a))
 
 
 def hermitian_eigvals(a) -> np.ndarray:
@@ -155,13 +161,15 @@ def density_spectrum(a) -> Spectrum:
 
     Runs the checks of is_density_matrix, the eigenvalue floor on the
     returned spectrum's smallest value, and raises ValueError naming the
-    failed check.
+    failed check. The entry checks hold the matrix finite and Hermitian
+    within ROUNDOFF, stricter than hermitian_eig's gate, so the
+    symmetrised matrix goes to the solve without that gate.
     """
     m = as_matrix(a)
     why = _entry_problem(m)
     if why:
         raise ValueError(f"not a density matrix: {why}")
-    spec = hermitian_eig(m)
+    spec = _sorted_eigh(0.5 * (m + m.conj().T))
     why = _psd_problem(spec.values[-1])
     if why:
         raise ValueError(f"not a density matrix: {why}")

@@ -29,19 +29,15 @@ from .xstate import (
     NotXFormError,
     UnphysicalError,
     XParams,
-    coeffs,
-    is_physical,
+    _physical_coeffs,
+    block_eigvals,
     is_x_form,
     partial_transpose_lows,
 )
 
-# (sigma_y (x) sigma_y): real, anti-diagonal (-1, 1, 1, -1)
-SPIN_FLIP = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])
+# (sigma_y (x) sigma_y) is real and anti-diagonal (-1, 1, 1, -1), so a
+# product s (sigma_y (x) sigma_y) is s with its columns reversed, times these
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 class OutOfRegimeError(ValueError):
@@ -64,9 +60,10 @@ def purity_general(rho) -> float:
 
 def purity_x(p: XParams) -> float:
     """Closed-form purity 1 - 2(BC + G - y + H - x) in the derived scalars."""
-    if not is_physical(p):
-        raise UnphysicalError("purity_x requires physical parameters")
-    co = coeffs(p)
+    try:
+        co, _ = _physical_coeffs(p)
+    except UnphysicalError:
+        raise UnphysicalError("purity_x requires physical parameters") from None
     return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - p.y + co.h_cal - p.x)
 
 
@@ -80,7 +77,7 @@ def concurrence_from_eig(spec: Spectrum) -> float:
     absolute round-off instead of the square root of eigenvalue noise.
     """
     s = (spec.eigvecs * np.sqrt(floored(spec.values))) @ spec.eigvecs.conj().T
-    k = s @ SPIN_FLIP @ s.conj()
+    k = (s[:, ::-1] * _FLIP_SIGNS) @ s.conj()
     roots = np.linalg.svd(k, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
 
@@ -90,10 +87,43 @@ def concurrence_general(rho) -> float:
     return concurrence_from_eig(hermitian_eig(rho))
 
 
+def _floored_block(d_a: float, d_b: float, c: float) -> tuple[float, float]:
+    """(coherence, sqrt(d_a d_b)) of the block [[d_a, c], [c*, d_b]], |c| = c,
+    with its eigenvalues (xstate.block_eigvals) floored at EIG_FLOOR as
+    concurrence_from_eig floors a spectrum.
+
+    A floored lower eigenvalue leaves the rank-1 part lam+ v v^dagger,
+    whose coherence and diagonal root are both lam+ |v_a v_b| = lam+ c /
+    (lam+ - lam-), because (lam+ - d_a)(lam+ - d_b) = c^2. Unfloored,
+    that root is the square root of diagonal round-off.
+    """
+    hi, lo = block_eigvals(d_a, d_b, c)
+    if lo > EIG_FLOOR:
+        return c, math.sqrt(max(d_a * d_b, 0.0))
+    if hi <= EIG_FLOOR:
+        return 0.0, 0.0
+    root = hi * c / (hi - lo)
+    return root, root
+
+
+def _x_concurrence(d1: float, d2: float, d3: float, d4: float,
+                   outer: float, inner: float) -> float:
+    """Concurrence of the X-state with diagonal d1..d4 and coherence
+    magnitudes outer = |rho_14|, inner = |rho_23|; see concurrence_x.
+    """
+    outer, root_14 = _floored_block(d1, d4, outer)
+    inner, root_23 = _floored_block(d2, d3, inner)
+    return 2.0 * max(0.0, inner - root_14, outer - root_23)
+
+
 def concurrence_x(rho) -> float:
     """Closed-form concurrence for X-form input.
 
-    2 max[0, |inner coherence| - sqrt(d1 d4), |outer coherence| - sqrt(d2 d3)].
+    2 max[0, |inner coherence| - sqrt(d1 d4), |outer coherence| - sqrt(d2 d3)],
+    with each 2x2 block's eigenvalues at or below EIG_FLOOR taken as 0,
+    the floor concurrence_from_eig applies to a spectrum (see
+    _floored_block): without it a rank-deficient state's sqrt(d1 d4)
+    reads the square root of diagonal round-off.
 
     Reads the diagonal and the lower coherences (2,1) and (3,0), and
     raises ValueError for a non-finite one; a non-finite entry it does
@@ -103,15 +133,11 @@ def concurrence_x(rho) -> float:
     m = as_matrix(rho)
     if not is_x_form(m):
         raise NotXFormError("concurrence_x requires an X-form matrix")
-    d1, d2, d3, d4 = (m[i, i].real for i in range(4))
-    h = d4 * d1
-    g = d3 * d2
-    inner = abs(m[2, 1]) - np.sqrt(max(h, 0.0))
-    outer = abs(m[3, 0]) - np.sqrt(max(g, 0.0))
-    # the products too: max(-inf, 0.0) would hide a diagonal -inf
-    if not math.isfinite(inner + outer + h + g):
+    d1, d2, d3, d4 = m.diagonal().real.tolist()
+    outer, inner = float(abs(m[3, 0])), float(abs(m[2, 1]))
+    if not math.isfinite(d1 + d2 + d3 + d4 + outer + inner):
         raise ValueError(NON_FINITE)
-    return float(2.0 * max(0.0, inner, outer))
+    return _x_concurrence(d1, d2, d3, d4, outer, inner)
 
 
 def binary_entropy(t: float) -> float:
@@ -156,8 +182,15 @@ def negativity_x(rho) -> float:
     if not is_x_form(m):
         raise NotXFormError("negativity_x requires an X-form matrix")
     d1, d2, d3, d4 = (m[i, i].real for i in range(4))
-    t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
-                                    abs(m[3, 0]) ** 2, abs(m[2, 1]) ** 2)
+    return _x_negativity(d1, d2, d3, d4, abs(m[3, 0]) ** 2, abs(m[2, 1]) ** 2)
+
+
+def _x_negativity(d1: float, d2: float, d3: float, d4: float,
+                  x: float, y: float) -> float:
+    """Negativity of the X-state with diagonal d1..d4 and squared coherences
+    x = |rho_14|^2, y = |rho_23|^2; ValueError if it is not finite.
+    """
+    t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4, x, y)
     if not math.isfinite(t1 + t2):
         raise ValueError(NON_FINITE)
     return float(-min(0.0, t1, t2) + 0.0)

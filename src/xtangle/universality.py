@@ -60,6 +60,7 @@ walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,9 @@ from .matrix_core import (
     hermitian_eig,
 )
 from .measures import (
+    _x_concurrence,
+    _x_negativity,
     concurrence_from_eig,
-    concurrence_general,
     concurrence_x,
     floored,
     negativity_general,
@@ -156,7 +158,14 @@ class CounterpartResult:
     cut back; nonzero clip only ever reflects numerical noise. branch is
     "g_zero" when the walk rotates the MEMS's exactly degenerate inner
     block, and "already_separable" (tau = 0, the MEMS itself) when the
-    MEMS ceiling of the chosen measure is exactly 0.
+    MEMS ceiling of the chosen measure is exactly 0. spectrum holds the
+    input's eigenvalues, non-ascending, which the state shares.
+
+    achieved is measured in closed form from the state's two 2x2
+    blocks: the concurrence with each block's eigenvalues at or below
+    matrix_core.EIG_FLOOR taken as 0, the floor concurrence_from_eig
+    applies to the target (see measures.concurrence_x), the negativity
+    from xstate.partial_transpose_lows.
     """
 
     state: np.ndarray
@@ -167,6 +176,7 @@ class CounterpartResult:
     target: float
     achieved: float
     clip: float
+    spectrum: np.ndarray
 
 
 def x_unitary(b1, b2: float = 0.0, b3: float = 0.0, b4: float = 0.0) -> np.ndarray:
@@ -238,9 +248,12 @@ def _half_angle(a: float, tgt: float, dd: float) -> tuple[float, float, float]:
     if xp <= 0.0:
         return 0.0, 1.0, 0.0
     head = max(xp - tgt, 0.0)
-    c2b = (np.sqrt(tgt * a) + 0.5 * dd * np.sqrt(head)) / xp
-    s2b = (np.sqrt(a * head) - 0.5 * dd * np.sqrt(tgt)) / xp
-    return 0.5 * np.arctan2(s2b, c2b), c2b, s2b
+    # validate_params passes a weight a in [-ROUNDOFF, 0), which to_density
+    # reads as 0, hence the clamps; tgt >= 0 (a product of the chart's
+    # squared sines, or a walk target)
+    c2b = (math.sqrt(max(tgt * a, 0.0)) + 0.5 * dd * math.sqrt(head)) / xp
+    s2b = (math.sqrt(max(a * head, 0.0)) - 0.5 * dd * math.sqrt(tgt)) / xp
+    return 0.5 * math.atan2(s2b, c2b), c2b, s2b
 
 
 def disentangle_params(p: XParams) -> DisentangleSolution:
@@ -251,6 +264,13 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     G separates it; the opposite ordering is handled by the mirrored
     inner rotation. Conservation of the block invariants guarantees the
     untouched coherence stays admissible throughout.
+
+    Every state xstate.is_separable accepts is labelled
+    "already_separable". That is the partial-transpose test at
+    SOLVER_TOL, so the label also covers states of negativity up to
+    1e-10 whose concurrence reaches about 2 sqrt(SOLVER_TOL b), roughly
+    2e-5, with b the population sum of the block opposite the coherence
+    (b_cal for the outer coherence, c_cal for the inner).
     """
     validate_params(p)
     cf = coeffs(p)
@@ -322,17 +342,23 @@ def _coherence_at(a: float, dd: float, b: float, tau: float) -> float:
     return r * r
 
 
+# x is a squared coherence and floor a product of two populations, both
+# >= 0, so no square root below meets a negative argument
 def _concurrence_at(x: float, floor: float) -> float:
-    return 2.0 * max(0.0, np.sqrt(x) - np.sqrt(floor))
+    return 2.0 * max(0.0, math.sqrt(x) - math.sqrt(floor))
 
 
 def _negativity_at(x: float, floor: float, partner: float) -> float:
     half = 0.5 * partner
-    return max(0.0, np.sqrt(max(half * half + x - floor, 0.0)) - half)
+    return max(0.0, math.sqrt(max(half * half + x - floor, 0.0)) - half)
 
 
 def concurrence_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
-    """Concurrence of the walk at tau, in closed form."""
+    """Concurrence of the walk at tau, in closed form.
+
+    0 on the "already_separable" label, whose states (see
+    disentangle_params) can carry concurrence up to about 2e-5.
+    """
     if sol.branch == "already_separable":
         return 0.0
     a, dd, floor, _, b = _path_inputs(p, sol)
@@ -340,7 +366,11 @@ def concurrence_along(p: XParams, sol: DisentangleSolution, tau: float) -> float
 
 
 def negativity_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
-    """Negativity of the walk at tau, in closed form."""
+    """Negativity of the walk at tau, in closed form.
+
+    0 on the "already_separable" label, whose states (see
+    disentangle_params) can carry negativity up to SOLVER_TOL.
+    """
     if sol.branch == "already_separable":
         return 0.0
     a, dd, floor, partner, b = _path_inputs(p, sol)
@@ -360,7 +390,7 @@ def _walk_tau(a: float, dd: float, floor: float, partner: float, b: float,
     if target >= ceiling - ROUNDOFF:
         return 0.0
     if measure == "concurrence":
-        x_t = floor + target * (np.sqrt(floor) + 0.25 * target)
+        x_t = floor + target * (math.sqrt(floor) + 0.25 * target)
     else:
         x_t = floor + target * (target + partner)
     return float(min(max(_half_angle(a, x_t, dd)[0] / b, 0.0), 1.0))
@@ -424,10 +454,11 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     """Convert rho to an X-state of equal spectrum and equal measure.
 
     The returned unitary W satisfies state = W rho W^dagger. Everything
-    but the target's negativity and the re-measured output comes from one
-    eigendecomposition of rho; see the module docstring for the walk.
-    The target can exceed the MEMS ceiling only through numerical noise;
-    any excess is clipped and reported.
+    but a negativity target comes from one eigendecomposition of rho; see
+    the module docstring for the walk. The output is X-form, so its
+    measure is a closed form of its entries (see CounterpartResult). The
+    target can exceed the MEMS ceiling only through numerical noise; any
+    excess is clipped and reported.
     """
     rho = as_matrix(rho)
     spec = density_spectrum(rho)
@@ -440,7 +471,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     # the MEMS walk: inner coherence ((l1 - l3)/2)^2 over an exactly
     # degenerate inner block, floor l2 l4 and partner sum l2 + l4
-    l1, l2, l3, l4 = floored(spec.values)
+    l1, l2, l3, l4 = floored(spec.values).tolist()
     a = (0.5 * (l1 - l3)) ** 2
     floor, partner = l2 * l4, l2 + l4
     if measure == "concurrence":
@@ -462,13 +493,15 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     if not is_x_form(out):
         worst = max(abs(out[i, j]) for i, j in OFF_X_INDICES)
         raise NotXFormError(f"off-X entry of magnitude {worst:.3e} in the counterpart")
+    d1, d2, d3, d4 = out.diagonal().real.tolist()
+    outer, inner = float(abs(out[3, 0])), float(abs(out[2, 1]))
     if measure == "concurrence":
-        achieved = concurrence_general(out)
+        achieved = _x_concurrence(d1, d2, d3, d4, outer, inner)
     else:
-        achieved = negativity_general(out)
+        achieved = _x_negativity(d1, d2, d3, d4, outer * outer, inner * inner)
     return CounterpartResult(state=out, unitary=w, tau=tau, branch=branch,
                              measure=measure, target=target, achieved=achieved,
-                             clip=clip)
+                             clip=clip, spectrum=spec.values)
 
 
 def x_counterpart(rho: np.ndarray, measure: str = "concurrence") -> tuple[np.ndarray, np.ndarray]:

@@ -132,7 +132,11 @@ def diagonal(p: XParams) -> tuple[float, float, float, float]:
 
 def coeffs(p: XParams) -> XCoeffs:
     """Derived diagonal scalars; see XCoeffs."""
-    d1, d2, d3, d4 = diagonal(p)
+    return _coeffs_of(*diagonal(p))
+
+
+def _coeffs_of(d1: float, d2: float, d3: float, d4: float) -> XCoeffs:
+    """XCoeffs of the diagonal (d1, d2, d3, d4)."""
     b = d2 + d3
     return XCoeffs(
         b_cal=b,
@@ -144,20 +148,22 @@ def coeffs(p: XParams) -> XCoeffs:
     )
 
 
-def _physical_coeffs(p: XParams) -> XCoeffs:
-    """coeffs(p) of valid parameters whose matrix has no negative eigenvalue.
+def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, float, float, float]]:
+    """(coeffs(p), diagonal(p)) of valid parameters whose matrix has no
+    negative eigenvalue, from one evaluation of the chart.
 
     Runs validate_params, then raises UnphysicalError unless x <= h_cal
     and y <= g_cal within ROUNDOFF; a NaN weight fails the test too.
     """
     validate_params(p)
-    co = coeffs(p)
+    d = diagonal(p)
+    co = _coeffs_of(*d)
     if not (p.x <= co.h_cal + ROUNDOFF and p.y <= co.g_cal + ROUNDOFF):
         raise UnphysicalError(
             f"x={p.x!r} (max {co.h_cal!r}) or y={p.y!r} (max {co.g_cal!r}) "
             "exceeds the positivity range"
         )
-    return co
+    return co, d
 
 
 def partial_transpose_lows(b, c, g_low, h_low, x, y):
@@ -175,6 +181,20 @@ def partial_transpose_lows(b, c, g_low, h_low, x, y):
     return t1, t2
 
 
+def block_eigvals(d_a: float, d_b: float, c: float) -> tuple[float, float]:
+    """Eigenvalues (hi, lo) of an X-state block [[d_a, c], [c*, d_b]] with |c| = c.
+
+        (d_a + d_b)/2 +- sqrt(((d_a - d_b)/2)^2 + c^2)
+
+    The outer block is (d1, d4, |rho_14|), the inner (d2, d3, |rho_23|);
+    together they are the X-state's spectrum.
+    """
+    half = 0.5 * (d_a - d_b)
+    r = math.sqrt(half * half + c * c)
+    mid = 0.5 * (d_a + d_b)
+    return mid + r, mid - r
+
+
 def is_physical(p: XParams) -> bool:
     """True iff x <= h_cal and y <= g_cal (within slack): all eigenvalues >= 0."""
     try:
@@ -186,8 +206,7 @@ def is_physical(p: XParams) -> bool:
 
 def to_density(p: XParams) -> np.ndarray:
     """Assemble the 4x4 density matrix for physical parameters."""
-    _physical_coeffs(p)
-    d1, d2, d3, d4 = diagonal(p)
+    _, (d1, d2, d3, d4) = _physical_coeffs(p)
     cx = np.sqrt(max(p.x, 0.0)) * np.exp(1j * p.mu)
     cy = np.sqrt(max(p.y, 0.0)) * np.exp(1j * p.nu)
     m = np.zeros((4, 4), dtype=complex)
@@ -280,7 +299,7 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     configurations are tested first so that overlapping tolerance bands
     resolve to the lowest rank.
     """
-    co = _physical_coeffs(p)
+    co, _ = _physical_coeffs(p)
     x_at_top = abs(p.x - co.h_cal) <= tol
     y_at_top = abs(p.y - co.g_cal) <= tol
     x_zero = p.x <= tol
@@ -313,7 +332,7 @@ def is_separable(p: XParams) -> bool:
     partial_transpose_lows) at the scale of negativity_general(rho) <=
     SOLVER_TOL. Raises UnphysicalError for unphysical parameters.
     """
-    co = _physical_coeffs(p)
+    co, _ = _physical_coeffs(p)
     # a weight in [-ROUNDOFF, 0) passes validation; to_density reads it as 0
     t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low,
                                     max(p.x, 0.0), max(p.y, 0.0))

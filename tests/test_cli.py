@@ -93,9 +93,10 @@ def _count_solver_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("preserve, count", [("concurrence", 6), ("negativity", 5)])
+@pytest.mark.parametrize("preserve, count", [("concurrence", 2), ("negativity", 2)])
 def test_counterpart_solver_calls(tmp_path, capsys, monkeypatch, preserve, count):
-    # the conversion (4 or 3 calls) plus the input's and the output's spectrum
+    # the conversion's own calls: the input's spectrum comes with the record
+    # and the output's from its two blocks
     path = write_json(tmp_path / "in.json", M40)
     calls = _count_solver_calls(monkeypatch)
     assert cli.main(["counterpart", "--in", path, "--preserve", preserve,
