@@ -31,6 +31,7 @@ from .measures import (
 from .xstate import (
     RANK_KIND_PAIRS,
     UnphysicalError,
+    _x_entries,
     block_eigvals,
     classify_rank,
     coeffs,
@@ -159,10 +160,9 @@ def cmd_counterpart(args) -> int:
     rho = read_state(args.in_path)
     res = universality.counterpart_details(rho, measure=args.preserve)
     # the state is X-form, so its spectrum is that of its two 2x2 blocks
-    out = res.state
-    d1, d2, d3, d4 = out.diagonal().real.tolist()
-    spec_out = sorted(block_eigvals(d1, d4, abs(out[3, 0]))
-                      + block_eigvals(d2, d3, abs(out[2, 1])), reverse=True)
+    d1, d2, d3, d4, rho_14, rho_23 = _x_entries(res.state)
+    spec_out = sorted(block_eigvals(d1, d4, abs(rho_14))
+                      + block_eigvals(d2, d3, abs(rho_23)), reverse=True)
     write_state(args.out_path, res.state, unitary=res.unitary)
     _report([
         ("measure", res.measure),

@@ -4,9 +4,8 @@ Purity, concurrence (general and X-specialized), entanglement of
 formation, negativity (general and X-specialized), and a continuity
 bound for the relative entropy of entanglement. X-specialized forms are
 closed-form in the matrix entries and agree with the general routes to
-within matrix_core.SOLVER_TOL on valid inputs. The general routes raise
-ValueError for a non-finite entry, the X-form routes for a non-finite
-entry they read.
+within matrix_core.SOLVER_TOL on valid inputs. Every route raises
+ValueError for a non-finite entry.
 """
 
 from __future__ import annotations
@@ -19,19 +18,17 @@ from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
     ROUNDOFF,
-    Spectrum,
     as_matrix,
     hermitian_eig,
     partial_transpose,
     trace_norm,
 )
 from .xstate import (
-    NotXFormError,
     UnphysicalError,
     XParams,
     _physical_coeffs,
+    _x_entries,
     block_eigvals,
-    is_x_form,
     partial_transpose_lows,
 )
 
@@ -67,8 +64,9 @@ def purity_x(p: XParams) -> float:
     return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - p.y + co.h_cal - p.x)
 
 
-def concurrence_from_eig(spec: Spectrum) -> float:
-    """Concurrence of the state with eigendecomposition spec.
+def concurrence_from_eig(values: np.ndarray, eigvecs: np.ndarray) -> float:
+    """Concurrence of the state with eigenvalues values, already floored
+    (see floored), and matching eigenvector columns eigvecs.
 
     With K = sqrt(rho) (sy x sy) sqrt(rho)*, the Hermitian product
     K K^dagger equals sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho), so
@@ -76,7 +74,7 @@ def concurrence_from_eig(spec: Spectrum) -> float:
     concurrence. Taking them from an SVD keeps vanishing roots at
     absolute round-off instead of the square root of eigenvalue noise.
     """
-    s = (spec.eigvecs * np.sqrt(floored(spec.values))) @ spec.eigvecs.conj().T
+    s = (eigvecs * np.sqrt(values)) @ eigvecs.conj().T
     k = (s[:, ::-1] * _FLIP_SIGNS) @ s.conj()
     roots = np.linalg.svd(k, compute_uv=False)
     return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
@@ -84,7 +82,8 @@ def concurrence_from_eig(spec: Spectrum) -> float:
 
 def concurrence_general(rho) -> float:
     """Concurrence via the spin-flipped product; see concurrence_from_eig."""
-    return concurrence_from_eig(hermitian_eig(rho))
+    spec = hermitian_eig(rho)
+    return concurrence_from_eig(floored(spec.values), spec.eigvecs)
 
 
 def _floored_block(d_a: float, d_b: float, c: float) -> tuple[float, float]:
@@ -106,38 +105,23 @@ def _floored_block(d_a: float, d_b: float, c: float) -> tuple[float, float]:
     return root, root
 
 
-def _x_concurrence(d1: float, d2: float, d3: float, d4: float,
-                   outer: float, inner: float) -> float:
-    """Concurrence of the X-state with diagonal d1..d4 and coherence
-    magnitudes outer = |rho_14|, inner = |rho_23|; see concurrence_x.
-    """
-    outer, root_14 = _floored_block(d1, d4, outer)
-    inner, root_23 = _floored_block(d2, d3, inner)
-    return 2.0 * max(0.0, inner - root_14, outer - root_23)
-
-
 def concurrence_x(rho) -> float:
     """Closed-form concurrence for X-form input.
 
-    2 max[0, |inner coherence| - sqrt(d1 d4), |outer coherence| - sqrt(d2 d3)],
-    with each 2x2 block's eigenvalues at or below EIG_FLOOR taken as 0,
-    the floor concurrence_from_eig applies to a spectrum (see
-    _floored_block): without it a rank-deficient state's sqrt(d1 d4)
-    reads the square root of diagonal round-off.
+    2 max[0, |rho_23| - sqrt(d1 d4), |rho_14| - sqrt(d2 d3)], with each
+    2x2 block's eigenvalues at or below EIG_FLOOR taken as 0, the floor
+    concurrence_from_eig applies to a spectrum (see _floored_block):
+    without it a rank-deficient state's sqrt(d1 d4) reads the square
+    root of diagonal round-off.
 
-    Reads the diagonal and the lower coherences (2,1) and (3,0), and
-    raises ValueError for a non-finite one; a non-finite entry it does
-    not read goes unchecked, as does any asymmetry of a non-Hermitian
-    input.
+    Reads the matrix through xstate._x_entries: ValueError for any
+    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL;
+    the coherences are the upper ones (0,3) and (1,2).
     """
-    m = as_matrix(rho)
-    if not is_x_form(m):
-        raise NotXFormError("concurrence_x requires an X-form matrix")
-    d1, d2, d3, d4 = m.diagonal().real.tolist()
-    outer, inner = float(abs(m[3, 0])), float(abs(m[2, 1]))
-    if not math.isfinite(d1 + d2 + d3 + d4 + outer + inner):
-        raise ValueError(NON_FINITE)
-    return _x_concurrence(d1, d2, d3, d4, outer, inner)
+    d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
+    outer, root_14 = _floored_block(d1, d4, abs(rho_14))
+    inner, root_23 = _floored_block(d2, d3, abs(rho_23))
+    return 2.0 * max(0.0, inner - root_14, outer - root_23)
 
 
 def binary_entropy(t: float) -> float:
@@ -171,28 +155,15 @@ def negativity_x(rho) -> float:
 
     -min(0, t1, t2) for the lower partial-transpose eigenvalues of
     xstate.partial_transpose_lows, with b = d2 + d3, c = d1 + d4,
-    g_low = d2 - d3, h_low = d1 - d4, x = |outer|^2 and y = |inner|^2.
+    g_low = d2 - d3, h_low = d1 - d4, x = |rho_14|^2 and y = |rho_23|^2.
 
-    Reads the diagonal and the lower coherences (2,1) and (3,0), and
-    raises ValueError for a non-finite one; a non-finite entry it does
-    not read goes unchecked, as does any asymmetry of a non-Hermitian
-    input.
+    Reads the matrix through xstate._x_entries: ValueError for any
+    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL;
+    the coherences are the upper ones (0,3) and (1,2).
     """
-    m = as_matrix(rho)
-    if not is_x_form(m):
-        raise NotXFormError("negativity_x requires an X-form matrix")
-    d1, d2, d3, d4 = (m[i, i].real for i in range(4))
-    return _x_negativity(d1, d2, d3, d4, abs(m[3, 0]) ** 2, abs(m[2, 1]) ** 2)
-
-
-def _x_negativity(d1: float, d2: float, d3: float, d4: float,
-                  x: float, y: float) -> float:
-    """Negativity of the X-state with diagonal d1..d4 and squared coherences
-    x = |rho_14|^2, y = |rho_23|^2; ValueError if it is not finite.
-    """
-    t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4, x, y)
-    if not math.isfinite(t1 + t2):
-        raise ValueError(NON_FINITE)
+    d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
+    t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
+                                    abs(rho_14) ** 2, abs(rho_23) ** 2)
     return float(-min(0.0, t1, t2) + 0.0)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .matrix_core import DEFAULT_TOL, ROUNDOFF, SQRT_CLAMP
 from .measures import negativity_x
-from .xstate import XParams, classify_rank, from_density
+from .xstate import XParams, _x_matrix, classify_rank, from_density
 
 P_RANK2_MIN = 5.0 / 9.0
 P_SEP_MAX = 1.0 / 3.0
@@ -55,14 +55,14 @@ def _sqrt_clamped(val: float) -> float:
 
 def scalar_u(p: float) -> float:
     """(1 + sqrt(2p - 1))/2 for p >= 1/2."""
-    if p < 0.5 - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"u undefined at purity {p!r}")
     return 0.5 * (1.0 + _sqrt_clamped(2.0 * p - 1.0))
 
 
 def scalar_v(p: float) -> float:
     """sqrt(2p - 2/3) for p >= 1/3."""
-    if p < P_SEP_MAX - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"v undefined at purity {p!r}")
     return _sqrt_clamped(2.0 * p - 2.0 / 3.0)
 
@@ -70,7 +70,7 @@ def scalar_v(p: float) -> float:
 def scalar_w(p: float, c: float) -> float:
     """1/3 - sqrt((v^2 - c^2)/3)/2, defined for c <= v(p)."""
     v = scalar_v(p)
-    if c > v + ROUNDOFF:
+    if not c <= v + ROUNDOFF:
         raise DomainError(f"w undefined: concurrence {c!r} exceeds v={v!r}")
     return 1.0 / 3.0 - 0.5 * _sqrt_clamped((v * v - c * c) / 3.0)
 
@@ -88,14 +88,14 @@ def scalar_z(p: float, c: float) -> float:
 
 def scalar_q(p: float) -> float:
     """sqrt(2p - 1): concurrence ceiling of the rank-2 kind-1/2 family."""
-    if p < 0.5 - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"q undefined at purity {p!r}")
     return _sqrt_clamped(2.0 * p - 1.0)
 
 
 def scalar_r(p: float) -> float:
     """sqrt(2) sqrt(1 - 2p + sqrt(2p - 1)): rank-3 outer-family ceiling above 5/9."""
-    if p < 0.5 - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"r undefined at purity {p!r}")
     q = _sqrt_clamped(2.0 * p - 1.0)
     return float(np.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + q))
@@ -103,7 +103,7 @@ def scalar_r(p: float) -> float:
 
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:
     """All six scalars at (p, c); out-of-domain entries are None."""
-    if p < 0.25 - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (0.25 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"purity {p!r} outside [1/4, 1]")
 
     def _try(fn, *args):
@@ -128,7 +128,7 @@ def cp_boundary(p: float) -> float:
     0 for p <= 1/3 (all such states are separable), v(p) up to 5/9 and
     u(p) from 5/9 on; the two branches agree (= 2/3) at the junction.
     """
-    if p < 0.25 - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (0.25 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"purity {p!r} outside [1/4, 1]")
     if p <= P_SEP_MAX:
         return 0.0
@@ -139,30 +139,16 @@ def cp_boundary(p: float) -> float:
 
 def _rho1(c: float) -> np.ndarray:
     s = _sqrt_clamped(1.0 - c * c)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 0.5 * (1.0 + s)
-    m[3, 3] = 0.5 * (1.0 - s)
-    m[0, 3] = m[3, 0] = 0.5 * c
-    return m
+    return _x_matrix(0.5 * (1.0 + s), 0.0, 0.0, 0.5 * (1.0 - s), 0.5 * c, 0.0)
 
 
 def _rho2(u: float, c: float) -> np.ndarray:
     s = _sqrt_clamped(u * u - c * c)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0 - u
-    m[1, 1] = 0.5 * (u + s)
-    m[2, 2] = 0.5 * (u - s)
-    m[1, 2] = m[2, 1] = 0.5 * c
-    return m
+    return _x_matrix(1.0 - u, 0.5 * (u + s), 0.5 * (u - s), 0.0, 0.0, 0.5 * c)
 
 
 def _rho3(w: float, c: float) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0 - 2.0 * w
-    m[1, 1] = w
-    m[3, 3] = w
-    m[0, 3] = m[3, 0] = 0.5 * c
-    return m
+    return _x_matrix(1.0 - 2.0 * w, w, 0.0, w, 0.5 * c, 0.0)
 
 
 def minset_state(p: float, c: float) -> np.ndarray:
@@ -171,10 +157,10 @@ def minset_state(p: float, c: float) -> np.ndarray:
     p = 1 gives the pure rank-1 member; p in [5/9, 1[ the rank-2 member;
     p in [1/3, 5/9[ the rank-3 member.
     """
-    if p < P_SEP_MAX - ROUNDOFF or p > 1.0 + ROUNDOFF:
+    if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"purity {p!r} outside [1/3, 1]")
-    if c < -ROUNDOFF:
-        raise OutOfDiagramError(f"negative concurrence {c!r}")
+    if not c >= -ROUNDOFF:
+        raise OutOfDiagramError(f"negative or NaN concurrence {c!r}")
     cmax = cp_boundary(p)
     if c > cmax + ROUNDOFF:
         raise OutOfDiagramError(
@@ -199,22 +185,22 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
       r3k2: rank 3 kind 2, p in [1/2, 5/9[, c <= v(p)
     """
     half_pi = 0.5 * np.pi
-    if c < -ROUNDOFF or c > 1.0 + ROUNDOFF:
+    if not (-ROUNDOFF <= c <= 1.0 + ROUNDOFF):
         raise DomainError(f"concurrence {c!r} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
 
     if variant == "r1k1":
-        if abs(p - 1.0) > DEFAULT_TOL:
+        if not abs(p - 1.0) <= DEFAULT_TOL:
             raise DomainError("r1k1 exists only at purity 1")
         return XParams(theta=0.5 * np.arcsin(c), phi=half_pi, psi=half_pi,
                        x=c * c / 4.0, y=0.0)
     if variant == "r1k2":
-        if abs(p - 1.0) > DEFAULT_TOL:
+        if not abs(p - 1.0) <= DEFAULT_TOL:
             raise DomainError("r1k2 exists only at purity 1")
         return XParams(theta=half_pi, phi=0.5 * np.arcsin(c), psi=0.0,
                        x=0.0, y=c * c / 4.0)
     if variant == "r2k3":
-        if p < 0.5 - ROUNDOFF or p >= 1.0 - ROUNDOFF:
+        if not (0.5 - ROUNDOFF <= p < 1.0 - ROUNDOFF):
             raise DomainError(f"r2k3 needs purity in [1/2, 1[, got {p!r}")
         u = scalar_u(p)
         if c > u + ROUNDOFF:
@@ -222,7 +208,7 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
         return XParams(theta=np.arcsin(_min_sqrt(u)), phi=0.5 * np.arcsin(min(c / u, 1.0)),
                        psi=0.0, x=0.0, y=c * c / 4.0)
     if variant == "r3k1":
-        if p < P_SEP_MAX - ROUNDOFF or p >= 1.0 - ROUNDOFF:
+        if not (P_SEP_MAX - ROUNDOFF <= p < 1.0 - ROUNDOFF):
             raise DomainError(f"r3k1 needs purity in [1/3, 1[, got {p!r}")
         if p < P_RANK2_MIN:
             lim = scalar_v(p)
@@ -238,7 +224,7 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
         return XParams(theta=np.arcsin(_min_sqrt(2.0 * w)), phi=0.25 * np.pi,
                        psi=half_pi, x=c * c / 4.0, y=0.0)
     if variant == "r3k2":
-        if p < 0.5 - ROUNDOFF or p >= P_RANK2_MIN:
+        if not (0.5 - ROUNDOFF <= p < P_RANK2_MIN):
             raise DomainError(f"r3k2 needs purity in [1/2, 5/9[, got {p!r}")
         lim = scalar_v(p)
         if c > lim + ROUNDOFF:

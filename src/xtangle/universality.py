@@ -67,6 +67,7 @@ import numpy as np
 
 from .matrix_core import (
     DEFAULT_TOL,
+    NON_FINITE,
     ROUNDOFF,
     Spectrum,
     as_matrix,
@@ -75,8 +76,6 @@ from .matrix_core import (
     hermitian_eig,
 )
 from .measures import (
-    _x_concurrence,
-    _x_negativity,
     concurrence_from_eig,
     concurrence_x,
     floored,
@@ -84,13 +83,11 @@ from .measures import (
     negativity_x,
 )
 from .xstate import (
-    OFF_X_INDICES,
-    NotXFormError,
     XParams,
+    _x_matrix,
     coeffs,
     diagonal,
     is_separable,
-    is_x_form,
     params_from_entries,
     to_density,
     validate_params,
@@ -162,10 +159,10 @@ class CounterpartResult:
     input's eigenvalues, non-ascending, which the state shares.
 
     achieved is measured in closed form from the state's two 2x2
-    blocks: the concurrence with each block's eigenvalues at or below
-    matrix_core.EIG_FLOOR taken as 0, the floor concurrence_from_eig
-    applies to the target (see measures.concurrence_x), the negativity
-    from xstate.partial_transpose_lows.
+    blocks, by measures.concurrence_x or measures.negativity_x; the
+    former takes each block's eigenvalues at or below
+    matrix_core.EIG_FLOOR as 0, the floor concurrence_from_eig applies
+    to the target.
     """
 
     state: np.ndarray
@@ -437,17 +434,18 @@ def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
-    """Maximally entangled mixed X-state with the given four eigenvalues."""
+    """Maximally entangled mixed X-state with the given four eigenvalues.
+
+    Raises ValueError for a non-finite value.
+    """
     vals = np.asarray(spectrum, dtype=float)
     if vals.shape != (4,):
         raise ValueError("spectrum must hold exactly four values")
+    if not np.isfinite(vals).all():
+        raise ValueError(NON_FINITE)
     l1, l2, l3, l4 = np.sort(vals)[::-1]
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = l4
-    m[3, 3] = l2
-    m[1, 1] = m[2, 2] = 0.5 * (l1 + l3)
-    m[1, 2] = m[2, 1] = 0.5 * (l1 - l3)
-    return m
+    mid = 0.5 * (l1 + l3)
+    return _x_matrix(l4, mid, mid, l2, 0.0, 0.5 * (l1 - l3))
 
 
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
@@ -462,8 +460,9 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     """
     rho = as_matrix(rho)
     spec = density_spectrum(rho)
+    values = floored(spec.values)
     if measure == "concurrence":
-        target = concurrence_from_eig(spec)
+        target = concurrence_from_eig(values, spec.eigvecs)
     elif measure == "negativity":
         target = negativity_general(rho)
     else:
@@ -471,7 +470,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     # the MEMS walk: inner coherence ((l1 - l3)/2)^2 over an exactly
     # degenerate inner block, floor l2 l4 and partner sum l2 + l4
-    l1, l2, l3, l4 = floored(spec.values).tolist()
+    l1, l2, l3, l4 = values.tolist()
     a = (0.5 * (l1 - l3)) ** 2
     floor, partner = l2 * l4, l2 + l4
     if measure == "concurrence":
@@ -490,15 +489,8 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     w = x_unitary(0.0, 0.0, angle, 0.0) @ _mems_basis(spec)
     out = conjugate(rho, w)
-    if not is_x_form(out):
-        worst = max(abs(out[i, j]) for i, j in OFF_X_INDICES)
-        raise NotXFormError(f"off-X entry of magnitude {worst:.3e} in the counterpart")
-    d1, d2, d3, d4 = out.diagonal().real.tolist()
-    outer, inner = float(abs(out[3, 0])), float(abs(out[2, 1]))
-    if measure == "concurrence":
-        achieved = _x_concurrence(d1, d2, d3, d4, outer, inner)
-    else:
-        achieved = _x_negativity(d1, d2, d3, d4, outer * outer, inner * inner)
+    # the X-form routes raise NotXFormError should out not be X-form
+    achieved = concurrence_x(out) if measure == "concurrence" else negativity_x(out)
     return CounterpartResult(state=out, unitary=w, tau=tau, branch=branch,
                              measure=measure, target=target, achieved=achieved,
                              clip=clip, spectrum=spec.values)

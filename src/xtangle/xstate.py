@@ -11,10 +11,14 @@ the main diagonal and the anti-diagonal. The coordinate chart used here is
 with anti-diagonal coherences sqrt(x) e^{i mu} (outer corners) and
 sqrt(y) e^{i nu} (inner corners). theta, phi, psi in [0, pi/2]; x, y >= 0;
 mu, nu in [0, 2 pi).
+
+This module also owns the X matrix layout: _x_entries is the package's
+only reader of an X matrix and _x_matrix its only builder.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,11 +35,6 @@ from .matrix_core import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-# (row, col) pairs that must vanish for the X shape
-OFF_X_INDICES = (
-    (0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2),
-)
 
 
 class UnphysicalError(ValueError):
@@ -204,24 +203,64 @@ def is_physical(p: XParams) -> bool:
     return True
 
 
-def to_density(p: XParams) -> np.ndarray:
-    """Assemble the 4x4 density matrix for physical parameters."""
-    _, (d1, d2, d3, d4) = _physical_coeffs(p)
-    cx = np.sqrt(max(p.x, 0.0)) * np.exp(1j * p.mu)
-    cy = np.sqrt(max(p.y, 0.0)) * np.exp(1j * p.nu)
+def _x_matrix(d1, d2, d3, d4, rho_14, rho_23) -> np.ndarray:
+    """The X matrix with diagonal d1..d4 and upper coherences rho_14, rho_23.
+
+    The only place the package writes the X layout. Each lower coherence
+    is np.conj of the upper one as passed: a real coherence stays real,
+    so its lower entry's imaginary part is +0.0, where conjugating it
+    after storing it as complex would give -0.0.
+    """
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = d1, d2, d3, d4
-    m[0, 3] = cx
-    m[3, 0] = np.conj(cx)
-    m[1, 2] = cy
-    m[2, 1] = np.conj(cy)
+    m[0, 3], m[3, 0] = rho_14, np.conj(rho_14)
+    m[1, 2], m[2, 1] = rho_23, np.conj(rho_23)
     return m
 
 
+def _off_x_worst(e: list) -> float:
+    """The largest off-X magnitude among the 16 row-major entries e; NaN
+    if an off-X entry is NaN."""
+    _, e01, e02, _, e10, _, _, e13, e20, _, _, e23, _, e31, e32, _ = e
+    mags = (abs(e01), abs(e02), abs(e10), abs(e13), abs(e20), abs(e23), abs(e31), abs(e32))
+    # max() keeps a NaN only in first place; the sum keeps it anywhere
+    return math.nan if math.isnan(sum(mags)) else max(mags)
+
+
+def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, float, complex, complex]:
+    """(d1, d2, d3, d4, rho_14, rho_23) of an X-form matrix.
+
+    The only place the package reads the X layout: all 16 entries in one
+    tolist(). Raises ValueError(NON_FINITE) if any entry is NaN or
+    infinite, then NotXFormError naming the largest off-X magnitude if it
+    exceeds tol. Returns the real diagonal and the upper coherences (0,3)
+    and (1,2); on an exactly Hermitian matrix the lower ones have the same
+    magnitudes, bit for bit. Asymmetry of a non-Hermitian input is not
+    checked.
+    """
+    e = as_matrix(rho).ravel().tolist()
+    # one isfinite on the sum; entries one by one only when it fails,
+    # because finite entries near the float maximum can overflow the sum
+    if not cmath.isfinite(sum(e)) and not all(map(cmath.isfinite, e)):
+        raise ValueError(NON_FINITE)
+    worst = _off_x_worst(e)
+    if not worst <= tol:
+        raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")
+    d1, _, _, rho_14, _, d2, rho_23, _, _, _, d3, _, _, _, _, d4 = e
+    return d1.real, d2.real, d3.real, d4.real, rho_14, rho_23
+
+
+def to_density(p: XParams) -> np.ndarray:
+    """Assemble the 4x4 density matrix for physical parameters."""
+    _, (d1, d2, d3, d4) = _physical_coeffs(p)
+    return _x_matrix(d1, d2, d3, d4,
+                     np.sqrt(max(p.x, 0.0)) * np.exp(1j * p.mu),
+                     np.sqrt(max(p.y, 0.0)) * np.exp(1j * p.nu))
+
+
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-X entry has magnitude <= tol."""
-    m = as_matrix(rho)
-    return bool(all(abs(m[i, j]) <= tol for i, j in OFF_X_INDICES))
+    """True iff every off-X entry has magnitude <= tol; a NaN one fails."""
+    return bool(_off_x_worst(as_matrix(rho).ravel().tolist()) <= tol)
 
 
 def _clamp01(v: float) -> float:
@@ -263,19 +302,11 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
 def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     """Invert to_density. Requires the input to be X-form within tol.
 
-    Reads the diagonal and the upper coherences (0,3) and (1,2), and
-    raises ValueError for a non-finite one; a non-finite entry it does
-    not read goes unchecked, as does any asymmetry of a non-Hermitian
-    input.
+    Reads the matrix through _x_entries: ValueError for any non-finite
+    entry, NotXFormError for an off-X entry above tol; the phases come
+    from the upper coherences (0,3) and (1,2).
     """
-    m = as_matrix(rho)
-    if not is_x_form(m, tol):
-        worst = max(abs(m[i, j]) for i, j in OFF_X_INDICES)
-        raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")
-    return params_from_entries(
-        m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real,
-        m[0, 3], m[1, 2], tol=tol,
-    )
+    return params_from_entries(*_x_entries(rho, tol), tol=tol)
 
 
 def char_poly(p: XParams) -> CharPolyCoeffs:

@@ -125,6 +125,13 @@ def test_minset_stdout(capsys):
     np.testing.assert_allclose(got, minset_state(0.54, 0.4), atol=0.0)
 
 
+@pytest.mark.parametrize("purity, concurrence", [("nan", "0.3"), ("0.6", "nan")])
+def test_minset_nan_argument_exits_invalid(capsys, purity, concurrence):
+    # a NaN fails every domain test instead of printing NaN, which is not JSON
+    assert cli.main(["minset", "--purity", purity, "--concurrence", concurrence]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_classify(tmp_path, capsys):
     path = write_json(tmp_path / "x.json", M30A)
     assert cli.main(["classify", "--in", path]) == 0

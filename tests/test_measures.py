@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xtangle import (
+    NotXFormError,
     OutOfRegimeError,
     binary_entropy,
     concurrence_general,
@@ -12,6 +13,7 @@ from xtangle import (
     fannes_ree_bound,
     from_density,
     is_separable,
+    is_x_form,
     negativity_general,
     negativity_x,
     partial_transpose,
@@ -154,14 +156,53 @@ def test_fannes_bound():
 # numpy warns of the invalid arithmetic a NaN or inf entry causes
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
-@pytest.mark.parametrize("where", [(1, 1), (0, 0), (0, 3)],
-                         ids=["diagonal", "corner_diagonal", "coherence"])
+@pytest.mark.parametrize("where", [(1, 1), (0, 0), (0, 3), (1, 0)],
+                         ids=["diagonal", "corner_diagonal", "coherence", "off_x"])
 @pytest.mark.parametrize("fn", [concurrence_x, negativity_x, from_density],
                          ids=lambda fn: fn.__name__)
 def test_x_form_non_finite_entry_raises(fn, where, value):
-    # (0, 3) and (3, 0) are both set: from_density reads the upper
-    # coherence, the measures the lower one
+    # the mirrored entry is set too, so a finite matrix would be Hermitian;
+    # an off-X NaN is reported as non-finite, not as an off-X magnitude
     m = MAX_MIXED.astype(complex)
     m[where] = m[where[::-1]] = value
     with pytest.raises(ValueError, match="^non-finite entry$"):
+        fn(m)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fn", [concurrence_x, negativity_x, from_density],
+                         ids=lambda fn: fn.__name__)
+def test_x_form_lower_coherence_non_finite_raises(fn):
+    # every X-form route reads all 16 entries, not only those it computes with
+    m = MAX_MIXED.astype(complex)
+    m[3, 0] = np.nan
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        fn(m)
+
+
+@pytest.mark.parametrize("where", [(0, 1), (0, 2), (1, 0), (1, 3),
+                                   (2, 0), (2, 3), (3, 1), (3, 2)], ids=str)
+def test_is_x_form_false_on_nan_off_x(where):
+    # max() skips a NaN that is not the first off-X magnitude
+    m = MAX_MIXED.astype(complex)
+    m[where] = np.nan
+    assert not is_x_form(m)
+    assert not is_x_form(m, tol=np.inf)
+    m[where] = np.inf
+    assert not is_x_form(m)
+
+
+def test_from_density_nan_tol_accepts_no_matrix():
+    # the off-X test is not (worst <= tol), which a NaN tol fails
+    with pytest.raises(NotXFormError):
+        from_density(MAX_MIXED, tol=np.nan)
+
+
+@pytest.mark.parametrize("fn", [concurrence_x, negativity_x, from_density],
+                         ids=lambda fn: fn.__name__)
+def test_x_form_error_names_largest_off_x_entry(fn):
+    m = MAX_MIXED.astype(complex)
+    m[0, 1] = m[1, 0] = 0.1
+    m[3, 2] = m[2, 3] = 0.3j
+    with pytest.raises(NotXFormError, match="^off-X entry of magnitude 3.000e-01 exceeds 1.000e-09$"):
         fn(m)

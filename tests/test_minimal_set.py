@@ -1,5 +1,7 @@
 """Minimal set S_X: boundary scalars, member construction, diagram data."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from xtangle import (
     scalar_u,
     scalar_v,
     scalar_w,
+    scalar_z,
     theorem_params,
     to_density,
     trace_norm,
@@ -60,6 +63,39 @@ def test_scalar_domains():
         scalar_w(0.6, 0.9)  # c above v(p)
     with pytest.raises(DomainError):
         scalar_q(0.45)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: scalar_u(NAN),
+    lambda: scalar_v(NAN),
+    lambda: scalar_q(NAN),
+    lambda: scalar_r(NAN),
+    lambda: scalar_w(0.6, NAN),
+    lambda: scalar_w(NAN, 0.3),
+    lambda: scalar_z(0.6, NAN),
+    lambda: boundary_scalars(NAN, 0.3),
+    lambda: cp_boundary(NAN),
+    lambda: minset_state(NAN, 0.3),
+    lambda: theorem_params(0.6, NAN, "r2k3"),
+    lambda: theorem_params(NAN, 0.3, "r1k1"),
+    lambda: theorem_params(NAN, 0.3, "r1k2"),
+    lambda: theorem_params(NAN, 0.3, "r2k3"),
+    lambda: theorem_params(NAN, 0.3, "r3k1"),
+    lambda: theorem_params(NAN, 0.3, "r3k2"),
+], ids=["u", "v", "q", "r", "w_c", "w_p", "z_c", "boundary_scalars", "cp_boundary",
+        "minset_p", "theorem_c", "r1k1_p", "r1k2_p", "r2k3_p", "r3k1_p", "r3k2_p"])
+def test_nan_argument_raises_domain_error(call):
+    # each range test is not (lo <= v <= hi), which a NaN fails
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_minset_state_nan_concurrence_is_out_of_diagram():
+    with pytest.raises(OutOfDiagramError):
+        minset_state(0.6, NAN)
 
 
 def test_boundary_scalars_partial():
@@ -247,6 +283,15 @@ def test_diagram_data_rejects():
         diagram_data("volume", 5)
     with pytest.raises(ValueError):
         diagram_data("cp", 1)
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("cp", "a825812bdad08aed8df5f222a6ff17e07a3a46a20ec28e60394ebbfbb4eedff8"),
+    ("negativity_purity", "9c09820131783290d6801eed3608722f23f903799f131c2e824fee7a919991ee"),
+])
+def test_diagram_csv_frozen(kind, digest):
+    # the full diagrams at grid 40, byte for byte
+    assert hashlib.sha256(diagram_csv(kind, 40).encode()).hexdigest() == digest
 
 
 def test_diagram_csv_format():

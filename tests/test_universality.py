@@ -297,6 +297,12 @@ def test_mems_from_spectrum_reference():
     np.testing.assert_allclose(m, mems_from_spectrum((0.1, 0.3, 0.2, 0.4)), atol=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+def test_mems_from_spectrum_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        mems_from_spectrum([value, 0.3, 0.3, 0.4])
+
+
 def test_counterpart_bell():
     res = counterpart_details(BELL_PHI_PLUS, "concurrence")
     assert res.tau == 0.0
