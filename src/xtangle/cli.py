@@ -5,7 +5,8 @@ counterpart output files carry a second "unitary" key in the same
 encoding. Floats are written with full round-trip precision. Diagram
 files are CSV with 12 significant digits and LF line endings.
 
-Exit codes: 0 ok, 1 usage, 2 parse, 3 invalid state, 4 check failure.
+Exit codes: 0 ok, 1 usage (a bad option value, or an output file that
+cannot be written), 2 parse, 3 invalid state, 4 check failure.
 """
 
 from __future__ import annotations
@@ -109,13 +110,20 @@ def read_state(path: str) -> np.ndarray:
     return _matrix_from_obj(doc["matrix"])
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as is; UsageError if the file cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def write_state(path: str, matrix: np.ndarray, unitary: np.ndarray | None = None) -> None:
     doc = {"matrix": _matrix_to_obj(matrix)}
     if unitary is not None:
         doc["unitary"] = _matrix_to_obj(unitary)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def _require_density(m: np.ndarray) -> np.ndarray:
@@ -209,8 +217,7 @@ def cmd_classify(args) -> int:
 def cmd_diagram(args) -> int:
     text = minimal_set.diagram_csv(args.kind, args.grid)
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(args.out_path, text)
         print(f"out: {args.out_path}")
     else:
         sys.stdout.write(text)
@@ -313,6 +320,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: convert(text), which must satisfy ok."""
+    def parse(text: str):
+        try:
+            val = convert(text)
+        except ValueError:
+            val = None
+        if val is None or not ok(val):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return val
+    return parse
+
+
+_tolerance = _checked(float, lambda v: 0.0 < v < math.inf, "must be a number in (0, inf)")
+_count = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+_grid = _checked(int, lambda v: v >= 2, "must be an integer >= 2")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="xtangle",
                      description="Two-qubit X-state measures and conversions")
@@ -322,7 +347,7 @@ def build_parser() -> _Parser:
         p.add_argument("--in", dest="in_path", required=True, metavar="FILE")
 
     def add_tol(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("measure", help="entanglement report for a state file")
     add_in(p)
@@ -349,12 +374,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagram", help="emit diagram CSV data")
     p.add_argument("--kind", choices=("cp", "negativity_purity"), default="cp")
-    p.add_argument("--grid", type=int, default=40)
+    p.add_argument("--grid", type=_grid, default=40)
     p.add_argument("--out", dest="out_path", metavar="FILE")
     p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("sweep", help="randomized invariant checks")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     add_tol(p)
     p.add_argument("checks", nargs="*", default=["all"], metavar="CHECK")

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix_core import DEFAULT_TOL, ROUNDOFF, SQRT_CLAMP
-from .measures import negativity_x
-from .xstate import XParams, _x_matrix, classify_rank, from_density
+from .xstate import (
+    XParams,
+    _classify_arrays,
+    _coeffs_of,
+    _x_matrix,
+    partial_transpose_lows,
+)
 
 P_RANK2_MIN = 5.0 / 9.0
 P_SEP_MAX = 1.0 / 3.0
@@ -45,7 +50,17 @@ class BoundaryScalars:
     r: float | None
 
 
-def _sqrt_clamped(val: float) -> float:
+def _sqrt_clamped(val):
+    """sqrt(val), reading arguments in [-SQRT_CLAMP, 0[ as 0.
+
+    A float gives a float; an array is taken elementwise. Raises
+    DomainError if any argument is below -SQRT_CLAMP; a NaN passes.
+    """
+    if isinstance(val, np.ndarray):
+        low = val.min(initial=0.0)
+        if low < -SQRT_CLAMP:
+            raise DomainError(f"negative square-root argument {low:.3e}")
+        return np.sqrt(np.where(val < 0.0, 0.0, val))
     if val < 0.0:
         if val < -SQRT_CLAMP:
             raise DomainError(f"negative square-root argument {val:.3e}")
@@ -69,8 +84,12 @@ def scalar_v(p: float) -> float:
 
 def scalar_w(p: float, c: float) -> float:
     """1/3 - sqrt((v^2 - c^2)/3)/2, defined for c <= v(p)."""
-    v = scalar_v(p)
-    if not c <= v + ROUNDOFF:
+    return _w_of(scalar_v(p), c)
+
+
+def _w_of(v, c):
+    """scalar_w from v = scalar_v(p); elementwise on arrays v and c."""
+    if not np.all(c <= v + ROUNDOFF):
         raise DomainError(f"w undefined: concurrence {c!r} exceeds v={v!r}")
     return 1.0 / 3.0 - 0.5 * _sqrt_clamped((v * v - c * c) / 3.0)
 
@@ -105,21 +124,22 @@ def boundary_scalars(p: float, c: float) -> BoundaryScalars:
     """All six scalars at (p, c); out-of-domain entries are None."""
     if not (0.25 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"purity {p!r} outside [1/4, 1]")
-
-    def _try(fn, *args):
-        try:
-            return fn(*args)
-        except DomainError:
-            return None
-
     return BoundaryScalars(
-        u=_try(scalar_u, p),
-        v=_try(scalar_v, p),
-        w=_try(scalar_w, p, c),
-        z=_try(scalar_z, p, c),
-        q=_try(scalar_q, p),
-        r=_try(scalar_r, p),
+        u=_or_none(scalar_u, p),
+        v=_or_none(scalar_v, p),
+        w=_or_none(scalar_w, p, c),
+        z=_or_none(scalar_z, p, c),
+        q=_or_none(scalar_q, p),
+        r=_or_none(scalar_r, p),
     )
+
+
+def _or_none(fn, *args):
+    """fn(*args), or None where it raises DomainError."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
 
 
 def cp_boundary(p: float) -> float:
@@ -137,25 +157,60 @@ def cp_boundary(p: float) -> float:
     return scalar_v(p)
 
 
-def _rho1(c: float) -> np.ndarray:
-    s = _sqrt_clamped(1.0 - c * c)
-    return _x_matrix(0.5 * (1.0 + s), 0.0, 0.0, 0.5 * (1.0 - s), 0.5 * c, 0.0)
+def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d1, d2, d3, d4, rho_14, rho_23) of the members at purities p and
+    concurrences c, each an array shaped like c.
 
+    p is an ascending 1-D array of purities and c holds one row of
+    concurrences in [0, cp_boundary(p)] per purity. The coherences are
+    real. Rows with p < 5/9 give the rank-3 member
 
-def _rho2(u: float, c: float) -> np.ndarray:
-    s = _sqrt_clamped(u * u - c * c)
-    return _x_matrix(1.0 - u, 0.5 * (u + s), 0.5 * (u - s), 0.0, 0.0, 0.5 * c)
+        (1 - 2w, w, 0, w), rho_14 = c/2,                w = scalar_w(p, c),
 
+    rows with 5/9 <= p < 1 the rank-2 member
 
-def _rho3(w: float, c: float) -> np.ndarray:
-    return _x_matrix(1.0 - 2.0 * w, w, 0.0, w, 0.5 * c, 0.0)
+        (1 - u, (u + s)/2, (u - s)/2, 0), rho_23 = c/2, s = sqrt(u^2 - c^2),
+
+    with u = scalar_u(p), and rows with p >= 1 the pure member
+
+        ((1 + s)/2, 0, 0, (1 - s)/2), rho_14 = c/2,     s = sqrt(1 - c^2),
+
+    with c capped at 1. The purity scalars are taken once per row; a
+    DomainError is raised where scalar_u, scalar_v or scalar_w raises one.
+    """
+    d1, d2, d3, d4, rho_14, rho_23 = np.zeros((6,) + c.shape)
+    lo, hi = np.searchsorted(p, (P_RANK2_MIN, 1.0))
+    # a batch of one (minset_state) fills one slice; the empty ones are skipped
+    if lo > 0:
+        c3 = c[:lo]
+        w = _w_of(np.array([scalar_v(x) for x in p[:lo].tolist()])[:, None], c3)
+        d1[:lo] = 1.0 - 2.0 * w
+        d2[:lo] = w
+        d4[:lo] = w
+        rho_14[:lo] = 0.5 * c3
+    if hi > lo:
+        c2 = c[lo:hi]
+        u = np.array([scalar_u(x) for x in p[lo:hi].tolist()])[:, None]
+        s = _sqrt_clamped(u * u - c2 * c2)
+        d1[lo:hi] = 1.0 - u
+        d2[lo:hi] = 0.5 * (u + s)
+        d3[lo:hi] = 0.5 * (u - s)
+        rho_23[lo:hi] = 0.5 * c2
+    if hi < len(p):
+        c1 = np.minimum(c[hi:], 1.0)
+        s = _sqrt_clamped(1.0 - c1 * c1)
+        d1[hi:] = 0.5 * (1.0 + s)
+        d4[hi:] = 0.5 * (1.0 - s)
+        rho_14[hi:] = 0.5 * c1
+    return d1, d2, d3, d4, rho_14, rho_23
 
 
 def minset_state(p: float, c: float) -> np.ndarray:
     """The member state with purity p and concurrence c.
 
     p = 1 gives the pure rank-1 member; p in [5/9, 1[ the rank-2 member;
-    p in [1/3, 5/9[ the rank-3 member.
+    p in [1/3, 5/9[ the rank-3 member (see _member_entries, of which
+    this is a batch of one).
     """
     if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"purity {p!r} outside [1/3, 1]")
@@ -166,11 +221,7 @@ def minset_state(p: float, c: float) -> np.ndarray:
         raise OutOfDiagramError(
             f"concurrence {c!r} exceeds the maximum {cmax!r} at purity {p!r}"
         )
-    if p >= 1.0:
-        return _rho1(min(c, 1.0))
-    if p >= P_RANK2_MIN:
-        return _rho2(scalar_u(p), c)
-    return _rho3(scalar_w(p, c), c)
+    return _x_matrix(*(e.item() for e in _member_entries(np.array([p]), np.array([[c]]))))
 
 
 def theorem_params(p: float, c: float, variant: str) -> XParams:
@@ -247,43 +298,61 @@ def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     Row-major: purity outer (uniform on [1/3, 1]), concurrence inner
     (uniform on [0, cp_boundary(p)]). Each row carries the member state's
     negativity and classified rank/kind; kind="cp" appends the boundary
-    scalars u, v, q, r (None where undefined).
+    scalars u, v, q, r (None where undefined). The cells are Python
+    floats and ints.
+
+    The whole grid is one array pass over the members' entries
+    (_member_entries), with no matrix and no chart: the negativity comes
+    from xstate.partial_transpose_lows and the rank/kind from
+    xstate._classify_arrays, classify_rank's rule on arrays. The values
+    are those of classify_rank(from_density(minset_state(p, c))) and,
+    to round-off, negativity_x(minset_state(p, c)): its squares are libm
+    pow, these are products.
     """
     if kind not in ("cp", "negativity_purity"):
         raise ValueError(f"unknown diagram kind {kind!r}")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
+    ps = np.linspace(P_SEP_MAX, 1.0, grid_n)
+    # one linspace per row: a linspace over an array of stops rounds differently
+    c = np.array([np.linspace(0.0, cp_boundary(p), grid_n) for p in ps.tolist()])
+    d1, d2, d3, d4, rho_14, rho_23 = _member_entries(ps, c)
+    x = rho_14 * rho_14
+    y = rho_23 * rho_23
+    co = _coeffs_of(d1, d2, d3, d4)
+    t1, t2 = partial_transpose_lows(co.b_cal, d1 + d4, co.g_low, co.h_low, x, y)
+    neg = -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
+    rank, rkind = _classify_arrays(co, x, y)
+
     rows = []
-    for p in np.linspace(P_SEP_MAX, 1.0, grid_n):
-        cmax = cp_boundary(p)
-        scal = boundary_scalars(p, 0.0)
-        for c in np.linspace(0.0, cmax, grid_n):
-            state = minset_state(p, c)
-            neg = negativity_x(state)
-            rk = classify_rank(from_density(state))
-            if kind == "cp":
-                rows.append((p, c, neg, rk.rank, rk.kind,
-                             scal.u, scal.v, scal.q, scal.r))
-            else:
-                rows.append((p, c, neg, rk.rank, rk.kind))
+    for p, c_row, neg_row, rank_row, kind_row in zip(
+            ps.tolist(), c.tolist(), neg.tolist(), rank.tolist(), rkind.tolist()):
+        tail = ()
+        if kind == "cp":
+            tail = tuple(_or_none(fn, p) for fn in (scalar_u, scalar_v, scalar_q, scalar_r))
+        rows.extend((p, cc, nn, rr, kk) + tail
+                    for cc, nn, rr, kk in zip(c_row, neg_row, rank_row, kind_row))
     return rows
 
 
+def _cell(val) -> str:
+    return "" if val is None else f"{val:.12g}"
+
+
 def diagram_csv(kind: str, grid_n: int) -> str:
-    """CSV text for diagram_data: 12 significant digits, LF line endings."""
+    """CSV text for diagram_data: 12 significant digits, LF line endings.
+
+    The cells a purity's row shares (p and the cp kind's u, v, q, r) are
+    formatted once per purity.
+    """
     rows = diagram_data(kind, grid_n)
     header = "p,c,negativity,rank,kind"
     if kind == "cp":
         header += ",u,v,q,r"
     lines = [header]
-    for row in rows:
-        cells = []
-        for val in row:
-            if val is None:
-                cells.append("")
-            elif isinstance(val, (int, np.integer)):
-                cells.append(str(int(val)))
-            else:
-                cells.append(f"{float(val):.12g}")
-        lines.append(",".join(cells))
+    for start in range(0, len(rows), grid_n):
+        first = rows[start]
+        tail = "".join("," + _cell(val) for val in first[5:])
+        line = _cell(first[0]) + ",%.12g,%.12g,%d,%d" + tail
+        lines.extend(line % row[1:5] for row in rows[start:start + grid_n])
     return "\n".join(lines) + "\n"

@@ -328,7 +328,8 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
 
     Equality tests use the absolute tolerance tol. The most degenerate
     configurations are tested first so that overlapping tolerance bands
-    resolve to the lowest rank.
+    resolve to the lowest rank. _classify_arrays evaluates the same rule
+    on arrays; a change here is a change there.
     """
     co, _ = _physical_coeffs(p)
     x_at_top = abs(p.x - co.h_cal) <= tol
@@ -353,6 +354,41 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     if x_at_top:
         return RankClass(3, 2)
     return RankClass(4, 1)
+
+
+# classify_rank's outcomes in its order of precedence; the last is the default
+_RANKS = np.array([1, 1, 2, 2, 2, 3, 3, 4])
+_KINDS = np.array([1, 2, 1, 2, 3, 1, 2, 1])
+
+
+def _classify_arrays(co: XCoeffs, x, y, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, kind) integer arrays of X-states given elementwise by the
+    XCoeffs co of their diagonals and their weights x = |rho_14|^2 and
+    y = |rho_23|^2.
+
+    classify_rank's seven conditions in its order, on arrays of entries
+    rather than on chart parameters. Raises UnphysicalError, as
+    _physical_coeffs does, if any state has x above h_cal or y above
+    g_cal by more than ROUNDOFF, or a NaN weight.
+    """
+    if not np.all((x <= co.h_cal + ROUNDOFF) & (y <= co.g_cal + ROUNDOFF)):
+        raise UnphysicalError("a coherence weight exceeds the positivity range")
+    x_at_top = np.abs(x - co.h_cal) <= tol
+    y_at_top = np.abs(y - co.g_cal) <= tol
+    x_zero = x <= tol
+    y_zero = y <= tol
+    b_zero = co.b_cal <= tol
+    c_zero = co.c_cal <= tol
+    first = np.select([
+        x_at_top & y_zero & b_zero,
+        x_zero & y_at_top & c_zero,
+        y_zero & b_zero,
+        x_zero & c_zero,
+        x_at_top & y_at_top,
+        y_at_top,
+        x_at_top,
+    ], range(7), 7)
+    return _RANKS[first], _KINDS[first]
 
 
 def is_separable(p: XParams) -> bool:

@@ -297,3 +297,40 @@ def test_exit_parse_non_finite_or_bool(tmp_path, capsys, cell):
     assert cli.main(["measure", "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert "entry (0,0)" in err
+
+
+BAD_TOLS = ["nan", "-1", "0", "inf", "-inf", "abc"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["measure", "--in", "state.json", "--tol", t] for t in BAD_TOLS),
+    *(["classify", "--in", "state.json", "--tol", t] for t in BAD_TOLS),
+    *(["sweep", "--count", "2", "--tol", t, "classify"] for t in BAD_TOLS),
+    *(["sweep", "--count", n, "classify"] for n in ["-5", "-1", "1.5", "abc"]),
+    *(["diagram", "--grid", g] for g in ["0", "1", "-3", "2.5", "abc"]),
+    ["minset", "--purity", "abc", "--concurrence", "0.1"],
+    ["minset", "--purity", "0.6", "--concurrence", "abc"],
+    ["counterpart", "--in", "state.json", "--out", "x.json", "--preserve", "entropy"],
+], ids=" ".join)
+def test_bad_option_value_is_a_usage_error(capsys, argv):
+    # rejected while parsing, before any file is read or any check runs
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterpart", "--in", "IN"],
+    ["minset", "--purity", "0.54", "--concurrence", "0.4"],
+    ["diagram", "--grid", "3"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    argv = [write_json(tmp_path / "in.json", M40) if a == "IN" else a for a in argv]
+    out = str(tmp_path / "missing" / "out")
+    assert cli.main(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write {out}: ")
+    assert "Traceback" not in captured.err

@@ -9,6 +9,7 @@ from xtangle import (
     DomainError,
     OutOfDiagramError,
     RankClass,
+    UnphysicalError,
     boundary_scalars,
     classify_rank,
     concurrence_general,
@@ -18,6 +19,7 @@ from xtangle import (
     from_density,
     hermitian_eig,
     minset_state,
+    negativity_x,
     numerical_rank,
     purity_general,
     scalar_q,
@@ -30,6 +32,8 @@ from xtangle import (
     to_density,
     trace_norm,
 )
+from xtangle.matrix_core import DEFAULT_TOL
+from xtangle.xstate import _classify_arrays, _coeffs_of
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -307,3 +311,90 @@ def test_diagram_csv_format():
     assert text2.split("\n")[0] == "p,c,negativity,rank,kind"
     # determinism
     assert diagram_csv("cp", 3) == text
+
+
+def _scalar_route(grid_n):
+    """(p, c, negativity, rank, kind) of every diagram cell, each member
+    built as a matrix and measured through the public scalar routes."""
+    cells = []
+    for p in np.linspace(1.0 / 3.0, 1.0, grid_n):
+        for c in np.linspace(0.0, cp_boundary(p), grid_n):
+            state = minset_state(p, c)
+            rk = classify_rank(from_density(state))
+            cells.append((float(p), float(c), negativity_x(state), rk.rank, rk.kind))
+    return cells
+
+
+@pytest.mark.parametrize("grid_n", range(2, 61))
+def test_diagram_data_matches_scalar_route(grid_n):
+    want = _scalar_route(grid_n)
+    for kind in ("cp", "negativity_purity"):
+        rows = diagram_data(kind, grid_n)
+        assert len(rows) == len(want)
+        for row, (p, c, neg, rank, rkind) in zip(rows, want):
+            assert (row[0].hex(), row[1].hex()) == (p.hex(), c.hex())
+            assert (row[3], row[4]) == (rank, rkind)
+            assert abs(row[2] - neg) <= 1e-15
+
+
+def test_diagram_data_cells_are_python_numbers():
+    for row in diagram_data("cp", 7):
+        assert [type(v) for v in row[:5]] == [float, float, float, int, int]
+        assert all(v is None or type(v) is float for v in row[5:])
+
+
+# (d1, d2, d3, d4, x, y) for the eight classes, then pairs straddling a
+# DEFAULT_TOL band edge, the inside member first
+T = DEFAULT_TOL
+IN, OUT = 1.0 - 1e-3, 1.0 + 1e-3
+MEMBERS = [
+    ((0.7, 0.0, 0.0, 0.3, 0.21, 0.0), (1, 1)),
+    ((0.0, 0.6, 0.4, 0.0, 0.0, 0.24), (1, 2)),
+    ((0.7, 0.0, 0.0, 0.3, 0.1, 0.0), (2, 1)),
+    ((0.0, 0.6, 0.4, 0.0, 0.0, 0.1), (2, 2)),
+    ((0.4, 0.2, 0.3, 0.1, 0.04, 0.06), (2, 3)),
+    ((0.4, 0.2, 0.3, 0.1, 0.01, 0.06), (3, 1)),
+    ((0.4, 0.2, 0.3, 0.1, 0.04, 0.01), (3, 2)),
+    ((0.4, 0.2, 0.3, 0.1, 0.01, 0.01), (4, 1)),
+    # x at the top of its range
+    ((0.7, 0.0, 0.0, 0.3, 0.21 - T * IN, 0.0), (1, 1)),
+    ((0.7, 0.0, 0.0, 0.3, 0.21 - T * OUT, 0.0), (2, 1)),
+    ((0.4, 0.2, 0.3, 0.1, 0.04 - T * IN, 0.06), (2, 3)),
+    ((0.4, 0.2, 0.3, 0.1, 0.04 - T * OUT, 0.06), (3, 1)),
+    # y at the top of its range
+    ((0.0, 0.6, 0.4, 0.0, 0.0, 0.24 - T * IN), (1, 2)),
+    ((0.0, 0.6, 0.4, 0.0, 0.0, 0.24 - T * OUT), (2, 2)),
+    ((0.4, 0.2, 0.3, 0.1, 0.04, 0.06 - T * IN), (2, 3)),
+    ((0.4, 0.2, 0.3, 0.1, 0.04, 0.06 - T * OUT), (3, 2)),
+    # b = d2 + d3 at zero
+    ((0.7 - T * IN, 0.5 * T * IN, 0.5 * T * IN, 0.3, 0.1, 0.0), (2, 1)),
+    ((0.7 - T * OUT, 0.5 * T * OUT, 0.5 * T * OUT, 0.3, 0.1, 0.0), (3, 1)),
+    # c = 1 - b at zero
+    ((0.5 * T * IN, 0.6, 0.4 - T * IN, 0.5 * T * IN, 0.0, 0.1), (2, 2)),
+    ((0.5 * T * OUT, 0.6, 0.4 - T * OUT, 0.5 * T * OUT, 0.0, 0.1), (3, 2)),
+]
+
+
+def _x_state(d1, d2, d3, d4, x, y):
+    m = np.diag([d1, d2, d3, d4]).astype(complex)
+    m[0, 3] = m[3, 0] = np.sqrt(x)
+    m[1, 2] = m[2, 1] = np.sqrt(y)
+    return m
+
+
+def test_classify_arrays_matches_classify_rank():
+    # the diagram's array classification against the scalar route, one
+    # member of each class and both sides of each band edge at once
+    entries = np.array([m for m, _ in MEMBERS]).T
+    ranks, kinds = _classify_arrays(_coeffs_of(*entries[:4]), entries[4], entries[5])
+    for (member, want), rank, kind in zip(MEMBERS, ranks.tolist(), kinds.tolist()):
+        got = classify_rank(from_density(_x_state(*member)))
+        assert (got.rank, got.kind) == (rank, kind) == want, member
+
+
+def test_classify_arrays_rejects_unphysical():
+    # x above d1 d4 by more than ROUNDOFF in one member of three
+    entries = np.array([m for m, _ in MEMBERS[:3]]).T
+    entries[4, 1] += 1e-9
+    with pytest.raises(UnphysicalError):
+        _classify_arrays(_coeffs_of(*entries[:4]), entries[4], entries[5])

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtangle import (
     TargetOutOfRangeError,
@@ -28,6 +30,7 @@ from xtangle import (
     negativity_general,
     partial_transpose,
     random_density,
+    random_unitary,
     random_xparams,
     solve_tau,
     to_density,
@@ -450,3 +453,35 @@ def test_counterpart_matches_chart_route(monkeypatch):
             assert abs(res.tau - tau) <= 1e-9
             assert abs(res.achieved - fn(state)) <= 1e-12
             assert res.branch in ("g_zero", "already_separable")
+
+
+# exactly degenerate spectra: positions 0..3 take the levels named here,
+# so equal indices are equal eigenvalues; a level may be 0 (rank-deficient)
+DEGENERATE_PATTERNS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1),
+                       (0, 0, 1, 2), (0, 1, 1, 2), (0, 1, 2, 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    pattern=st.sampled_from(DEGENERATE_PATTERNS),
+    levels=st.lists(st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0)),
+                    min_size=3, max_size=3),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_counterpart_invariants_on_degenerate_spectra(pattern, levels, seed):
+    spectrum = np.array([levels[i] for i in pattern])
+    if not spectrum.any():  # all levels in use are 0: take I/4
+        spectrum = np.ones(4)
+    spectrum /= spectrum.sum()
+    u = random_unitary(seed)
+    rho = u @ np.diag(spectrum) @ u.conj().T
+    spec_in = hermitian_eig(rho).values
+    for measure, fn in (("concurrence", concurrence_general),
+                        ("negativity", negativity_general)):
+        res = counterpart_details(rho, measure)
+        w, state = res.unitary, res.state
+        assert np.abs(hermitian_eig(state).values - spec_in).max() <= 1e-12
+        assert abs(fn(state) - fn(rho)) <= 1e-12
+        assert is_x_form(state, tol=1e-12)
+        assert np.abs(w @ w.conj().T - np.eye(4)).max() <= 1e-12
+        assert np.abs(w @ rho @ w.conj().T - state).max() <= 1e-12
