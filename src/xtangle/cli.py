@@ -20,11 +20,20 @@ import sys
 import numpy as np
 
 from . import ensemble, minimal_set, universality
-from .matrix_core import DEFAULT_TOL, SOLVER_TOL, conjugate, hermitian_eigvals, is_density_matrix
+from .matrix_core import (
+    DEFAULT_TOL,
+    SOLVER_TOL,
+    conjugate,
+    density_spectrum,
+    hermitian_eigvals,
+    is_density_matrix,
+)
 from .measures import (
+    concurrence_from_eig,
     concurrence_general,
     concurrence_x,
-    eof,
+    eof_from_concurrence,
+    floored,
     negativity_general,
     negativity_x,
     purity_general,
@@ -149,15 +158,20 @@ def _report(pairs) -> None:
 
 
 def cmd_measure(args) -> int:
-    rho = _require_density(read_state(args.in_path))
+    # three LAPACK calls: the input's eigh serves the validation, the rank
+    # and the concurrence (one svd), and the negativity is one eigvalsh;
+    # density_spectrum's "not a density matrix" ValueError exits 3
+    rho = read_state(args.in_path)
+    spec = density_spectrum(rho)
+    concurrence = concurrence_from_eig(floored(spec.values), spec.eigvecs)
     neg = negativity_general(rho)
     _report([
         ("purity", purity_general(rho)),
-        ("concurrence", concurrence_general(rho)),
-        ("entanglement_of_formation", eof(rho)),
+        ("concurrence", concurrence),
+        ("entanglement_of_formation", eof_from_concurrence(concurrence)),
         ("negativity", neg),
         ("x_form", is_x_form(rho, tol=args.tol)),
-        ("rank", numerical_rank(rho)),
+        ("rank", int((spec.values > DEFAULT_TOL).sum())),
         ("separable", neg <= SOLVER_TOL),
     ])
     return EXIT_OK

@@ -6,6 +6,8 @@ conjugation, and the table of tolerances used throughout the package.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +77,45 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _entry_gate(m: np.ndarray) -> tuple[float, complex] | None:
+    """(Hermitian deviation, trace) of a 4x4 matrix, read in one tolist();
+    None if an entry is NaN or infinite.
+
+    The deviation is the largest entry of |m - m^dagger|: |e_ij - conj e_ji|
+    over the six off-diagonal pairs and 2 |Im e_ii| on the diagonal. Python's
+    complex abs can differ from numpy's in the last bit, which moves a
+    verdict only for a deviation within an ulp of its tolerance. The trace
+    is summed as numpy's pairwise sum does, (e_00 + e_11) + (e_22 + e_33)
+    + 0, so it prints the same. The one entry gate of _entry_problem and
+    _hermitian_part.
+    """
+    e = m.ravel().tolist()
+    # finiteness first: max() drops a NaN that is not its first argument.
+    # One isfinite on the sum; entries one by one only when it fails,
+    # because finite entries near the float maximum can overflow the sum.
+    if not cmath.isfinite(sum(e)) and not all(map(cmath.isfinite, e)):
+        return None
+    e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33 = e
+    try:
+        dev = max(abs(e01 - e10.conjugate()), abs(e02 - e20.conjugate()),
+                  abs(e03 - e30.conjugate()), abs(e12 - e21.conjugate()),
+                  abs(e13 - e31.conjugate()), abs(e23 - e32.conjugate()),
+                  2.0 * abs(e00.imag), 2.0 * abs(e11.imag),
+                  2.0 * abs(e22.imag), 2.0 * abs(e33.imag))
+    except OverflowError:
+        # abs() raises where numpy's elementwise form reads inf
+        dev = math.inf
+    return dev, (e00 + e11) + (e22 + e33) + 0j
+
+
 def _entry_problem(m: np.ndarray) -> str:
-    """Finiteness, Hermiticity and unit trace; "" when all hold."""
-    if not np.isfinite(m).all():
+    """Finiteness, Hermiticity and unit trace at ROUNDOFF; "" when all hold."""
+    gate = _entry_gate(m)
+    if gate is None:
         return NON_FINITE
-    if np.abs(m - m.conj().T).max() > ROUNDOFF:
+    dev, tr = gate
+    if dev > ROUNDOFF:
         return "not Hermitian"
-    tr = m.trace()
     if abs(tr - 1.0) > ROUNDOFF:
         return f"trace {tr:.17g} differs from 1"
     return ""
@@ -113,36 +147,45 @@ def _hermitian_part(a) -> np.ndarray:
     """The symmetrised 4x4 matrix of a Hermitian input, the eigensolvers' entry gate.
 
     Raises ValueError for a non-finite entry and NonHermitianError for
-    asymmetry above SOLVER_TOL.
+    asymmetry above SOLVER_TOL (see _entry_gate).
     """
     m = as_matrix(a)
-    # a non-finite entry makes dev NaN or inf, so one test gates both
-    dev = np.abs(m - m.conj().T).max()
-    if not dev <= SOLVER_TOL:
-        if not np.isfinite(m).all():
-            raise ValueError(NON_FINITE)
+    gate = _entry_gate(m)
+    if gate is None:
+        raise ValueError(NON_FINITE)
+    if gate[0] > SOLVER_TOL:
         raise NonHermitianError(f"matrix is not Hermitian within {SOLVER_TOL:g}")
     return 0.5 * (m + m.conj().T)
 
 
 def _sorted_eigh(m: np.ndarray) -> Spectrum:
-    """hermitian_eig's solve and ordering, for an already symmetrised matrix."""
+    """hermitian_eig's solve and ordering, for an already symmetrised matrix.
+
+    The columns are reversed once. Each one's lead entry is found in
+    Python, from the first row alone when all four of its entries pass,
+    and the phases are divided out in one numpy step: numpy's complex
+    division differs from Python's in the last bits.
+    """
     vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    # a unit column always has an entry of magnitude >= 1/2, so lead != 0
-    lead = vecs[(np.abs(vecs) > ROUNDOFF).argmax(axis=0), np.arange(4)]
-    return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
+    lead = vecs[0]
+    if not min(map(abs, lead.tolist())) > ROUNDOFF:
+        # a unit column always has an entry of magnitude >= 1/2
+        lead = np.array([next(z for z in col if abs(z) > ROUNDOFF)
+                         for col in vecs.T.tolist()])
+    return Spectrum(values=vals[::-1], eigvecs=vecs / (lead / np.abs(lead)))
 
 
 def hermitian_eig(a) -> Spectrum:
     """Eigendecomposition of a Hermitian 4x4 matrix, sorted non-ascending.
 
-    Ties are broken by the solver's deterministic output order; each
-    eigenvector's first component of magnitude > ROUNDOFF is rotated to
-    the positive real axis so repeated calls give identical columns.
+    One eigh of the symmetrised matrix. Ties are broken by the solver's
+    deterministic output order; each eigenvector's first component of
+    magnitude > ROUNDOFF is rotated to the positive real axis, in one
+    division over the columns, so repeated calls give identical columns.
     Raises ValueError for a non-finite entry and NonHermitianError for
-    asymmetry above SOLVER_TOL.
+    asymmetry above SOLVER_TOL; the entries are read once, in Python (see
+    _entry_gate).
     """
     return _sorted_eigh(_hermitian_part(a))
 
@@ -159,11 +202,13 @@ def hermitian_eigvals(a) -> np.ndarray:
 def density_spectrum(a) -> Spectrum:
     """hermitian_eig of a density matrix, validated from that one eigensolve.
 
-    Runs the checks of is_density_matrix, the eigenvalue floor on the
-    returned spectrum's smallest value, and raises ValueError naming the
-    failed check. The entry checks hold the matrix finite and Hermitian
-    within ROUNDOFF, stricter than hermitian_eig's gate, so the
-    symmetrised matrix goes to the solve without that gate.
+    Runs the checks of is_density_matrix and raises ValueError naming the
+    failed check: the entry checks (finiteness, Hermiticity and unit
+    trace at ROUNDOFF) from one read of the entries (_entry_gate), then
+    the PSD floor on the returned spectrum's smallest value. Those entry
+    checks are stricter than hermitian_eig's gate, so the symmetrised
+    matrix goes to the solve without that gate. The values and vectors
+    are those of hermitian_eig(a), bit for bit.
     """
     m = as_matrix(a)
     why = _entry_problem(m)
@@ -176,10 +221,13 @@ def density_spectrum(a) -> Spectrum:
     return spec
 
 
+# flat indices of the partial transpose: entry (2i+j, 2k+l) <- (2i+l, 2k+j)
+_PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
 def partial_transpose(a) -> np.ndarray:
     """Transpose the second qubit: entry (2i+j, 2k+l) -> (2i+l, 2k+j)."""
-    m = as_matrix(a)
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return as_matrix(a).take(_PT_INDEX)
 
 
 def trace_norm(a) -> float:

@@ -33,17 +33,19 @@ from .xstate import (
 )
 
 # (sigma_y (x) sigma_y) is real and anti-diagonal (-1, 1, 1, -1), so a
-# product s (sigma_y (x) sigma_y) is s with its columns reversed, times these
-_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+# product s (sigma_y (x) sigma_y) is s with its columns reversed, times
+# these. Stored complex, as numpy casts real factors of a complex product
+# anyway: the same bits without the cast.
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0], dtype=complex)
 
 
 class OutOfRegimeError(ValueError):
     """Continuity bound requested outside its validity region."""
 
 
-def floored(vals: np.ndarray) -> np.ndarray:
-    """Eigenvalues with those at or below EIG_FLOOR set to exactly 0."""
-    return np.where(vals > EIG_FLOOR, vals, 0.0)
+def floored(vals: np.ndarray) -> list[float]:
+    """Eigenvalues as a list of floats, those at or below EIG_FLOOR set to exactly 0."""
+    return [v if v > EIG_FLOOR else 0.0 for v in vals.tolist()]
 
 
 def purity_general(rho) -> float:
@@ -64,20 +66,22 @@ def purity_x(p: XParams) -> float:
     return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - p.y + co.h_cal - p.x)
 
 
-def concurrence_from_eig(values: np.ndarray, eigvecs: np.ndarray) -> float:
+def concurrence_from_eig(values: list[float], eigvecs: np.ndarray) -> float:
     """Concurrence of the state with eigenvalues values, already floored
     (see floored), and matching eigenvector columns eigvecs.
 
     With K = sqrt(rho) (sy x sy) sqrt(rho)*, the Hermitian product
     K K^dagger equals sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho), so
     the decreasing singular values of K are the four roots entering the
-    concurrence. Taking them from an SVD keeps vanishing roots at
-    absolute round-off instead of the square root of eigenvalue noise.
+    concurrence (Wootters, PRL 80, 2245 (1998)). Taking them from an SVD
+    keeps vanishing roots at absolute round-off instead of the square
+    root of eigenvalue noise.
     """
-    s = (eigvecs * np.sqrt(values)) @ eigvecs.conj().T
+    roots = np.array([math.sqrt(v) for v in values], dtype=complex)
+    s = (eigvecs * roots) @ eigvecs.conj().T
     k = (s[:, ::-1] * _FLIP_SIGNS) @ s.conj()
-    roots = np.linalg.svd(k, compute_uv=False)
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    r1, r2, r3, r4 = np.linalg.svd(k, compute_uv=False).tolist()
+    return max(0.0, r1 - r2 - r3 - r4)
 
 
 def concurrence_general(rho) -> float:
@@ -131,15 +135,20 @@ def binary_entropy(t: float) -> float:
     return float(-t * np.log2(t) - (1.0 - t) * np.log2(1.0 - t))
 
 
-def eof(rho) -> float:
-    """Entanglement of formation: binary entropy of (1 + sqrt(1 - C^2))/2."""
-    c = concurrence_general(rho)
+def eof_from_concurrence(c: float) -> float:
+    """Entanglement of formation of a two-qubit state of concurrence c:
+    the binary entropy of (1 + sqrt(1 - c^2))/2."""
     return binary_entropy(0.5 * (1.0 + np.sqrt(max(1.0 - c * c, 0.0))))
+
+
+def eof(rho) -> float:
+    """Entanglement of formation; see eof_from_concurrence."""
+    return eof_from_concurrence(concurrence_general(rho))
 
 
 def negativity_general(rho) -> float:
     """Minus the smallest partial-transpose eigenvalue, floored at 0."""
-    pt = partial_transpose(as_matrix(rho))
+    pt = partial_transpose(rho)
     try:
         lowest = float(np.linalg.eigvalsh(pt).min())
     except np.linalg.LinAlgError:

@@ -13,6 +13,7 @@ for specific rank/kind targets, and diagram data emission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +66,24 @@ def _sqrt_clamped(val):
         if val < -SQRT_CLAMP:
             raise DomainError(f"negative square-root argument {val:.3e}")
         val = 0.0
-    return float(np.sqrt(val))
+    return math.sqrt(val)
 
 
 def scalar_u(p: float) -> float:
     """(1 + sqrt(2p - 1))/2 for p >= 1/2."""
     if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"u undefined at purity {p!r}")
-    return 0.5 * (1.0 + _sqrt_clamped(2.0 * p - 1.0))
+    # a p in the ROUNDOFF below the edge reads as the edge, where 2p - 1
+    # would reach the square root at -2 ROUNDOFF, below its clamp
+    return 0.5 * (1.0 + _sqrt_clamped(2.0 * max(p, 0.5) - 1.0))
 
 
 def scalar_v(p: float) -> float:
     """sqrt(2p - 2/3) for p >= 1/3."""
     if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"v undefined at purity {p!r}")
-    return _sqrt_clamped(2.0 * p - 2.0 / 3.0)
+    # the edge below 1/3 as in scalar_u
+    return _sqrt_clamped(2.0 * max(p, P_SEP_MAX) - 2.0 / 3.0)
 
 
 def scalar_w(p: float, c: float) -> float:
@@ -88,9 +92,13 @@ def scalar_w(p: float, c: float) -> float:
 
 
 def _w_of(v, c):
-    """scalar_w from v = scalar_v(p); elementwise on arrays v and c."""
+    """scalar_w from v = scalar_v(p); elementwise on arrays v and c.
+
+    A c within ROUNDOFF above v is read as v, the edge w = 1/3.
+    """
     if not np.all(c <= v + ROUNDOFF):
         raise DomainError(f"w undefined: concurrence {c!r} exceeds v={v!r}")
+    c = np.minimum(c, v)
     return 1.0 / 3.0 - 0.5 * _sqrt_clamped((v * v - c * c) / 3.0)
 
 
@@ -109,15 +117,18 @@ def scalar_q(p: float) -> float:
     """sqrt(2p - 1): concurrence ceiling of the rank-2 kind-1/2 family."""
     if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"q undefined at purity {p!r}")
-    return _sqrt_clamped(2.0 * p - 1.0)
+    # the edge below 1/2 as in scalar_u
+    return _sqrt_clamped(2.0 * max(p, 0.5) - 1.0)
 
 
 def scalar_r(p: float) -> float:
     """sqrt(2) sqrt(1 - 2p + sqrt(2p - 1)): rank-3 outer-family ceiling above 5/9."""
     if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"r undefined at purity {p!r}")
+    # the edge below 1/2 as in scalar_u
+    p = max(p, 0.5)
     q = _sqrt_clamped(2.0 * p - 1.0)
-    return float(np.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + q))
+    return math.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + q)
 
 
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:
@@ -189,8 +200,9 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
         d4[:lo] = w
         rho_14[:lo] = 0.5 * c3
     if hi > lo:
-        c2 = c[lo:hi]
         u = np.array([scalar_u(x) for x in p[lo:hi].tolist()])[:, None]
+        # a c within ROUNDOFF above u is read as u, as _w_of reads c above v
+        c2 = np.minimum(c[lo:hi], u)
         s = _sqrt_clamped(u * u - c2 * c2)
         d1[lo:hi] = 1.0 - u
         d2[lo:hi] = 0.5 * (u + s)

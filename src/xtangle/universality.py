@@ -71,7 +71,6 @@ from .matrix_core import (
     ROUNDOFF,
     Spectrum,
     as_matrix,
-    conjugate,
     density_spectrum,
     hermitian_eig,
 )
@@ -448,15 +447,33 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
     return _x_matrix(l4, mid, mid, l2, 0.0, 0.5 * (l1 - l3))
 
 
+_IDENTITY = np.eye(4, dtype=complex)
+
+
+def _inner_rotation(angle: float) -> np.ndarray:
+    """x_unitary(0, 0, angle, 0), entry for entry, with its trigonometry in math."""
+    c, s = math.cos(angle), math.sin(angle)
+    v = _IDENTITY.copy()
+    v[1, 1] = v[2, 2] = c
+    v[1, 2] = s
+    # x_unitary's -s/e^{i b4} at b4 = 0 reads -s + 0, so an angle of 0 gives +0
+    v[2, 1] = -s + 0.0
+    return v
+
+
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
     """Convert rho to an X-state of equal spectrum and equal measure.
 
-    The returned unitary W satisfies state = W rho W^dagger. Everything
-    but a negativity target comes from one eigendecomposition of rho; see
-    the module docstring for the walk. The output is X-form, so its
-    measure is a closed form of its entries (see CounterpartResult). The
-    target can exceed the MEMS ceiling only through numerical noise; any
-    excess is clipped and reported.
+    The returned unitary W satisfies state = W rho W^dagger. The input's
+    entries are read once for the density checks, and everything but a
+    negativity target comes from one eigendecomposition of rho
+    (matrix_core.density_spectrum): two LAPACK calls per conversion,
+    that eigh and an svd (concurrence target) or an eigvalsh (negativity
+    target). See the module docstring for the walk. The output is
+    X-form, so its measure is a closed form of its entries (see
+    CounterpartResult), read through the X-form guard. The target can
+    exceed the MEMS ceiling only through numerical noise; any excess is
+    clipped and reported.
     """
     rho = as_matrix(rho)
     spec = density_spectrum(rho)
@@ -470,7 +487,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     # the MEMS walk: inner coherence ((l1 - l3)/2)^2 over an exactly
     # degenerate inner block, floor l2 l4 and partner sum l2 + l4
-    l1, l2, l3, l4 = values.tolist()
+    l1, l2, l3, l4 = values
     a = (0.5 * (l1 - l3)) ** 2
     floor, partner = l2 * l4, l2 + l4
     if measure == "concurrence":
@@ -487,8 +504,8 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
                         min(target, ceiling), measure)
         angle = b * tau
 
-    w = x_unitary(0.0, 0.0, angle, 0.0) @ _mems_basis(spec)
-    out = conjugate(rho, w)
+    w = _inner_rotation(angle) @ _mems_basis(spec)
+    out = w @ rho @ w.conj().T
     # the X-form routes raise NotXFormError should out not be X-form
     achieved = concurrence_x(out) if measure == "concurrence" else negativity_x(out)
     return CounterpartResult(state=out, unitary=w, tau=tau, branch=branch,

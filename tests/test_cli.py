@@ -9,9 +9,20 @@ import numpy as np
 import pytest
 
 from xtangle import cli
-from xtangle import minset_state, random_density
+from xtangle import (
+    concurrence_general,
+    eof,
+    is_density_matrix,
+    is_x_form,
+    minset_state,
+    negativity_general,
+    numerical_rank,
+    purity_general,
+    random_density,
+)
+from xtangle.matrix_core import SOLVER_TOL
 
-from reference_states import M30A, M40, MAX_MIXED
+from reference_states import BELL_PHI_PLUS, M30A, M30B, M40, MAX_MIXED
 
 EXPECTED_MEASURE_KEYS = {"purity", "concurrence", "entanglement_of_formation",
                          "negativity", "x_form", "rank", "separable"}
@@ -102,6 +113,41 @@ def test_counterpart_solver_calls(tmp_path, capsys, monkeypatch, preserve, count
     assert cli.main(["counterpart", "--in", path, "--preserve", preserve,
                      "--out", str(tmp_path / "out.json")]) == 0
     assert len(calls) == count, calls
+
+
+@pytest.mark.parametrize("name, state", [
+    ("m40", M40), ("m30a", M30A), ("m30b", M30B), ("bell", BELL_PHI_PLUS),
+    ("max_mixed", MAX_MIXED), ("minset", minset_state(0.6, 0.3)),
+    *((f"random_{kind}", random_density(5, kind))
+      for kind in ("hilbert_schmidt", "pure_haar", "rank_2", "rank_3")),
+])
+def test_measure_report_is_the_measures(tmp_path, capsys, name, state):
+    # the report read from one spectrum prints what the separate measure
+    # functions give, byte for byte
+    path = write_json(tmp_path / f"{name}.json", state)
+    rho = cli.read_state(path)
+    neg = negativity_general(rho)
+    want = "".join(f"{key}: {cli._fmt(value)}\n" for key, value in [
+        ("purity", purity_general(rho)),
+        ("concurrence", concurrence_general(rho)),
+        ("entanglement_of_formation", eof(rho)),
+        ("negativity", neg),
+        ("x_form", is_x_form(rho)),
+        ("rank", numerical_rank(rho)),
+        ("separable", neg <= SOLVER_TOL),
+    ])
+    assert cli.main(["measure", "--in", path]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("name, state", [("m40", M40), ("max_mixed", MAX_MIXED)])
+def test_measure_solver_calls(tmp_path, capsys, monkeypatch, name, state):
+    # one eigh for the validation, rank and concurrence, whose svd is the
+    # second; the negativity's eigvalsh is the third
+    path = write_json(tmp_path / f"{name}.json", state)
+    calls = _count_solver_calls(monkeypatch)
+    assert cli.main(["measure", "--in", path]) == 0
+    assert sorted(calls) == ["eigh", "eigvalsh", "svd"], calls
 
 
 def test_counterpart_lossless_roundtrip(tmp_path):
@@ -261,6 +307,19 @@ def test_exit_parse(tmp_path, capsys):
     missing.write_text(json.dumps({"data": []}))
     assert cli.main(["measure", "--in", str(missing)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, state", [
+    ("negative", np.diag([1.5, -0.5, 0.0, 0.0])),
+    ("trace", np.diag([0.5, 0.5, 0.5, 0.0])),
+    ("asymmetric", M40 + 1e-9 * np.eye(4, k=1)),
+])
+def test_measure_rejection_text(tmp_path, capsys, name, state):
+    path = write_json(tmp_path / f"{name}.json", state)
+    ok, why = is_density_matrix(cli.read_state(path))
+    assert not ok
+    assert cli.main(["measure", "--in", path]) == 3
+    assert capsys.readouterr().err == f"invalid state: not a density matrix: {why}\n"
 
 
 def test_exit_invalid_state(tmp_path, capsys):

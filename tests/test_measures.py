@@ -19,10 +19,13 @@ from xtangle import (
     partial_transpose,
     purity_general,
     purity_x,
+    random_density,
     random_xparams,
     to_density,
     trace_norm,
 )
+from xtangle.matrix_core import EIG_FLOOR, density_spectrum
+from xtangle.measures import concurrence_from_eig, floored
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -57,6 +60,24 @@ def test_concurrence_reference():
     assert concurrence_general(MAX_MIXED) == pytest.approx(0.0, abs=1e-12)
     assert concurrence_general(M40) == pytest.approx(M40_CONCURRENCE, abs=1e-12)
     assert concurrence_general(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)) == 0.0
+
+
+def _concurrence_from_eig_oracle(values, eigvecs):
+    # the array form it replaced: real roots and signs, cast by numpy
+    s = (eigvecs * np.sqrt(values)) @ eigvecs.conj().T
+    k = (s[:, ::-1] * np.array([-1.0, 1.0, 1.0, -1.0])) @ s.conj()
+    roots = np.linalg.svd(k, compute_uv=False)
+    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+
+
+@pytest.mark.parametrize("kind", ["hilbert_schmidt", "pure_haar", "rank_2", "rank_3", "rank_4"])
+def test_concurrence_from_eig_matches_array_form_bitwise(kind):
+    for seed in range(80):
+        spec = density_spectrum(random_density(seed, kind))
+        values = np.where(spec.values > EIG_FLOOR, spec.values, 0.0)
+        assert floored(spec.values) == values.tolist()
+        got = concurrence_from_eig(floored(spec.values), spec.eigvecs)
+        assert got.hex() == _concurrence_from_eig_oracle(values, spec.eigvecs).hex()
 
 
 def test_concurrence_x_pure_family():

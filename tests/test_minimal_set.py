@@ -32,7 +32,7 @@ from xtangle import (
     to_density,
     trace_norm,
 )
-from xtangle.matrix_core import DEFAULT_TOL
+from xtangle.matrix_core import DEFAULT_TOL, ROUNDOFF
 from xtangle.xstate import _classify_arrays, _coeffs_of
 
 from reference_states import (
@@ -67,6 +67,33 @@ def test_scalar_domains():
         scalar_w(0.6, 0.9)  # c above v(p)
     with pytest.raises(DomainError):
         scalar_q(0.45)
+
+
+@pytest.mark.parametrize("below", [1e-13, ROUNDOFF], ids=["1e-13", "ROUNDOFF"])
+def test_scalars_accept_the_roundoff_below_their_edge(below):
+    # each range test admits ROUNDOFF below the edge, where 2p - 2 edge
+    # reaches -2 ROUNDOFF; the scalar returns its value at the edge
+    third, half = 1.0 / 3.0 - below, 0.5 - below
+    assert scalar_v(third) == 0.0
+    assert scalar_w(third, 0.0) == 1.0 / 3.0
+    assert scalar_u(half) == 0.5
+    assert scalar_q(half) == 0.0
+    assert scalar_r(half) == 0.0
+    assert cp_boundary(third) == 0.0
+    edge = boundary_scalars(half, 0.0)
+    assert (edge.u, edge.q, edge.r) == (0.5, 0.0, 0.0)
+    np.testing.assert_array_equal(minset_state(third, 0.0), minset_state(1.0 / 3.0, 0.0))
+
+
+def test_members_accept_the_roundoff_above_their_ceiling():
+    # minset_state admits a concurrence ROUNDOFF above cp_boundary; the
+    # member there is the one at the ceiling
+    for p in (0.5, 0.7):
+        cmax = cp_boundary(p)
+        np.testing.assert_allclose(minset_state(p, cmax + 0.9 * ROUNDOFF),
+                                   minset_state(p, cmax), atol=ROUNDOFF)
+    v = scalar_v(0.5)
+    assert scalar_w(0.5, v + 0.9 * ROUNDOFF) == scalar_w(0.5, v) == 1.0 / 3.0
 
 
 NAN = float("nan")

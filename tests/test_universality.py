@@ -38,6 +38,7 @@ from xtangle import (
     x_counterpart,
     x_unitary,
 )
+from xtangle.universality import _inner_rotation
 
 from reference_states import BELL_PHI_PLUS, M40, MAX_MIXED, random_density_np
 
@@ -84,6 +85,16 @@ def test_x_unitary_accepts_solution():
         x_unitary(sol), x_unitary(sol.b1, sol.b2, sol.b3, sol.b4))
     with pytest.raises(TypeError):
         x_unitary(sol, 0.3)
+
+
+def test_inner_rotation_is_x_unitary_bitwise():
+    # the conversion builds its block rotation with math's trigonometry
+    rng = np.random.default_rng(12)
+    angles = [0.0, -0.0, 5e-324, 1e-300, np.pi / 4, np.pi / 2, -np.pi / 2]
+    angles += rng.uniform(-np.pi, np.pi, 2000).tolist()
+    angles += (rng.uniform(0.0, 1.0, 200) * 10.0 ** -rng.integers(0, 300, 200)).tolist()
+    for angle in angles:
+        assert _inner_rotation(angle).tobytes() == x_unitary(0.0, 0.0, angle, 0.0).tobytes()
 
 
 def test_conjugate_x_identity():
