@@ -26,7 +26,6 @@ from .matrix_core import (
     conjugate,
     density_spectrum,
     hermitian_eigvals,
-    is_density_matrix,
 )
 from .measures import (
     concurrence_from_eig,
@@ -40,7 +39,7 @@ from .measures import (
 )
 from .xstate import (
     RANK_KIND_PAIRS,
-    UnphysicalError,
+    _rank_above_tol,
     _x_entries,
     block_eigvals,
     classify_rank,
@@ -135,13 +134,6 @@ def write_state(path: str, matrix: np.ndarray, unitary: np.ndarray | None = None
     _write_text(path, json.dumps(doc) + "\n")
 
 
-def _require_density(m: np.ndarray) -> np.ndarray:
-    ok, why = is_density_matrix(m)
-    if not ok:
-        raise UnphysicalError(f"not a density matrix: {why}")
-    return m
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -171,7 +163,7 @@ def cmd_measure(args) -> int:
         ("entanglement_of_formation", eof_from_concurrence(concurrence)),
         ("negativity", neg),
         ("x_form", is_x_form(rho, tol=args.tol)),
-        ("rank", int((spec.values > DEFAULT_TOL).sum())),
+        ("rank", _rank_above_tol(spec.values)),
         ("separable", neg <= SOLVER_TOL),
     ])
     return EXIT_OK
@@ -212,7 +204,9 @@ def cmd_minset(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rho = _require_density(read_state(args.in_path))
+    # density_spectrum's "not a density matrix" ValueError exits 3
+    rho = read_state(args.in_path)
+    density_spectrum(rho)
     p = from_density(rho, tol=args.tol)
     rk = classify_rank(p, tol=args.tol)
     cf = coeffs(p)

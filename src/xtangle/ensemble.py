@@ -26,6 +26,7 @@ import numpy as np
 
 from .xstate import (
     RANK_KIND_PAIRS,
+    TWO_PI,
     RankClass,
     XParams,
     classify_rank,
@@ -85,11 +86,9 @@ class SplitMix64:
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Independent stream seed number `index` derived from `seed`."""
-    z = (seed + (index + 1) * GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
+    """Independent stream seed number `index` derived from `seed`: the
+    first output of the generator seeded at seed + index * golden."""
+    return SplitMix64(seed + index * GOLDEN).next_u64()
 
 
 def _ginibre(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
@@ -100,27 +99,23 @@ def _ginibre(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     return m
 
 
+# random_density's kinds and the columns of their Ginibre matrices
+_GINIBRE_COLS = {"hilbert_schmidt": 4, "pure_haar": 1,
+                 **{f"rank_{k}": k for k in range(1, 5)}}
+
+
 def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarray:
     """Random density matrix: Hilbert-Schmidt, Haar-pure, or fixed rank.
 
     measure_kind is one of hilbert_schmidt, pure_haar, rank_1 .. rank_4.
     hilbert_schmidt and rank_4 draw G G^dagger / tr for a square Ginibre
-    G; rank_k uses a 4 x k Ginibre; pure_haar normalizes a Gaussian
-    vector.
+    G; rank_k uses a 4 x k Ginibre; pure_haar is the rank_1 draw, a
+    normalized Gaussian vector.
     """
-    rng = SplitMix64(seed)
-    if measure_kind == "pure_haar":
-        v = _ginibre(rng, 4, 1)
-        rho = v @ v.conj().T
-        return rho / np.trace(rho).real
-    if measure_kind == "hilbert_schmidt":
-        cols = 4
-    else:
-        m = re.fullmatch(r"rank_([1-4])", measure_kind)
-        if not m:
-            raise ValueError(f"unknown ensemble kind {measure_kind!r}")
-        cols = int(m.group(1))
-    g = _ginibre(rng, 4, cols)
+    cols = _GINIBRE_COLS.get(measure_kind)
+    if cols is None:
+        raise ValueError(f"unknown ensemble kind {measure_kind!r}")
+    g = _ginibre(SplitMix64(seed), 4, cols)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -149,9 +144,8 @@ _PINNED_DRAWS = {
 
 
 def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
-    two_pi = 2.0 * math.pi
-    mu = rng.uniform(0.0, two_pi)
-    nu = rng.uniform(0.0, two_pi)
+    mu = rng.uniform(0.0, TWO_PI)
+    nu = rng.uniform(0.0, TWO_PI)
     drawn = _draw_angles(rng, interior=True)
     fractions = {"frac": rng.uniform(_FRACTION_LO, _FRACTION_HI),
                  "frac2": rng.uniform(_FRACTION_LO, _FRACTION_HI)}
@@ -175,7 +169,6 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     MAX_TRIES the constraint is declared infeasible.
     """
     rng = SplitMix64(seed)
-    two_pi = 2.0 * math.pi
     want: tuple[int, int] | None = None
     if constraint not in ("any", "entangled", "separable"):
         m = _RANK_KIND_RE.fullmatch(constraint)
@@ -195,8 +188,8 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
             continue
 
         theta, phi, psi = _draw_angles(rng, interior=False)
-        mu = rng.uniform(0.0, two_pi)
-        nu = rng.uniform(0.0, two_pi)
+        mu = rng.uniform(0.0, TWO_PI)
+        nu = rng.uniform(0.0, TWO_PI)
         base = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
         cf = coeffs(base)
         if constraint == "separable":

@@ -77,9 +77,24 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _finite_entries(m: np.ndarray) -> list[complex] | None:
+    """The 16 entries of a 4x4 matrix, row-major, from one tolist(); None
+    if an entry is NaN or infinite.
+
+    One isfinite on their sum; the entries one by one only when it fails,
+    because finite entries near the float maximum can overflow the sum.
+    The package's one finiteness read of a 4x4 matrix's entries in Python.
+    """
+    e = m.ravel().tolist()
+    if not cmath.isfinite(sum(e)) and not all(map(cmath.isfinite, e)):
+        return None
+    return e
+
+
 def _entry_gate(m: np.ndarray) -> tuple[float, complex] | None:
-    """(Hermitian deviation, trace) of a 4x4 matrix, read in one tolist();
-    None if an entry is NaN or infinite.
+    """(Hermitian deviation, trace) of a 4x4 matrix, read in one tolist()
+    by the shared finiteness read _finite_entries; None if an entry is
+    NaN or infinite.
 
     The deviation is the largest entry of |m - m^dagger|: |e_ij - conj e_ji|
     over the six off-diagonal pairs and 2 |Im e_ii| on the diagonal. Python's
@@ -89,11 +104,9 @@ def _entry_gate(m: np.ndarray) -> tuple[float, complex] | None:
     + 0, so it prints the same. The one entry gate of _entry_problem and
     _hermitian_part.
     """
-    e = m.ravel().tolist()
-    # finiteness first: max() drops a NaN that is not its first argument.
-    # One isfinite on the sum; entries one by one only when it fails,
-    # because finite entries near the float maximum can overflow the sum.
-    if not cmath.isfinite(sum(e)) and not all(map(cmath.isfinite, e)):
+    # finiteness first: max() drops a NaN that is not its first argument
+    e = _finite_entries(m)
+    if e is None:
         return None
     e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33 = e
     try:

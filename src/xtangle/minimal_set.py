@@ -70,19 +70,15 @@ def _sqrt_clamped(val):
 
 
 def scalar_u(p: float) -> float:
-    """(1 + sqrt(2p - 1))/2 for p >= 1/2."""
-    if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"u undefined at purity {p!r}")
-    # a p in the ROUNDOFF below the edge reads as the edge, where 2p - 1
-    # would reach the square root at -2 ROUNDOFF, below its clamp
-    return 0.5 * (1.0 + _sqrt_clamped(2.0 * max(p, 0.5) - 1.0))
+    """(1 + sqrt(2p - 1))/2 for p >= 1/2, from scalar_q."""
+    return 0.5 * (1.0 + scalar_q(p))
 
 
 def scalar_v(p: float) -> float:
     """sqrt(2p - 2/3) for p >= 1/3."""
     if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
         raise DomainError(f"v undefined at purity {p!r}")
-    # the edge below 1/3 as in scalar_u
+    # the edge below 1/3 as in scalar_q
     return _sqrt_clamped(2.0 * max(p, P_SEP_MAX) - 2.0 / 3.0)
 
 
@@ -116,19 +112,20 @@ def scalar_z(p: float, c: float) -> float:
 def scalar_q(p: float) -> float:
     """sqrt(2p - 1): concurrence ceiling of the rank-2 kind-1/2 family."""
     if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"q undefined at purity {p!r}")
-    # the edge below 1/2 as in scalar_u
+        raise DomainError(f"purity {p!r} outside [1/2, 1]")
+    # a p in the ROUNDOFF below the edge reads as the edge, where 2p - 1
+    # would reach the square root at -2 ROUNDOFF, below its clamp
     return _sqrt_clamped(2.0 * max(p, 0.5) - 1.0)
 
 
 def scalar_r(p: float) -> float:
-    """sqrt(2) sqrt(1 - 2p + sqrt(2p - 1)): rank-3 outer-family ceiling above 5/9."""
-    if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"r undefined at purity {p!r}")
-    # the edge below 1/2 as in scalar_u
-    p = max(p, 0.5)
-    q = _sqrt_clamped(2.0 * p - 1.0)
-    return math.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + q)
+    """sqrt(2) sqrt(1 - 2p + q): rank-3 outer-family ceiling above 5/9, from scalar_q."""
+    q = scalar_q(p)
+    # a p in the ROUNDOFF above 1 reads as 1, as scalar_q reads the edge
+    # below 1/2: there 1 - 2p + q would reach the square root at about
+    # 1 - p, below its clamp
+    p = min(max(p, 0.5), 1.0)
+    return math.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + min(q, 1.0))
 
 
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:

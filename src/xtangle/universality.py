@@ -207,29 +207,21 @@ def conjugate_x(p: XParams, b1: float, b2: float = 0.0,
     """
     validate_params(p)
     d1, d2, d3, d4 = diagonal(p)
-    sx, sy = np.sqrt(p.x), np.sqrt(p.y)
-    h = d1 - d4
-    g = d2 - d3
-
-    c1, s1 = np.cos(b1), np.sin(b1)
-    delta = b2 - p.mu
-    shift = sx * np.sin(2.0 * b1) * np.cos(delta)
-    d1n = c1 * c1 * d1 + s1 * s1 * d4 + shift
-    d4n = s1 * s1 * d1 + c1 * c1 * d4 - shift
-    outer = (c1 * c1 * sx * np.exp(1j * p.mu)
-             - s1 * s1 * sx * np.exp(1j * (2.0 * b2 - p.mu))
-             - c1 * s1 * h * np.exp(1j * b2))
-
-    c3, s3 = np.cos(b3), np.sin(b3)
-    ddelta = b4 - p.nu
-    shift_i = sy * np.sin(2.0 * b3) * np.cos(ddelta)
-    d2n = c3 * c3 * d2 + s3 * s3 * d3 + shift_i
-    d3n = s3 * s3 * d2 + c3 * c3 * d3 - shift_i
-    inner = (c3 * c3 * sy * np.exp(1j * p.nu)
-             - s3 * s3 * sy * np.exp(1j * (2.0 * b4 - p.nu))
-             - c3 * s3 * g * np.exp(1j * b4))
-
+    d1n, d4n, outer = _rotated_block(d1, d4, np.sqrt(p.x), p.mu, b1, b2)
+    d2n, d3n, inner = _rotated_block(d2, d3, np.sqrt(p.y), p.nu, b3, b4)
     return params_from_entries(d1n, d2n, d3n, d4n, outer, inner)
+
+
+def _rotated_block(d_a, d_b, root, phase, b, b_phase):
+    """(d_a', d_b', coherence') of the block [[d_a, root e^{i phase}], [.., d_b]]
+    after conjugate_x's rotation by the angle b with phase b_phase."""
+    c, s = np.cos(b), np.sin(b)
+    shift = root * np.sin(2.0 * b) * np.cos(b_phase - phase)
+    return (c * c * d_a + s * s * d_b + shift,
+            s * s * d_a + c * c * d_b - shift,
+            c * c * root * np.exp(1j * phase)
+            - s * s * root * np.exp(1j * (2.0 * b_phase - phase))
+            - c * s * (d_a - d_b) * np.exp(1j * b_phase))
 
 
 def _half_angle(a: float, tgt: float, dd: float) -> tuple[float, float, float]:
@@ -270,48 +262,42 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     """
     validate_params(p)
     cf = coeffs(p)
-    if cf.h_cal >= cf.g_cal:
+    outer_leg = cf.h_cal >= cf.g_cal
+    if outer_leg:
         a, tgt, dd = p.x, cf.g_cal, cf.h_low
-        outer_leg = True
     else:
         a, tgt, dd = p.y, cf.h_cal, cf.g_low
-        outer_leg = False
-    x_plus = (0.5 * dd) ** 2 + a
-    x_minus = (0.5 * dd) ** 2 - a
-
+    b = z_minus = 0.0
+    s_tilde = 0
     if is_separable(p):
-        return DisentangleSolution(
-            b1=0.0, b2=p.mu, b3=0.0, b4=p.nu,
-            x_plus=x_plus, x_minus=x_minus,
-            z_minus=0.0, s_tilde=0, branch="already_separable",
-        )
-
-    b, c2b, s2b = _half_angle(a, tgt, dd)
-    if dd == 0.0:
-        s_tilde = 0
+        branch = "already_separable"
     else:
-        s_tilde = 1 if c2b >= 0.0 else -1
-    z_minus = s2b * s2b
-    if outer_leg:
-        branch = "h_zero" if dd == 0.0 else "HgtG"
-        return DisentangleSolution(
-            b1=b, b2=p.mu, b3=0.0, b4=p.nu,
-            x_plus=x_plus, x_minus=x_minus,
-            z_minus=z_minus, s_tilde=s_tilde, branch=branch,
-        )
-    branch = "g_zero" if dd == 0.0 else "GgtH"
+        b, c2b, s2b = _half_angle(a, tgt, dd)
+        z_minus = s2b * s2b
+        if dd != 0.0:
+            s_tilde = 1 if c2b >= 0.0 else -1
+        if outer_leg:
+            branch = "h_zero" if dd == 0.0 else "HgtG"
+        else:
+            branch = "g_zero" if dd == 0.0 else "GgtH"
     return DisentangleSolution(
-        b1=0.0, b2=p.mu, b3=b, b4=p.nu,
-        x_plus=x_plus, x_minus=x_minus,
+        b1=b if outer_leg else 0.0, b2=p.mu, b3=0.0 if outer_leg else b, b4=p.nu,
+        x_plus=(0.5 * dd) ** 2 + a, x_minus=(0.5 * dd) ** 2 - a,
         z_minus=z_minus, s_tilde=s_tilde, branch=branch,
     )
 
 
+def _checked_tau(tau: float) -> float:
+    """tau clamped to [0, 1], the walk's gate: ValueError unless tau lies
+    within ROUNDOFF of that range, which a NaN does not."""
+    if not (-ROUNDOFF <= tau <= 1.0 + ROUNDOFF):
+        raise ValueError(f"tau {tau!r} outside [0, 1]")
+    return min(max(tau, 0.0), 1.0)
+
+
 def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
     """Full-matrix state of the walk at tau in [0, 1]."""
-    if tau < -ROUNDOFF or tau > 1.0 + ROUNDOFF:
-        raise ValueError(f"tau {tau!r} outside [0, 1]")
-    tau = min(max(tau, 0.0), 1.0)
+    tau = _checked_tau(tau)
     q = conjugate_x(p, sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
     rho = to_density(q)
     return PathPoint(tau=tau, params=q,
@@ -349,28 +335,34 @@ def _negativity_at(x: float, floor: float, partner: float) -> float:
     return max(0.0, math.sqrt(max(half * half + x - floor, 0.0)) - half)
 
 
-def concurrence_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
-    """Concurrence of the walk at tau, in closed form.
+def _along(p: XParams, sol: DisentangleSolution, tau: float, measure: str) -> float:
+    """The measure ("concurrence" or "negativity") of the walk at tau, in
+    closed form, behind evolve's tau gate.
 
     0 on the "already_separable" label, whose states (see
-    disentangle_params) can carry concurrence up to about 2e-5.
+    disentangle_params) can carry concurrence up to about 2e-5 and
+    negativity up to SOLVER_TOL.
     """
-    if sol.branch == "already_separable":
-        return 0.0
-    a, dd, floor, _, b = _path_inputs(p, sol)
-    return _concurrence_at(_coherence_at(a, dd, b, tau), floor)
-
-
-def negativity_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
-    """Negativity of the walk at tau, in closed form.
-
-    0 on the "already_separable" label, whose states (see
-    disentangle_params) can carry negativity up to SOLVER_TOL.
-    """
+    tau = _checked_tau(tau)
+    if measure not in ("concurrence", "negativity"):
+        raise ValueError(f"unknown measure {measure!r}")
     if sol.branch == "already_separable":
         return 0.0
     a, dd, floor, partner, b = _path_inputs(p, sol)
-    return _negativity_at(_coherence_at(a, dd, b, tau), floor, partner)
+    x = _coherence_at(a, dd, b, tau)
+    if measure == "concurrence":
+        return _concurrence_at(x, floor)
+    return _negativity_at(x, floor, partner)
+
+
+def concurrence_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
+    """Concurrence of the walk at tau in [0, 1], in closed form; see _along."""
+    return _along(p, sol, tau, "concurrence")
+
+
+def negativity_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
+    """Negativity of the walk at tau in [0, 1], in closed form; see _along."""
+    return _along(p, sol, tau, "negativity")
 
 
 def _walk_tau(a: float, dd: float, floor: float, partner: float, b: float,
@@ -404,15 +396,8 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     to [0, 1]. Target 0 gives tau = 1 exactly, and a target within
     ROUNDOFF of the walk's starting value gives tau = 0 exactly.
     """
-    if measure == "concurrence":
-        fn = concurrence_along
-    elif measure == "negativity":
-        fn = negativity_along
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-
-    value0 = fn(p, sol, 0.0)
-    if target < -ROUNDOFF or target > value0 + ROUNDOFF:
+    value0 = _along(p, sol, 0.0, measure)
+    if not (-ROUNDOFF <= target <= value0 + ROUNDOFF):
         raise TargetOutOfRangeError(
             f"target {target!r} outside [0, {value0!r}] for {measure}"
         )

@@ -18,9 +18,11 @@ only reader of an X matrix and _x_matrix its only builder.
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .matrix_core import (
     NON_FINITE,
     ROUNDOFF,
     SOLVER_TOL,
+    _finite_entries,
     as_matrix,
     hermitian_eigvals,
 )
@@ -147,6 +150,12 @@ def _coeffs_of(d1: float, d2: float, d3: float, d4: float) -> XCoeffs:
     )
 
 
+def _within_positivity(co: XCoeffs, x, y):
+    """x <= h_cal and y <= g_cal within ROUNDOFF, the chart's positivity
+    range; on floats or elementwise on arrays. A NaN weight fails."""
+    return (x <= co.h_cal + ROUNDOFF) & (y <= co.g_cal + ROUNDOFF)
+
+
 def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, float, float, float]]:
     """(coeffs(p), diagonal(p)) of valid parameters whose matrix has no
     negative eigenvalue, from one evaluation of the chart.
@@ -157,7 +166,7 @@ def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, float, float, fl
     validate_params(p)
     d = diagonal(p)
     co = _coeffs_of(*d)
-    if not (p.x <= co.h_cal + ROUNDOFF and p.y <= co.g_cal + ROUNDOFF):
+    if not _within_positivity(co, p.x, p.y):
         raise UnphysicalError(
             f"x={p.x!r} (max {co.h_cal!r}) or y={p.y!r} (max {co.g_cal!r}) "
             "exceeds the positivity range"
@@ -231,17 +240,15 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     """(d1, d2, d3, d4, rho_14, rho_23) of an X-form matrix.
 
     The only place the package reads the X layout: all 16 entries in one
-    tolist(). Raises ValueError(NON_FINITE) if any entry is NaN or
+    tolist(), by matrix_core._finite_entries. Raises ValueError(NON_FINITE) if any entry is NaN or
     infinite, then NotXFormError naming the largest off-X magnitude if it
     exceeds tol. Returns the real diagonal and the upper coherences (0,3)
     and (1,2); on an exactly Hermitian matrix the lower ones have the same
     magnitudes, bit for bit. Asymmetry of a non-Hermitian input is not
     checked.
     """
-    e = as_matrix(rho).ravel().tolist()
-    # one isfinite on the sum; entries one by one only when it fails,
-    # because finite entries near the float maximum can overflow the sum
-    if not cmath.isfinite(sum(e)) and not all(map(cmath.isfinite, e)):
+    e = _finite_entries(as_matrix(rho))
+    if e is None:
         raise ValueError(NON_FINITE)
     worst = _off_x_worst(e)
     if not worst <= tol:
@@ -323,42 +330,47 @@ def char_poly(p: XParams) -> CharPolyCoeffs:
     )
 
 
+# the indices of classify_rank's boundary tests (see _boundary_tests)
+_X_TOP, _Y_TOP, _X_ZERO, _Y_ZERO, _B_ZERO, _C_ZERO = _TESTS = range(6)
+
+# classify_rank's rule: the class of the first entry whose tests all hold.
+# The most degenerate configurations come first, so that overlapping
+# tolerance bands resolve to the lowest rank; the last entry needs no test.
+_RANK_RULE = tuple((frozenset(need), RankClass(*rank_kind)) for need, rank_kind in (
+    ((_X_TOP, _Y_ZERO, _B_ZERO), (1, 1)),
+    ((_X_ZERO, _Y_TOP, _C_ZERO), (1, 2)),
+    ((_Y_ZERO, _B_ZERO), (2, 1)),
+    ((_X_ZERO, _C_ZERO), (2, 2)),
+    ((_X_TOP, _Y_TOP), (2, 3)),
+    ((_Y_TOP,), (3, 1)),
+    ((_X_TOP,), (3, 2)),
+    ((), (4, 1)),
+))
+_RANKS = np.array([rc.rank for _, rc in _RANK_RULE])
+_KINDS = np.array([rc.kind for _, rc in _RANK_RULE])
+
+
+def _boundary_tests(co: XCoeffs, x, y, tol: float) -> tuple:
+    """The tests of _RANK_RULE, on floats or elementwise on arrays: x at
+    its top h_cal, y at its top g_cal, and x, y, b_cal and c_cal at zero,
+    each within the absolute tol."""
+    return (abs(x - co.h_cal) <= tol, abs(y - co.g_cal) <= tol,
+            x <= tol, y <= tol, co.b_cal <= tol, co.c_cal <= tol)
+
+
 def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     """Rank and kind from the boundary configuration of (x, y, b_cal, c_cal).
 
-    Equality tests use the absolute tolerance tol. The most degenerate
-    configurations are tested first so that overlapping tolerance bands
-    resolve to the lowest rank. _classify_arrays evaluates the same rule
-    on arrays; a change here is a change there.
+    The class of the first entry of _RANK_RULE whose boundary tests hold,
+    each an equality test within the absolute tolerance tol. Raises
+    UnphysicalError for unphysical parameters.
     """
     co, _ = _physical_coeffs(p)
-    x_at_top = abs(p.x - co.h_cal) <= tol
-    y_at_top = abs(p.y - co.g_cal) <= tol
-    x_zero = p.x <= tol
-    y_zero = p.y <= tol
-    b_zero = co.b_cal <= tol
-    c_zero = co.c_cal <= tol
-
-    if x_at_top and y_zero and b_zero:
-        return RankClass(1, 1)
-    if x_zero and y_at_top and c_zero:
-        return RankClass(1, 2)
-    if y_zero and b_zero:
-        return RankClass(2, 1)
-    if x_zero and c_zero:
-        return RankClass(2, 2)
-    if x_at_top and y_at_top:
-        return RankClass(2, 3)
-    if y_at_top:
-        return RankClass(3, 1)
-    if x_at_top:
-        return RankClass(3, 2)
-    return RankClass(4, 1)
-
-
-# classify_rank's outcomes in its order of precedence; the last is the default
-_RANKS = np.array([1, 1, 2, 2, 2, 3, 3, 4])
-_KINDS = np.array([1, 2, 1, 2, 3, 1, 2, 1])
+    held = set(compress(_TESTS, _boundary_tests(co, p.x, p.y, tol)))
+    # the last entry needs no test, so the scan always returns
+    for need, rank_class in _RANK_RULE:
+        if need <= held:
+            return rank_class
 
 
 def _classify_arrays(co: XCoeffs, x, y, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -366,28 +378,18 @@ def _classify_arrays(co: XCoeffs, x, y, tol: float = DEFAULT_TOL) -> tuple[np.nd
     XCoeffs co of their diagonals and their weights x = |rho_14|^2 and
     y = |rho_23|^2.
 
-    classify_rank's seven conditions in its order, on arrays of entries
-    rather than on chart parameters. Raises UnphysicalError, as
-    _physical_coeffs does, if any state has x above h_cal or y above
-    g_cal by more than ROUNDOFF, or a NaN weight.
+    classify_rank's rule, _RANK_RULE, on arrays of entries rather than on
+    chart parameters. Raises UnphysicalError, as _physical_coeffs does, if
+    any state has x above h_cal or y above g_cal by more than ROUNDOFF,
+    or a NaN weight.
     """
-    if not np.all((x <= co.h_cal + ROUNDOFF) & (y <= co.g_cal + ROUNDOFF)):
+    if not np.all(_within_positivity(co, x, y)):
         raise UnphysicalError("a coherence weight exceeds the positivity range")
-    x_at_top = np.abs(x - co.h_cal) <= tol
-    y_at_top = np.abs(y - co.g_cal) <= tol
-    x_zero = x <= tol
-    y_zero = y <= tol
-    b_zero = co.b_cal <= tol
-    c_zero = co.c_cal <= tol
-    first = np.select([
-        x_at_top & y_zero & b_zero,
-        x_zero & y_at_top & c_zero,
-        y_zero & b_zero,
-        x_zero & c_zero,
-        x_at_top & y_at_top,
-        y_at_top,
-        x_at_top,
-    ], range(7), 7)
+    tests = _boundary_tests(co, x, y, tol)
+    # the last entry needs no test: it is np.select's default
+    last = len(_RANK_RULE) - 1
+    first = np.select([reduce(operator.and_, map(tests.__getitem__, need))
+                       for need, _ in _RANK_RULE[:last]], range(last), last)
     return _RANKS[first], _KINDS[first]
 
 
@@ -406,6 +408,11 @@ def is_separable(p: XParams) -> bool:
     return bool(min(t1, t2) >= -SOLVER_TOL)
 
 
+def _rank_above_tol(values: np.ndarray) -> int:
+    """Number of the eigenvalues values above DEFAULT_TOL."""
+    return int((values > DEFAULT_TOL).sum())
+
+
 def numerical_rank(rho) -> int:
     """Number of eigenvalues above DEFAULT_TOL."""
-    return int((hermitian_eigvals(rho) > DEFAULT_TOL).sum())
+    return _rank_above_tol(hermitian_eigvals(rho))

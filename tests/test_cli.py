@@ -318,8 +318,10 @@ def test_measure_rejection_text(tmp_path, capsys, name, state):
     path = write_json(tmp_path / f"{name}.json", state)
     ok, why = is_density_matrix(cli.read_state(path))
     assert not ok
-    assert cli.main(["measure", "--in", path]) == 3
-    assert capsys.readouterr().err == f"invalid state: not a density matrix: {why}\n"
+    # classify validates through density_spectrum, as measure does
+    for command in ("measure", "classify"):
+        assert cli.main([command, "--in", path]) == 3
+        assert capsys.readouterr().err == f"invalid state: not a density matrix: {why}\n"
 
 
 def test_exit_invalid_state(tmp_path, capsys):

@@ -72,16 +72,20 @@ def test_scalar_domains():
 @pytest.mark.parametrize("below", [1e-13, ROUNDOFF], ids=["1e-13", "ROUNDOFF"])
 def test_scalars_accept_the_roundoff_below_their_edge(below):
     # each range test admits ROUNDOFF below the edge, where 2p - 2 edge
-    # reaches -2 ROUNDOFF; the scalar returns its value at the edge
-    third, half = 1.0 / 3.0 - below, 0.5 - below
+    # reaches -2 ROUNDOFF; the scalar returns its value at the edge. It
+    # admits ROUNDOFF above 1 too, where r reads p as 1: 1 - 2p + q would
+    # reach the square root at about 1 - p
+    third, half, top = 1.0 / 3.0 - below, 0.5 - below, 1.0 + below
     assert scalar_v(third) == 0.0
     assert scalar_w(third, 0.0) == 1.0 / 3.0
     assert scalar_u(half) == 0.5
     assert scalar_q(half) == 0.0
     assert scalar_r(half) == 0.0
+    assert scalar_r(top) == scalar_r(1.0) == 0.0
     assert cp_boundary(third) == 0.0
     edge = boundary_scalars(half, 0.0)
     assert (edge.u, edge.q, edge.r) == (0.5, 0.0, 0.0)
+    assert boundary_scalars(top, 0.0).r == boundary_scalars(1.0, 0.0).r == 0.0
     np.testing.assert_array_equal(minset_state(third, 0.0), minset_state(1.0 / 3.0, 0.0))
 
 

@@ -1,5 +1,6 @@
 """Block rotations, disentangling walk, measure paths, X-counterpart."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -267,6 +268,22 @@ def test_solve_tau_endpoints():
         solve_tau(p, sol, 0.5 * c0, "fidelity")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 5.0, -1.0],
+                         ids=["nan", "inf", "neg_inf", "above", "below"])
+@pytest.mark.parametrize("call, error, names", [
+    (evolve, ValueError, "tau"),
+    (concurrence_along, ValueError, "tau"),
+    (negativity_along, ValueError, "tau"),
+    (solve_tau, TargetOutOfRangeError, "target"),
+], ids=["evolve", "concurrence_along", "negativity_along", "solve_tau"])
+def test_walk_rejects_a_value_outside_its_range(call, error, names, value):
+    # each gate is not (lo <= value <= hi), which a NaN fails; before, the
+    # *_along functions read a NaN tau as 0 and evaluated tau = 5 off the walk
+    p = random_xparams(3, "entangled")
+    with pytest.raises(error, match=names):
+        call(p, disentangle_params(p), value)
+
+
 def test_solve_tau_interior():
     for i in range(40):
         p = entangled_draw(i)
@@ -370,6 +387,24 @@ def test_counterpart_random_smoke():
                                        hermitian_eig(rho).values, atol=1e-9)
             assert abs(res.achieved - fn(rho)) <= 1e-9
             assert res.clip <= 1e-9
+
+
+# sha256 of test_counterpart_frozen's outputs
+COUNTERPART_SHA256 = "fbf3eceb909a35416809d8355bc07cf361464af7648347a1fae25bacfede8360"
+
+
+def test_counterpart_frozen():
+    # the conversion's outputs bit for bit: 64 seeded states over the kinds
+    # of test_counterpart_random_smoke, both measures
+    kinds = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
+    h = hashlib.sha256()
+    for i in range(64):
+        rho = random_density(child_seed(12, i), kinds[i % 4])
+        for measure in ("concurrence", "negativity"):
+            res = counterpart_details(rho, measure)
+            h.update(res.state.tobytes() + res.unitary.tobytes())
+            h.update(repr((res.tau, res.target, res.achieved)).encode())
+    assert h.hexdigest() == COUNTERPART_SHA256
 
 
 def test_counterpart_near_separable_spectrum():
