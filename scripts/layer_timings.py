@@ -4,8 +4,12 @@ Times hermitian_eig, density_spectrum, is_density_matrix,
 concurrence_general, negativity_general and counterpart_details (both
 measures) on 64 seeded states; random_density on their 64 seeds;
 disentangle_params and solve_tau (half the starting value, the two
-measures in turn) on 64 seeded entangled X-state draws; and classify_rank
-on 64 seeded draws over the eight rank/kind classes. Prints one JSON
+measures in turn) on 64 seeded entangled X-state draws; conjugate_x
+(four seeded angles) and evolve (tau = 1/2 of the disentangling walk)
+on those draws; classify_rank on 64 seeded draws over the eight rank/kind
+classes; and cp_boundary, boundary_scalars (concurrence 0) and
+minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
+the edges 1/3, 5/9 and 1 among them. Prints one JSON
 object {name: us_per_call}. Each input's time is its fastest of 100 calls,
 and a layer's figure is the mean of those over the inputs. Each round
 calls every layer on every input, so a slow spell of a shared machine
@@ -18,6 +22,7 @@ PYTHONPATH:
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import xtangle as xt
@@ -42,6 +47,10 @@ def layers() -> dict:
     for i, (p, sol) in enumerate(zip(walks, sols)):
         measure = ("concurrence", "negativity")[i % 2]
         targets.append((p, sol, 0.5 * STARTS[measure](p, sol, 0.0), measure))
+    rng = xt.SplitMix64(4)
+    angles = [[rng.uniform(0.0, 2.0 * math.pi) for _ in range(4)] for _ in range(STATES)]
+    purities = [(1.0 + 2.0 * i / (STATES - 1)) / 3.0 for i in range(STATES)]
+    purities[21] = 5.0 / 9.0
     classes = [(xt.random_xparams(xt.child_seed(3, i), CLASSES[i % len(CLASSES)]),)
                for i in range(STATES)]
     return {
@@ -57,7 +66,13 @@ def layers() -> dict:
         "random_density": (xt.random_density, list(zip(seeds, kinds))),
         "disentangle_params": (xt.disentangle_params, [(p,) for p in walks]),
         "solve_tau": (xt.solve_tau, targets),
+        "conjugate_x": (xt.conjugate_x, [(p, *b) for p, b in zip(walks, angles)]),
+        "evolve": (xt.evolve, [(p, sol, 0.5) for p, sol in zip(walks, sols)]),
         "classify_rank": (xt.classify_rank, classes),
+        "cp_boundary": (xt.cp_boundary, [(p,) for p in purities]),
+        "boundary_scalars": (xt.boundary_scalars, [(p, 0.0) for p in purities]),
+        "minset_state": (xt.minset_state,
+                         [(p, 0.5 * xt.cp_boundary(p)) for p in purities]),
     }
 
 

@@ -127,6 +127,15 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _emit(out_path: str | None, text: str) -> None:
+    """Write text to out_path and print `out: FILE`, or else write it to stdout."""
+    if out_path:
+        _write_text(out_path, text)
+        print(f"out: {out_path}")
+    else:
+        sys.stdout.write(text)
+
+
 def write_state(path: str, matrix: np.ndarray, unitary: np.ndarray | None = None) -> None:
     doc = {"matrix": _matrix_to_obj(matrix)}
     if unitary is not None:
@@ -194,12 +203,7 @@ def cmd_counterpart(args) -> int:
 
 def cmd_minset(args) -> int:
     rho = minimal_set.minset_state(args.purity, args.concurrence)
-    if args.out_path:
-        write_state(args.out_path, rho)
-        print(f"out: {args.out_path}")
-    else:
-        json.dump({"matrix": _matrix_to_obj(rho)}, sys.stdout)
-        print()
+    _emit(args.out_path, json.dumps({"matrix": _matrix_to_obj(rho)}) + "\n")
     return EXIT_OK
 
 
@@ -223,12 +227,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    text = minimal_set.diagram_csv(args.kind, args.grid)
-    if args.out_path:
-        _write_text(args.out_path, text)
-        print(f"out: {args.out_path}")
-    else:
-        sys.stdout.write(text)
+    _emit(args.out_path, minimal_set.diagram_csv(args.kind, args.grid))
     return EXIT_OK
 
 

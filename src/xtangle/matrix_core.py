@@ -17,10 +17,11 @@ import numpy as np
 
 # Round-off slack on unit-scale inputs and bounds: the Hermiticity and
 # unit-trace gates of a density matrix; the chart's positivity and
-# angle-range slack; the domain edges of the minimal-set scalars and
-# constructions; tau's range [0, 1]; the snap of a walk target to its
-# ceiling; the lead eigenvector component; the 1/3 edge of the
-# continuity bound.
+# angle-range slack; the snap of a walk target to its ceiling; the lead
+# eigenvector component; and every closed range whose admitted
+# out-of-range values read as its edge (_read_edge): the minimal-set
+# domains, the chart's weights at 0, tau's range [0, 1], the walk target
+# and the 1/3 edge of the continuity bound.
 # About 4500 ulps of 1: room for the round-off of a short chain of
 # products and square roots, far below any physical scale.
 ROUNDOFF = 1e-12
@@ -52,6 +53,20 @@ DEGENERATE = 1e-15
 
 # the reason given wherever a NaN or infinite entry is rejected
 NON_FINITE = "non-finite entry"
+
+
+def _read_edge(value, lo, hi, error, message):
+    """value on the closed range [lo, hi], the package's one edge rule.
+
+    A value inside the range is returned as is; one within ROUNDOFF
+    outside it reads as that edge. Anything else, NaN included, raises
+    error(message.format(value=value, lo=lo, hi=hi)).
+    """
+    if lo <= value <= hi:
+        return value
+    if lo - ROUNDOFF <= value <= hi + ROUNDOFF:
+        return lo if value < lo else hi
+    raise error(message.format(value=value, lo=lo, hi=hi))
 
 
 class NonHermitianError(ValueError):
@@ -259,7 +274,9 @@ def is_unitary(u) -> bool:
 
 
 def conjugate(rho, u) -> np.ndarray:
-    """Unitary conjugation u rho u'. Preserves the spectrum."""
+    """Unitary conjugation u rho u'. Preserves the spectrum; rejects a non-finite entry."""
     r = as_matrix(rho)
     m = as_matrix(u)
+    if _finite_entries(r) is None or _finite_entries(m) is None:
+        raise ValueError(NON_FINITE)
     return m @ r @ m.conj().T

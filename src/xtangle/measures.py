@@ -17,7 +17,7 @@ import numpy as np
 from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
-    ROUNDOFF,
+    _read_edge,
     as_matrix,
     hermitian_eig,
     partial_transpose,
@@ -60,10 +60,10 @@ def purity_general(rho) -> float:
 def purity_x(p: XParams) -> float:
     """Closed-form purity 1 - 2(BC + G - y + H - x) in the derived scalars."""
     try:
-        co, _ = _physical_coeffs(p)
+        co, _, x, y = _physical_coeffs(p)
     except UnphysicalError:
         raise UnphysicalError("purity_x requires physical parameters") from None
-    return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - p.y + co.h_cal - p.x)
+    return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - y + co.h_cal - x)
 
 
 def concurrence_from_eig(values: list[float], eigvecs: np.ndarray) -> float:
@@ -129,7 +129,9 @@ def concurrence_x(rho) -> float:
 
 
 def binary_entropy(t: float) -> float:
-    """-t log2 t - (1-t) log2 (1-t), with the 0 log 0 = 0 convention."""
+    """-t log2 t - (1-t) log2 (1-t), with 0 log 0 = 0; ValueError for a non-finite t."""
+    if not math.isfinite(t):
+        raise ValueError(NON_FINITE)
     if t <= 0.0 or t >= 1.0:
         return 0.0
     return float(-t * np.log2(t) - (1.0 - t) * np.log2(1.0 - t))
@@ -180,11 +182,11 @@ def fannes_ree_bound(rho1, rho2) -> float:
     """Continuity bound on the relative entropy of entanglement.
 
     For trace distance t = ||rho1 - rho2||_tr <= 1/3 the difference of the
-    two relative entropies of entanglement is at most 8t - 2t log2(t).
+    two relative entropies of entanglement is at most 8t - 2t log2(t); a
+    t within ROUNDOFF above 1/3 reads as 1/3.
     """
-    t = trace_norm(as_matrix(rho1) - as_matrix(rho2))
-    if t > 1.0 / 3.0 + ROUNDOFF:
-        raise OutOfRegimeError(f"trace distance {t:.6g} exceeds 1/3")
+    t = _read_edge(trace_norm(as_matrix(rho1) - as_matrix(rho2)), 0.0, 1.0 / 3.0,
+                   OutOfRegimeError, "trace distance {value:.6g} exceeds 1/3")
     if t <= 0.0:
         return 0.0
     return float(8.0 * t - 2.0 * t * np.log2(t))

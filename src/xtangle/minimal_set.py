@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, ROUNDOFF, SQRT_CLAMP
+from .matrix_core import DEFAULT_TOL, ROUNDOFF, SQRT_CLAMP, _read_edge
 from .xstate import (
     XParams,
     _classify_arrays,
@@ -29,6 +29,12 @@ from .xstate import (
 
 P_RANK2_MIN = 5.0 / 9.0
 P_SEP_MAX = 1.0 / 3.0
+
+# messages of ranges read through _read_edge, which reads a value within
+# ROUNDOFF outside a range as its edge
+_STATES = "purity {value!r} outside [1/4, 1]"
+_RANK2 = "purity {value!r} outside [1/2, 1]"
+_RANK3_C = "rank 3 cannot reach concurrence {value!r} > v={hi!r}"
 
 
 class DomainError(ValueError):
@@ -76,10 +82,8 @@ def scalar_u(p: float) -> float:
 
 def scalar_v(p: float) -> float:
     """sqrt(2p - 2/3) for p >= 1/3."""
-    if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"v undefined at purity {p!r}")
-    # the edge below 1/3 as in scalar_q
-    return _sqrt_clamped(2.0 * max(p, P_SEP_MAX) - 2.0 / 3.0)
+    p = _read_edge(p, P_SEP_MAX, 1.0, DomainError, "v undefined at purity {value!r}")
+    return _sqrt_clamped(2.0 * p - 2.0 / 3.0)
 
 
 def scalar_w(p: float, c: float) -> float:
@@ -111,27 +115,19 @@ def scalar_z(p: float, c: float) -> float:
 
 def scalar_q(p: float) -> float:
     """sqrt(2p - 1): concurrence ceiling of the rank-2 kind-1/2 family."""
-    if not (0.5 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"purity {p!r} outside [1/2, 1]")
-    # a p in the ROUNDOFF below the edge reads as the edge, where 2p - 1
-    # would reach the square root at -2 ROUNDOFF, below its clamp
-    return _sqrt_clamped(2.0 * max(p, 0.5) - 1.0)
+    p = _read_edge(p, 0.5, 1.0, DomainError, _RANK2)
+    return _sqrt_clamped(2.0 * p - 1.0)
 
 
 def scalar_r(p: float) -> float:
     """sqrt(2) sqrt(1 - 2p + q): rank-3 outer-family ceiling above 5/9, from scalar_q."""
-    q = scalar_q(p)
-    # a p in the ROUNDOFF above 1 reads as 1, as scalar_q reads the edge
-    # below 1/2: there 1 - 2p + q would reach the square root at about
-    # 1 - p, below its clamp
-    p = min(max(p, 0.5), 1.0)
-    return math.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + min(q, 1.0))
+    p = _read_edge(p, 0.5, 1.0, DomainError, _RANK2)
+    return math.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + scalar_q(p))
 
 
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:
     """All six scalars at (p, c); out-of-domain entries are None."""
-    if not (0.25 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"purity {p!r} outside [1/4, 1]")
+    p = _read_edge(p, 0.25, 1.0, DomainError, _STATES)
     return BoundaryScalars(
         u=_or_none(scalar_u, p),
         v=_or_none(scalar_v, p),
@@ -156,12 +152,11 @@ def cp_boundary(p: float) -> float:
     0 for p <= 1/3 (all such states are separable), v(p) up to 5/9 and
     u(p) from 5/9 on; the two branches agree (= 2/3) at the junction.
     """
-    if not (0.25 - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"purity {p!r} outside [1/4, 1]")
+    p = _read_edge(p, 0.25, 1.0, DomainError, _STATES)
     if p <= P_SEP_MAX:
         return 0.0
     if p >= P_RANK2_MIN:
-        return min(scalar_u(p), 1.0)
+        return scalar_u(p)
     return scalar_v(p)
 
 
@@ -183,8 +178,8 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 
         ((1 + s)/2, 0, 0, (1 - s)/2), rho_14 = c/2,     s = sqrt(1 - c^2),
 
-    with c capped at 1. The purity scalars are taken once per row; a
-    DomainError is raised where scalar_u, scalar_v or scalar_w raises one.
+    The purity scalars are taken once per row; a DomainError is raised
+    where scalar_u, scalar_v or scalar_w raises one.
     """
     d1, d2, d3, d4, rho_14, rho_23 = np.zeros((6,) + c.shape)
     lo, hi = np.searchsorted(p, (P_RANK2_MIN, 1.0))
@@ -198,15 +193,14 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
         rho_14[:lo] = 0.5 * c3
     if hi > lo:
         u = np.array([scalar_u(x) for x in p[lo:hi].tolist()])[:, None]
-        # a c within ROUNDOFF above u is read as u, as _w_of reads c above v
-        c2 = np.minimum(c[lo:hi], u)
+        c2 = c[lo:hi]
         s = _sqrt_clamped(u * u - c2 * c2)
         d1[lo:hi] = 1.0 - u
         d2[lo:hi] = 0.5 * (u + s)
         d3[lo:hi] = 0.5 * (u - s)
         rho_23[lo:hi] = 0.5 * c2
     if hi < len(p):
-        c1 = np.minimum(c[hi:], 1.0)
+        c1 = c[hi:]
         s = _sqrt_clamped(1.0 - c1 * c1)
         d1[hi:] = 0.5 * (1.0 + s)
         d4[hi:] = 0.5 * (1.0 - s)
@@ -221,15 +215,9 @@ def minset_state(p: float, c: float) -> np.ndarray:
     p in [1/3, 5/9[ the rank-3 member (see _member_entries, of which
     this is a batch of one).
     """
-    if not (P_SEP_MAX - ROUNDOFF <= p <= 1.0 + ROUNDOFF):
-        raise DomainError(f"purity {p!r} outside [1/3, 1]")
-    if not c >= -ROUNDOFF:
-        raise OutOfDiagramError(f"negative or NaN concurrence {c!r}")
-    cmax = cp_boundary(p)
-    if c > cmax + ROUNDOFF:
-        raise OutOfDiagramError(
-            f"concurrence {c!r} exceeds the maximum {cmax!r} at purity {p!r}"
-        )
+    p = _read_edge(p, P_SEP_MAX, 1.0, DomainError, "purity {value!r} outside [1/3, 1]")
+    c = _read_edge(c, 0.0, cp_boundary(p), OutOfDiagramError,
+                   "concurrence {value!r} outside [0, cp_boundary(p)] = [0, {hi!r}]")
     return _x_matrix(*(e.item() for e in _member_entries(np.array([p]), np.array([[c]]))))
 
 
@@ -245,35 +233,28 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
       r3k2: rank 3 kind 2, p in [1/2, 5/9[, c <= v(p)
     """
     half_pi = 0.5 * np.pi
-    if not (-ROUNDOFF <= c <= 1.0 + ROUNDOFF):
-        raise DomainError(f"concurrence {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
+    c = _read_edge(c, 0.0, 1.0, DomainError, "concurrence {value!r} outside [0, 1]")
 
+    if variant in ("r1k1", "r1k2") and not abs(p - 1.0) <= DEFAULT_TOL:
+        raise DomainError(f"{variant} exists only at purity 1")
     if variant == "r1k1":
-        if not abs(p - 1.0) <= DEFAULT_TOL:
-            raise DomainError("r1k1 exists only at purity 1")
         return XParams(theta=0.5 * np.arcsin(c), phi=half_pi, psi=half_pi,
                        x=c * c / 4.0, y=0.0)
     if variant == "r1k2":
-        if not abs(p - 1.0) <= DEFAULT_TOL:
-            raise DomainError("r1k2 exists only at purity 1")
         return XParams(theta=half_pi, phi=0.5 * np.arcsin(c), psi=0.0,
                        x=0.0, y=c * c / 4.0)
     if variant == "r2k3":
         if not (0.5 - ROUNDOFF <= p < 1.0 - ROUNDOFF):
             raise DomainError(f"r2k3 needs purity in [1/2, 1[, got {p!r}")
         u = scalar_u(p)
-        if c > u + ROUNDOFF:
-            raise DomainError(f"r2k3 cannot reach concurrence {c!r} > u={u!r}")
-        return XParams(theta=np.arcsin(_min_sqrt(u)), phi=0.5 * np.arcsin(min(c / u, 1.0)),
+        c = _read_edge(c, 0.0, u, DomainError, "r2k3 cannot reach concurrence {value!r} > u={hi!r}")
+        return XParams(theta=np.arcsin(np.sqrt(u)), phi=0.5 * np.arcsin(c / u),
                        psi=0.0, x=0.0, y=c * c / 4.0)
     if variant == "r3k1":
         if not (P_SEP_MAX - ROUNDOFF <= p < 1.0 - ROUNDOFF):
             raise DomainError(f"r3k1 needs purity in [1/3, 1[, got {p!r}")
         if p < P_RANK2_MIN:
-            lim = scalar_v(p)
-            if c > lim + ROUNDOFF:
-                raise DomainError(f"r3k1 cannot reach concurrence {c!r} > v={lim!r}")
+            c = _read_edge(c, 0.0, scalar_v(p), DomainError, _RANK3_C)
         else:
             lim = scalar_r(p)
             # at c = r the outer weight hits its positivity ceiling and the
@@ -281,24 +262,18 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
             if c >= lim:
                 raise DomainError(f"r3k1 above 5/9 needs concurrence < r={lim!r}")
         w = scalar_w(p, c)
-        return XParams(theta=np.arcsin(_min_sqrt(2.0 * w)), phi=0.25 * np.pi,
+        return XParams(theta=np.arcsin(np.sqrt(2.0 * w)), phi=0.25 * np.pi,
                        psi=half_pi, x=c * c / 4.0, y=0.0)
     if variant == "r3k2":
         if not (0.5 - ROUNDOFF <= p < P_RANK2_MIN):
             raise DomainError(f"r3k2 needs purity in [1/2, 5/9[, got {p!r}")
-        lim = scalar_v(p)
-        if c > lim + ROUNDOFF:
-            raise DomainError(f"r3k2 cannot reach concurrence {c!r} > v={lim!r}")
-        z = scalar_z(p, c)
-        if z > 1.0 + ROUNDOFF or c > z + ROUNDOFF:
+        c = _read_edge(c, 0.0, scalar_v(p), DomainError, _RANK3_C)
+        z = _read_edge(scalar_z(p, c), 0.0, 1.0, DomainError, "r3k2 z={value!r} outside [0, 1]")
+        if c > z + ROUNDOFF:
             raise DomainError(f"r3k2 cannot realize ({p!r}, {c!r}): z={z!r}")
-        return XParams(theta=np.arcsin(_min_sqrt(z)), phi=0.25 * np.pi,
+        return XParams(theta=np.arcsin(np.sqrt(z)), phi=0.25 * np.pi,
                        psi=0.0, x=0.0, y=c * c / 4.0)
     raise DomainError(f"unknown variant {variant!r}")
-
-
-def _min_sqrt(val: float) -> float:
-    return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
 def diagram_data(kind: str, grid_n: int) -> list[tuple]:

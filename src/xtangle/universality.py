@@ -70,6 +70,7 @@ from .matrix_core import (
     NON_FINITE,
     ROUNDOFF,
     Spectrum,
+    _read_edge,
     as_matrix,
     density_spectrum,
     hermitian_eig,
@@ -83,13 +84,13 @@ from .measures import (
 )
 from .xstate import (
     XParams,
+    _physical_coeffs,
+    _valid_weights,
     _x_matrix,
-    coeffs,
     diagonal,
     is_separable,
     params_from_entries,
     to_density,
-    validate_params,
 )
 
 # eigenbasis-to-X rotation: maps diag(l1..l4), non-ascending, onto the
@@ -104,6 +105,10 @@ O_BASIS = np.array(
     ],
     dtype=complex,
 )
+
+
+# the walk's tau gate, read through matrix_core._read_edge; a NaN fails it
+_TAU = "tau {value!r} outside [0, 1]"
 
 
 class TargetOutOfRangeError(ValueError):
@@ -179,12 +184,15 @@ def x_unitary(b1, b2: float = 0.0, b3: float = 0.0, b4: float = 0.0) -> np.ndarr
     """Unitary rotating the outer block by b1 and the inner block by b3.
 
     Accepts a DisentangleSolution in place of b1, taking all four angles
-    from it (the remaining arguments must then be left at zero).
+    from it (the remaining arguments must then be left at zero). Raises
+    ValueError for a non-finite angle.
     """
     if isinstance(b1, DisentangleSolution):
         if b2 != 0.0 or b3 != 0.0 or b4 != 0.0:
             raise TypeError("pass either a solution or four angles, not both")
         b1, b2, b3, b4 = b1.b1, b1.b2, b1.b3, b1.b4
+    if not all(map(math.isfinite, (b1, b2, b3, b4))):
+        raise ValueError(NON_FINITE)
     c1, s1 = np.cos(b1), np.sin(b1)
     c3, s3 = np.cos(b3), np.sin(b3)
     e2, e4 = np.exp(1j * b2), np.exp(1j * b4)
@@ -205,10 +213,10 @@ def conjugate_x(p: XParams, b1: float, b2: float = 0.0,
     Closed form; equals from_density(conjugate(to_density(p), V)) up to
     round-off.
     """
-    validate_params(p)
+    x, y = _valid_weights(p)
     d1, d2, d3, d4 = diagonal(p)
-    d1n, d4n, outer = _rotated_block(d1, d4, np.sqrt(p.x), p.mu, b1, b2)
-    d2n, d3n, inner = _rotated_block(d2, d3, np.sqrt(p.y), p.nu, b3, b4)
+    d1n, d4n, outer = _rotated_block(d1, d4, np.sqrt(x), p.mu, b1, b2)
+    d2n, d3n, inner = _rotated_block(d2, d3, np.sqrt(y), p.nu, b3, b4)
     return params_from_entries(d1n, d2n, d3n, d4n, outer, inner)
 
 
@@ -228,19 +236,17 @@ def _half_angle(a: float, tgt: float, dd: float) -> tuple[float, float, float]:
     """Rotation half-angle taking coherence a down to tgt along the
     monotone-in-effect root; returns (b, cos 2b, sin 2b).
 
-    dd is the population difference of the block. The returned branch
-    keeps the running coherence at or above tgt for every intermediate
-    angle; the quadratic's other root crosses zero first when dd < 0.
+    a and tgt are >= 0 (xstate._valid_weights reads a chart weight); dd
+    is the population difference of the block. The returned branch keeps
+    the running coherence at or above tgt for every intermediate angle;
+    the quadratic's other root crosses zero first when dd < 0.
     """
     xp = (0.5 * dd) ** 2 + a
     if xp <= 0.0:
         return 0.0, 1.0, 0.0
     head = max(xp - tgt, 0.0)
-    # validate_params passes a weight a in [-ROUNDOFF, 0), which to_density
-    # reads as 0, hence the clamps; tgt >= 0 (a product of the chart's
-    # squared sines, or a walk target)
-    c2b = (math.sqrt(max(tgt * a, 0.0)) + 0.5 * dd * math.sqrt(head)) / xp
-    s2b = (math.sqrt(max(a * head, 0.0)) - 0.5 * dd * math.sqrt(tgt)) / xp
+    c2b = (math.sqrt(tgt * a) + 0.5 * dd * math.sqrt(head)) / xp
+    s2b = (math.sqrt(a * head) - 0.5 * dd * math.sqrt(tgt)) / xp
     return 0.5 * math.atan2(s2b, c2b), c2b, s2b
 
 
@@ -260,13 +266,12 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     2e-5, with b the population sum of the block opposite the coherence
     (b_cal for the outer coherence, c_cal for the inner).
     """
-    validate_params(p)
-    cf = coeffs(p)
+    cf, _, x, y = _physical_coeffs(p)
     outer_leg = cf.h_cal >= cf.g_cal
     if outer_leg:
-        a, tgt, dd = p.x, cf.g_cal, cf.h_low
+        a, tgt, dd = x, cf.g_cal, cf.h_low
     else:
-        a, tgt, dd = p.y, cf.h_cal, cf.g_low
+        a, tgt, dd = y, cf.h_cal, cf.g_low
     b = z_minus = 0.0
     s_tilde = 0
     if is_separable(p):
@@ -287,17 +292,9 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     )
 
 
-def _checked_tau(tau: float) -> float:
-    """tau clamped to [0, 1], the walk's gate: ValueError unless tau lies
-    within ROUNDOFF of that range, which a NaN does not."""
-    if not (-ROUNDOFF <= tau <= 1.0 + ROUNDOFF):
-        raise ValueError(f"tau {tau!r} outside [0, 1]")
-    return min(max(tau, 0.0), 1.0)
-
-
 def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
     """Full-matrix state of the walk at tau in [0, 1]."""
-    tau = _checked_tau(tau)
+    tau = _read_edge(tau, 0.0, 1.0, ValueError, _TAU)
     q = conjugate_x(p, sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
     rho = to_density(q)
     return PathPoint(tau=tau, params=q,
@@ -307,15 +304,15 @@ def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
 
 def _path_inputs(p: XParams, sol: DisentangleSolution) -> tuple[float, float, float, float, float]:
     """(coherence, population difference, floor target, partner sum, angle)."""
-    cf = coeffs(p)
+    cf, _, x, y = _physical_coeffs(p)
     if sol.branch in ("HgtG", "h_zero"):
         if cf.h_cal < cf.g_cal - DEFAULT_TOL:
             raise ValueError("solution branch does not match the state")
-        return p.x, cf.h_low, cf.g_cal, cf.b_cal, sol.b1
+        return x, cf.h_low, cf.g_cal, cf.b_cal, sol.b1
     if sol.branch in ("GgtH", "g_zero"):
         if cf.g_cal < cf.h_cal - DEFAULT_TOL:
             raise ValueError("solution branch does not match the state")
-        return p.y, cf.g_low, cf.h_cal, cf.c_cal, sol.b3
+        return y, cf.g_low, cf.h_cal, cf.c_cal, sol.b3
     return 0.0, 0.0, 0.0, 0.0, 0.0
 
 
@@ -343,7 +340,7 @@ def _along(p: XParams, sol: DisentangleSolution, tau: float, measure: str) -> fl
     disentangle_params) can carry concurrence up to about 2e-5 and
     negativity up to SOLVER_TOL.
     """
-    tau = _checked_tau(tau)
+    tau = _read_edge(tau, 0.0, 1.0, ValueError, _TAU)
     if measure not in ("concurrence", "negativity"):
         raise ValueError(f"unknown measure {measure!r}")
     if sol.branch == "already_separable":
@@ -393,18 +390,17 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     x_t = floor + C (sqrt(floor) + C/4) and negativity N through
     x_t = floor + N (N + B) with B the partner block sum. tau is the
     ratio of the half angle reaching x_t to the full path angle, clamped
-    to [0, 1]. Target 0 gives tau = 1 exactly, and a target within
-    ROUNDOFF of the walk's starting value gives tau = 0 exactly.
+    to [0, 1]. A target within ROUNDOFF outside [0, starting value]
+    reads as that edge (matrix_core._read_edge). Target 0 gives tau = 1
+    exactly, and a target within ROUNDOFF of the walk's starting value
+    gives tau = 0 exactly.
     """
     value0 = _along(p, sol, 0.0, measure)
-    if not (-ROUNDOFF <= target <= value0 + ROUNDOFF):
-        raise TargetOutOfRangeError(
-            f"target {target!r} outside [0, {value0!r}] for {measure}"
-        )
+    target = _read_edge(target, 0.0, value0, TargetOutOfRangeError,
+                        "target {value!r} outside [0, {hi!r}] for " + measure)
     if value0 == 0.0 or sol.branch == "already_separable":
         return 0.0
-    return _walk_tau(*_path_inputs(p, sol), value0,
-                     min(max(target, 0.0), value0), measure)
+    return _walk_tau(*_path_inputs(p, sol), value0, target, measure)
 
 
 def _mems_basis(spec: Spectrum) -> np.ndarray:

@@ -33,6 +33,7 @@ from .matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     _finite_entries,
+    _read_edge,
     as_matrix,
     hermitian_eigvals,
 )
@@ -108,6 +109,13 @@ class CharPolyCoeffs:
 
 def validate_params(p: XParams) -> None:
     """Range-check angles, phases and coherence weights."""
+    _valid_weights(p)
+
+
+def _valid_weights(p: XParams) -> tuple[float, float]:
+    """The coherence weights (x, y) of p after validate_params' checks,
+    the chart's one read of them: a weight in [-ROUNDOFF, 0) reads as 0
+    (matrix_core._read_edge), a more negative or a NaN one raises."""
     half_pi = 0.5 * np.pi
     for name in ("theta", "phi", "psi"):
         v = getattr(p, name)
@@ -117,8 +125,8 @@ def validate_params(p: XParams) -> None:
         v = getattr(p, name)
         if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
             raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
-    if not (p.x >= -ROUNDOFF and p.y >= -ROUNDOFF):
-        raise ValueError(f"coherence weight x={p.x!r} y={p.y!r} is negative or NaN")
+    return (_read_edge(p.x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN"),
+            _read_edge(p.y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN"))
 
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
@@ -156,22 +164,23 @@ def _within_positivity(co: XCoeffs, x, y):
     return (x <= co.h_cal + ROUNDOFF) & (y <= co.g_cal + ROUNDOFF)
 
 
-def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, float, float, float]]:
-    """(coeffs(p), diagonal(p)) of valid parameters whose matrix has no
-    negative eigenvalue, from one evaluation of the chart.
+def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, float]:
+    """(coeffs(p), diagonal(p), x, y) of valid parameters whose matrix has
+    no negative eigenvalue, from one evaluation of the chart and one read
+    of the weights (_valid_weights).
 
-    Runs validate_params, then raises UnphysicalError unless x <= h_cal
-    and y <= g_cal within ROUNDOFF; a NaN weight fails the test too.
+    Runs validate_params' checks, then raises UnphysicalError unless
+    x <= h_cal and y <= g_cal within ROUNDOFF.
     """
-    validate_params(p)
+    x, y = _valid_weights(p)
     d = diagonal(p)
     co = _coeffs_of(*d)
-    if not _within_positivity(co, p.x, p.y):
+    if not _within_positivity(co, x, y):
         raise UnphysicalError(
             f"x={p.x!r} (max {co.h_cal!r}) or y={p.y!r} (max {co.g_cal!r}) "
             "exceeds the positivity range"
         )
-    return co, d
+    return co, d, x, y
 
 
 def partial_transpose_lows(b, c, g_low, h_low, x, y):
@@ -259,10 +268,9 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
 
 def to_density(p: XParams) -> np.ndarray:
     """Assemble the 4x4 density matrix for physical parameters."""
-    _, (d1, d2, d3, d4) = _physical_coeffs(p)
+    _, (d1, d2, d3, d4), x, y = _physical_coeffs(p)
     return _x_matrix(d1, d2, d3, d4,
-                     np.sqrt(max(p.x, 0.0)) * np.exp(1j * p.mu),
-                     np.sqrt(max(p.y, 0.0)) * np.exp(1j * p.nu))
+                     np.sqrt(x) * np.exp(1j * p.mu), np.sqrt(y) * np.exp(1j * p.nu))
 
 
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:
@@ -318,10 +326,9 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
 
 def char_poly(p: XParams) -> CharPolyCoeffs:
     """Characteristic-polynomial coefficients in closed form."""
-    validate_params(p)
+    x, y = _valid_weights(p)
     co = coeffs(p)
     b, c, g, h = co.b_cal, co.c_cal, co.g_cal, co.h_cal
-    x, y = p.x, p.y
     return CharPolyCoeffs(
         a1=1.0,
         a2=b * c + g + h - x - y,
@@ -365,8 +372,8 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     each an equality test within the absolute tolerance tol. Raises
     UnphysicalError for unphysical parameters.
     """
-    co, _ = _physical_coeffs(p)
-    held = set(compress(_TESTS, _boundary_tests(co, p.x, p.y, tol)))
+    co, _, x, y = _physical_coeffs(p)
+    held = set(compress(_TESTS, _boundary_tests(co, x, y, tol)))
     # the last entry needs no test, so the scan always returns
     for need, rank_class in _RANK_RULE:
         if need <= held:
@@ -401,10 +408,8 @@ def is_separable(p: XParams) -> bool:
     partial_transpose_lows) at the scale of negativity_general(rho) <=
     SOLVER_TOL. Raises UnphysicalError for unphysical parameters.
     """
-    co, _ = _physical_coeffs(p)
-    # a weight in [-ROUNDOFF, 0) passes validation; to_density reads it as 0
-    t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low,
-                                    max(p.x, 0.0), max(p.y, 0.0))
+    co, _, x, y = _physical_coeffs(p)
+    t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low, x, y)
     return bool(min(t1, t2) >= -SOLVER_TOL)
 
 

@@ -1,0 +1,197 @@
+"""The ROUNDOFF edge rule (matrix_core._read_edge) at every site it serves.
+
+A value within ROUNDOFF outside a closed range reads as that edge, so its
+result is the edge's, bit for bit; a value further out, or a NaN, raises
+the site's error. The defect tests pin values in those bands that were
+read inconsistently before the rule had one definition.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from xtangle import (
+    DomainError,
+    OutOfDiagramError,
+    OutOfRegimeError,
+    TargetOutOfRangeError,
+    XParams,
+    boundary_scalars,
+    concurrence_along,
+    conjugate_x,
+    cp_boundary,
+    disentangle_params,
+    evolve,
+    fannes_ree_bound,
+    is_physical,
+    is_separable,
+    minset_state,
+    negativity_along,
+    purity_x,
+    random_xparams,
+    scalar_q,
+    scalar_r,
+    scalar_u,
+    scalar_v,
+    solve_tau,
+    theorem_params,
+    to_density,
+    validate_params,
+)
+from xtangle.matrix_core import ROUNDOFF, _read_edge
+
+NAN = float("nan")
+
+
+def _bits(result):
+    """The exact bits of a result: an array's bytes, repr of anything else."""
+    return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+
+def _x_at(x):
+    # physical and separable at x = 0
+    return XParams(0.7, 0.6, 0.5, x, 0.01, 0.3, 0.2)
+
+
+def _y_at(y):
+    # physical and separable at y = 0
+    return XParams(0.7, 0.6, 0.5, 0.01, y, 0.3, 0.2)
+
+
+def _inner_walk_at(x):
+    # entangled through its inner coherence (branch "GgtH") at x = 0, so
+    # the walk's leg reads the weights
+    return XParams(0.7, 0.6, 0.5, x, 0.02, 0.3, 0.2)
+
+
+WALK = random_xparams(3, "entangled")
+SOL = disentangle_params(WALK)
+C0 = concurrence_along(WALK, SOL, 0.0)
+SOL_INNER = disentangle_params(_inner_walk_at(0.0))
+
+# name: (call of one value, lower edge, upper edge or None, error)
+SITES = {
+    "scalar_q": (scalar_q, 0.5, 1.0, DomainError),
+    "scalar_u": (scalar_u, 0.5, 1.0, DomainError),
+    "scalar_v": (scalar_v, 1.0 / 3.0, 1.0, DomainError),
+    "scalar_r": (scalar_r, 0.5, 1.0, DomainError),
+    "cp_boundary": (cp_boundary, 0.25, 1.0, DomainError),
+    "boundary_scalars": (lambda p: boundary_scalars(p, 0.0), 0.25, 1.0, DomainError),
+    "minset_state_purity": (lambda p: minset_state(p, 0.0), 1.0 / 3.0, 1.0, DomainError),
+    "minset_state_rank3": (lambda c: minset_state(0.45, c), 0.0, cp_boundary(0.45),
+                           OutOfDiagramError),
+    "minset_state_rank2": (lambda c: minset_state(0.7, c), 0.0, cp_boundary(0.7),
+                           OutOfDiagramError),
+    "minset_state_pure": (lambda c: minset_state(1.0, c), 0.0, 1.0, OutOfDiagramError),
+    "theorem_params_r1k1": (lambda c: theorem_params(1.0, c, "r1k1"), 0.0, 1.0, DomainError),
+    "theorem_params_r2k3": (lambda c: theorem_params(0.7, c, "r2k3"), 0.0, scalar_u(0.7),
+                            DomainError),
+    "theorem_params_r3k1": (lambda c: theorem_params(0.45, c, "r3k1"), 0.0, scalar_v(0.45),
+                            DomainError),
+    "theorem_params_r3k2": (lambda c: theorem_params(0.52, c, "r3k2"), 0.0, scalar_v(0.52),
+                            DomainError),
+    "validate_params_x": (lambda x: validate_params(_x_at(x)), 0.0, None, ValueError),
+    "to_density_x": (lambda x: to_density(_x_at(x)), 0.0, None, ValueError),
+    "to_density_y": (lambda y: to_density(_y_at(y)), 0.0, None, ValueError),
+    "is_separable_x": (lambda x: is_separable(_x_at(x)), 0.0, None, ValueError),
+    "purity_x_y": (lambda y: purity_x(_y_at(y)), 0.0, None, ValueError),
+    "conjugate_x_x": (lambda x: conjugate_x(_x_at(x), 0.3, 0.1, 0.2, 0.4), 0.0, None,
+                      ValueError),
+    "conjugate_x_y": (lambda y: conjugate_x(_y_at(y), 0.3, 0.1, 0.2, 0.4), 0.0, None,
+                      ValueError),
+    "disentangle_params_x": (lambda x: disentangle_params(_inner_walk_at(x)), 0.0, None,
+                             ValueError),
+    "walk_leg_x": (lambda x: concurrence_along(_inner_walk_at(x), SOL_INNER, 0.5), 0.0, None,
+                   ValueError),
+    "evolve_x": (lambda x: evolve(_x_at(x), disentangle_params(_x_at(0.0)), 0.5), 0.0, None,
+                 ValueError),
+    "evolve_tau": (lambda t: evolve(WALK, SOL, t), 0.0, 1.0, ValueError),
+    "concurrence_along_tau": (lambda t: concurrence_along(WALK, SOL, t), 0.0, 1.0, ValueError),
+    "negativity_along_tau": (lambda t: negativity_along(WALK, SOL, t), 0.0, 1.0, ValueError),
+    "solve_tau_target": (lambda t: solve_tau(WALK, SOL, t), 0.0, C0, TargetOutOfRangeError),
+    # trace distance t of diag(t, 0, 0, 0) and 0, which the SVD gives exactly
+    "fannes_ree_bound": (lambda t: fannes_ree_bound(np.diag([t, 0.0, 0.0, 0.0]),
+                                                    np.zeros((4, 4))),
+                         None, 1.0 / 3.0, OutOfRegimeError),
+}
+# trace_norm rejects a NaN entry before the bound's range is read
+NAN_ERRORS = {"fannes_ree_bound": ValueError}
+
+EDGES = [(name, side) for name, (_, lo, hi, _) in SITES.items()
+         for side, edge in (("lo", lo), ("hi", hi)) if edge is not None]
+
+
+def _outside(side: str, edge: float, by: float) -> float:
+    return edge - by if side == "lo" else edge + by
+
+
+@pytest.mark.parametrize("name, side", EDGES, ids=[f"{n}-{s}" for n, s in EDGES])
+def test_half_roundoff_outside_an_edge_reads_as_the_edge(name, side):
+    call, lo, hi, _ = SITES[name]
+    edge = lo if side == "lo" else hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bits(call(_outside(side, edge, 0.5 * ROUNDOFF))) == _bits(call(edge))
+
+
+@pytest.mark.parametrize("name, side", EDGES, ids=[f"{n}-{s}" for n, s in EDGES])
+def test_twice_roundoff_outside_an_edge_raises(name, side):
+    call, lo, hi, error = SITES[name]
+    edge = lo if side == "lo" else hi
+    with pytest.raises(error):
+        call(_outside(side, edge, 2.0 * ROUNDOFF))
+
+
+@pytest.mark.parametrize("name", list(SITES))
+def test_nan_raises(name):
+    call, _, _, error = SITES[name]
+    with pytest.raises(NAN_ERRORS.get(name, error)):
+        call(NAN)
+
+
+def test_read_edge():
+    assert _read_edge(0.5, 0.0, 1.0, ValueError, "{value}") == 0.5
+    assert _read_edge(-0.5 * ROUNDOFF, 0.0, 1.0, ValueError, "{value}") == 0.0
+    assert _read_edge(1.0 + ROUNDOFF, 0.0, 1.0, ValueError, "{value}") == 1.0
+    # the message is formatted only when the value is rejected
+    assert _read_edge(1.0, 0.0, 1.0, ValueError, "{no}") == 1.0
+    with pytest.raises(KeyError):
+        _read_edge(2.0, 0.0, 1.0, ValueError, "{no}")
+    with pytest.raises(OutOfDiagramError, match=r"^2\.0 outside \[0\.0, 1\.0\]$"):
+        _read_edge(2.0, 0.0, 1.0, OutOfDiagramError, "{value!r} outside [{lo!r}, {hi!r}]")
+
+
+def test_boundary_scalars_read_a_purity_above_one_as_one():
+    # v(p) read p above 1 as is, so w and z, weights of the rank-3
+    # construction, went to -2.5e-13 and -5e-13 at p = 1 + 1e-12, and q
+    # and u rose above 1
+    above, edge = boundary_scalars(1.0 + 1e-12, 0.0), boundary_scalars(1.0, 0.0)
+    assert above == edge
+    assert (edge.u, edge.q) == (1.0, 1.0)
+
+
+def test_a_negative_weight_within_roundoff_reads_as_zero_on_the_walk():
+    # validate_params and to_density accepted x = -1e-13, while
+    # conjugate_x took its square root: a RuntimeWarning and a NaN entry
+    p, p0 = XParams(0.7, 0.6, 0.5, -1e-13, 0.01, 0.3, 0.2), _x_at(0.0)
+    assert is_physical(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert conjugate_x(p, 0.3, 0.1, 0.2, 0.4) == conjugate_x(p0, 0.3, 0.1, 0.2, 0.4)
+        sol, sol0 = disentangle_params(p), disentangle_params(p0)
+        assert sol == sol0
+        assert evolve(p, sol, 0.5) == evolve(p0, sol0, 0.5)
+
+
+def test_minset_state_reads_a_concurrence_below_zero_as_zero():
+    # rho_14 was c/2 = -5e-14 for c = -1e-13
+    assert _bits(minset_state(0.5, -1e-13)) == _bits(minset_state(0.5, 0.0))
+
+
+@pytest.mark.parametrize("p, variant, ceiling", [(0.7, "r2k3", scalar_u), (0.45, "r3k1", scalar_v)])
+def test_theorem_params_read_a_concurrence_above_its_ceiling_as_the_ceiling(p, variant, ceiling):
+    # phi (r2k3) or w (r3k1) came from the concurrence read as the ceiling,
+    # but the weight c^2/4 from the concurrence as passed
+    c = ceiling(p)
+    assert theorem_params(p, c + 5e-13, variant) == theorem_params(p, c, variant)

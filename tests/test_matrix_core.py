@@ -176,6 +176,17 @@ def test_conjugate():
         np.sort(np.linalg.eigvalsh(out)), np.sort(np.linalg.eigvalsh(rho)), atol=1e-12)
 
 
+@pytest.mark.parametrize("which", ["rho", "u"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_conjugate_rejects_a_non_finite_entry(which, value):
+    # a NaN matrix came back as a NaN matrix
+    bad = np.eye(4, dtype=complex)
+    bad[1, 2] = value
+    args = (bad, np.eye(4)) if which == "rho" else (MAX_MIXED, bad)
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        conjugate(*args)
+
+
 def test_is_density_matrix():
     ok, _ = is_density_matrix(MAX_MIXED)
     assert ok

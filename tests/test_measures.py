@@ -104,6 +104,13 @@ def test_binary_entropy():
     assert binary_entropy(0.9) == pytest.approx(0.4689955935892812, abs=1e-13)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+def test_binary_entropy_rejects_a_non_finite_argument(t):
+    # a NaN reached log2 and came back as nan
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        binary_entropy(t)
+
+
 def test_eof():
     assert eof(BELL_PHI_PLUS) == pytest.approx(1.0, abs=1e-12)
     assert eof(MAX_MIXED) == pytest.approx(0.0, abs=1e-12)

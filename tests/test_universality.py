@@ -1,5 +1,6 @@
 """Block rotations, disentangling walk, measure paths, X-counterpart."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -63,6 +64,21 @@ def test_x_unitary_outer_flip():
         v,
         [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0]],
         atol=1e-15)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("slot", range(4))
+def test_x_unitary_rejects_a_non_finite_angle(slot, value):
+    # x_unitary(nan) returned a NaN matrix; a solution's angles are
+    # checked after they are unpacked
+    angles = [0.1, 0.2, 0.3, 0.4]
+    angles[slot] = value
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        x_unitary(*angles)
+    sol = disentangle_params(entangled_draw(0))
+    field = ("b1", "b2", "b3", "b4")[slot]
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        x_unitary(dataclasses.replace(sol, **{field: value}))
 
 
 def test_x_unitary_unitarity():
