@@ -24,6 +24,7 @@ from xtangle import (
     to_density,
 )
 from xtangle.cli import RANK_KIND_TARGETS
+from xtangle.ensemble import MASK64
 
 # reference stream: published test vectors for this generator, seed 0
 SEED0_U64 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -42,6 +43,10 @@ SEED42_NORMAL = (0.4147197504315305, 0.6526812221519427,
 
 # sha256 of test_random_xparams_frozen_draws' lines
 FROZEN_DRAWS_SHA256 = "058b9007510db5a5cc6f2d66dd79fa5a93ed0f68b8c875333e68b0e48f16ea02"
+# sha256 of the bytes of test_ginibre_frozen_draws' matrices
+FROZEN_GINIBRE_SHA256 = "ba088f325af2903ad5e44269585e31c493f309204b1cca3bb232fd11cb286eb0"
+
+DENSITY_KINDS = ("hilbert_schmidt", "pure_haar", "rank_1", "rank_2", "rank_3", "rank_4")
 
 
 def test_splitmix_reference_stream():
@@ -164,3 +169,34 @@ def test_random_xparams_frozen_draws():
             fields = (p.theta, p.phi, p.psi, p.x, p.y, p.mu, p.nu)
             h.update((" ".join(float(v).hex() for v in fields) + "\n").encode())
     assert h.hexdigest() == FROZEN_DRAWS_SHA256
+
+
+def test_ginibre_frozen_draws():
+    # the first 50 draws of seed 2026 of every density kind, then of
+    # random_unitary, as their raw bytes
+    h = hashlib.sha256()
+    for kind in DENSITY_KINDS:
+        for i in range(50):
+            h.update(random_density(child_seed(2026, i), kind).tobytes())
+    for i in range(50):
+        h.update(random_unitary(child_seed(2026, i)).tobytes())
+    assert h.hexdigest() == FROZEN_GINIBRE_SHA256
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70) + 3, 2**64, 2**64 + 12345, 2**130 - 1])
+def test_ginibre_seed_reads_mod_2_64(seed):
+    for kind in DENSITY_KINDS:
+        np.testing.assert_array_equal(random_density(seed, kind),
+                                      random_density(seed & MASK64, kind))
+    np.testing.assert_array_equal(random_unitary(seed), random_unitary(seed & MASK64))
+
+
+def test_ginibre_reads_the_normal_stream():
+    # a pure_haar draw is the 4 x 1 Ginibre vector normalised: its entries
+    # are SplitMix64.normal() pairs, real part first, in row-major order
+    for seed in (0, 1, 2**63, MASK64, child_seed(7, 3)):
+        rng = SplitMix64(seed)
+        g = np.array([[complex(rng.normal(), rng.normal())] for _ in range(4)])
+        want = g @ g.conj().T
+        np.testing.assert_array_equal(random_density(seed, "pure_haar"),
+                                      want / np.trace(want).real)
