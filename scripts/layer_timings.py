@@ -2,7 +2,8 @@
 
 Times hermitian_eig, density_spectrum, is_density_matrix,
 concurrence_general, negativity_general and counterpart_details (both
-measures) on 64 seeded states; random_density on their 64 seeds;
+measures) on 64 seeded states; random_density and random_unitary on their
+64 seeds; random_xparams on 64 seeds cycling its eleven constraints;
 disentangle_params and solve_tau (half the starting value, the two
 measures in turn) on 64 seeded entangled X-state draws; conjugate_x
 (four seeded angles) and evolve (tau = 1/2 of the disentangling walk)
@@ -31,6 +32,7 @@ from xtangle.xstate import RANK_KIND_PAIRS
 
 KINDS = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
 CLASSES = tuple(f"rank_{r}_kind_{k}" for r, k in sorted(RANK_KIND_PAIRS))
+CONSTRAINTS = ("any", "entangled", "separable", *CLASSES)
 STARTS = {"concurrence": xt.concurrence_along, "negativity": xt.negativity_along}
 STATES = 64
 ROUNDS = 100
@@ -64,6 +66,9 @@ def layers() -> dict:
         "counterpart_details_negativity": (
             lambda rho: xt.counterpart_details(rho, "negativity"), states),
         "random_density": (xt.random_density, list(zip(seeds, kinds))),
+        "random_unitary": (xt.random_unitary, [(s,) for s in seeds]),
+        "random_xparams": (xt.random_xparams,
+                           [(s, CONSTRAINTS[i % len(CONSTRAINTS)]) for i, s in enumerate(seeds)]),
         "disentangle_params": (xt.disentangle_params, [(p,) for p in walks]),
         "solve_tau": (xt.solve_tau, targets),
         "conjugate_x": (xt.conjugate_x, [(p, *b) for p, b in zip(walks, angles)]),

@@ -29,8 +29,9 @@ from .xstate import (
     TWO_PI,
     RankClass,
     XParams,
+    _coeffs_of,
+    _diagonal_of,
     classify_rank,
-    coeffs,
     is_separable,
 )
 
@@ -38,6 +39,8 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the scale taking the top 53 bits of a word to [0, 1)
+_ULP53 = 2.0 ** -53
 
 _HALF_PI = 0.5 * math.pi
 # keep pinned diagonals comfortably away from the classifier tolerance
@@ -69,16 +72,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0 ** -53
-        return lo + (hi - lo) * u
+        # next_u64 inline: random_xparams' rejection loop makes this call
+        # about ten times per attempt
+        z = self._state = (self._state + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * _ULP53)
 
     def normal(self) -> float:
         if self._cached_normal is not None:
             g = self._cached_normal
             self._cached_normal = None
             return g
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-        u2 = (self.next_u64() >> 11) * 2.0 ** -53
+        u1 = ((self.next_u64() >> 11) + 1) * _ULP53
+        u2 = (self.next_u64() >> 11) * _ULP53
         radius = math.sqrt(-2.0 * math.log(u1))
         angle = 2.0 * math.pi * u2
         self._cached_normal = radius * math.sin(angle)
@@ -91,12 +98,41 @@ def child_seed(seed: int, index: int) -> int:
     return SplitMix64(seed + index * GOLDEN).next_u64()
 
 
-def _ginibre(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
-    m = np.empty((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            m[i, j] = complex(rng.normal(), rng.normal())
-    return m
+# Word k of the stream seeded at s is the mix of its state after k steps,
+# s + k * golden modulo 2^64. _STEPS holds k * golden for k = 1 .. 32, the
+# words of the largest draw, a 4 x 4 Ginibre matrix. numpy's per-call cost
+# is the same for 8 words as for 32, and less with an array operand than
+# with a scalar one, so every draw mixes the whole block against the
+# constants laid out as blocks and reads the words it needs.
+_BLOCK = 32
+_STEPS = np.array([k * GOLDEN & MASK64 for k in range(1, _BLOCK + 1)], dtype=np.uint64)
+_M1, _M2, _R11, _R27, _R30, _R31 = (np.full(_BLOCK, c, dtype=np.uint64)
+                                    for c in (_MIX1, _MIX2, 11, 27, 30, 31))
+
+
+def _ginibre(seed: int, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols complex Gaussian matrix of the stream seeded at seed.
+
+    Bit for bit the matrix filled row-major with
+    complex(rng.normal(), rng.normal()) from rng = SplitMix64(seed): an
+    entry is one Box-Muller pair, its cosine point the real part. The
+    words come from one uint64 pass (2 rows cols <= _BLOCK); Box-Muller
+    runs on Python floats, since np.log is not math.log to the last bit.
+    """
+    z = np.add(_STEPS, seed & MASK64)  # uint64 wraps modulo 2^64
+    z ^= z >> _R30
+    z *= _M1
+    z ^= z >> _R27
+    z *= _M2
+    z ^= z >> _R31
+    words = iter((z >> _R11).tolist()[:2 * rows * cols])
+    parts = []
+    for a, b in zip(words, words):
+        radius = math.sqrt(-2.0 * math.log((a + 1) * _ULP53))
+        angle = 2.0 * math.pi * (b * _ULP53)
+        parts.append(radius * math.cos(angle))
+        parts.append(radius * math.sin(angle))
+    return np.array(parts).view(complex).reshape(rows, cols)
 
 
 # random_density's kinds and the columns of their Ginibre matrices
@@ -115,7 +151,7 @@ def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarr
     cols = _GINIBRE_COLS.get(measure_kind)
     if cols is None:
         raise ValueError(f"unknown ensemble kind {measure_kind!r}")
-    g = _ginibre(SplitMix64(seed), 4, cols)
+    g = _ginibre(seed, 4, cols)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -151,7 +187,7 @@ def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
                  "frac2": rng.uniform(_FRACTION_LO, _FRACTION_HI)}
     pins, x_factor, y_factor = _PINNED_DRAWS[rank, kind]
     theta, phi, psi = (a if pin is None else pin for a, pin in zip(drawn, pins))
-    cf = coeffs(XParams(theta, phi, psi, 0.0, 0.0, mu, nu))
+    cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
     return XParams(theta, phi, psi,
                    fractions.get(x_factor, x_factor) * cf.h_cal,
                    fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu)
@@ -180,18 +216,18 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
                 f"no X-state has rank {want[0]} with kind {want[1]}"
             )
 
+    target = None if want is None else RankClass(*want)
     for _ in range(MAX_TRIES):
         if want is not None:
             p = _pinned_draw(rng, *want)
-            if classify_rank(p) == RankClass(*want):
+            if classify_rank(p) == target:
                 return p
             continue
 
         theta, phi, psi = _draw_angles(rng, interior=False)
         mu = rng.uniform(0.0, TWO_PI)
         nu = rng.uniform(0.0, TWO_PI)
-        base = XParams(theta, phi, psi, 0.0, 0.0, mu, nu)
-        cf = coeffs(base)
+        cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
         if constraint == "separable":
             cap = min(cf.g_cal, cf.h_cal)
             p = XParams(theta, phi, psi, rng.uniform(0.0, cap),
@@ -210,7 +246,7 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
 
 def random_unitary(seed: int) -> np.ndarray:
     """Haar-distributed 4 x 4 unitary (QR of a Ginibre matrix)."""
-    g = _ginibre(SplitMix64(seed), 4, 4)
+    g = _ginibre(seed, 4, 4)
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -139,8 +139,14 @@ def binary_entropy(t: float) -> float:
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation of a two-qubit state of concurrence c:
-    the binary entropy of (1 + sqrt(1 - c^2))/2."""
-    return binary_entropy(0.5 * (1.0 + np.sqrt(max(1.0 - c * c, 0.0))))
+    the binary entropy of (1 + sqrt(1 - c^2))/2.
+
+    c is read on [0, 1] through matrix_core._read_edge: a value within
+    ROUNDOFF outside reads as the edge; any other, NaN included, raises
+    ValueError.
+    """
+    c = _read_edge(c, 0.0, 1.0, ValueError, "concurrence {value!r} outside [0, 1]")
+    return binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
 
 
 def eof(rho) -> float:

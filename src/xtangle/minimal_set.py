@@ -35,6 +35,7 @@ P_SEP_MAX = 1.0 / 3.0
 _STATES = "purity {value!r} outside [1/4, 1]"
 _RANK2 = "purity {value!r} outside [1/2, 1]"
 _RANK3_C = "rank 3 cannot reach concurrence {value!r} > v={hi!r}"
+_W_C = "w undefined: concurrence {value!r} outside [0, v] = [0, {hi!r}]"
 
 
 class DomainError(ValueError):
@@ -87,18 +88,20 @@ def scalar_v(p: float) -> float:
 
 
 def scalar_w(p: float, c: float) -> float:
-    """1/3 - sqrt((v^2 - c^2)/3)/2, defined for c <= v(p)."""
-    return _w_of(scalar_v(p), c)
+    """1/3 - sqrt((v^2 - c^2)/3)/2 for c in [0, v(p)], a weight in [0, 1/3].
+
+    c and the weight are both read through _read_edge, so a c within
+    ROUNDOFF outside [0, v] reads as its edge, and the round-off below 0
+    of the weight at purity 1 and c = 0 reads as 0.
+    """
+    v = scalar_v(p)
+    c = _read_edge(c, 0.0, v, DomainError, _W_C)
+    return _read_edge(_w_of(v, c), 0.0, 1.0 / 3.0, DomainError, "w={value!r} outside [0, 1/3]")
 
 
 def _w_of(v, c):
-    """scalar_w from v = scalar_v(p); elementwise on arrays v and c.
-
-    A c within ROUNDOFF above v is read as v, the edge w = 1/3.
-    """
-    if not np.all(c <= v + ROUNDOFF):
-        raise DomainError(f"w undefined: concurrence {c!r} exceeds v={v!r}")
-    c = np.minimum(c, v)
+    """scalar_w's formula from v = scalar_v(p) and c in [0, v]; elementwise
+    on arrays v and c."""
     return 1.0 / 3.0 - 0.5 * _sqrt_clamped((v * v - c * c) / 3.0)
 
 
@@ -179,7 +182,8 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
         ((1 + s)/2, 0, 0, (1 - s)/2), rho_14 = c/2,     s = sqrt(1 - c^2),
 
     The purity scalars are taken once per row; a DomainError is raised
-    where scalar_u, scalar_v or scalar_w raises one.
+    where scalar_u or scalar_v raises one. The concurrences are not read
+    again: a c outside its row's range is the caller's error.
     """
     d1, d2, d3, d4, rho_14, rho_23 = np.zeros((6,) + c.shape)
     lo, hi = np.searchsorted(p, (P_RANK2_MIN, 1.0))

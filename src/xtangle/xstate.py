@@ -131,11 +131,22 @@ def _valid_weights(p: XParams) -> tuple[float, float]:
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
     """The four diagonal entries implied by (theta, phi, psi)."""
-    st2 = np.sin(p.theta) ** 2
+    return _diagonal_of(p.theta, p.phi, p.psi)
+
+
+def _diagonal_of(theta: float, phi: float, psi: float) -> tuple[float, float, float, float]:
+    """diagonal of the angles (theta, phi, psi), as Python floats.
+
+    math.sin(a) ** 2 gives np.sin(a) ** 2 bit for bit, and Python floats
+    keep the chart's arithmetic downstream off numpy scalars. Squaring by
+    s * s would not: it rounds differently from ** 2 on some angles. An
+    infinite angle raises ValueError.
+    """
+    st2 = math.sin(theta) ** 2
     ct2 = 1.0 - st2
-    sp2 = np.sin(p.phi) ** 2
+    sp2 = math.sin(phi) ** 2
     cp2 = 1.0 - sp2
-    ss2 = np.sin(p.psi) ** 2
+    ss2 = math.sin(psi) ** 2
     cs2 = 1.0 - ss2
     return (ct2, st2 * cp2, st2 * sp2 * cs2, st2 * sp2 * ss2)
 

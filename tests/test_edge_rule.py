@@ -34,12 +34,15 @@ from xtangle import (
     scalar_r,
     scalar_u,
     scalar_v,
+    scalar_w,
+    scalar_z,
     solve_tau,
     theorem_params,
     to_density,
     validate_params,
 )
 from xtangle.matrix_core import ROUNDOFF, _read_edge
+from xtangle.measures import eof_from_concurrence
 
 NAN = float("nan")
 
@@ -78,6 +81,8 @@ SITES = {
     "scalar_r": (scalar_r, 0.5, 1.0, DomainError),
     "cp_boundary": (cp_boundary, 0.25, 1.0, DomainError),
     "boundary_scalars": (lambda p: boundary_scalars(p, 0.0), 0.25, 1.0, DomainError),
+    "scalar_w_c": (lambda c: scalar_w(0.5, c), 0.0, scalar_v(0.5), DomainError),
+    "scalar_z_c": (lambda c: scalar_z(0.5, c), 0.0, scalar_v(0.5), DomainError),
     "minset_state_purity": (lambda p: minset_state(p, 0.0), 1.0 / 3.0, 1.0, DomainError),
     "minset_state_rank3": (lambda c: minset_state(0.45, c), 0.0, cp_boundary(0.45),
                            OutOfDiagramError),
@@ -110,6 +115,7 @@ SITES = {
     "concurrence_along_tau": (lambda t: concurrence_along(WALK, SOL, t), 0.0, 1.0, ValueError),
     "negativity_along_tau": (lambda t: negativity_along(WALK, SOL, t), 0.0, 1.0, ValueError),
     "solve_tau_target": (lambda t: solve_tau(WALK, SOL, t), 0.0, C0, TargetOutOfRangeError),
+    "eof_from_concurrence": (eof_from_concurrence, 0.0, 1.0, ValueError),
     # trace distance t of diag(t, 0, 0, 0) and 0, which the SVD gives exactly
     "fannes_ree_bound": (lambda t: fannes_ree_bound(np.diag([t, 0.0, 0.0, 0.0]),
                                                     np.zeros((4, 4))),
@@ -195,3 +201,27 @@ def test_theorem_params_read_a_concurrence_above_its_ceiling_as_the_ceiling(p, v
     # but the weight c^2/4 from the concurrence as passed
     c = ceiling(p)
     assert theorem_params(p, c + 5e-13, variant) == theorem_params(p, c, variant)
+
+
+@pytest.mark.parametrize("c", [-0.5, -5.0])
+def test_scalar_w_and_z_reject_a_negative_concurrence(c):
+    # w read c only from above: -0.5 gave w at c = 0.5, and -5.0 raised a
+    # negative square-root argument instead of naming the range
+    for fn in (scalar_w, scalar_z):
+        with pytest.raises(DomainError, match=r"outside \[0, v\]"):
+            fn(0.5, c)
+
+
+def test_rank3_weights_are_zero_at_purity_one():
+    # 1/3 - sqrt(v(1)^2/3)/2 rounds below 0: w was -5.55e-17, z -1.11e-16
+    edge = boundary_scalars(1.0, 0.0)
+    assert repr(scalar_w(1.0, 0.0)) == repr(edge.w) == "0.0"
+    assert repr(scalar_z(1.0, 0.0)) == repr(edge.z) == "0.0"
+
+
+@pytest.mark.parametrize("c", [2.0, float("inf"), -0.5])
+def test_eof_from_concurrence_rejects_a_concurrence_outside_0_1(c):
+    # max(1 - c*c, 0) read 2.0 and inf as 1
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        eof_from_concurrence(c)
+    assert eof_from_concurrence(1.0 + 1e-13) == eof_from_concurrence(1.0) == 1.0

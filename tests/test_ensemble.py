@@ -24,7 +24,7 @@ from xtangle import (
     to_density,
 )
 from xtangle.cli import RANK_KIND_TARGETS
-from xtangle.ensemble import MASK64
+from xtangle.ensemble import MASK64, _ginibre
 
 # reference stream: published test vectors for this generator, seed 0
 SEED0_U64 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -192,11 +192,12 @@ def test_ginibre_seed_reads_mod_2_64(seed):
 
 
 def test_ginibre_reads_the_normal_stream():
-    # a pure_haar draw is the 4 x 1 Ginibre vector normalised: its entries
-    # are SplitMix64.normal() pairs, real part first, in row-major order
-    for seed in (0, 1, 2**63, MASK64, child_seed(7, 3)):
-        rng = SplitMix64(seed)
-        g = np.array([[complex(rng.normal(), rng.normal())] for _ in range(4)])
-        want = g @ g.conj().T
-        np.testing.assert_array_equal(random_density(seed, "pure_haar"),
-                                      want / np.trace(want).real)
+    # the reference loop: entries filled row-major from SplitMix64.normal()
+    # pairs, real part first
+    seeds = [0, 1, 2**63, MASK64, -1] + [child_seed(7, i) for i in range(40)]
+    for seed in seeds:
+        for cols in (1, 2, 3, 4):
+            rng = SplitMix64(seed)
+            want = np.array([[complex(rng.normal(), rng.normal()) for _ in range(cols)]
+                             for _ in range(4)])
+            assert _ginibre(seed, 4, cols).tobytes() == want.tobytes()
