@@ -73,7 +73,7 @@ class SplitMix64:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         # next_u64 inline: random_xparams' rejection loop makes this call
-        # about ten times per attempt
+        # seven times per attempt
         z = self._state = (self._state + GOLDEN) & MASK64
         z = ((z ^ (z >> 30)) * _MIX1) & MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
