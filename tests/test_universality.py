@@ -114,6 +114,51 @@ def test_inner_rotation_is_x_unitary_bitwise():
         assert _inner_rotation(angle).tobytes() == x_unitary(0.0, 0.0, angle, 0.0).tobytes()
 
 
+# sha256 of test_x_unitary_frozen's matrices and test_walk_frozen's outputs
+X_UNITARY_SHA256 = "4a3273f32a994f5db73152494b9cc80ea6a3c22b67a02108ab6d1a7f60a79ca8"
+WALK_SHA256 = "9713d6c2c58597b0bb7bb114ea350a8d1c9491d0b5a9ac94cc89dc2e78a5b0b8"
+
+
+def test_x_unitary_frozen():
+    # x_unitary's bytes: seeded quadruples with nonzero phases, then the
+    # conversion's rotation x_unitary(0, 0, angle, 0) at edge angles and
+    # at angles spread over the scales 10^-k
+    rng = np.random.default_rng(12)
+    h = hashlib.sha256()
+    for b in rng.uniform(-np.pi, np.pi, (500, 4)).tolist():
+        h.update(x_unitary(*b).tobytes())
+    angles = [0.0, -0.0, 5e-324, 1e-300, np.pi / 4, np.pi / 2, -np.pi / 2]
+    angles += rng.uniform(-np.pi, np.pi, 500).tolist()
+    angles += (rng.uniform(0.0, 1.0, 200) * 10.0 ** -rng.integers(0, 300, 200)).tolist()
+    for angle in angles:
+        h.update(x_unitary(0.0, 0.0, angle, 0.0).tobytes())
+    assert h.hexdigest() == X_UNITARY_SHA256
+
+
+def test_walk_frozen():
+    # the walk's outputs bit for bit on 64 entangled draws: conjugate_x at
+    # seeded angles, the solution, evolve at tau = 1/2 and solve_tau at half
+    # the starting value of each measure
+    rng = np.random.default_rng(13)
+    h = hashlib.sha256()
+    for i in range(64):
+        p = entangled_draw(i)
+        sol = disentangle_params(p)
+        h.update(repr((conjugate_x(p, *rng.uniform(0.0, 2.0 * np.pi, 4).tolist()),
+                       sol, evolve(p, sol, 0.5))).encode())
+        for measure, along in (("concurrence", concurrence_along),
+                               ("negativity", negativity_along)):
+            h.update(repr(solve_tau(p, sol, 0.5 * along(p, sol, 0.0), measure)).encode())
+    assert h.hexdigest() == WALK_SHA256
+
+
+@pytest.mark.parametrize("angles", [(np.inf,), (0.1, np.nan), (0.1, 0.0, -np.inf)],
+                         ids=["b1_inf", "b2_nan", "b3_minus_inf"])
+def test_conjugate_x_rejects_a_non_finite_angle(angles):
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        conjugate_x(entangled_draw(0), *angles)
+
+
 def test_conjugate_x_identity():
     p = entangled_draw(1)
     q = conjugate_x(p, 0.0, 0.0, 0.0, 0.0)
