@@ -24,15 +24,17 @@ import re
 
 import numpy as np
 
+from .matrix_core import DEFAULT_TOL
 from .xstate import (
     RANK_KIND_PAIRS,
     TWO_PI,
     RankClass,
+    XCoeffs,
     XParams,
     _coeffs_of,
     _diagonal_of,
-    classify_rank,
-    is_separable,
+    _rank_class,
+    _separable,
 )
 
 MASK64 = (1 << 64) - 1
@@ -72,12 +74,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        # next_u64 inline: random_xparams' rejection loop makes this call
-        # seven times per attempt
-        z = self._state = (self._state + GOLDEN) & MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return lo + (hi - lo) * (((z ^ (z >> 31)) >> 11) * _ULP53)
+        return lo + (hi - lo) * ((self.next_u64() >> 11) * _ULP53)
 
     def normal(self) -> float:
         if self._cached_normal is not None:
@@ -157,11 +154,8 @@ def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarr
 
 
 def _draw_angles(rng: SplitMix64, interior: bool) -> tuple[float, float, float]:
-    if interior:
-        return (rng.uniform(_ANGLE_LO, _ANGLE_HI),
-                rng.uniform(_ANGLE_LO, _ANGLE_HI),
-                rng.uniform(_ANGLE_LO, _ANGLE_HI))
-    return rng.uniform(0.0, _HALF_PI), rng.uniform(0.0, _HALF_PI), rng.uniform(0.0, _HALF_PI)
+    lo, hi = (_ANGLE_LO, _ANGLE_HI) if interior else (0.0, _HALF_PI)
+    return rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)
 
 
 # (rank, kind) -> the (theta, phi, psi) pins (None keeps the drawn angle)
@@ -179,7 +173,8 @@ _PINNED_DRAWS = {
 }
 
 
-def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
+def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> tuple[XParams, XCoeffs]:
+    """A draw of the class (rank, kind) and the XCoeffs of its diagonal."""
     mu = rng.uniform(0.0, TWO_PI)
     nu = rng.uniform(0.0, TWO_PI)
     drawn = _draw_angles(rng, interior=True)
@@ -190,7 +185,7 @@ def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
     cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
     return XParams(theta, phi, psi,
                    fractions.get(x_factor, x_factor) * cf.h_cal,
-                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu)
+                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu), cf
 
 
 _RANK_KIND_RE = re.compile(r"rank_([1-4])_kind_([1-3])")
@@ -200,9 +195,11 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     """Random physical X-state parameters under a constraint.
 
     constraint: "any", "entangled", "separable", or "rank_R_kind_K".
-    Every draw is verified (is_separable for the first two,
-    classify_rank for rank/kind targets) and redrawn on failure; after
-    MAX_TRIES the constraint is declared infeasible.
+    A draw is checked by is_separable's rule, xstate._separable
+    ("entangled", "separable"), or classify_rank's, xstate._rank_class at
+    DEFAULT_TOL (rank/kind targets), on the chart it was drawn from, and
+    redrawn on failure; after MAX_TRIES the constraint is declared
+    infeasible.
     """
     rng = SplitMix64(seed)
     want: tuple[int, int] | None = None
@@ -219,8 +216,8 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     target = None if want is None else RankClass(*want)
     for _ in range(MAX_TRIES):
         if want is not None:
-            p = _pinned_draw(rng, *want)
-            if classify_rank(p) == target:
+            p, cf = _pinned_draw(rng, *want)
+            if _rank_class(cf, p.x, p.y, DEFAULT_TOL) == target:
                 return p
             continue
 
@@ -228,16 +225,10 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
         mu = rng.uniform(0.0, TWO_PI)
         nu = rng.uniform(0.0, TWO_PI)
         cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
-        if constraint == "separable":
-            cap = min(cf.g_cal, cf.h_cal)
-            p = XParams(theta, phi, psi, rng.uniform(0.0, cap),
-                        rng.uniform(0.0, cap), mu, nu)
-            if is_separable(p):
-                return p
-            continue
-        p = XParams(theta, phi, psi, rng.uniform(0.0, cf.h_cal),
-                    rng.uniform(0.0, cf.g_cal), mu, nu)
-        if constraint == "any" or not is_separable(p):
+        separable = constraint == "separable"
+        x_cap, y_cap = (min(cf.g_cal, cf.h_cal),) * 2 if separable else (cf.h_cal, cf.g_cal)
+        p = XParams(theta, phi, psi, rng.uniform(0.0, x_cap), rng.uniform(0.0, y_cap), mu, nu)
+        if constraint == "any" or _separable(cf, p.x, p.y) == separable:
             return p
     raise ConstraintInfeasibleError(
         f"no draw met {constraint!r} within {MAX_TRIES} tries (seed {seed})"

@@ -55,11 +55,13 @@ and the rotation reaching a target value has
 
 A conversion therefore reports branch "g_zero", or "already_separable"
 when the chosen measure's ceiling is exactly 0 and there is nothing to
-walk.
+walk. Its rotation is x_unitary(0, 0, b tau, 0), the inner block rotated
+by b tau, the walk's angle at the target's tau.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,11 +86,12 @@ from .measures import (
 )
 from .xstate import (
     XParams,
+    _diagonal_of,
+    _finite_angles,
     _physical_coeffs,
+    _separable,
     _valid_weights,
     _x_matrix,
-    diagonal,
-    is_separable,
     params_from_entries,
     to_density,
 )
@@ -191,10 +194,10 @@ def x_unitary(b1, b2: float = 0.0, b3: float = 0.0, b4: float = 0.0) -> np.ndarr
         if b2 != 0.0 or b3 != 0.0 or b4 != 0.0:
             raise TypeError("pass either a solution or four angles, not both")
         b1, b2, b3, b4 = b1.b1, b1.b2, b1.b3, b1.b4
-    if not all(map(math.isfinite, (b1, b2, b3, b4))):
-        raise ValueError(NON_FINITE)
-    c1, s1 = np.cos(b1), np.sin(b1)
-    c3, s3 = np.cos(b3), np.sin(b3)
+    _finite_angles(b1, b2, b3, b4)
+    c1, s1 = math.cos(b1), math.sin(b1)
+    c3, s3 = math.cos(b3), math.sin(b3)
+    # numpy phases keep -s / e numpy's division; Python's rounds differently
     e2, e4 = np.exp(1j * b2), np.exp(1j * b4)
     v = np.zeros((4, 4), dtype=complex)
     v[0, 0] = v[3, 3] = c1
@@ -211,25 +214,26 @@ def conjugate_x(p: XParams, b1: float, b2: float = 0.0,
     """Parameters of V rho V^dagger for the block rotation V(b1..b4).
 
     Closed form; equals from_density(conjugate(to_density(p), V)) up to
-    round-off.
+    round-off. Raises ValueError for a non-finite angle, as x_unitary does.
     """
     x, y = _valid_weights(p)
-    d1, d2, d3, d4 = diagonal(p)
-    d1n, d4n, outer = _rotated_block(d1, d4, np.sqrt(x), p.mu, b1, b2)
-    d2n, d3n, inner = _rotated_block(d2, d3, np.sqrt(y), p.nu, b3, b4)
+    _finite_angles(b1, b2, b3, b4)
+    d1, d2, d3, d4 = _diagonal_of(p.theta, p.phi, p.psi)
+    d1n, d4n, outer = _rotated_block(d1, d4, math.sqrt(x), p.mu, b1, b2)
+    d2n, d3n, inner = _rotated_block(d2, d3, math.sqrt(y), p.nu, b3, b4)
     return params_from_entries(d1n, d2n, d3n, d4n, outer, inner)
 
 
 def _rotated_block(d_a, d_b, root, phase, b, b_phase):
     """(d_a', d_b', coherence') of the block [[d_a, root e^{i phase}], [.., d_b]]
     after conjugate_x's rotation by the angle b with phase b_phase."""
-    c, s = np.cos(b), np.sin(b)
-    shift = root * np.sin(2.0 * b) * np.cos(b_phase - phase)
+    c, s = math.cos(b), math.sin(b)
+    shift = root * math.sin(2.0 * b) * math.cos(b_phase - phase)
     return (c * c * d_a + s * s * d_b + shift,
             s * s * d_a + c * c * d_b - shift,
-            c * c * root * np.exp(1j * phase)
-            - s * s * root * np.exp(1j * (2.0 * b_phase - phase))
-            - c * s * (d_a - d_b) * np.exp(1j * b_phase))
+            c * c * root * cmath.exp(1j * phase)
+            - s * s * root * cmath.exp(1j * (2.0 * b_phase - phase))
+            - c * s * (d_a - d_b) * cmath.exp(1j * b_phase))
 
 
 def _half_angle(a: float, tgt: float, dd: float) -> tuple[float, float, float]:
@@ -274,7 +278,7 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
         a, tgt, dd = y, cf.h_cal, cf.g_low
     b = z_minus = 0.0
     s_tilde = 0
-    if is_separable(p):
+    if _separable(cf, x, y):
         branch = "already_separable"
     else:
         b, c2b, s2b = _half_angle(a, tgt, dd)
@@ -302,8 +306,14 @@ def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
                      negativity=negativity_x(rho))
 
 
-def _path_inputs(p: XParams, sol: DisentangleSolution) -> tuple[float, float, float, float, float]:
-    """(coherence, population difference, floor target, partner sum, angle)."""
+def _path_inputs(p: XParams, sol: DisentangleSolution,
+                 measure: str) -> tuple[float, float, float, float, float]:
+    """(coherence, population difference, floor target, partner sum, angle)
+    from one read of the chart; all 0 on "already_separable", unread."""
+    if measure not in ("concurrence", "negativity"):
+        raise ValueError(f"unknown measure {measure!r}")
+    if sol.branch == "already_separable":
+        return 0.0, 0.0, 0.0, 0.0, 0.0
     cf, _, x, y = _physical_coeffs(p)
     if sol.branch in ("HgtG", "h_zero"):
         if cf.h_cal < cf.g_cal - DEFAULT_TOL:
@@ -317,17 +327,15 @@ def _path_inputs(p: XParams, sol: DisentangleSolution) -> tuple[float, float, fl
 
 
 def _coherence_at(a: float, dd: float, b: float, tau: float) -> float:
-    r = 0.5 * dd * np.sin(2.0 * b * tau) - np.sqrt(a) * np.cos(2.0 * b * tau)
+    r = 0.5 * dd * math.sin(2.0 * b * tau) - math.sqrt(a) * math.cos(2.0 * b * tau)
     return r * r
 
 
 # x is a squared coherence and floor a product of two populations, both
 # >= 0, so no square root below meets a negative argument
-def _concurrence_at(x: float, floor: float) -> float:
-    return 2.0 * max(0.0, math.sqrt(x) - math.sqrt(floor))
-
-
-def _negativity_at(x: float, floor: float, partner: float) -> float:
+def _measure_at(x: float, floor: float, partner: float, measure: str) -> float:
+    if measure == "concurrence":
+        return 2.0 * max(0.0, math.sqrt(x) - math.sqrt(floor))
     half = 0.5 * partner
     return max(0.0, math.sqrt(max(half * half + x - floor, 0.0)) - half)
 
@@ -341,15 +349,8 @@ def _along(p: XParams, sol: DisentangleSolution, tau: float, measure: str) -> fl
     negativity up to SOLVER_TOL.
     """
     tau = _read_edge(tau, 0.0, 1.0, ValueError, _TAU)
-    if measure not in ("concurrence", "negativity"):
-        raise ValueError(f"unknown measure {measure!r}")
-    if sol.branch == "already_separable":
-        return 0.0
-    a, dd, floor, partner, b = _path_inputs(p, sol)
-    x = _coherence_at(a, dd, b, tau)
-    if measure == "concurrence":
-        return _concurrence_at(x, floor)
-    return _negativity_at(x, floor, partner)
+    a, dd, floor, partner, b = _path_inputs(p, sol, measure)
+    return _measure_at(_coherence_at(a, dd, b, tau), floor, partner, measure)
 
 
 def concurrence_along(p: XParams, sol: DisentangleSolution, tau: float) -> float:
@@ -395,12 +396,13 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     exactly, and a target within ROUNDOFF of the walk's starting value
     gives tau = 0 exactly.
     """
-    value0 = _along(p, sol, 0.0, measure)
+    a, dd, floor, partner, b = _path_inputs(p, sol, measure)
+    value0 = _measure_at(_coherence_at(a, dd, b, 0.0), floor, partner, measure)
     target = _read_edge(target, 0.0, value0, TargetOutOfRangeError,
                         "target {value!r} outside [0, {hi!r}] for " + measure)
-    if value0 == 0.0 or sol.branch == "already_separable":
+    if value0 == 0.0:
         return 0.0
-    return _walk_tau(*_path_inputs(p, sol), value0, target, measure)
+    return _walk_tau(a, dd, floor, partner, b, value0, target, measure)
 
 
 def _mems_basis(spec: Spectrum) -> np.ndarray:
@@ -426,20 +428,6 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
     l1, l2, l3, l4 = np.sort(vals)[::-1]
     mid = 0.5 * (l1 + l3)
     return _x_matrix(l4, mid, mid, l2, 0.0, 0.5 * (l1 - l3))
-
-
-_IDENTITY = np.eye(4, dtype=complex)
-
-
-def _inner_rotation(angle: float) -> np.ndarray:
-    """x_unitary(0, 0, angle, 0), entry for entry, with its trigonometry in math."""
-    c, s = math.cos(angle), math.sin(angle)
-    v = _IDENTITY.copy()
-    v[1, 1] = v[2, 2] = c
-    v[1, 2] = s
-    # x_unitary's -s/e^{i b4} at b4 = 0 reads -s + 0, so an angle of 0 gives +0
-    v[2, 1] = -s + 0.0
-    return v
 
 
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
@@ -471,10 +459,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     l1, l2, l3, l4 = values
     a = (0.5 * (l1 - l3)) ** 2
     floor, partner = l2 * l4, l2 + l4
-    if measure == "concurrence":
-        ceiling = _concurrence_at(a, floor)
-    else:
-        ceiling = _negativity_at(a, floor, partner)
+    ceiling = _measure_at(a, floor, partner, measure)
     clip = max(0.0, target - ceiling)
     if ceiling == 0.0:
         branch, tau, angle = "already_separable", 0.0, 0.0
@@ -485,7 +470,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
                         min(target, ceiling), measure)
         angle = b * tau
 
-    w = _inner_rotation(angle) @ _mems_basis(spec)
+    w = x_unitary(0.0, 0.0, angle, 0.0) @ _mems_basis(spec)
     out = w @ rho @ w.conj().T
     # the X-form routes raise NotXFormError should out not be X-form
     achieved = concurrence_x(out) if measure == "concurrence" else negativity_x(out)
