@@ -142,7 +142,11 @@ def _finite_angles(*angles: float) -> None:
 
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
-    """The four diagonal entries implied by (theta, phi, psi)."""
+    """The four diagonal entries implied by (theta, phi, psi).
+
+    Raises ValueError(NON_FINITE) for a NaN or infinite angle.
+    """
+    _finite_angles(p.theta, p.phi, p.psi)
     return _diagonal_of(p.theta, p.phi, p.psi)
 
 
@@ -164,7 +168,7 @@ def _diagonal_of(theta: float, phi: float, psi: float) -> tuple[float, float, fl
 
 
 def coeffs(p: XParams) -> XCoeffs:
-    """Derived diagonal scalars; see XCoeffs."""
+    """Derived diagonal scalars; see XCoeffs. Gated as diagonal is."""
     return _coeffs_of(*diagonal(p))
 
 
@@ -343,9 +347,16 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
 
     Reads the matrix through _x_entries: ValueError for any non-finite
     entry, NotXFormError for an off-X entry above tol; the phases come
-    from the upper coherences (0,3) and (1,2).
+    from the upper coherences (0,3) and (1,2). Each diagonal entry is read
+    on [0, 1] and the trace on [1, 1] (matrix_core._read_edge): outside
+    them by more than ROUNDOFF, UnphysicalError, as the chart has no point
+    for such a matrix.
     """
-    return params_from_entries(*_x_entries(rho, tol), tol=tol)
+    *d, rho_14, rho_23 = _x_entries(rho, tol)
+    read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
+            for v in d]
+    _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
+    return params_from_entries(*read, rho_14, rho_23, tol=tol)
 
 
 def char_poly(p: XParams) -> CharPolyCoeffs:

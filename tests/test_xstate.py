@@ -111,6 +111,20 @@ def test_from_density_rejects_off_x():
         from_density(M40)
 
 
+@pytest.mark.parametrize("diag", [
+    (1.5, -0.5, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5), (0.5, 0.6, -0.1, 0.0),
+], ids=["entry_above_1", "trace_2", "entry_below_0"])
+def test_from_density_rejects_a_diagonal_the_chart_cannot_hold(diag):
+    # each came back as the chart of another matrix: |00>, diag(.5, .5, 0, 0) twice
+    with pytest.raises(UnphysicalError):
+        from_density(np.diag(diag).astype(complex))
+
+
+def test_from_density_reads_the_roundoff_outside_the_diagonal_range_as_the_edge():
+    rho = np.diag([1.0 + 5e-13, 0.0, 0.0, -5e-13]).astype(complex)
+    assert from_density(rho) == from_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+
+
 def test_char_poly_max_mixed():
     p = from_density(MAX_MIXED)
     cp = char_poly(p)
@@ -221,3 +235,14 @@ def test_nan_coherence_weight_raises(fn, field):
     p = XParams(0.7, 0.8, 0.9, 0.0, 0.0)
     with pytest.raises(ValueError):
         fn(dataclasses.replace(p, **{field: float("nan")}))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("field", ["theta", "phi", "psi"])
+@pytest.mark.parametrize("fn", [diagonal, coeffs], ids=["diagonal", "coeffs"])
+def test_chart_reader_rejects_a_non_finite_angle(fn, field, value):
+    # a NaN angle gave NaN entries and an infinite one a bare math domain error
+    p = dataclasses.replace(XParams(0.7, 0.8, 0.9, 0.0, 0.0), **{field: value})
+    with pytest.raises(ValueError, match="^non-finite entry$"):
+        fn(p)
