@@ -6,8 +6,9 @@ measures) on 64 seeded states; random_density and random_unitary on their
 64 seeds; random_xparams on 64 seeds cycling its eleven constraints;
 disentangle_params and solve_tau (half the starting value, the two
 measures in turn) on 64 seeded entangled X-state draws; conjugate_x
-(four seeded angles) and evolve (tau = 1/2 of the disentangling walk)
-on those draws; classify_rank on 64 seeded draws over the eight rank/kind
+(four seeded angles), evolve (tau = 1/2 of the disentangling walk),
+to_density and is_separable on those draws; x_unitary at the same four
+angles; classify_rank on 64 seeded draws over the eight rank/kind
 classes; and cp_boundary, boundary_scalars (concurrence 0) and
 minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
 the edges 1/3, 5/9 and 1 among them. Prints one JSON
@@ -72,7 +73,10 @@ def layers() -> dict:
         "disentangle_params": (xt.disentangle_params, [(p,) for p in walks]),
         "solve_tau": (xt.solve_tau, targets),
         "conjugate_x": (xt.conjugate_x, [(p, *b) for p, b in zip(walks, angles)]),
+        "x_unitary": (xt.x_unitary, [tuple(b) for b in angles]),
         "evolve": (xt.evolve, [(p, sol, 0.5) for p, sol in zip(walks, sols)]),
+        "to_density": (xt.to_density, [(p,) for p in walks]),
+        "is_separable": (xt.is_separable, [(p,) for p in walks]),
         "classify_rank": (xt.classify_rank, classes),
         "cp_boundary": (xt.cp_boundary, [(p,) for p in purities]),
         "boundary_scalars": (xt.boundary_scalars, [(p, 0.0) for p in purities]),
