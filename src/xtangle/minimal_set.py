@@ -235,6 +235,8 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
       r3k1: rank 3 kind 1, p in [1/3, 5/9[ with c <= v(p),
             extended to p in [5/9, 1[ with c < r(p)
       r3k2: rank 3 kind 2, p in [1/2, 5/9[, c <= v(p)
+
+    The fields are Python floats.
     """
     half_pi = 0.5 * np.pi
     c = _read_edge(c, 0.0, 1.0, DomainError, "concurrence {value!r} outside [0, 1]")
@@ -242,17 +244,17 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
     if variant in ("r1k1", "r1k2") and not abs(p - 1.0) <= DEFAULT_TOL:
         raise DomainError(f"{variant} exists only at purity 1")
     if variant == "r1k1":
-        return XParams(theta=0.5 * np.arcsin(c), phi=half_pi, psi=half_pi,
+        return XParams(theta=float(0.5 * np.arcsin(c)), phi=half_pi, psi=half_pi,
                        x=c * c / 4.0, y=0.0)
     if variant == "r1k2":
-        return XParams(theta=half_pi, phi=0.5 * np.arcsin(c), psi=0.0,
+        return XParams(theta=half_pi, phi=float(0.5 * np.arcsin(c)), psi=0.0,
                        x=0.0, y=c * c / 4.0)
     if variant == "r2k3":
         if not (0.5 - ROUNDOFF <= p < 1.0 - ROUNDOFF):
             raise DomainError(f"r2k3 needs purity in [1/2, 1[, got {p!r}")
         u = scalar_u(p)
         c = _read_edge(c, 0.0, u, DomainError, "r2k3 cannot reach concurrence {value!r} > u={hi!r}")
-        return XParams(theta=np.arcsin(np.sqrt(u)), phi=0.5 * np.arcsin(c / u),
+        return XParams(theta=float(np.arcsin(np.sqrt(u))), phi=float(0.5 * np.arcsin(c / u)),
                        psi=0.0, x=0.0, y=c * c / 4.0)
     if variant == "r3k1":
         if not (P_SEP_MAX - ROUNDOFF <= p < 1.0 - ROUNDOFF):
@@ -266,7 +268,7 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
             if c >= lim:
                 raise DomainError(f"r3k1 above 5/9 needs concurrence < r={lim!r}")
         w = scalar_w(p, c)
-        return XParams(theta=np.arcsin(np.sqrt(2.0 * w)), phi=0.25 * np.pi,
+        return XParams(theta=float(np.arcsin(np.sqrt(2.0 * w))), phi=0.25 * np.pi,
                        psi=half_pi, x=c * c / 4.0, y=0.0)
     if variant == "r3k2":
         if not (0.5 - ROUNDOFF <= p < P_RANK2_MIN):
@@ -275,7 +277,7 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
         z = _read_edge(scalar_z(p, c), 0.0, 1.0, DomainError, "r3k2 z={value!r} outside [0, 1]")
         if c > z + ROUNDOFF:
             raise DomainError(f"r3k2 cannot realize ({p!r}, {c!r}): z={z!r}")
-        return XParams(theta=np.arcsin(np.sqrt(z)), phi=0.25 * np.pi,
+        return XParams(theta=float(np.arcsin(np.sqrt(z))), phi=0.25 * np.pi,
                        psi=0.0, x=0.0, y=c * c / 4.0)
     raise DomainError(f"unknown variant {variant!r}")
 

@@ -1,15 +1,19 @@
 """Minimal set S_X: boundary scalars, member construction, diagram data."""
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from xtangle import (
+    BoundaryScalars,
     DomainError,
     OutOfDiagramError,
     RankClass,
     UnphysicalError,
+    XParams,
     boundary_scalars,
     classify_rank,
     concurrence_general,
@@ -429,3 +433,65 @@ def test_classify_arrays_rejects_unphysical():
     entries[4, 1] += 1e-9
     with pytest.raises(UnphysicalError):
         _classify_arrays(_coeffs_of(*entries[:4]), entries[4], entries[5])
+
+
+
+VARIANTS = ("r1k1", "r1k2", "r2k3", "r3k1", "r3k2")
+# sha256 of test_scalars_frozen's outputs
+SCALARS_SHA256 = "bf51f4d54fa414cf4091197e2f6dc291d501403b529c545ca2eb003a11a71440"
+
+
+def _frozen_purities():
+    """63 purities spread over [1/3, 1], then 1/3, 1/2, 5/9 and 1, each
+    with the 50 floats either side of it."""
+    out = []
+    for p in np.linspace(1.0 / 3.0, 1.0, 63).tolist() + [1.0 / 3.0, 0.5, P_JUNCTION, 1.0]:
+        below = above = p
+        out.append(p)
+        for _ in range(50):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+            out += [below, above]
+    return out
+
+
+def _where_defined(fn, *args):
+    """fn(*args), or None where it raises DomainError."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
+
+
+def _frozen_outputs(p):
+    """cp_boundary(p), then at the concurrences 0, half that ceiling and
+    the ceiling: boundary_scalars, every theorem_params variant (None
+    where undefined) and minset_state."""
+    cmax = cp_boundary(p)
+    out = [cmax]
+    for c in (0.0, 0.5 * cmax, cmax):
+        out.append(boundary_scalars(p, c))
+        out += [_where_defined(theorem_params, p, c, variant) for variant in VARIANTS]
+        out.append(minset_state(p, c))
+    return out
+
+
+def test_scalars_frozen():
+    # the minimal set's outputs bit for bit: reprs, and a member's bytes
+    h = hashlib.sha256()
+    for p in _frozen_purities():
+        for v in _frozen_outputs(p):
+            h.update(v.tobytes() if isinstance(v, np.ndarray) else repr(v).encode())
+    assert h.hexdigest() == SCALARS_SHA256
+
+
+def test_scalars_are_python_floats():
+    for p in _frozen_purities()[::7]:
+        found = [_where_defined(fn, p) for fn in (scalar_u, scalar_v, scalar_q, scalar_r)]
+        for v in _frozen_outputs(p):
+            if isinstance(v, (BoundaryScalars, XParams)):
+                found += dataclasses.astuple(v)
+            elif not isinstance(v, np.ndarray):
+                found.append(v)
+        cmax = cp_boundary(p)
+        found += [_where_defined(fn, p, c) for fn in (scalar_w, scalar_z) for c in (0.0, cmax)]
+        assert all(v is None or type(v) is float for v in found), p

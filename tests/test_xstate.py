@@ -8,6 +8,7 @@ import pytest
 from xtangle import (
     RankClass,
     UnphysicalError,
+    XCoeffs,
     XParams,
     char_poly,
     classify_rank,
@@ -22,6 +23,8 @@ from xtangle import (
     random_xparams,
     to_density,
 )
+from xtangle.matrix_core import DEFAULT_TOL
+from xtangle.xstate import _classify_arrays, _rank_class
 
 from reference_states import BELL_PHI_PLUS, M30A, M40, MAX_MIXED, pure_outer
 
@@ -246,3 +249,40 @@ def test_chart_reader_rejects_a_non_finite_angle(fn, field, value):
     p = dataclasses.replace(XParams(0.7, 0.8, 0.9, 0.0, 0.0), **{field: value})
     with pytest.raises(ValueError, match="^non-finite entry$"):
         fn(p)
+
+
+# the rank rule on every combination of its six tests: bit i of the index
+# is test i of (x at h_cal, y at g_cal, x at 0, y at 0, b_cal at 0,
+# c_cal at 0); frozen from the rule's table form
+RANK_RULE_TABLE = (
+    (4, 1), (3, 2), (3, 1), (2, 3), (4, 1), (3, 2), (3, 1), (2, 3),
+    (4, 1), (3, 2), (3, 1), (2, 3), (4, 1), (3, 2), (3, 1), (2, 3),
+    (4, 1), (3, 2), (3, 1), (2, 3), (4, 1), (3, 2), (3, 1), (2, 3),
+    (2, 1), (1, 1), (2, 1), (1, 1), (2, 1), (1, 1), (2, 1), (1, 1),
+    (4, 1), (3, 2), (3, 1), (2, 3), (2, 2), (2, 2), (1, 2), (1, 2),
+    (4, 1), (3, 2), (3, 1), (2, 3), (2, 2), (2, 2), (1, 2), (1, 2),
+    (4, 1), (3, 2), (3, 1), (2, 3), (2, 2), (2, 2), (1, 2), (1, 2),
+    (2, 1), (1, 1), (2, 1), (1, 1), (2, 1), (1, 1), (1, 2), (1, 1),
+)
+# (weight, its top) by (at top, at 0); every pair is within positivity
+WEIGHT_TESTS = {(0, 0): (0.2, 0.5), (1, 0): (0.5, 0.5), (0, 1): (0.0, 0.5), (1, 1): (0.0, 0.0)}
+
+
+def _crafted(index):
+    """(XCoeffs, x, y) setting the six tests as the bits of index."""
+    bit = [index >> i & 1 for i in range(6)]
+    x, h = WEIGHT_TESTS[bit[0], bit[2]]
+    y, g = WEIGHT_TESTS[bit[1], bit[3]]
+    b, c = (0.0 if bit[4] else 0.5), (0.0 if bit[5] else 0.5)
+    return XCoeffs(b_cal=b, c_cal=c, g_cal=g, h_cal=h, g_low=0.0, h_low=0.0), x, y
+
+
+def test_rank_rule_on_every_test_combination():
+    crafted = [_crafted(i) for i in range(64)]
+    for (co, x, y), want in zip(crafted, RANK_RULE_TABLE):
+        rc = _rank_class(co, x, y, DEFAULT_TOL)
+        assert (rc.rank, rc.kind) == want, (co, x, y)
+    cos, xs, ys = zip(*crafted)
+    stacked = XCoeffs(*map(np.array, zip(*map(dataclasses.astuple, cos))))
+    ranks, kinds = _classify_arrays(stacked, np.array(xs), np.array(ys))
+    assert list(zip(ranks.tolist(), kinds.tolist())) == list(RANK_RULE_TABLE)
