@@ -275,7 +275,7 @@ def _check_counterpart(seed: int, tol: float) -> bool:
     rho = ensemble.random_density(seed)
     spec_in = hermitian_eigvals(rho)
     for measure in ("concurrence", "negativity"):
-        out, _ = universality.x_counterpart(rho, measure)
+        out = universality.counterpart_details(rho, measure).state
         if not is_x_form(out, tol=tol):
             return False
         if float(np.abs(hermitian_eigvals(out) - spec_in).max()) > tol:

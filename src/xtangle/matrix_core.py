@@ -44,9 +44,6 @@ DEFAULT_TOL = 1e-9
 # reach the concurrence's spin-flip roots. The X-state concurrence floors
 # the closed-form eigenvalues of its two 2x2 blocks the same way.
 EIG_FLOOR = 4.0 * np.finfo(float).eps
-# Negative square-root arguments down to -SQRT_CLAMP in the minimal-set
-# scalars are boundary round-off and clamp to 0; below that they raise.
-SQRT_CLAMP = 1e-14
 # A squared sine of the chart at or below this is a degenerate diagonal,
 # whose remaining angles are set to 0.
 DEGENERATE = 1e-15

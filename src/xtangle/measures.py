@@ -24,7 +24,6 @@ from .matrix_core import (
     trace_norm,
 )
 from .xstate import (
-    UnphysicalError,
     XParams,
     _physical_coeffs,
     _x_entries,
@@ -59,10 +58,7 @@ def purity_general(rho) -> float:
 
 def purity_x(p: XParams) -> float:
     """Closed-form purity 1 - 2(BC + G - y + H - x) in the derived scalars."""
-    try:
-        co, _, x, y = _physical_coeffs(p)
-    except UnphysicalError:
-        raise UnphysicalError("purity_x requires physical parameters") from None
+    co, _, x, y = _physical_coeffs(p)
     return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - y + co.h_cal - x)
 
 

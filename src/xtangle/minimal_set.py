@@ -9,6 +9,9 @@ maximum cp_boundary(p), exactly one member state is returned:
 
 together with the boundary scalars, alternative parametric constructions
 for specific rank/kind targets, and diagram data emission.
+
+Rounding is monotone, so no square root meets a negative argument once
+its inputs pass their range gates (1 - 2p is exact for p in [1/2, 1]).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, ROUNDOFF, SQRT_CLAMP, _read_edge
+from .matrix_core import DEFAULT_TOL, ROUNDOFF, _read_edge
 from .xstate import (
     XParams,
     _classify_arrays,
@@ -58,24 +61,6 @@ class BoundaryScalars:
     r: float | None
 
 
-def _sqrt_clamped(val):
-    """sqrt(val), reading arguments in [-SQRT_CLAMP, 0[ as 0.
-
-    A float gives a float; an array is taken elementwise. Raises
-    DomainError if any argument is below -SQRT_CLAMP; a NaN passes.
-    """
-    if isinstance(val, np.ndarray):
-        low = val.min(initial=0.0)
-        if low < -SQRT_CLAMP:
-            raise DomainError(f"negative square-root argument {low:.3e}")
-        return np.sqrt(np.where(val < 0.0, 0.0, val))
-    if val < 0.0:
-        if val < -SQRT_CLAMP:
-            raise DomainError(f"negative square-root argument {val:.3e}")
-        val = 0.0
-    return math.sqrt(val)
-
-
 def scalar_u(p: float) -> float:
     """(1 + sqrt(2p - 1))/2 for p >= 1/2, from scalar_q."""
     return 0.5 * (1.0 + scalar_q(p))
@@ -84,7 +69,7 @@ def scalar_u(p: float) -> float:
 def scalar_v(p: float) -> float:
     """sqrt(2p - 2/3) for p >= 1/3."""
     p = _read_edge(p, P_SEP_MAX, 1.0, DomainError, "v undefined at purity {value!r}")
-    return _sqrt_clamped(2.0 * p - 2.0 / 3.0)
+    return math.sqrt(2.0 * p - 2.0 / 3.0)
 
 
 def scalar_w(p: float, c: float) -> float:
@@ -96,13 +81,8 @@ def scalar_w(p: float, c: float) -> float:
     """
     v = scalar_v(p)
     c = _read_edge(c, 0.0, v, DomainError, _W_C)
-    return _read_edge(_w_of(v, c), 0.0, 1.0 / 3.0, DomainError, "w={value!r} outside [0, 1/3]")
-
-
-def _w_of(v, c):
-    """scalar_w's formula from v = scalar_v(p) and c in [0, v]; elementwise
-    on arrays v and c."""
-    return 1.0 / 3.0 - 0.5 * _sqrt_clamped((v * v - c * c) / 3.0)
+    w = 1.0 / 3.0 - 0.5 * math.sqrt((v * v - c * c) / 3.0)
+    return _read_edge(w, 0.0, 1.0 / 3.0, DomainError, "w={value!r} outside [0, 1/3]")
 
 
 def scalar_z(p: float, c: float) -> float:
@@ -119,13 +99,13 @@ def scalar_z(p: float, c: float) -> float:
 def scalar_q(p: float) -> float:
     """sqrt(2p - 1): concurrence ceiling of the rank-2 kind-1/2 family."""
     p = _read_edge(p, 0.5, 1.0, DomainError, _RANK2)
-    return _sqrt_clamped(2.0 * p - 1.0)
+    return math.sqrt(2.0 * p - 1.0)
 
 
 def scalar_r(p: float) -> float:
     """sqrt(2) sqrt(1 - 2p + q): rank-3 outer-family ceiling above 5/9, from scalar_q."""
     p = _read_edge(p, 0.5, 1.0, DomainError, _RANK2)
-    return math.sqrt(2.0) * _sqrt_clamped(1.0 - 2.0 * p + scalar_q(p))
+    return math.sqrt(2.0) * math.sqrt(1.0 - 2.0 * p + scalar_q(p))
 
 
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:
@@ -190,7 +170,8 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     # a batch of one (minset_state) fills one slice; the empty ones are skipped
     if lo > 0:
         c3 = c[:lo]
-        w = _w_of(np.array([scalar_v(x) for x in p[:lo].tolist()])[:, None], c3)
+        v = np.array([scalar_v(x) for x in p[:lo].tolist()])[:, None]
+        w = 1.0 / 3.0 - 0.5 * np.sqrt((v * v - c3 * c3) / 3.0)
         d1[:lo] = 1.0 - 2.0 * w
         d2[:lo] = w
         d4[:lo] = w
@@ -198,14 +179,14 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     if hi > lo:
         u = np.array([scalar_u(x) for x in p[lo:hi].tolist()])[:, None]
         c2 = c[lo:hi]
-        s = _sqrt_clamped(u * u - c2 * c2)
+        s = np.sqrt(u * u - c2 * c2)
         d1[lo:hi] = 1.0 - u
         d2[lo:hi] = 0.5 * (u + s)
         d3[lo:hi] = 0.5 * (u - s)
         rho_23[lo:hi] = 0.5 * c2
     if hi < len(p):
         c1 = c[hi:]
-        s = _sqrt_clamped(1.0 - c1 * c1)
+        s = np.sqrt(1.0 - c1 * c1)
         d1[hi:] = 0.5 * (1.0 + s)
         d4[hi:] = 0.5 * (1.0 - s)
         rho_14[hi:] = 0.5 * c1

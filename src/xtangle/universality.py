@@ -478,8 +478,3 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
                              measure=measure, target=target, achieved=achieved,
                              clip=clip, spectrum=spec.values)
 
-
-def x_counterpart(rho: np.ndarray, measure: str = "concurrence") -> tuple[np.ndarray, np.ndarray]:
-    """(X-state, unitary) with the X-state = unitary @ rho @ unitary^dagger."""
-    res = counterpart_details(rho, measure)
-    return res.state, res.unitary

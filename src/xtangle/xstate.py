@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
 
 import numpy as np
 
@@ -87,7 +84,7 @@ class XCoeffs:
     h_low: float
 
 
-# every (rank, kind) class an X-state can fall in
+# every (rank, kind) class an X-state can fall in; see classify_rank
 RANK_KIND_PAIRS = frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)})
 
 
@@ -372,39 +369,33 @@ def char_poly(p: XParams) -> CharPolyCoeffs:
     )
 
 
-# the indices of classify_rank's boundary tests (see _boundary_tests)
-_X_TOP, _Y_TOP, _X_ZERO, _Y_ZERO, _B_ZERO, _C_ZERO = _TESTS = range(6)
-
-# classify_rank's rule: the class of the first entry whose tests all hold.
-# The most degenerate configurations come first, so that overlapping
-# tolerance bands resolve to the lowest rank; the last entry needs no test.
-_RANK_RULE = tuple((frozenset(need), RankClass(*rank_kind)) for need, rank_kind in (
-    ((_X_TOP, _Y_ZERO, _B_ZERO), (1, 1)),
-    ((_X_ZERO, _Y_TOP, _C_ZERO), (1, 2)),
-    ((_Y_ZERO, _B_ZERO), (2, 1)),
-    ((_X_ZERO, _C_ZERO), (2, 2)),
-    ((_X_TOP, _Y_TOP), (2, 3)),
-    ((_Y_TOP,), (3, 1)),
-    ((_X_TOP,), (3, 2)),
-    ((), (4, 1)),
-))
-_RANKS = np.array([rc.rank for _, rc in _RANK_RULE])
-_KINDS = np.array([rc.kind for _, rc in _RANK_RULE])
+# the classes of _rank_conditions' seven conditions in order, then the
+# class where none holds: the sorted pairs, most degenerate first
+_RANK_CLASSES = tuple(RankClass(*pair) for pair in sorted(RANK_KIND_PAIRS))
+_RANKS, _KINDS = np.array(sorted(RANK_KIND_PAIRS)).T
 
 
-def _boundary_tests(co: XCoeffs, x, y, tol: float) -> tuple:
-    """The tests of _RANK_RULE, on floats or elementwise on arrays: x at
-    its top h_cal, y at its top g_cal, and x, y, b_cal and c_cal at zero,
+def _rank_conditions(co: XCoeffs, x, y, tol: float) -> tuple:
+    """The conditions of ranks/kinds 11, 12, 21, 22, 23, 31 and 32, in
+    that order, on floats or elementwise on arrays: conjunctions of x at
+    its top h_cal, y at its top g_cal, and x, y, b_cal and c_cal at 0,
     each within the absolute tol."""
-    return (abs(x - co.h_cal) <= tol, abs(y - co.g_cal) <= tol,
-            x <= tol, y <= tol, co.b_cal <= tol, co.c_cal <= tol)
+    x_top = abs(x - co.h_cal) <= tol
+    y_top = abs(y - co.g_cal) <= tol
+    x_zero = x <= tol
+    y_zero = y <= tol
+    b_zero = co.b_cal <= tol
+    c_zero = co.c_cal <= tol
+    return (x_top & y_zero & b_zero, x_zero & y_top & c_zero, y_zero & b_zero,
+            x_zero & c_zero, x_top & y_top, y_top, x_top)
 
 
 def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     """Rank and kind from the boundary configuration of (x, y, b_cal, c_cal).
 
-    The class of the first entry of _RANK_RULE whose boundary tests hold,
-    each an equality test within the absolute tolerance tol. Raises
+    The class of the first condition of _rank_conditions that holds, else
+    rank 4 kind 1. The most degenerate configurations come first, so that
+    overlapping tolerance bands resolve to the lowest rank. Raises
     UnphysicalError for unphysical parameters.
     """
     co, _, x, y = _physical_coeffs(p)
@@ -412,31 +403,27 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
 
 
 def _rank_class(co: XCoeffs, x: float, y: float, tol: float) -> RankClass:
-    """classify_rank's rule on a physical state's XCoeffs co and weights."""
-    held = set(compress(_TESTS, _boundary_tests(co, x, y, tol)))
-    # the last entry needs no test, so the scan always returns
-    for need, rank_class in _RANK_RULE:
-        if need <= held:
+    """classify_rank's rule on a physical state's XCoeffs co and weights:
+    the class of the first condition that holds, else rank 4."""
+    for held, rank_class in zip(_rank_conditions(co, x, y, tol), _RANK_CLASSES):
+        if held:
             return rank_class
+    return _RANK_CLASSES[-1]
 
 
-def _classify_arrays(co: XCoeffs, x, y, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _classify_arrays(co: XCoeffs, x, y) -> tuple[np.ndarray, np.ndarray]:
     """(rank, kind) integer arrays of X-states given elementwise by the
     XCoeffs co of their diagonals and their weights x = |rho_14|^2 and
     y = |rho_23|^2.
 
-    classify_rank's rule, _RANK_RULE, on arrays of entries rather than on
-    chart parameters. Raises UnphysicalError, as _physical_coeffs does, if
-    any state has x above h_cal or y above g_cal by more than ROUNDOFF,
-    or a NaN weight.
+    classify_rank's rule at DEFAULT_TOL on arrays of entries rather than
+    on chart parameters. Raises UnphysicalError, as _physical_coeffs
+    does, if any state has x above h_cal or y above g_cal by more than
+    ROUNDOFF, or a NaN weight.
     """
     if not np.all(_within_positivity(co, x, y)):
         raise UnphysicalError("a coherence weight exceeds the positivity range")
-    tests = _boundary_tests(co, x, y, tol)
-    # the last entry needs no test: it is np.select's default
-    last = len(_RANK_RULE) - 1
-    first = np.select([reduce(operator.and_, map(tests.__getitem__, need))
-                       for need, _ in _RANK_RULE[:last]], range(last), last)
+    first = np.select(_rank_conditions(co, x, y, DEFAULT_TOL), range(7), 7)
     return _RANKS[first], _KINDS[first]
 
 

@@ -124,7 +124,7 @@ def test_criterion_5_universality_pipeline():
         base = xt.hermitian_eig(rho).values
         for measure, fn in (("concurrence", xt.concurrence_general),
                             ("negativity", xt.negativity_general)):
-            state, u = xt.x_counterpart(rho, measure)
+            state = xt.counterpart_details(rho, measure).state
             assert xt.is_x_form(state, tol=1e-9)
             assert np.max(np.abs(xt.hermitian_eig(state).values - base)) <= 1e-9
             assert abs(fn(state) - fn(rho)) <= 1e-9

@@ -25,7 +25,7 @@ PUBLIC_NAMES = (
     "random_unitary", "random_xparams", "scalar_q", "scalar_r", "scalar_u",
     "scalar_v", "scalar_w", "scalar_z", "solve_tau", "theorem_params",
     "to_density", "trace_norm", "validate_params", "verstraete_unitary",
-    "x_counterpart", "x_unitary",
+    "x_unitary",
 )
 
 

@@ -22,7 +22,6 @@ TABLE = {
     "SOLVER_TOL": 1e-10,
     "DEFAULT_TOL": 1e-9,
     "EIG_FLOOR": 4.0 * np.finfo(float).eps,
-    "SQRT_CLAMP": 1e-14,
     "DEGENERATE": 1e-15,
 }
 MAX_ENTRIES = 7

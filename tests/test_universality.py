@@ -37,7 +37,6 @@ from xtangle import (
     solve_tau,
     to_density,
     verstraete_unitary,
-    x_counterpart,
     x_unitary,
 )
 
@@ -392,9 +391,9 @@ def test_counterpart_bell():
 
 
 def test_counterpart_max_mixed():
-    state, u = x_counterpart(MAX_MIXED, "negativity")
-    np.testing.assert_allclose(state, MAX_MIXED, atol=1e-12)
-    assert is_unitary(u)
+    res = counterpart_details(MAX_MIXED, "negativity")
+    np.testing.assert_allclose(res.state, MAX_MIXED, atol=1e-12)
+    assert is_unitary(res.unitary)
 
 
 def test_counterpart_m40():
