@@ -88,8 +88,8 @@ from .xstate import (
     XParams,
     _diagonal_of,
     _finite_angles,
+    _entangled_outer,
     _physical_coeffs,
-    _separable,
     _valid_weights,
     _x_matrix,
     params_from_entries,
@@ -261,7 +261,11 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     only in its outer coherence, so an outer rotation bringing x down to
     G separates it; the opposite ordering is handled by the mirrored
     inner rotation. Conservation of the block invariants guarantees the
-    untouched coherence stays admissible throughout.
+    untouched coherence stays admissible throughout. Within the
+    positivity slack either coherence can exceed its floor whatever the
+    ordering, so an entangled state's leg is the coherence whose
+    partial-transpose eigenvalue is the lower one; a separable state's
+    follows the ordering.
 
     Every state xstate.is_separable accepts is labelled
     "already_separable". That is the partial-transpose test at
@@ -271,14 +275,15 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     (b_cal for the outer coherence, c_cal for the inner).
     """
     cf, _, x, y = _physical_coeffs(p)
-    outer_leg = cf.h_cal >= cf.g_cal
+    entangled_outer = _entangled_outer(cf, x, y)
+    outer_leg = cf.h_cal >= cf.g_cal if entangled_outer is None else entangled_outer
     if outer_leg:
         a, tgt, dd = x, cf.g_cal, cf.h_low
     else:
         a, tgt, dd = y, cf.h_cal, cf.g_low
     b = z_minus = 0.0
     s_tilde = 0
-    if _separable(cf, x, y):
+    if entangled_outer is None:
         branch = "already_separable"
     else:
         b, c2b, s2b = _half_angle(a, tgt, dd)

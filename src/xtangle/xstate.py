@@ -441,8 +441,17 @@ def is_separable(p: XParams) -> bool:
 
 def _separable(co: XCoeffs, x: float, y: float) -> bool:
     """is_separable's rule on a physical state's XCoeffs co and weights."""
+    return _entangled_outer(co, x, y) is None
+
+
+def _entangled_outer(co: XCoeffs, x: float, y: float) -> bool | None:
+    """None where is_separable's rule holds on a physical state's XCoeffs
+    co and weights; else whether the lower partial-transpose eigenvalue
+    is t1, the outer coherence's (see partial_transpose_lows)."""
     t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low, x, y)
-    return bool(min(t1, t2) >= -SOLVER_TOL)
+    if min(t1, t2) >= -SOLVER_TOL:
+        return None
+    return bool(t1 <= t2)
 
 
 def _rank_above_tol(values: np.ndarray) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
@@ -39,6 +40,7 @@ from xtangle import (
     verstraete_unitary,
     x_unitary,
 )
+from xtangle.xstate import params_from_entries
 
 from reference_states import BELL_PHI_PLUS, M40, MAX_MIXED, random_density_np
 
@@ -185,6 +187,25 @@ def test_disentangle_separable_input():
     assert sol.branch == "already_separable"
     assert sol.b1 == 0.0 and sol.b3 == 0.0
     assert sol.s_tilde == 0 and sol.z_minus == 0.0
+
+
+def test_disentangle_picks_the_entangled_leg_inside_the_slack():
+    # h_cal >= g_cal, yet y exceeds h_cal by 4e-13, inside the positivity
+    # slack: the inner coherence carries the entanglement, and rotating
+    # the outer block instead left the state entangled
+    total, product = 0.999, 2.5e-7 - 5e-13
+    root = math.sqrt(total * total - 4.0 * product)
+    d2, d3 = 0.5 * (total + root), 0.5 * (total - root)
+    p = params_from_entries(5e-4, d2, d3, 5e-4, 0.0, math.sqrt(d2 * d3 + 9e-13))
+    cf = coeffs(p)
+    assert cf.h_cal >= cf.g_cal and p.y > cf.h_cal
+    assert negativity_general(to_density(p)) > 1e-10
+    sol = disentangle_params(p)
+    assert (sol.branch, sol.b1) == ("GgtH", 0.0)
+    assert sol.z_minus < 1e-15
+    end = evolve(p, sol, 1.0).params
+    assert is_separable(end)
+    assert negativity_general(to_density(end)) <= 1e-10
 
 
 def test_disentangle_reaches_separability():
