@@ -168,8 +168,15 @@ def is_density_matrix(a) -> tuple[bool, str]:
     return not why, why
 
 
-def _hermitian_part(a) -> np.ndarray:
-    """The symmetrised 4x4 matrix of a Hermitian input, the eigensolvers' entry gate.
+def _hermitian_gate(deviation: float) -> None:
+    """NonHermitianError for an asymmetry |m - m^dagger| above SOLVER_TOL,
+    the Hermiticity every route taking a Hermitian matrix accepts."""
+    if deviation > SOLVER_TOL:
+        raise NonHermitianError(f"matrix is not Hermitian within {SOLVER_TOL:g}")
+
+
+def _hermitian_matrix(a) -> np.ndarray:
+    """as_matrix(a) behind the entry gate of the Hermitian routes.
 
     Raises ValueError for a non-finite entry and NonHermitianError for
     asymmetry above SOLVER_TOL (see _entry_gate).
@@ -178,8 +185,14 @@ def _hermitian_part(a) -> np.ndarray:
     gate = _entry_gate(m)
     if gate is None:
         raise ValueError(NON_FINITE)
-    if gate[0] > SOLVER_TOL:
-        raise NonHermitianError(f"matrix is not Hermitian within {SOLVER_TOL:g}")
+    _hermitian_gate(gate[0])
+    return m
+
+
+def _hermitian_part(a) -> np.ndarray:
+    """The symmetrised 4x4 matrix of a Hermitian input, behind the
+    eigensolvers' entry gate (_hermitian_matrix)."""
+    m = _hermitian_matrix(a)
     return 0.5 * (m + m.conj().T)
 
 

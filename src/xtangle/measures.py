@@ -17,6 +17,7 @@ import numpy as np
 from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
+    _hermitian_matrix,
     _read_edge,
     as_matrix,
     hermitian_eig,
@@ -48,8 +49,12 @@ def floored(vals: np.ndarray) -> list[float]:
 
 
 def purity_general(rho) -> float:
-    """tr rho^2, in [1/4, 1] for a valid state."""
-    m = as_matrix(rho)
+    """tr rho^2, in [1/4, 1] for a valid state.
+
+    Behind hermitian_eig's gate: ValueError for a non-finite entry,
+    NonHermitianError for asymmetry above SOLVER_TOL.
+    """
+    m = _hermitian_matrix(rho)
     purity = float((m @ m).trace().real)
     if not math.isfinite(purity):
         raise ValueError(NON_FINITE)
@@ -115,7 +120,8 @@ def concurrence_x(rho) -> float:
     root of diagonal round-off.
 
     Reads the matrix through xstate._x_entries: ValueError for any
-    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL;
+    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL,
+    NonHermitianError for a coherence pair asymmetric beyond SOLVER_TOL;
     the coherences are the upper ones (0,3) and (1,2).
     """
     d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
@@ -151,13 +157,19 @@ def eof(rho) -> float:
 
 
 def negativity_general(rho) -> float:
-    """Minus the smallest partial-transpose eigenvalue, floored at 0."""
-    pt = partial_transpose(rho)
-    try:
-        lowest = float(np.linalg.eigvalsh(pt).min())
-    except np.linalg.LinAlgError:
-        lowest = math.nan
-    # a non-finite entry ends here as LinAlgError, NaN or inf; max(0.0, nan) is 0.0
+    """Minus the smallest partial-transpose eigenvalue, floored at 0.
+
+    Behind hermitian_eig's gate: ValueError for a non-finite entry,
+    NonHermitianError for asymmetry above SOLVER_TOL; the eigensolver
+    would read only one triangle of a non-Hermitian matrix.
+    """
+    return _pt_negativity(_hermitian_matrix(rho))
+
+
+def _pt_negativity(m: np.ndarray) -> float:
+    """negativity_general of a 4x4 matrix that has passed its gate."""
+    lowest = float(np.linalg.eigvalsh(partial_transpose(m)).min())
+    # finite entries near the float maximum can overflow; max(0.0, nan) is 0.0
     if not math.isfinite(lowest):
         raise ValueError(NON_FINITE)
     return max(0.0, -lowest)
@@ -171,7 +183,8 @@ def negativity_x(rho) -> float:
     g_low = d2 - d3, h_low = d1 - d4, x = |rho_14|^2 and y = |rho_23|^2.
 
     Reads the matrix through xstate._x_entries: ValueError for any
-    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL;
+    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL,
+    NonHermitianError for a coherence pair asymmetric beyond SOLVER_TOL;
     the coherences are the upper ones (0,3) and (1,2).
     """
     d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)

@@ -78,10 +78,10 @@ from .matrix_core import (
     hermitian_eig,
 )
 from .measures import (
+    _pt_negativity,
     concurrence_from_eig,
     concurrence_x,
     floored,
-    negativity_general,
     negativity_x,
 )
 from .xstate import (
@@ -455,7 +455,8 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     if measure == "concurrence":
         target = concurrence_from_eig(values, spec.eigvecs)
     elif measure == "negativity":
-        target = negativity_general(rho)
+        # rho passed the density checks, which are stricter than its gate
+        target = _pt_negativity(rho)
     else:
         raise ValueError(f"unknown measure {measure!r}")
 

@@ -36,6 +36,7 @@ from .matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     _finite_entries,
+    _hermitian_gate,
     _read_edge,
     as_matrix,
     hermitian_eigvals,
@@ -275,10 +276,9 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     The only place the package reads the X layout: all 16 entries in one
     tolist(), by matrix_core._finite_entries. Raises ValueError(NON_FINITE) if any entry is NaN or
     infinite, then NotXFormError naming the largest off-X magnitude if it
-    exceeds tol. Returns the real diagonal and the upper coherences (0,3)
-    and (1,2); on an exactly Hermitian matrix the lower ones have the same
-    magnitudes, bit for bit. Asymmetry of a non-Hermitian input is not
-    checked.
+    exceeds tol, then NonHermitianError if a coherence differs from the
+    conjugate of its mirror by more than SOLVER_TOL. Returns the real
+    diagonal and the upper coherences (0,3) and (1,2).
     """
     e = _finite_entries(as_matrix(rho))
     if e is None:
@@ -286,7 +286,8 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     worst = _off_x_worst(e)
     if not worst <= tol:
         raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")
-    d1, _, _, rho_14, _, d2, rho_23, _, _, _, d3, _, _, _, _, d4 = e
+    d1, _, _, rho_14, _, d2, rho_23, _, _, rho_32, d3, _, rho_41, _, _, d4 = e
+    _hermitian_gate(max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate())))
     return d1.real, d2.real, d3.real, d4.real, rho_14, rho_23
 
 
@@ -343,7 +344,8 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     """Invert to_density. Requires the input to be X-form within tol.
 
     Reads the matrix through _x_entries: ValueError for any non-finite
-    entry, NotXFormError for an off-X entry above tol; the phases come
+    entry, NotXFormError for an off-X entry above tol, NonHermitianError
+    for a coherence pair asymmetric beyond SOLVER_TOL; the phases come
     from the upper coherences (0,3) and (1,2). Each diagonal entry is read
     on [0, 1] and the trace on [1, 1] (matrix_core._read_edge): outside
     them by more than ROUNDOFF, UnphysicalError, as the chart has no point

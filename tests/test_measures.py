@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xtangle import (
+    NonHermitianError,
     NotXFormError,
     OutOfRegimeError,
     binary_entropy,
@@ -24,7 +25,7 @@ from xtangle import (
     to_density,
     trace_norm,
 )
-from xtangle.matrix_core import EIG_FLOOR, density_spectrum
+from xtangle.matrix_core import EIG_FLOOR, SOLVER_TOL, density_spectrum
 from xtangle.measures import concurrence_from_eig, floored
 
 from reference_states import (
@@ -234,3 +235,31 @@ def test_x_form_error_names_largest_off_x_entry(fn):
     m[3, 2] = m[2, 3] = 0.3j
     with pytest.raises(NotXFormError, match="^off-X entry of magnitude 3.000e-01 exceeds 1.000e-09$"):
         fn(m)
+
+
+HERMITIAN_ROUTES = [negativity_general, purity_general, concurrence_x, negativity_x,
+                    from_density]
+
+
+@pytest.mark.parametrize("where", [(0, 3), (3, 0)], ids=["above", "below"])
+@pytest.mark.parametrize("fn", HERMITIAN_ROUTES, ids=lambda fn: fn.__name__)
+def test_half_a_coherence_is_not_hermitian(fn, where):
+    # one corner of the outer coherence: each route read half the matrix,
+    # so the X routes and the eigensolver disagreed (0.054 against 0.0
+    # above the diagonal, 0.0 against 0.65 below)
+    m = MAX_MIXED.astype(complex)
+    m[where] = 0.3
+    with pytest.raises(NonHermitianError):
+        fn(m)
+
+
+@pytest.mark.parametrize("fn", HERMITIAN_ROUTES, ids=lambda fn: fn.__name__)
+def test_hermitian_gate_is_solver_tol(fn):
+    # a coherence pair asymmetric within SOLVER_TOL passes, beyond it fails
+    for i, j, dev in ((0, 3, SOLVER_TOL), (2, 1, 1j * SOLVER_TOL)):
+        m = to_density(random_xparams(41, "entangled"))
+        m[i, j] += 0.9 * dev
+        fn(m)
+        m[i, j] += 1.2 * dev
+        with pytest.raises(NonHermitianError):
+            fn(m)
