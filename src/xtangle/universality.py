@@ -314,7 +314,8 @@ def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
 def _path_inputs(p: XParams, sol: DisentangleSolution,
                  measure: str) -> tuple[float, float, float, float, float]:
     """(coherence, population difference, floor target, partner sum, angle)
-    from one read of the chart; all 0 on "already_separable", unread."""
+    from one read of the chart; all 0 on "already_separable", unread.
+    Raises ValueError for a branch no solution carries."""
     if measure not in ("concurrence", "negativity"):
         raise ValueError(f"unknown measure {measure!r}")
     if sol.branch == "already_separable":
@@ -328,7 +329,7 @@ def _path_inputs(p: XParams, sol: DisentangleSolution,
         if cf.g_cal < cf.h_cal - DEFAULT_TOL:
             raise ValueError("solution branch does not match the state")
         return y, cf.g_low, cf.h_cal, cf.c_cal, sol.b3
-    return 0.0, 0.0, 0.0, 0.0, 0.0
+    raise ValueError(f"unknown solution branch {sol.branch!r}")
 
 
 def _coherence_at(a: float, dd: float, b: float, tau: float) -> float:

@@ -208,6 +208,17 @@ def test_disentangle_picks_the_entangled_leg_inside_the_slack():
     assert negativity_general(to_density(end)) <= 1e-10
 
 
+def test_unknown_branch_is_an_error():
+    # an unknown label read as all zeros: measures 0.0 along the walk, and
+    # solve_tau's range error named [0, 0.0]
+    p = entangled_draw(0)
+    sol = dataclasses.replace(disentangle_params(p), branch="bogus")
+    for call in (lambda: concurrence_along(p, sol, 0.5), lambda: negativity_along(p, sol, 0.5),
+                 lambda: solve_tau(p, sol, 0.1)):
+        with pytest.raises(ValueError, match="unknown solution branch 'bogus'"):
+            call()
+
+
 def test_disentangle_reaches_separability():
     for i in range(120):
         p = entangled_draw(i)
