@@ -28,12 +28,11 @@ import math
 import time
 
 import xtangle as xt
+from xtangle.cli import RANK_KIND_TARGETS
 from xtangle.matrix_core import density_spectrum
-from xtangle.xstate import RANK_KIND_PAIRS
 
 KINDS = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
-CLASSES = tuple(f"rank_{r}_kind_{k}" for r, k in sorted(RANK_KIND_PAIRS))
-CONSTRAINTS = ("any", "entangled", "separable", *CLASSES)
+CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 STARTS = {"concurrence": xt.concurrence_along, "negativity": xt.negativity_along}
 STATES = 64
 ROUNDS = 100
@@ -54,7 +53,7 @@ def layers() -> dict:
     angles = [[rng.uniform(0.0, 2.0 * math.pi) for _ in range(4)] for _ in range(STATES)]
     purities = [(1.0 + 2.0 * i / (STATES - 1)) / 3.0 for i in range(STATES)]
     purities[21] = 5.0 / 9.0
-    classes = [(xt.random_xparams(xt.child_seed(3, i), CLASSES[i % len(CLASSES)]),)
+    classes = [(xt.random_xparams(xt.child_seed(3, i), RANK_KIND_TARGETS[i % len(RANK_KIND_TARGETS)]),)
                for i in range(STATES)]
     return {
         "hermitian_eig": (xt.hermitian_eig, states),
