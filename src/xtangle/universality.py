@@ -87,8 +87,8 @@ from .measures import (
 from .xstate import (
     XParams,
     _diagonal_of,
-    _finite_angles,
     _entangled_outer,
+    _finite_angles,
     _physical_coeffs,
     _valid_weights,
     _x_matrix,
@@ -484,4 +484,3 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     return CounterpartResult(state=out, unitary=w, tau=tau, branch=branch,
                              measure=measure, target=target, achieved=achieved,
                              clip=clip, spectrum=spec.values)
-
