@@ -244,8 +244,8 @@ HERMITIAN_ROUTES = [negativity_general, purity_general, concurrence_x, negativit
 @pytest.mark.parametrize("where", [(0, 3), (3, 0)], ids=["above", "below"])
 @pytest.mark.parametrize("fn", HERMITIAN_ROUTES, ids=lambda fn: fn.__name__)
 def test_half_a_coherence_is_not_hermitian(fn, where):
-    # one corner of the outer coherence: each route read half the matrix,
-    # so the X routes and the eigensolver disagreed (0.054 against 0.0
+    # one corner of the outer coherence: a route reading half the matrix
+    # would set the X routes against the eigensolver (0.054 against 0.0
     # above the diagonal, 0.0 against 0.65 below)
     m = MAX_MIXED.astype(complex)
     m[where] = 0.3

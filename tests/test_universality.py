@@ -191,8 +191,8 @@ def test_disentangle_separable_input():
 
 def test_disentangle_picks_the_entangled_leg_inside_the_slack():
     # h_cal >= g_cal, yet y exceeds h_cal by 4e-13, inside the positivity
-    # slack: the inner coherence carries the entanglement, and rotating
-    # the outer block instead left the state entangled
+    # slack: the inner coherence carries the entanglement, and an outer
+    # rotation would leave the state entangled
     total, product = 0.999, 2.5e-7 - 5e-13
     root = math.sqrt(total * total - 4.0 * product)
     d2, d3 = 0.5 * (total + root), 0.5 * (total - root)
@@ -209,8 +209,8 @@ def test_disentangle_picks_the_entangled_leg_inside_the_slack():
 
 
 def test_unknown_branch_is_an_error():
-    # an unknown label read as all zeros: measures 0.0 along the walk, and
-    # solve_tau's range error named [0, 0.0]
+    # read as all zeros, an unknown label would give measures 0.0 along the
+    # walk and a solve_tau range error naming [0, 0.0]
     p = entangled_draw(0)
     sol = dataclasses.replace(disentangle_params(p), branch="bogus")
     for call in (lambda: concurrence_along(p, sol, 0.5), lambda: negativity_along(p, sol, 0.5),
