@@ -28,8 +28,9 @@ import math
 import time
 
 import xtangle as xt
-from xtangle.cli import RANK_KIND_TARGETS
+from xtangle.ensemble import RANK_KIND_TARGETS
 from xtangle.matrix_core import density_spectrum
+from xtangle.universality import MEASURES
 
 KINDS = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
@@ -47,7 +48,7 @@ def layers() -> dict:
     sols = [xt.disentangle_params(p) for p in walks]
     targets = []
     for i, (p, sol) in enumerate(zip(walks, sols)):
-        measure = ("concurrence", "negativity")[i % 2]
+        measure = MEASURES[i % 2]
         targets.append((p, sol, 0.5 * STARTS[measure](p, sol, 0.0), measure))
     rng = xt.SplitMix64(4)
     angles = [[rng.uniform(0.0, 2.0 * math.pi) for _ in range(4)] for _ in range(STATES)]

@@ -1,164 +1,19 @@
 """Two-qubit entanglement measures, X-state classification, and
-spectrum-preserving X-counterpart construction."""
+spectrum-preserving X-counterpart construction.
 
-from .ensemble import (
-    ConstraintInfeasibleError,
-    SplitMix64,
-    child_seed,
-    random_density,
-    random_unitary,
-    random_xparams,
-)
-from .matrix_core import (
-    NonHermitianError,
-    Spectrum,
-    as_matrix,
-    conjugate,
-    hermitian_eig,
-    hermitian_eigvals,
-    is_density_matrix,
-    is_unitary,
-    partial_transpose,
-    trace_norm,
-)
-from .measures import (
-    OutOfRegimeError,
-    binary_entropy,
-    concurrence_general,
-    concurrence_x,
-    eof,
-    fannes_ree_bound,
-    negativity_general,
-    negativity_x,
-    purity_general,
-    purity_x,
-)
-from .minimal_set import (
-    BoundaryScalars,
-    DomainError,
-    OutOfDiagramError,
-    boundary_scalars,
-    cp_boundary,
-    diagram_csv,
-    diagram_data,
-    minset_state,
-    scalar_q,
-    scalar_r,
-    scalar_u,
-    scalar_v,
-    scalar_w,
-    scalar_z,
-    theorem_params,
-)
-from .universality import (
-    CounterpartResult,
-    DisentangleSolution,
-    PathPoint,
-    TargetOutOfRangeError,
-    concurrence_along,
-    conjugate_x,
-    counterpart_details,
-    disentangle_params,
-    evolve,
-    mems_from_spectrum,
-    negativity_along,
-    solve_tau,
-    verstraete_unitary,
-    x_unitary,
-)
-from .xstate import (
-    CharPolyCoeffs,
-    NotXFormError,
-    RankClass,
-    UnphysicalError,
-    XCoeffs,
-    XParams,
-    char_poly,
-    classify_rank,
-    coeffs,
-    diagonal,
-    from_density,
-    is_physical,
-    is_separable,
-    is_x_form,
-    numerical_rank,
-    to_density,
-    validate_params,
-)
+Each module declares its public names in its own __all__; the package's
+__all__ is their union.
+"""
+
+from . import ensemble, matrix_core, measures, minimal_set, universality, xstate
+from .ensemble import *
+from .matrix_core import *
+from .measures import *
+from .minimal_set import *
+from .universality import *
+from .xstate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryScalars",
-    "CharPolyCoeffs",
-    "ConstraintInfeasibleError",
-    "CounterpartResult",
-    "DisentangleSolution",
-    "DomainError",
-    "NonHermitianError",
-    "NotXFormError",
-    "OutOfDiagramError",
-    "OutOfRegimeError",
-    "PathPoint",
-    "RankClass",
-    "Spectrum",
-    "SplitMix64",
-    "TargetOutOfRangeError",
-    "UnphysicalError",
-    "XCoeffs",
-    "XParams",
-    "as_matrix",
-    "binary_entropy",
-    "boundary_scalars",
-    "char_poly",
-    "child_seed",
-    "classify_rank",
-    "coeffs",
-    "concurrence_along",
-    "concurrence_general",
-    "concurrence_x",
-    "conjugate",
-    "conjugate_x",
-    "counterpart_details",
-    "cp_boundary",
-    "diagonal",
-    "diagram_csv",
-    "diagram_data",
-    "disentangle_params",
-    "eof",
-    "evolve",
-    "fannes_ree_bound",
-    "from_density",
-    "hermitian_eig",
-    "hermitian_eigvals",
-    "is_density_matrix",
-    "is_physical",
-    "is_separable",
-    "is_unitary",
-    "is_x_form",
-    "mems_from_spectrum",
-    "minset_state",
-    "negativity_along",
-    "negativity_general",
-    "negativity_x",
-    "numerical_rank",
-    "partial_transpose",
-    "purity_general",
-    "purity_x",
-    "random_density",
-    "random_unitary",
-    "random_xparams",
-    "scalar_q",
-    "scalar_r",
-    "scalar_u",
-    "scalar_v",
-    "scalar_w",
-    "scalar_z",
-    "solve_tau",
-    "theorem_params",
-    "to_density",
-    "trace_norm",
-    "validate_params",
-    "verstraete_unitary",
-    "x_unitary",
-]
+__all__ = sorted([*ensemble.__all__, *matrix_core.__all__, *measures.__all__,
+                  *minimal_set.__all__, *universality.__all__, *xstate.__all__])

@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import ensemble, minimal_set, universality
+from .ensemble import RANK_KIND_TARGETS
 from .matrix_core import (
     DEFAULT_TOL,
     SOLVER_TOL,
@@ -38,7 +39,6 @@ from .measures import (
     purity_general,
 )
 from .xstate import (
-    RANK_KIND_PAIRS,
     _rank_above_tol,
     _x_entries,
     block_eigvals,
@@ -56,11 +56,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CHECK = 4
-
-SWEEP_CHECKS = ("measures", "classify", "conservation", "disentangle", "counterpart")
-
-# indexed by seed % 8 in the classify check, so the sorted order is pinned
-RANK_KIND_TARGETS = tuple(f"rank_{r}_kind_{k}" for r, k in sorted(RANK_KIND_PAIRS))
 
 
 class UsageError(Exception):
@@ -274,7 +269,7 @@ def _check_disentangle(seed: int, tol: float) -> bool:
 def _check_counterpart(seed: int, tol: float) -> bool:
     rho = ensemble.random_density(seed)
     spec_in = hermitian_eigvals(rho)
-    for measure in ("concurrence", "negativity"):
+    for measure in universality.MEASURES:
         out = universality.counterpart_details(rho, measure).state
         if not is_x_form(out, tol=tol):
             return False
@@ -296,6 +291,8 @@ _CHECK_FNS = {
     "disentangle": _check_disentangle,
     "counterpart": _check_counterpart,
 }
+# the check names, in the order "all" runs them
+SWEEP_CHECKS = tuple(_CHECK_FNS)
 
 
 def cmd_sweep(args) -> int:
@@ -363,7 +360,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("counterpart", help="X-counterpart of a state")
     add_in(p)
-    p.add_argument("--preserve", choices=("concurrence", "negativity"),
+    p.add_argument("--preserve", choices=universality.MEASURES,
                    default="concurrence")
     p.add_argument("--out", dest="out_path", required=True, metavar="FILE")
     p.set_defaults(fn=cmd_counterpart)
@@ -380,7 +377,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("diagram", help="emit diagram CSV data")
-    p.add_argument("--kind", choices=("cp", "negativity_purity"), default="cp")
+    p.add_argument("--kind", choices=minimal_set.DIAGRAM_KINDS, default="cp")
     p.add_argument("--grid", type=_grid, default=40)
     p.add_argument("--out", dest="out_path", metavar="FILE")
     p.set_defaults(fn=cmd_diagram)

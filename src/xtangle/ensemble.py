@@ -20,7 +20,6 @@ sweep reproduces the draw on any platform:
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
@@ -36,6 +35,9 @@ from .xstate import (
     _rank_class,
     _separable,
 )
+
+__all__ = ["ConstraintInfeasibleError", "SplitMix64", "child_seed", "random_density",
+           "random_unitary", "random_xparams"]
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -188,7 +190,10 @@ def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> tuple[XParams, XCoeff
                    fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu), cf
 
 
-_RANK_KIND_RE = re.compile(r"rank_([1-4])_kind_([1-3])")
+# every "rank_R_kind_K" constraint random_xparams reads, R in 1..4, K in 1..3
+_RANK_KINDS = {f"rank_{r}_kind_{k}": (r, k) for r in range(1, 5) for k in range(1, 4)}
+# the feasible ones, sorted: the CLI's classify check indexes them by seed % 8
+RANK_KIND_TARGETS = tuple(name for name, pair in _RANK_KINDS.items() if pair in RANK_KIND_PAIRS)
 
 
 def random_xparams(seed: int, constraint: str = "any") -> XParams:
@@ -204,10 +209,9 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     rng = SplitMix64(seed)
     want: tuple[int, int] | None = None
     if constraint not in ("any", "entangled", "separable"):
-        m = _RANK_KIND_RE.fullmatch(constraint)
-        if not m:
+        want = _RANK_KINDS.get(constraint)
+        if want is None:
             raise ValueError(f"unknown constraint {constraint!r}")
-        want = (int(m.group(1)), int(m.group(2)))
         if want not in RANK_KIND_PAIRS:
             raise ConstraintInfeasibleError(
                 f"no X-state has rank {want[0]} with kind {want[1]}"

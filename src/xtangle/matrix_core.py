@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["NonHermitianError", "Spectrum", "as_matrix", "conjugate", "hermitian_eig",
+           "hermitian_eigvals", "is_density_matrix", "is_unitary", "partial_transpose",
+           "trace_norm"]
+
 # Tolerances, one entry per role, all absolute. This is the only module
 # that defines any; the others import the entries they use by name.
 

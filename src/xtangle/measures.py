@@ -32,6 +32,10 @@ from .xstate import (
     partial_transpose_lows,
 )
 
+__all__ = ["OutOfRegimeError", "binary_entropy", "concurrence_general", "concurrence_x", "eof",
+           "fannes_ree_bound", "negativity_general", "negativity_x", "purity_general",
+           "purity_x"]
+
 # (sigma_y (x) sigma_y) is real and anti-diagonal (-1, 1, 1, -1), so a
 # product s (sigma_y (x) sigma_y) is s with its columns reversed, times
 # these. Stored complex, as numpy casts real factors of a complex product

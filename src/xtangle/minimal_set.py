@@ -30,8 +30,14 @@ from .xstate import (
     partial_transpose_lows,
 )
 
+__all__ = ["BoundaryScalars", "DomainError", "OutOfDiagramError", "boundary_scalars",
+           "cp_boundary", "diagram_csv", "diagram_data", "minset_state", "scalar_q", "scalar_r",
+           "scalar_u", "scalar_v", "scalar_w", "scalar_z", "theorem_params"]
+
 P_RANK2_MIN = 5.0 / 9.0
 P_SEP_MAX = 1.0 / 3.0
+# diagram_data's kinds: "cp" adds the boundary scalars to "negativity_purity"'s columns
+DIAGRAM_KINDS = ("cp", "negativity_purity")
 
 # messages of ranges read through _read_edge, which reads a value within
 # ROUNDOFF outside a range as its edge
@@ -280,7 +286,7 @@ def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     to round-off, negativity_x(minset_state(p, c)): its squares are libm
     pow, these are products.
     """
-    if kind not in ("cp", "negativity_purity"):
+    if kind not in DIAGRAM_KINDS:
         raise ValueError(f"unknown diagram kind {kind!r}")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")

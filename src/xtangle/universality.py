@@ -96,6 +96,14 @@ from .xstate import (
     to_density,
 )
 
+__all__ = ["CounterpartResult", "DisentangleSolution", "PathPoint", "TargetOutOfRangeError",
+           "concurrence_along", "conjugate_x", "counterpart_details", "disentangle_params",
+           "evolve", "mems_from_spectrum", "negativity_along", "solve_tau", "verstraete_unitary",
+           "x_unitary"]
+
+# the measures a conversion or a walk can hold fixed
+MEASURES = ("concurrence", "negativity")
+
 # eigenbasis-to-X rotation: maps diag(l1..l4), non-ascending, onto the
 # maximally entangled mixed state of that spectrum
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -316,7 +324,7 @@ def _path_inputs(p: XParams, sol: DisentangleSolution,
     """(coherence, population difference, floor target, partner sum, angle)
     from one read of the chart; all 0 on "already_separable", unread.
     Raises ValueError for a branch no solution carries."""
-    if measure not in ("concurrence", "negativity"):
+    if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     if sol.branch == "already_separable":
         return 0.0, 0.0, 0.0, 0.0, 0.0

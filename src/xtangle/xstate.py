@@ -42,6 +42,11 @@ from .matrix_core import (
     hermitian_eigvals,
 )
 
+__all__ = ["CharPolyCoeffs", "NotXFormError", "RankClass", "UnphysicalError", "XCoeffs",
+           "XParams", "char_poly", "classify_rank", "coeffs", "diagonal", "from_density",
+           "is_physical", "is_separable", "is_x_form", "numerical_rank", "to_density",
+           "validate_params"]
+
 TWO_PI = 2.0 * np.pi
 
 

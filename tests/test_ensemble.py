@@ -23,8 +23,7 @@ from xtangle import (
     random_xparams,
     to_density,
 )
-from xtangle.cli import RANK_KIND_TARGETS
-from xtangle.ensemble import MASK64, _ginibre
+from xtangle.ensemble import MASK64, RANK_KIND_TARGETS, _ginibre
 
 # reference stream: published test vectors for this generator, seed 0
 SEED0_U64 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)

@@ -22,10 +22,11 @@ from xtangle import (
     random_xparams,
     to_density,
 )
+from xtangle.ensemble import RANK_KIND_TARGETS
 from xtangle.matrix_core import SOLVER_TOL
 from xtangle.xstate import params_from_entries
 
-CONSTRAINTS = ("any", "entangled", "separable", *cli.RANK_KIND_TARGETS)
+CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 # too close to the threshold for the two routes' round-off to settle
 UNDECIDED = 1e-14
 
