@@ -151,10 +151,14 @@ def _entry_problem(m: np.ndarray) -> str:
 
 
 def _psd_problem(lowest: float) -> str:
-    """Positive semidefiniteness from the smallest eigenvalue; "" when it holds."""
-    if lowest < -SOLVER_TOL:
-        return f"negative eigenvalue {lowest:.3e}"
-    return ""
+    """Positive semidefiniteness from the smallest eigenvalue; "" when it
+    holds. A NaN or infinite one, as the eigensolver gives when entries
+    near the float maximum overflow its arithmetic, fails as non-finite."""
+    if lowest >= -SOLVER_TOL:
+        return ""
+    if not math.isfinite(lowest):
+        return "non-finite eigenvalue"
+    return f"negative eigenvalue {lowest:.3e}"
 
 
 def is_density_matrix(a) -> tuple[bool, str]:

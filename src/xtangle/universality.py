@@ -191,17 +191,10 @@ class CounterpartResult:
     spectrum: np.ndarray
 
 
-def x_unitary(b1, b2: float = 0.0, b3: float = 0.0, b4: float = 0.0) -> np.ndarray:
-    """Unitary rotating the outer block by b1 and the inner block by b3.
-
-    Accepts a DisentangleSolution in place of b1, taking all four angles
-    from it (the remaining arguments must then be left at zero). Raises
-    ValueError for a non-finite angle.
+def x_unitary(b1: float, b2: float = 0.0, b3: float = 0.0, b4: float = 0.0) -> np.ndarray:
+    """Unitary rotating the outer block by b1 and the inner block by b3,
+    with phases b2 and b4. Raises ValueError for a non-finite angle.
     """
-    if isinstance(b1, DisentangleSolution):
-        if b2 != 0.0 or b3 != 0.0 or b4 != 0.0:
-            raise TypeError("pass either a solution or four angles, not both")
-        b1, b2, b3, b4 = b1.b1, b1.b2, b1.b3, b1.b4
     _finite_angles(b1, b2, b3, b4)
     c1, s1 = math.cos(b1), math.sin(b1)
     c3, s3 = math.cos(b3), math.sin(b3)

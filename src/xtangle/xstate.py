@@ -268,9 +268,13 @@ def _x_matrix(d1, d2, d3, d4, rho_14, rho_23) -> np.ndarray:
 
 def _off_x_worst(e: list) -> float:
     """The largest off-X magnitude among the 16 row-major entries e; NaN
-    if an off-X entry is NaN."""
+    if an off-X entry is NaN, inf if a finite one's magnitude overflows."""
     _, e01, e02, _, e10, _, _, e13, e20, _, _, e23, _, e31, e32, _ = e
-    mags = (abs(e01), abs(e02), abs(e10), abs(e13), abs(e20), abs(e23), abs(e31), abs(e32))
+    try:
+        mags = (abs(e01), abs(e02), abs(e10), abs(e13), abs(e20), abs(e23), abs(e31), abs(e32))
+    except OverflowError:
+        # abs() raises where numpy's elementwise form reads inf
+        return math.inf
     # max() keeps a NaN only in first place; the sum keeps it anywhere
     return math.nan if math.isnan(sum(mags)) else max(mags)
 
@@ -282,8 +286,9 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     tolist(), by matrix_core._finite_entries. Raises ValueError(NON_FINITE) if any entry is NaN or
     infinite, then NotXFormError naming the largest off-X magnitude if it
     exceeds tol, then NonHermitianError if a coherence differs from the
-    conjugate of its mirror by more than SOLVER_TOL. Returns the real
-    diagonal and the upper coherences (0,3) and (1,2).
+    conjugate of its mirror by more than SOLVER_TOL; a magnitude that
+    overflows reads as inf, as in matrix_core._entry_gate. Returns the
+    real diagonal and the upper coherences (0,3) and (1,2).
     """
     e = _finite_entries(as_matrix(rho))
     if e is None:
@@ -292,7 +297,11 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     if not worst <= tol:
         raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")
     d1, _, _, rho_14, _, d2, rho_23, _, _, rho_32, d3, _, rho_41, _, _, d4 = e
-    _hermitian_gate(max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate())))
+    try:
+        asymmetry = max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate()))
+    except OverflowError:
+        asymmetry = math.inf
+    _hermitian_gate(asymmetry)
     return d1.real, d2.real, d3.real, d4.real, rho_14, rho_23
 
 

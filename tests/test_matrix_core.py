@@ -200,6 +200,15 @@ def test_is_density_matrix():
     assert not ok  # trace 4
 
 
+def test_is_density_matrix_rejects_an_overflowing_spectrum():
+    # finite and Hermitian, but the block [[1/4, z], [z*, 1/4]] has the
+    # eigenvalue 1/4 - |z| < 0; eigvalsh overflows and returns four NaNs
+    m = MAX_MIXED.astype(complex)
+    m[0, 1] = complex(1.5e308, 1.5e308)
+    m[1, 0] = m[0, 1].conjugate()
+    assert is_density_matrix(m) == (False, "non-finite eigenvalue")
+
+
 def test_as_matrix_shape_guard():
     with pytest.raises(ValueError):
         as_matrix(np.eye(3))

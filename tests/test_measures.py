@@ -237,6 +237,32 @@ def test_x_form_error_names_largest_off_x_entry(fn):
         fn(m)
 
 
+# a finite complex entry whose magnitude overflows Python's abs
+HUGE = complex(1.5e308, 1.5e308)
+X_READERS = [concurrence_x, negativity_x, from_density]
+
+
+def test_overflowing_off_x_entry_is_not_x_form():
+    m = MAX_MIXED.astype(complex)
+    m[0, 1] = HUGE
+    m[1, 0] = HUGE.conjugate()
+    assert not is_x_form(m)
+    for fn in X_READERS:
+        with pytest.raises(NotXFormError, match="^off-X entry of magnitude inf exceeds"):
+            fn(m)
+
+
+def test_overflowing_coherence_asymmetry_is_not_hermitian():
+    m = MAX_MIXED.astype(complex)
+    m[0, 3] = HUGE
+    # the off-X entries are 0, so the matrix is X-form; its (0,3)/(3,0)
+    # pair is as asymmetric as a finite pair can be
+    assert is_x_form(m)
+    for fn in X_READERS:
+        with pytest.raises(NonHermitianError):
+            fn(m)
+
+
 HERMITIAN_ROUTES = [negativity_general, purity_general, concurrence_x, negativity_x,
                     from_density]
 

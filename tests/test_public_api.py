@@ -1,10 +1,11 @@
-"""The package's public names, frozen.
+"""The package's public names, frozen, and the modules that own them.
 
 Dropping or renaming a public name means editing PUBLIC_NAMES here and
 listing the removal in CHANGES.md.
 """
 
 import xtangle
+from xtangle import ensemble, matrix_core, measures, minimal_set, universality, xstate
 
 PUBLIC_NAMES = (
     "BoundaryScalars", "CharPolyCoeffs", "ConstraintInfeasibleError",
@@ -40,3 +41,24 @@ def test_public_names_are_unique():
 def test_public_names_resolve():
     missing = [name for name in xtangle.__all__ if not hasattr(xtangle, name)]
     assert missing == []
+
+
+OWNERS = (ensemble, matrix_core, measures, minimal_set, universality, xstate)
+
+
+def test_each_module_declares_only_its_own_names():
+    for mod in OWNERS:
+        strays = [n for n in mod.__all__ if getattr(mod, n).__module__ != mod.__name__]
+        assert strays == [], mod.__name__
+
+
+def test_module_name_lists_are_disjoint():
+    names = [n for mod in OWNERS for n in mod.__all__]
+    assert len(set(names)) == len(names)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from xtangle import *", namespace)
+    del namespace["__builtins__"]
+    assert tuple(sorted(namespace)) == PUBLIC_NAMES

@@ -69,16 +69,11 @@ def test_x_unitary_outer_flip():
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("slot", range(4))
 def test_x_unitary_rejects_a_non_finite_angle(slot, value):
-    # x_unitary(nan) returned a NaN matrix; a solution's angles are
-    # checked after they are unpacked
+    # x_unitary(nan) returned a NaN matrix
     angles = [0.1, 0.2, 0.3, 0.4]
     angles[slot] = value
     with pytest.raises(ValueError, match="^non-finite entry$"):
         x_unitary(*angles)
-    sol = disentangle_params(entangled_draw(0))
-    field = ("b1", "b2", "b3", "b4")[slot]
-    with pytest.raises(ValueError, match="^non-finite entry$"):
-        x_unitary(dataclasses.replace(sol, **{field: value}))
 
 
 def test_x_unitary_unitarity():
@@ -94,14 +89,6 @@ def test_x_unitary_preserves_x_form():
         rho = to_density(random_xparams(9000 + i))
         b = rng.uniform(0.0, 2.0 * np.pi, 4)
         assert is_x_form(conjugate(rho, x_unitary(*b)), tol=1e-12)
-
-
-def test_x_unitary_accepts_solution():
-    sol = disentangle_params(entangled_draw(0))
-    np.testing.assert_array_equal(
-        x_unitary(sol), x_unitary(sol.b1, sol.b2, sol.b3, sol.b4))
-    with pytest.raises(TypeError):
-        x_unitary(sol, 0.3)
 
 
 # sha256 of test_x_unitary_frozen's matrices and test_walk_frozen's outputs
