@@ -198,15 +198,11 @@ def test_is_density_matrix():
     assert not ok
     ok, _ = is_density_matrix(np.eye(4))
     assert not ok  # trace 4
-
-
-def test_is_density_matrix_rejects_an_overflowing_spectrum():
     # finite and Hermitian, but the block [[1/4, z], [z*, 1/4]] has the
     # eigenvalue 1/4 - |z| < 0; eigvalsh overflows and returns four NaNs
-    m = MAX_MIXED.astype(complex)
-    m[0, 1] = complex(1.5e308, 1.5e308)
-    m[1, 0] = m[0, 1].conjugate()
-    assert is_density_matrix(m) == (False, "non-finite eigenvalue")
+    bad[0, 1] = complex(1.5e308, 1.5e308)
+    bad[1, 0] = bad[0, 1].conjugate()
+    assert is_density_matrix(bad) == (False, "non-finite eigenvalue")
 
 
 def test_as_matrix_shape_guard():
