@@ -7,7 +7,6 @@ conjugation, and the table of tolerances used throughout the package.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,17 @@ EIG_FLOOR = 4.0 * np.finfo(float).eps
 # whose remaining angles are set to 0.
 DEGENERATE = 1e-15
 
-# the reason given wherever a NaN or infinite entry is rejected
+# The input scale (_scale_problem): the most the 16 entry magnitudes of an
+# admitted 4x4 input may sum to. A density matrix's sum to at most 4 and a
+# unitary's to at most 8. No route forms more than a product of three
+# admitted matrices, conjugate's u rho u^dagger, whose entries stay below
+# ENTRY_SCALE**3 = 1e300 < 1.8e308, the float maximum: no sum, product or
+# eigensolve of an admitted input overflows.
+ENTRY_SCALE = 1e100
+
+# the reasons given wherever an input is rejected by its scale read
 NON_FINITE = "non-finite entry"
+OUT_OF_SCALE = f"entry magnitudes sum above {ENTRY_SCALE:g}"
 
 
 def _read_edge(value, lo, hi, error, message):
@@ -93,24 +101,35 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _finite_entries(m: np.ndarray) -> list[complex] | None:
-    """The 16 entries of a 4x4 matrix, row-major, from one tolist(); None
-    if an entry is NaN or infinite.
+def _scale_problem(values) -> str:
+    """"" when the magnitudes of the Python numbers values sum to at most
+    ENTRY_SCALE; else the reason, NON_FINITE or OUT_OF_SCALE.
 
-    One isfinite on their sum; the entries one by one only when it fails,
-    because finite entries near the float maximum can overflow the sum.
-    The package's one finiteness read of a 4x4 matrix's entries in Python.
+    The package's one input-scale read: of a 4x4 matrix's 16 entries, from
+    one tolist(), and of the values of params_from_entries and
+    mems_from_spectrum. Only a rejected input is sorted into its reason.
     """
-    e = m.ravel().tolist()
-    if not cmath.isfinite(sum(e)) and not all(map(cmath.isfinite, e)):
-        return None
-    return e
+    try:
+        if sum(map(abs, values)) <= ENTRY_SCALE:
+            return ""
+    except OverflowError:
+        # abs() of a finite complex value near the float maximum raises
+        pass
+    return OUT_OF_SCALE if all(map(cmath.isfinite, values)) else NON_FINITE
 
 
-def _entry_gate(m: np.ndarray) -> tuple[float, complex] | None:
-    """(Hermitian deviation, trace) of a 4x4 matrix, read in one tolist()
-    by the shared finiteness read _finite_entries; None if an entry is
-    NaN or infinite.
+def _in_scale(values):
+    """values behind _scale_problem: ValueError naming its reason if it
+    rejects them."""
+    why = _scale_problem(values)
+    if why:
+        raise ValueError(why)
+    return values
+
+
+def _entry_gate(e: list[complex]) -> tuple[float, complex]:
+    """(Hermitian deviation, trace) of a 4x4 matrix from its 16 row-major
+    entries e, admitted by _scale_problem.
 
     The deviation is the largest entry of |m - m^dagger|: |e_ij - conj e_ji|
     over the six off-diagonal pairs and 2 |Im e_ii| on the diagonal. Python's
@@ -118,31 +137,24 @@ def _entry_gate(m: np.ndarray) -> tuple[float, complex] | None:
     verdict only for a deviation within an ulp of its tolerance. The trace
     is summed as numpy's pairwise sum does, (e_00 + e_11) + (e_22 + e_33)
     + 0, so it prints the same. The one entry gate of _entry_problem and
-    _hermitian_part.
+    _hermitian_matrix.
     """
-    # finiteness first: max() drops a NaN that is not its first argument
-    e = _finite_entries(m)
-    if e is None:
-        return None
     e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33 = e
-    try:
-        dev = max(abs(e01 - e10.conjugate()), abs(e02 - e20.conjugate()),
-                  abs(e03 - e30.conjugate()), abs(e12 - e21.conjugate()),
-                  abs(e13 - e31.conjugate()), abs(e23 - e32.conjugate()),
-                  2.0 * abs(e00.imag), 2.0 * abs(e11.imag),
-                  2.0 * abs(e22.imag), 2.0 * abs(e33.imag))
-    except OverflowError:
-        # abs() raises where numpy's elementwise form reads inf
-        dev = math.inf
+    dev = max(abs(e01 - e10.conjugate()), abs(e02 - e20.conjugate()),
+              abs(e03 - e30.conjugate()), abs(e12 - e21.conjugate()),
+              abs(e13 - e31.conjugate()), abs(e23 - e32.conjugate()),
+              2.0 * abs(e00.imag), 2.0 * abs(e11.imag),
+              2.0 * abs(e22.imag), 2.0 * abs(e33.imag))
     return dev, (e00 + e11) + (e22 + e33) + 0j
 
 
 def _entry_problem(m: np.ndarray) -> str:
-    """Finiteness, Hermiticity and unit trace at ROUNDOFF; "" when all hold."""
-    gate = _entry_gate(m)
-    if gate is None:
-        return NON_FINITE
-    dev, tr = gate
+    """The input scale, Hermiticity and unit trace at ROUNDOFF; "" when all hold."""
+    e = m.ravel().tolist()
+    why = _scale_problem(e)
+    if why:
+        return why
+    dev, tr = _entry_gate(e)
     if dev > ROUNDOFF:
         return "not Hermitian"
     if abs(tr - 1.0) > ROUNDOFF:
@@ -151,22 +163,20 @@ def _entry_problem(m: np.ndarray) -> str:
 
 
 def _psd_problem(lowest: float) -> str:
-    """Positive semidefiniteness from the smallest eigenvalue; "" when it
-    holds. A NaN or infinite one, as the eigensolver gives when entries
-    near the float maximum overflow its arithmetic, fails as non-finite."""
+    """Positive semidefiniteness from the smallest eigenvalue; "" when it holds."""
     if lowest >= -SOLVER_TOL:
         return ""
-    if not math.isfinite(lowest):
-        return "non-finite eigenvalue"
     return f"negative eigenvalue {lowest:.3e}"
 
 
 def is_density_matrix(a) -> tuple[bool, str]:
-    """Check finiteness, Hermiticity, unit trace and positive semidefiniteness.
+    """Check the input scale, Hermiticity, unit trace and positive
+    semidefiniteness.
 
     Returns (ok, reason). reason is "" when ok, otherwise it names the
-    failed check. Hermiticity and trace are held to ROUNDOFF, the lowest
-    eigenvalue to -SOLVER_TOL.
+    failed check: NON_FINITE or OUT_OF_SCALE (see _scale_problem), then
+    Hermiticity and trace held to ROUNDOFF and the lowest eigenvalue to
+    -SOLVER_TOL.
     """
     try:
         m = as_matrix(a)
@@ -186,14 +196,11 @@ def _hermitian_gate(deviation: float) -> None:
 def _hermitian_matrix(a) -> np.ndarray:
     """as_matrix(a) behind the entry gate of the Hermitian routes.
 
-    Raises ValueError for a non-finite entry and NonHermitianError for
-    asymmetry above SOLVER_TOL (see _entry_gate).
+    Raises ValueError for a non-finite or out-of-scale input, then
+    NonHermitianError for asymmetry above SOLVER_TOL (see _entry_gate).
     """
     m = as_matrix(a)
-    gate = _entry_gate(m)
-    if gate is None:
-        raise ValueError(NON_FINITE)
-    _hermitian_gate(gate[0])
+    _hermitian_gate(_entry_gate(_in_scale(m.ravel().tolist()))[0])
     return m
 
 
@@ -229,9 +236,9 @@ def hermitian_eig(a) -> Spectrum:
     deterministic output order; each eigenvector's first component of
     magnitude > ROUNDOFF is rotated to the positive real axis, in one
     division over the columns, so repeated calls give identical columns.
-    Raises ValueError for a non-finite entry and NonHermitianError for
-    asymmetry above SOLVER_TOL; the entries are read once, in Python (see
-    _entry_gate).
+    Raises ValueError for a non-finite or out-of-scale input and
+    NonHermitianError for asymmetry above SOLVER_TOL; the entries are read
+    once, in Python (see _scale_problem and _entry_gate).
     """
     return _sorted_eigh(_hermitian_part(a))
 
@@ -239,8 +246,8 @@ def hermitian_eig(a) -> Spectrum:
 def hermitian_eigvals(a) -> np.ndarray:
     """The values of hermitian_eig(a), non-ascending, from a values-only solve.
 
-    Same gate as hermitian_eig: ValueError for a non-finite entry,
-    NonHermitianError for asymmetry above SOLVER_TOL.
+    Same gate as hermitian_eig: ValueError for a non-finite or
+    out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
     return np.linalg.eigvalsh(_hermitian_part(a))[::-1]
 
@@ -249,8 +256,8 @@ def density_spectrum(a) -> Spectrum:
     """hermitian_eig of a density matrix, validated from that one eigensolve.
 
     Runs the checks of is_density_matrix and raises ValueError naming the
-    failed check: the entry checks (finiteness, Hermiticity and unit
-    trace at ROUNDOFF) from one read of the entries (_entry_gate), then
+    failed check: the entry checks (input scale, Hermiticity and unit
+    trace at ROUNDOFF) from one read of the entries (_entry_problem), then
     the PSD floor on the returned spectrum's smallest value. Those entry
     checks are stricter than hermitian_eig's gate, so the symmetrised
     matrix goes to the solve without that gate. The values and vectors
@@ -279,22 +286,25 @@ def partial_transpose(a) -> np.ndarray:
 def trace_norm(a) -> float:
     """Sum of singular values (for Hermitian input: sum of |eigenvalues|)."""
     m = as_matrix(a)
-    # checked first: LAPACK prints argument errors for an infinite entry
-    if not np.isfinite(m).all():
-        raise ValueError(NON_FINITE)
+    # read first: LAPACK prints argument errors for an infinite entry
+    _in_scale(m.ravel().tolist())
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def is_unitary(u) -> bool:
-    """True iff u'u = I within SOLVER_TOL."""
+    """True iff u'u = I within SOLVER_TOL; False for a non-finite or
+    out-of-scale input (see _scale_problem)."""
     m = as_matrix(u)
+    if _scale_problem(m.ravel().tolist()):
+        return False
     return bool(np.abs(m.conj().T @ m - np.eye(4)).max() <= SOLVER_TOL)
 
 
 def conjugate(rho, u) -> np.ndarray:
-    """Unitary conjugation u rho u'. Preserves the spectrum; rejects a non-finite entry."""
+    """Unitary conjugation u rho u'. Preserves the spectrum; reads both
+    arguments through _scale_problem."""
     r = as_matrix(rho)
     m = as_matrix(u)
-    if _finite_entries(r) is None or _finite_entries(m) is None:
-        raise ValueError(NON_FINITE)
+    _in_scale(r.ravel().tolist())
+    _in_scale(m.ravel().tolist())
     return m @ r @ m.conj().T

@@ -5,7 +5,8 @@ formation, negativity (general and X-specialized), and a continuity
 bound for the relative entropy of entanglement. X-specialized forms are
 closed-form in the matrix entries and agree with the general routes to
 within matrix_core.SOLVER_TOL on valid inputs. Every route raises
-ValueError for a non-finite entry.
+ValueError for a non-finite or out-of-scale input (see
+matrix_core._scale_problem).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
     _hermitian_matrix,
+    _in_scale,
     _read_edge,
     as_matrix,
     hermitian_eig,
@@ -55,14 +57,11 @@ def floored(vals: np.ndarray) -> list[float]:
 def purity_general(rho) -> float:
     """tr rho^2, in [1/4, 1] for a valid state.
 
-    Behind hermitian_eig's gate: ValueError for a non-finite entry,
-    NonHermitianError for asymmetry above SOLVER_TOL.
+    Behind hermitian_eig's gate: ValueError for a non-finite or
+    out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
     m = _hermitian_matrix(rho)
-    purity = float((m @ m).trace().real)
-    if not math.isfinite(purity):
-        raise ValueError(NON_FINITE)
-    return purity
+    return float((m @ m).trace().real)
 
 
 def purity_x(p: XParams) -> float:
@@ -123,10 +122,10 @@ def concurrence_x(rho) -> float:
     without it a rank-deficient state's sqrt(d1 d4) reads the square
     root of diagonal round-off.
 
-    Reads the matrix through xstate._x_entries: ValueError for any
-    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL,
-    NonHermitianError for a coherence pair asymmetric beyond SOLVER_TOL;
-    the coherences are the upper ones (0,3) and (1,2).
+    Reads the matrix through xstate._x_entries: ValueError for a
+    non-finite or out-of-scale input, NotXFormError for an off-X entry
+    above DEFAULT_TOL, NonHermitianError for a coherence pair asymmetric
+    beyond SOLVER_TOL; the coherences are the upper ones (0,3) and (1,2).
     """
     d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
     outer, root_14 = _floored_block(d1, d4, abs(rho_14))
@@ -163,20 +162,17 @@ def eof(rho) -> float:
 def negativity_general(rho) -> float:
     """Minus the smallest partial-transpose eigenvalue, floored at 0.
 
-    Behind hermitian_eig's gate: ValueError for a non-finite entry,
-    NonHermitianError for asymmetry above SOLVER_TOL; the eigensolver
-    would read only one triangle of a non-Hermitian matrix.
+    Behind hermitian_eig's gate: ValueError for a non-finite or
+    out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL;
+    the eigensolver would read only one triangle of a non-Hermitian
+    matrix.
     """
     return _pt_negativity(_hermitian_matrix(rho))
 
 
 def _pt_negativity(m: np.ndarray) -> float:
     """negativity_general of a 4x4 matrix that has passed its gate."""
-    lowest = float(np.linalg.eigvalsh(partial_transpose(m)).min())
-    # finite entries near the float maximum can overflow; max(0.0, nan) is 0.0
-    if not math.isfinite(lowest):
-        raise ValueError(NON_FINITE)
-    return max(0.0, -lowest)
+    return max(0.0, -float(np.linalg.eigvalsh(partial_transpose(m)).min()))
 
 
 def negativity_x(rho) -> float:
@@ -186,10 +182,10 @@ def negativity_x(rho) -> float:
     xstate.partial_transpose_lows, with b = d2 + d3, c = d1 + d4,
     g_low = d2 - d3, h_low = d1 - d4, x = |rho_14|^2 and y = |rho_23|^2.
 
-    Reads the matrix through xstate._x_entries: ValueError for any
-    non-finite entry, NotXFormError for an off-X entry above DEFAULT_TOL,
-    NonHermitianError for a coherence pair asymmetric beyond SOLVER_TOL;
-    the coherences are the upper ones (0,3) and (1,2).
+    Reads the matrix through xstate._x_entries: ValueError for a
+    non-finite or out-of-scale input, NotXFormError for an off-X entry
+    above DEFAULT_TOL, NonHermitianError for a coherence pair asymmetric
+    beyond SOLVER_TOL; the coherences are the upper ones (0,3) and (1,2).
     """
     d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
     t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
@@ -204,7 +200,12 @@ def fannes_ree_bound(rho1, rho2) -> float:
     two relative entropies of entanglement is at most 8t - 2t log2(t); a
     t within ROUNDOFF above 1/3 reads as 1/3.
     """
-    t = _read_edge(trace_norm(as_matrix(rho1) - as_matrix(rho2)), 0.0, 1.0 / 3.0,
+    m1, m2 = as_matrix(rho1), as_matrix(rho2)
+    # each read on its own: their difference can cancel an out-of-scale
+    # pair, or meet inf - inf
+    _in_scale(m1.ravel().tolist())
+    _in_scale(m2.ravel().tolist())
+    t = _read_edge(trace_norm(m1 - m2), 0.0, 1.0 / 3.0,
                    OutOfRegimeError, "trace distance {value:.6g} exceeds 1/3")
     if t <= 0.0:
         return 0.0

@@ -69,9 +69,9 @@ import numpy as np
 
 from .matrix_core import (
     DEFAULT_TOL,
-    NON_FINITE,
     ROUNDOFF,
     Spectrum,
+    _in_scale,
     _read_edge,
     as_matrix,
     density_spectrum,
@@ -425,13 +425,13 @@ def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
 def mems_from_spectrum(spectrum) -> np.ndarray:
     """Maximally entangled mixed X-state with the given four eigenvalues.
 
-    Raises ValueError for a non-finite value.
+    Raises ValueError for four values that are non-finite or out of
+    scale, read as one input by matrix_core._scale_problem.
     """
     vals = np.asarray(spectrum, dtype=float)
     if vals.shape != (4,):
         raise ValueError("spectrum must hold exactly four values")
-    if not np.isfinite(vals).all():
-        raise ValueError(NON_FINITE)
+    _in_scale(vals.tolist())
     l1, l2, l3, l4 = np.sort(vals)[::-1]
     mid = 0.5 * (l1 + l3)
     return _x_matrix(l4, mid, mid, l2, 0.0, 0.5 * (l1 - l3))

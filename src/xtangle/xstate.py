@@ -35,9 +35,10 @@ from .matrix_core import (
     NON_FINITE,
     ROUNDOFF,
     SOLVER_TOL,
-    _finite_entries,
     _hermitian_gate,
+    _in_scale,
     _read_edge,
+    _scale_problem,
     as_matrix,
     hermitian_eigvals,
 )
@@ -121,10 +122,11 @@ def validate_params(p: XParams) -> None:
     _valid_weights(p)
 
 
-def _valid_weights(p: XParams) -> tuple[float, float]:
-    """The coherence weights (x, y) of p after validate_params' checks,
-    the chart's one read of them: a weight in [-ROUNDOFF, 0) reads as 0
-    (matrix_core._read_edge), a more negative or a NaN one raises."""
+def _valid_angles(p: XParams) -> None:
+    """The chart's angle checks: ValueError(NON_FINITE) for a NaN or
+    infinite angle or phase of p, then ValueError naming an angle outside
+    [0, pi/2] or a phase outside [0, 2 pi] by more than ROUNDOFF."""
+    _finite_angles(p.theta, p.phi, p.psi, p.mu, p.nu)
     half_pi = 0.5 * np.pi
     for name in ("theta", "phi", "psi"):
         v = getattr(p, name)
@@ -134,6 +136,14 @@ def _valid_weights(p: XParams) -> tuple[float, float]:
         v = getattr(p, name)
         if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
             raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
+
+
+def _valid_weights(p: XParams) -> tuple[float, float]:
+    """The coherence weights (x, y) of p after validate_params' checks,
+    the chart's one read of them: the angle checks (_valid_angles), then
+    a weight in [-ROUNDOFF, 0) reads as 0 (matrix_core._read_edge), a more
+    negative or a NaN one raises."""
+    _valid_angles(p)
     return (_read_edge(p.x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN"),
             _read_edge(p.y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN"))
 
@@ -147,9 +157,9 @@ def _finite_angles(*angles: float) -> None:
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
     """The four diagonal entries implied by (theta, phi, psi).
 
-    Raises ValueError(NON_FINITE) for a NaN or infinite angle.
+    Raises ValueError as the chart's angle checks do (_valid_angles).
     """
-    _finite_angles(p.theta, p.phi, p.psi)
+    _valid_angles(p)
     return _diagonal_of(p.theta, p.phi, p.psi)
 
 
@@ -267,41 +277,28 @@ def _x_matrix(d1, d2, d3, d4, rho_14, rho_23) -> np.ndarray:
 
 
 def _off_x_worst(e: list) -> float:
-    """The largest off-X magnitude among the 16 row-major entries e; NaN
-    if an off-X entry is NaN, inf if a finite one's magnitude overflows."""
+    """The largest off-X magnitude among the 16 admitted row-major entries e."""
     _, e01, e02, _, e10, _, _, e13, e20, _, _, e23, _, e31, e32, _ = e
-    try:
-        mags = (abs(e01), abs(e02), abs(e10), abs(e13), abs(e20), abs(e23), abs(e31), abs(e32))
-    except OverflowError:
-        # abs() raises where numpy's elementwise form reads inf
-        return math.inf
-    # max() keeps a NaN only in first place; the sum keeps it anywhere
-    return math.nan if math.isnan(sum(mags)) else max(mags)
+    return max(abs(e01), abs(e02), abs(e10), abs(e13), abs(e20), abs(e23), abs(e31), abs(e32))
 
 
 def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, float, complex, complex]:
     """(d1, d2, d3, d4, rho_14, rho_23) of an X-form matrix.
 
     The only place the package reads the X layout: all 16 entries in one
-    tolist(), by matrix_core._finite_entries. Raises ValueError(NON_FINITE) if any entry is NaN or
-    infinite, then NotXFormError naming the largest off-X magnitude if it
-    exceeds tol, then NonHermitianError if a coherence differs from the
-    conjugate of its mirror by more than SOLVER_TOL; a magnitude that
-    overflows reads as inf, as in matrix_core._entry_gate. Returns the
-    real diagonal and the upper coherences (0,3) and (1,2).
+    tolist(), through matrix_core._scale_problem. Raises ValueError for a
+    non-finite or out-of-scale input, then NotXFormError naming the
+    largest off-X magnitude if it exceeds tol, then NonHermitianError if
+    a coherence differs from the conjugate of its mirror by more than
+    SOLVER_TOL. Returns the real diagonal and the upper coherences (0,3)
+    and (1,2).
     """
-    e = _finite_entries(as_matrix(rho))
-    if e is None:
-        raise ValueError(NON_FINITE)
+    e = _in_scale(as_matrix(rho).ravel().tolist())
     worst = _off_x_worst(e)
     if not worst <= tol:
         raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")
     d1, _, _, rho_14, _, d2, rho_23, _, _, rho_32, d3, _, rho_41, _, _, d4 = e
-    try:
-        asymmetry = max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate()))
-    except OverflowError:
-        asymmetry = math.inf
-    _hermitian_gate(asymmetry)
+    _hermitian_gate(max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate())))
     return d1.real, d2.real, d3.real, d4.real, rho_14, rho_23
 
 
@@ -313,8 +310,10 @@ def to_density(p: XParams) -> np.ndarray:
 
 
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-X entry has magnitude <= tol; a NaN one fails."""
-    return bool(_off_x_worst(as_matrix(rho).ravel().tolist()) <= tol)
+    """True iff every off-X entry has magnitude <= tol; False for a
+    non-finite or out-of-scale input (see matrix_core._scale_problem)."""
+    e = as_matrix(rho).ravel().tolist()
+    return not _scale_problem(e) and bool(_off_x_worst(e) <= tol)
 
 
 def _clamp01(v: float) -> float:
@@ -328,13 +327,12 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
     Convention at degenerate diagonals: theta = arccos(sqrt(d1)); if
     sin(theta) vanishes, phi = psi = 0; if sin(phi) vanishes, psi = 0.
     Phases below the coherence magnitude tol are set to 0. Raises
-    ValueError for a non-finite argument, read from the sum of the
-    diagonal and the squared coherences.
+    ValueError for a non-finite or out-of-scale argument, the six read
+    as one input by matrix_core._scale_problem.
     """
+    _in_scale((d1, d2, d3, d4, coh_outer, coh_inner))
     x = abs(coh_outer) ** 2
     y = abs(coh_inner) ** 2
-    if not math.isfinite(d1 + d2 + d3 + d4 + x + y):
-        raise ValueError(NON_FINITE)
     # np.arccos and np.angle: math.acos and cmath.phase differ in the last bit
     theta = np.arccos(math.sqrt(_clamp01(d1)))
     st2 = 1.0 - _clamp01(d1)
@@ -357,13 +355,13 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
 def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     """Invert to_density. Requires the input to be X-form within tol.
 
-    Reads the matrix through _x_entries: ValueError for any non-finite
-    entry, NotXFormError for an off-X entry above tol, NonHermitianError
-    for a coherence pair asymmetric beyond SOLVER_TOL; the phases come
-    from the upper coherences (0,3) and (1,2). Each diagonal entry is read
-    on [0, 1] and the trace on [1, 1] (matrix_core._read_edge): outside
-    them by more than ROUNDOFF, UnphysicalError, as the chart has no point
-    for such a matrix.
+    Reads the matrix through _x_entries: ValueError for a non-finite or
+    out-of-scale input, NotXFormError for an off-X entry above tol,
+    NonHermitianError for a coherence pair asymmetric beyond SOLVER_TOL;
+    the phases come from the upper coherences (0,3) and (1,2). Each
+    diagonal entry is read on [0, 1] and the trace on [1, 1]
+    (matrix_core._read_edge): outside them by more than ROUNDOFF,
+    UnphysicalError, as the chart has no point for such a matrix.
     """
     *d, rho_14, rho_23 = _x_entries(rho, tol)
     read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
@@ -375,7 +373,7 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
 def char_poly(p: XParams) -> CharPolyCoeffs:
     """Characteristic-polynomial coefficients in closed form."""
     x, y = _valid_weights(p)
-    co = coeffs(p)
+    co = _coeffs_of(*_diagonal_of(p.theta, p.phi, p.psi))
     b, c, g, h = co.b_cal, co.c_cal, co.g_cal, co.h_cal
     return CharPolyCoeffs(
         a1=1.0,

@@ -340,6 +340,46 @@ def test_exit_invalid_state(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_parse_cell_not_a_pair(tmp_path, capsys):
+    path = tmp_path / "cell.json"
+    matrix = cli._matrix_to_obj(MAX_MIXED)
+    matrix[2][1] = [0.0, 0.0, 0.0]
+    path.write_text(json.dumps({"matrix": matrix}))
+    assert cli.main(["measure", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: entry (2,1) is not an [re, im] pair\n"
+
+
+def test_exit_invalid_out_of_scale_state(tmp_path, capsys):
+    # numpy warned of overflows before "Eigenvalues did not converge"
+    m = MAX_MIXED.astype(complex)
+    m[0, 1] = m[1, 0] = 1.5e308
+    path = write_json(tmp_path / "huge.json", m)
+    out = str(tmp_path / "x.json")
+    for argv in (["measure"], ["counterpart", "--out", out], ["classify"]):
+        assert cli.main(argv + ["--in", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid state: not a density matrix: "
+                                "entry magnitudes sum above 1e+100\n")
+
+
+def test_sweep_check_that_raises_fails_its_seed(monkeypatch, capsys):
+    def broken(seed, tol):
+        raise ZeroDivisionError(f"seed {seed}")
+
+    monkeypatch.setitem(cli._CHECK_FNS, "classify", broken)
+    assert cli.main(["sweep", "classify", "--count", "2", "--seed", "5"]) == 4
+    seeds = [cli.ensemble.child_seed(5, i) for i in range(2)]
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"FAIL classify seed={s}: ZeroDivisionError('seed {s}')" for s in seeds),
+        "2 failure(s)"]
+
+
+def test_help_exits_ok(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: xtangle")
+
+
 def test_file_not_found(capsys):
     assert cli.main(["measure", "--in", "/nonexistent/state.json"]) == 2
     capsys.readouterr()

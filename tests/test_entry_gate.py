@@ -1,7 +1,8 @@
 """The 4x4 entry gate and eigen layer against their former numpy forms.
 
 The entry checks are read from one tolist() in Python (matrix_core
-._entry_gate) and the eigenvector phases are divided out in one step.
+._scale_problem, then _entry_gate) and the eigenvector phases are divided
+out in one step.
 The numpy bodies they replaced are kept here as oracles: the verdicts,
 exception types and messages, and the eigen layer's bits, must match.
 """
@@ -26,7 +27,9 @@ from xtangle import (
     to_density,
 )
 from xtangle.matrix_core import (
+    ENTRY_SCALE,
     NON_FINITE,
+    OUT_OF_SCALE,
     ROUNDOFF,
     SOLVER_TOL,
     Spectrum,
@@ -39,9 +42,20 @@ from reference_states import M40
 
 # ---- the former numpy bodies, as oracles ------------------------------------
 
+def _scale_problem_oracle(m):
+    # numpy's abs reads an overflowing magnitude as inf, with a warning
+    with np.errstate(all="ignore"):
+        if not np.isfinite(m).all():
+            return NON_FINITE
+        if np.abs(m).sum() > ENTRY_SCALE:
+            return OUT_OF_SCALE
+    return ""
+
+
 def _entry_problem_oracle(m):
-    if not np.isfinite(m).all():
-        return NON_FINITE
+    why = _scale_problem_oracle(m)
+    if why:
+        return why
     if np.abs(m - m.conj().T).max() > ROUNDOFF:
         return "not Hermitian"
     tr = m.trace()
@@ -52,10 +66,11 @@ def _entry_problem_oracle(m):
 
 def _hermitian_part_oracle(a):
     m = as_matrix(a)
+    why = _scale_problem_oracle(m)
+    if why:
+        raise ValueError(why)
     dev = np.abs(m - m.conj().T).max()
     if not dev <= SOLVER_TOL:
-        if not np.isfinite(m).all():
-            raise ValueError(NON_FINITE)
         raise NonHermitianError(f"matrix is not Hermitian within {SOLVER_TOL:g}")
     return 0.5 * (m + m.conj().T)
 
@@ -138,7 +153,7 @@ def _table():
         for i in range(4):
             # |m - m^dagger| reads twice the imaginary part on the diagonal
             cases[f"diag_im_{scale}x{tol:g}@{i}"] = _with(i, i, _BASE[i, i] + 0.5j * dev)
-    # finite entries whose |m - m^dagger| overflows: numpy reads inf
+    # a finite entry whose magnitude overflows: out of scale
     cases["asym_overflow@01"] = _with(0, 1, complex(1.5e308, 1.5e308))
     for scale, sign in itertools.product((0.5, 2.0), (1.0, -1.0)):
         cases[f"trace_{sign * scale:+}xROUNDOFF"] = _with(0, 0, _BASE[0, 0] + sign * scale * ROUNDOFF)
@@ -168,7 +183,6 @@ _PAIRS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_gate_matches_numpy_oracle(name):
     m = _CASES[name]
@@ -184,11 +198,11 @@ def test_gate_matches_numpy_oracle(name):
             assert got == want
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_table_covers_every_verdict():
     verdicts = {_outcome(_density_spectrum_oracle, m)[1] for m in _CASES.values()
                 if _outcome(_density_spectrum_oracle, m)[0] != "ok"}
     assert "not a density matrix: non-finite entry" in verdicts
+    assert f"not a density matrix: {OUT_OF_SCALE}" in verdicts
     assert "not a density matrix: not Hermitian" in verdicts
     assert any(v.startswith("not a density matrix: trace ") for v in verdicts)
     eig = {_outcome(_hermitian_eig_oracle, m)[0] for m in _CASES.values()}

@@ -18,7 +18,7 @@ from xtangle import (
     random_density,
     trace_norm,
 )
-from xtangle.matrix_core import density_spectrum
+from xtangle.matrix_core import OUT_OF_SCALE, density_spectrum
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -198,16 +198,19 @@ def test_is_density_matrix():
     assert not ok
     ok, _ = is_density_matrix(np.eye(4))
     assert not ok  # trace 4
-    # finite and Hermitian, but the block [[1/4, z], [z*, 1/4]] has the
-    # eigenvalue 1/4 - |z| < 0; eigvalsh overflows and returns four NaNs
+    # finite and Hermitian, but its entry magnitudes overflow: out of scale
     bad[0, 1] = complex(1.5e308, 1.5e308)
     bad[1, 0] = bad[0, 1].conjugate()
-    assert is_density_matrix(bad) == (False, "non-finite eigenvalue")
+    assert is_density_matrix(bad) == (False, OUT_OF_SCALE)
 
 
 def test_as_matrix_shape_guard():
     with pytest.raises(ValueError):
         as_matrix(np.eye(3))
+
+
+def test_is_density_matrix_names_a_wrong_shape():
+    assert is_density_matrix(np.eye(3)) == (False, "expected a 4x4 matrix, got shape (3, 3)")
 
 
 def _non_finite_inputs():
@@ -226,8 +229,6 @@ def test_is_density_matrix_rejects_non_finite():
             density_spectrum(m)
 
 
-# numpy warns of the invalid arithmetic a NaN or inf entry causes
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
 @pytest.mark.parametrize("where", [(1, 1), (0, 3)], ids=["diagonal", "off_diagonal"])
 @pytest.mark.parametrize("fn", [hermitian_eig, concurrence_general, negativity_general,

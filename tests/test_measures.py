@@ -1,5 +1,7 @@
 """Purity, concurrence, entanglement of formation, negativity, Fannes bound."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from xtangle import (
     to_density,
     trace_norm,
 )
-from xtangle.matrix_core import EIG_FLOOR, SOLVER_TOL, density_spectrum
+from xtangle.matrix_core import EIG_FLOOR, OUT_OF_SCALE, SOLVER_TOL, density_spectrum
 from xtangle.measures import concurrence_from_eig, floored
 
 from reference_states import (
@@ -182,8 +184,6 @@ def test_fannes_bound():
         fannes_ree_bound(a, c)
 
 
-# numpy warns of the invalid arithmetic a NaN or inf entry causes
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
 @pytest.mark.parametrize("where", [(1, 1), (0, 0), (0, 3), (1, 0)],
                          ids=["diagonal", "corner_diagonal", "coherence", "off_x"])
@@ -198,7 +198,6 @@ def test_x_form_non_finite_entry_raises(fn, where, value):
         fn(m)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fn", [concurrence_x, negativity_x, from_density],
                          ids=lambda fn: fn.__name__)
 def test_x_form_lower_coherence_non_finite_raises(fn):
@@ -248,18 +247,18 @@ def test_overflowing_off_x_entry_is_not_x_form():
     m[1, 0] = HUGE.conjugate()
     assert not is_x_form(m)
     for fn in X_READERS:
-        with pytest.raises(NotXFormError, match="^off-X entry of magnitude inf exceeds"):
+        with pytest.raises(ValueError, match=f"^{re.escape(OUT_OF_SCALE)}$"):
             fn(m)
 
 
 def test_overflowing_coherence_asymmetry_is_not_hermitian():
     m = MAX_MIXED.astype(complex)
     m[0, 3] = HUGE
-    # the off-X entries are 0, so the matrix is X-form; its (0,3)/(3,0)
-    # pair is as asymmetric as a finite pair can be
-    assert is_x_form(m)
+    # the off-X entries are 0, but the input is out of scale before any
+    # X-form or Hermiticity test
+    assert not is_x_form(m)
     for fn in X_READERS:
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(ValueError, match=f"^{re.escape(OUT_OF_SCALE)}$"):
             fn(m)
 
 

@@ -402,6 +402,18 @@ def test_mems_from_spectrum_rejects_non_finite(value):
         mems_from_spectrum([value, 0.3, 0.3, 0.4])
 
 
+@pytest.mark.parametrize("spectrum", [(0.5, 0.3, 0.2), (0.25,) * 5, [[0.5, 0.5], [0.0, 0.0]]],
+                         ids=["three", "five", "2x2"])
+def test_mems_from_spectrum_rejects_a_spectrum_not_of_four(spectrum):
+    with pytest.raises(ValueError, match="^spectrum must hold exactly four values$"):
+        mems_from_spectrum(spectrum)
+
+
+def test_counterpart_rejects_an_unknown_measure():
+    with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
+        counterpart_details(M40, "bogus")
+
+
 def test_counterpart_bell():
     res = counterpart_details(BELL_PHI_PLUS, "concurrence")
     assert res.tau == 0.0

@@ -22,6 +22,7 @@ from xtangle import (
     numerical_rank,
     random_xparams,
     to_density,
+    validate_params,
 )
 from xtangle.matrix_core import DEFAULT_TOL
 from xtangle.xstate import _classify_arrays, _rank_class
@@ -240,15 +241,37 @@ def test_nan_coherence_weight_raises(fn, field):
         fn(dataclasses.replace(p, **{field: float("nan")}))
 
 
+CHART_ROUTES = [diagonal, coeffs, to_density, is_physical, char_poly, validate_params,
+                lambda p: conjugate_x(p, 0.1)]
+CHART_ROUTE_IDS = ["diagonal", "coeffs", "to_density", "is_physical", "char_poly",
+                   "validate_params", "conjugate_x"]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                          ids=["nan", "inf", "minus_inf"])
-@pytest.mark.parametrize("field", ["theta", "phi", "psi"])
-@pytest.mark.parametrize("fn", [diagonal, coeffs], ids=["diagonal", "coeffs"])
+@pytest.mark.parametrize("field", ["theta", "phi", "psi", "mu", "nu"])
+@pytest.mark.parametrize("fn", CHART_ROUTES, ids=CHART_ROUTE_IDS)
 def test_chart_reader_rejects_a_non_finite_angle(fn, field, value):
-    # a NaN angle gave NaN entries and an infinite one a bare math domain error
+    # a NaN angle gave NaN entries and an infinite one a bare math domain
+    # error; the range check named it "theta=nan outside [0, pi/2]"
     p = dataclasses.replace(XParams(0.7, 0.8, 0.9, 0.0, 0.0), **{field: value})
     with pytest.raises(ValueError, match="^non-finite entry$"):
         fn(p)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("theta", 2.0, "theta=2.0 outside [0, pi/2]"),
+    ("psi", -0.5, "psi=-0.5 outside [0, pi/2]"),
+    ("mu", 7.0, "mu=7.0 outside [0, 2 pi]"),
+    ("nu", -1.0, "nu=-1.0 outside [0, 2 pi]"),
+], ids=["theta", "psi", "mu", "nu"])
+@pytest.mark.parametrize("fn", CHART_ROUTES, ids=CHART_ROUTE_IDS)
+def test_chart_route_rejects_an_angle_out_of_range(fn, field, value, message):
+    # diagonal and coeffs accepted theta = 2.0
+    p = dataclasses.replace(XParams(0.7, 0.8, 0.9, 0.0, 0.0), **{field: value})
+    with pytest.raises(ValueError) as err:
+        fn(p)
+    assert str(err.value) == message
 
 
 # the rank rule on every combination of its six tests: bit i of the index
