@@ -102,8 +102,9 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _scale_problem(values) -> str:
-    """"" when the magnitudes of the Python numbers values sum to at most
-    ENTRY_SCALE; else the reason, NON_FINITE or OUT_OF_SCALE.
+    """Why the Python numbers values are rejected: NON_FINITE for a NaN or
+    infinite value, else OUT_OF_SCALE if their magnitudes sum above
+    ENTRY_SCALE; "" when they are admitted.
 
     The package's one input-scale read: of a 4x4 matrix's 16 entries, from
     one tolist(), and of the values of params_from_entries and
