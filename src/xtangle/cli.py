@@ -268,18 +268,19 @@ def _check_disentangle(seed: int, tol: float) -> bool:
 
 def _check_counterpart(seed: int, tol: float) -> bool:
     rho = ensemble.random_density(seed)
-    spec_in = hermitian_eigvals(rho)
     for measure in universality.MEASURES:
-        out = universality.counterpart_details(rho, measure).state
+        # the record holds rho's spectrum and measure from the conversion's
+        # own solve of rho (its target is concurrence_general(rho) or
+        # negativity_general(rho) bit for bit), so only the output is
+        # solved afresh; a wrong record fails the check as a wrong output does
+        res = universality.counterpart_details(rho, measure)
+        out = res.state
         if not is_x_form(out, tol=tol):
             return False
-        if float(np.abs(hermitian_eigvals(out) - spec_in).max()) > tol:
+        if float(np.abs(hermitian_eigvals(out) - res.spectrum).max()) > tol:
             return False
-        if measure == "concurrence":
-            delta = abs(concurrence_general(out) - concurrence_general(rho))
-        else:
-            delta = abs(negativity_general(out) - negativity_general(rho))
-        if delta > tol:
+        general = concurrence_general if measure == "concurrence" else negativity_general
+        if abs(general(out) - res.target) > tol:
             return False
     return True
 

@@ -262,8 +262,6 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
             raise DomainError(f"r3k2 needs purity in [1/2, 5/9[, got {p!r}")
         c = _read_edge(c, 0.0, scalar_v(p), DomainError, _RANK3_C)
         z = _read_edge(scalar_z(p, c), 0.0, 1.0, DomainError, "r3k2 z={value!r} outside [0, 1]")
-        if c > z + ROUNDOFF:
-            raise DomainError(f"r3k2 cannot realize ({p!r}, {c!r}): z={z!r}")
         return XParams(theta=float(np.arcsin(np.sqrt(z))), phi=0.25 * np.pi,
                        psi=0.0, x=0.0, y=c * c / 4.0)
     raise DomainError(f"unknown variant {variant!r}")

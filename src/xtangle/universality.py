@@ -85,12 +85,11 @@ from .measures import (
     negativity_x,
 )
 from .xstate import (
+    XCoeffs,
     XParams,
-    _diagonal_of,
     _entangled_outer,
     _finite_angles,
     _physical_coeffs,
-    _valid_weights,
     _x_matrix,
     params_from_entries,
     to_density,
@@ -215,11 +214,13 @@ def conjugate_x(p: XParams, b1: float, b2: float = 0.0,
     """Parameters of V rho V^dagger for the block rotation V(b1..b4).
 
     Closed form; equals from_density(conjugate(to_density(p), V)) up to
-    round-off. Raises ValueError for a non-finite angle, as x_unitary does.
+    round-off. Reads p as to_density does (xstate._physical_coeffs):
+    ValueError for an invalid point, UnphysicalError for one outside the
+    positivity range. Then raises ValueError for a non-finite angle, as
+    x_unitary does.
     """
-    x, y = _valid_weights(p)
+    _, (d1, d2, d3, d4), x, y = _physical_coeffs(p)
     _finite_angles(b1, b2, b3, b4)
-    d1, d2, d3, d4 = _diagonal_of(p.theta, p.phi, p.psi)
     d1n, d4n, outer = _rotated_block(d1, d4, math.sqrt(x), p.mu, b1, b2)
     d2n, d3n, inner = _rotated_block(d2, d3, math.sqrt(y), p.nu, b3, b4)
     return params_from_entries(d1n, d2n, d3n, d4n, outer, inner)
@@ -241,18 +242,23 @@ def _half_angle(a: float, tgt: float, dd: float) -> tuple[float, float, float]:
     """Rotation half-angle taking coherence a down to tgt along the
     monotone-in-effect root; returns (b, cos 2b, sin 2b).
 
-    a and tgt are >= 0 (xstate._valid_weights reads a chart weight); dd
-    is the population difference of the block. The returned branch keeps
-    the running coherence at or above tgt for every intermediate angle;
-    the quadratic's other root crosses zero first when dd < 0.
+    a > 0 and tgt >= 0: every caller walks a coherence down from above
+    its floor, a product of populations. dd is the population difference
+    of the block. The returned branch keeps the running coherence at or
+    above tgt for every intermediate angle; the quadratic's other root
+    crosses zero first when dd < 0.
     """
     xp = (0.5 * dd) ** 2 + a
-    if xp <= 0.0:
-        return 0.0, 1.0, 0.0
     head = max(xp - tgt, 0.0)
     c2b = (math.sqrt(tgt * a) + 0.5 * dd * math.sqrt(head)) / xp
     s2b = (math.sqrt(a * head) - 0.5 * dd * math.sqrt(tgt)) / xp
     return 0.5 * math.atan2(s2b, c2b), c2b, s2b
+
+
+def _leg(cf: XCoeffs, x: float, y: float, outer: bool) -> tuple[float, float, float, float]:
+    """(coherence, population difference, floor, partner sum) of the walk
+    on the outer coherence x or the inner one y of a state with XCoeffs cf."""
+    return (x, cf.h_low, cf.g_cal, cf.b_cal) if outer else (y, cf.g_low, cf.h_cal, cf.c_cal)
 
 
 def disentangle_params(p: XParams) -> DisentangleSolution:
@@ -278,10 +284,7 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     cf, _, x, y = _physical_coeffs(p)
     entangled_outer = _entangled_outer(cf, x, y)
     outer_leg = cf.h_cal >= cf.g_cal if entangled_outer is None else entangled_outer
-    if outer_leg:
-        a, tgt, dd = x, cf.g_cal, cf.h_low
-    else:
-        a, tgt, dd = y, cf.h_cal, cf.g_low
+    a, dd, tgt, _ = _leg(cf, x, y, outer_leg)
     b = z_minus = 0.0
     s_tilde = 0
     if entangled_outer is None:
@@ -315,22 +318,23 @@ def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
 def _path_inputs(p: XParams, sol: DisentangleSolution,
                  measure: str) -> tuple[float, float, float, float, float]:
     """(coherence, population difference, floor target, partner sum, angle)
-    from one read of the chart; all 0 on "already_separable", unread.
-    Raises ValueError for a branch no solution carries."""
+    of the walk's leg (_leg), from one read of the chart
+    (xstate._physical_coeffs), which runs on every label; all 0 on
+    "already_separable". Raises ValueError for a branch no solution
+    carries, or one whose leg's own population product is below its floor
+    by more than DEFAULT_TOL."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
+    cf, _, x, y = _physical_coeffs(p)
     if sol.branch == "already_separable":
         return 0.0, 0.0, 0.0, 0.0, 0.0
-    cf, _, x, y = _physical_coeffs(p)
-    if sol.branch in ("HgtG", "h_zero"):
-        if cf.h_cal < cf.g_cal - DEFAULT_TOL:
-            raise ValueError("solution branch does not match the state")
-        return x, cf.h_low, cf.g_cal, cf.b_cal, sol.b1
-    if sol.branch in ("GgtH", "g_zero"):
-        if cf.g_cal < cf.h_cal - DEFAULT_TOL:
-            raise ValueError("solution branch does not match the state")
-        return y, cf.g_low, cf.h_cal, cf.c_cal, sol.b3
-    raise ValueError(f"unknown solution branch {sol.branch!r}")
+    outer = sol.branch in ("HgtG", "h_zero")
+    if not outer and sol.branch not in ("GgtH", "g_zero"):
+        raise ValueError(f"unknown solution branch {sol.branch!r}")
+    a, dd, floor, partner = _leg(cf, x, y, outer)
+    if (cf.h_cal if outer else cf.g_cal) < floor - DEFAULT_TOL:
+        raise ValueError("solution branch does not match the state")
+    return a, dd, floor, partner, sol.b1 if outer else sol.b3
 
 
 def _coherence_at(a: float, dd: float, b: float, tau: float) -> float:

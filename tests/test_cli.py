@@ -1,5 +1,6 @@
 """CLI commands, file formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -220,6 +221,33 @@ def test_sweep_tol_gates_counterpart(capsys):
     assert cli.main(["sweep", "counterpart", "--count", "2", "--seed", "7",
                      "--tol", "1e-30"]) == 4
     assert "FAIL counterpart" in capsys.readouterr().out
+
+
+def test_sweep_classify_fails_on_a_rank_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "numerical_rank", lambda rho: 0)
+    assert cli.main(["sweep", "classify", "--count", "1", "--seed", "5"]) == 4
+    seed = cli.ensemble.child_seed(5, 0)
+    assert capsys.readouterr().out.splitlines() == [f"FAIL classify seed={seed}", "1 failure(s)"]
+
+
+def _off_x(res):
+    state = res.state.copy()
+    state[0, 1] = 1e-6
+    return dataclasses.replace(res, state=state)
+
+
+@pytest.mark.parametrize("fault", [
+    _off_x,
+    lambda res: dataclasses.replace(res, spectrum=res.spectrum + 1e-6),
+    lambda res: dataclasses.replace(res, target=res.target + 1e-6),
+], ids=["off_x_state", "spectrum", "target"])
+def test_sweep_counterpart_fails_on_a_faulty_record(monkeypatch, capsys, fault):
+    convert = cli.universality.counterpart_details
+    monkeypatch.setattr(cli.universality, "counterpart_details",
+                        lambda rho, measure: fault(convert(rho, measure)))
+    assert cli.main(["sweep", "--count", "1", "--seed", "3", "counterpart"]) == 4
+    seed = cli.ensemble.child_seed(3, 0)
+    assert capsys.readouterr().out.splitlines() == [f"FAIL counterpart seed={seed}", "1 failure(s)"]
 
 
 def test_rank_kind_targets_order():

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from xtangle import ensemble
 from xtangle import (
     ConstraintInfeasibleError,
     RankClass,
@@ -139,6 +140,13 @@ def test_random_xparams_infeasible():
     for rank, kind in ((1, 3), (3, 3), (4, 2), (4, 3)):
         with pytest.raises(ConstraintInfeasibleError):
             random_xparams(1, f"rank_{rank}_kind_{kind}")
+
+
+def test_random_xparams_gives_up_after_max_tries(monkeypatch):
+    monkeypatch.setattr(ensemble, "MAX_TRIES", 0)
+    with pytest.raises(ConstraintInfeasibleError,
+                       match=r"^no draw met 'entangled' within 0 tries \(seed 5\)$"):
+        random_xparams(5, "entangled")
 
 
 def test_random_xparams_unknown_constraint():

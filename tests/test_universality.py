@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from xtangle import (
     TargetOutOfRangeError,
+    UnphysicalError,
     XParams,
     child_seed,
     coeffs,
@@ -309,14 +310,37 @@ def test_along_formulas_match_full_matrix():
 
 
 def test_along_rejects_branch_mismatch():
-    p = entangled_draw(9)
-    sol = disentangle_params(p)
-    wrong = "GgtH" if sol.branch in ("HgtG", "h_zero") else "HgtG"
-    bad = type(sol)(b1=sol.b3, b2=sol.b2, b3=sol.b1, b4=sol.b4,
-                    x_plus=sol.x_plus, x_minus=sol.x_minus,
-                    z_minus=sol.z_minus, s_tilde=sol.s_tilde, branch=wrong)
-    with pytest.raises(ValueError):
-        concurrence_along(p, bad, 0.5)
+    # draw 9 walks the inner leg and draw 0 the outer one, so each is
+    # relabelled onto the other leg
+    for i in (9, 0):
+        p = entangled_draw(i)
+        sol = disentangle_params(p)
+        wrong = "GgtH" if sol.branch in ("HgtG", "h_zero") else "HgtG"
+        bad = type(sol)(b1=sol.b3, b2=sol.b2, b3=sol.b1, b4=sol.b4,
+                        x_plus=sol.x_plus, x_minus=sol.x_minus,
+                        z_minus=sol.z_minus, s_tilde=sol.s_tilde, branch=wrong)
+        with pytest.raises(ValueError):
+            concurrence_along(p, bad, 0.5)
+
+
+@pytest.mark.parametrize("route", [
+    lambda p, sol: concurrence_along(p, sol, 0.5),
+    lambda p, sol: negativity_along(p, sol, 0.5),
+    lambda p, sol: solve_tau(p, sol, 0.0),
+], ids=["concurrence_along", "negativity_along", "solve_tau"])
+def test_walk_readers_read_the_point_on_the_separable_label(route):
+    # the label carries no angle to walk, yet the point is read as evolve reads it
+    sol = disentangle_params(random_xparams(9300, "separable"))
+    assert sol.branch == "already_separable"
+    for p, error, match in (
+        (XParams(np.nan, 0.8, 0.9, 0.0, 0.0), ValueError, "^non-finite entry$"),
+        (XParams(0.7, 0.8, 0.9, 5.0, 0.0), UnphysicalError, "exceeds the positivity range$"),
+    ):
+        with pytest.raises(error, match=match) as walked:
+            evolve(p, sol, 0.5)
+        with pytest.raises(error, match=match) as read:
+            route(p, sol)
+        assert (type(read.value), str(read.value)) == (type(walked.value), str(walked.value))
 
 
 def test_solve_tau_endpoints():

@@ -82,11 +82,13 @@ def test_to_density_phases():
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_to_density_rejects_excess_coherence():
+@pytest.mark.parametrize("route", [to_density, lambda p: conjugate_x(p, 0.1)],
+                         ids=["to_density", "conjugate_x"])
+def test_to_density_rejects_excess_coherence(route):
     p = XParams(np.pi / 4, np.pi / 2, np.pi / 2, 0.26, 0.0, 0.0, 0.0)  # x > H = 1/4
     assert not is_physical(p)
     with pytest.raises(UnphysicalError):
-        to_density(p)
+        route(p)
 
 
 def test_from_density_round_trip():
