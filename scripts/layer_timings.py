@@ -2,13 +2,16 @@
 
 Times hermitian_eig, density_spectrum, is_density_matrix,
 concurrence_general, negativity_general and counterpart_details (both
-measures) on 64 seeded states; random_density and random_unitary on their
-64 seeds; random_xparams on 64 seeds cycling its eleven constraints;
+measures) on 64 seeded states, and fannes_ree_bound on each of them
+paired with its mix 0.9 rho + 0.1 I/4 (a trace distance of at most
+0.15); random_density and random_unitary on their 64 seeds;
+random_xparams on 64 seeds cycling its eleven constraints;
 disentangle_params and solve_tau (half the starting value, the two
 measures in turn) on 64 seeded entangled X-state draws; conjugate_x
 (four seeded angles), evolve (tau = 1/2 of the disentangling walk),
-to_density and is_separable on those draws; x_unitary at the same four
-angles; classify_rank on 64 seeded draws over the eight rank/kind
+to_density and is_separable on those draws, and from_density,
+concurrence_x and negativity_x on their matrices; x_unitary at the same
+four angles; classify_rank on 64 seeded draws over the eight rank/kind
 classes; and cp_boundary, boundary_scalars (concurrence 0) and
 minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
 the edges 1/3, 5/9 and 1 among them. Prints one JSON
@@ -26,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import time
+
+import numpy as np
 
 import xtangle as xt
 from xtangle.ensemble import RANK_KIND_TARGETS
@@ -46,6 +51,7 @@ def layers() -> dict:
     states = [(xt.random_density(s, k),) for s, k in zip(seeds, kinds)]
     walks = [xt.random_xparams(xt.child_seed(2, i), "entangled") for i in range(STATES)]
     sols = [xt.disentangle_params(p) for p in walks]
+    walk_states = [(xt.to_density(p),) for p in walks]
     targets = []
     for i, (p, sol) in enumerate(zip(walks, sols)):
         measure = MEASURES[i % 2]
@@ -62,6 +68,8 @@ def layers() -> dict:
         "is_density_matrix": (xt.is_density_matrix, states),
         "concurrence_general": (xt.concurrence_general, states),
         "negativity_general": (xt.negativity_general, states),
+        "fannes_ree_bound": (xt.fannes_ree_bound,
+                             [(rho, 0.9 * rho + 0.025 * np.eye(4)) for (rho,) in states]),
         "counterpart_details_concurrence": (
             lambda rho: xt.counterpart_details(rho, "concurrence"), states),
         "counterpart_details_negativity": (
@@ -76,6 +84,9 @@ def layers() -> dict:
         "x_unitary": (xt.x_unitary, [tuple(b) for b in angles]),
         "evolve": (xt.evolve, [(p, sol, 0.5) for p, sol in zip(walks, sols)]),
         "to_density": (xt.to_density, [(p,) for p in walks]),
+        "from_density": (xt.from_density, walk_states),
+        "concurrence_x": (xt.concurrence_x, walk_states),
+        "negativity_x": (xt.negativity_x, walk_states),
         "is_separable": (xt.is_separable, [(p,) for p in walks]),
         "classify_rank": (xt.classify_rank, classes),
         "cp_boundary": (xt.cp_boundary, [(p,) for p in purities]),

@@ -24,6 +24,7 @@ from .ensemble import RANK_KIND_TARGETS
 from .matrix_core import (
     DEFAULT_TOL,
     SOLVER_TOL,
+    _read_tol,
     conjugate,
     density_spectrum,
     hermitian_eigvals,
@@ -106,7 +107,8 @@ def read_state(path: str) -> np.ndarray:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or arrays nested past the recursion limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ParseError(f"{path}: missing 'matrix' key")
@@ -326,19 +328,21 @@ def cmd_sweep(args) -> int:
 
 
 def _checked(convert, ok, requirement: str):
-    """An argparse type: convert(text), which must satisfy ok."""
+    """An argparse type: convert(text), which must satisfy ok; either
+    may reject it by raising ValueError."""
     def parse(text: str):
         try:
             val = convert(text)
+            if ok(val):
+                return val
         except ValueError:
-            val = None
-        if val is None or not ok(val):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
-        return val
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
     return parse
 
 
-_tolerance = _checked(float, lambda v: 0.0 < v < math.inf, "must be a number in (0, inf)")
+# the library's tol rule, matrix_core._read_tol: a tol it returns is > 0
+_tolerance = _checked(float, _read_tol, "must be a number in (0, inf)")
 _count = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 _grid = _checked(int, lambda v: v >= 2, "must be an integer >= 2")
 

@@ -32,8 +32,8 @@ from .xstate import (
     XParams,
     _coeffs_of,
     _diagonal_of,
+    _entangled_outer,
     _rank_class,
-    _separable,
 )
 
 __all__ = ["ConstraintInfeasibleError", "SplitMix64", "child_seed", "random_density",
@@ -200,11 +200,11 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     """Random physical X-state parameters under a constraint.
 
     constraint: "any", "entangled", "separable", or "rank_R_kind_K".
-    A draw is checked by is_separable's rule, xstate._separable
-    ("entangled", "separable"), or classify_rank's, xstate._rank_class at
-    DEFAULT_TOL (rank/kind targets), on the chart it was drawn from, and
-    redrawn on failure; after MAX_TRIES the constraint is declared
-    infeasible.
+    A draw is checked by is_separable's rule, xstate._entangled_outer
+    giving None ("entangled", "separable"), or classify_rank's,
+    xstate._rank_class at DEFAULT_TOL (rank/kind targets), on the chart
+    it was drawn from, and redrawn on failure; after MAX_TRIES the
+    constraint is declared infeasible.
     """
     rng = SplitMix64(seed)
     want: tuple[int, int] | None = None
@@ -232,7 +232,7 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
         separable = constraint == "separable"
         x_cap, y_cap = (min(cf.g_cal, cf.h_cal),) * 2 if separable else (cf.h_cal, cf.g_cal)
         p = XParams(theta, phi, psi, rng.uniform(0.0, x_cap), rng.uniform(0.0, y_cap), mu, nu)
-        if constraint == "any" or _separable(cf, p.x, p.y) == separable:
+        if constraint == "any" or (_entangled_outer(cf, p.x, p.y) is None) == separable:
             return p
     raise ConstraintInfeasibleError(
         f"no draw met {constraint!r} within {MAX_TRIES} tries (seed {seed})"

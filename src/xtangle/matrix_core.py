@@ -78,6 +78,19 @@ def _read_edge(value, lo, hi, error, message):
     raise error(message.format(value=value, lo=lo, hi=hi))
 
 
+def _read_tol(tol):
+    """tol as a tolerance: a real number in (0, inf), the range of every
+    tol keyword and of the CLI's --tol. Anything else, NaN included,
+    raises ValueError naming it."""
+    try:
+        if 0.0 < tol < np.inf:
+            return tol
+    except (TypeError, ValueError):
+        # not comparable with a float, or an array of several values
+        pass
+    raise ValueError(f"tol={tol!r} is not a number in (0, inf)")
+
+
 class NonHermitianError(ValueError):
     """Raised when an operation requiring a Hermitian matrix gets one that is not."""
 
@@ -289,6 +302,11 @@ def trace_norm(a) -> float:
     m = as_matrix(a)
     # read first: LAPACK prints argument errors for an infinite entry
     _in_scale(m.ravel().tolist())
+    return _trace_norm(m)
+
+
+def _trace_norm(m: np.ndarray) -> float:
+    """trace_norm of a finite 4x4 matrix, unread."""
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

@@ -21,10 +21,10 @@ from .matrix_core import (
     _hermitian_matrix,
     _in_scale,
     _read_edge,
+    _trace_norm,
     as_matrix,
     hermitian_eig,
     partial_transpose,
-    trace_norm,
 )
 from .xstate import (
     XParams,
@@ -124,10 +124,15 @@ def concurrence_x(rho) -> float:
 
     Reads the matrix through xstate._x_entries: ValueError for a
     non-finite or out-of-scale input, NotXFormError for an off-X entry
-    above DEFAULT_TOL, NonHermitianError for a coherence pair asymmetric
-    beyond SOLVER_TOL; the coherences are the upper ones (0,3) and (1,2).
+    above DEFAULT_TOL, NonHermitianError for a coherence pair or a
+    diagonal entry non-Hermitian beyond SOLVER_TOL; the coherences are
+    the upper ones (0,3) and (1,2).
     """
-    d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
+    return _concurrence_of(*_x_entries(rho))
+
+
+def _concurrence_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
+    """concurrence_x of the X entries (xstate._x_entries' tuple), unread."""
     outer, root_14 = _floored_block(d1, d4, abs(rho_14))
     inner, root_23 = _floored_block(d2, d3, abs(rho_23))
     return 2.0 * max(0.0, inner - root_14, outer - root_23)
@@ -184,10 +189,15 @@ def negativity_x(rho) -> float:
 
     Reads the matrix through xstate._x_entries: ValueError for a
     non-finite or out-of-scale input, NotXFormError for an off-X entry
-    above DEFAULT_TOL, NonHermitianError for a coherence pair asymmetric
-    beyond SOLVER_TOL; the coherences are the upper ones (0,3) and (1,2).
+    above DEFAULT_TOL, NonHermitianError for a coherence pair or a
+    diagonal entry non-Hermitian beyond SOLVER_TOL; the coherences are
+    the upper ones (0,3) and (1,2).
     """
-    d1, d2, d3, d4, rho_14, rho_23 = _x_entries(rho)
+    return _negativity_of(*_x_entries(rho))
+
+
+def _negativity_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
+    """negativity_x of the X entries (xstate._x_entries' tuple), unread."""
     t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
                                     abs(rho_14) ** 2, abs(rho_23) ** 2)
     return float(-min(0.0, t1, t2) + 0.0)
@@ -198,14 +208,16 @@ def fannes_ree_bound(rho1, rho2) -> float:
 
     For trace distance t = ||rho1 - rho2||_tr <= 1/3 the difference of the
     two relative entropies of entanglement is at most 8t - 2t log2(t); a
-    t within ROUNDOFF above 1/3 reads as 1/3.
+    t within ROUNDOFF above 1/3 reads as 1/3. Each argument is read once
+    (matrix_core._scale_problem), and their difference, whose entry
+    magnitudes sum to at most 2 ENTRY_SCALE, goes unread to the SVD.
     """
     m1, m2 = as_matrix(rho1), as_matrix(rho2)
     # each read on its own: their difference can cancel an out-of-scale
     # pair, or meet inf - inf
     _in_scale(m1.ravel().tolist())
     _in_scale(m2.ravel().tolist())
-    t = _read_edge(trace_norm(m1 - m2), 0.0, 1.0 / 3.0,
+    t = _read_edge(_trace_norm(m1 - m2), 0.0, 1.0 / 3.0,
                    OutOfRegimeError, "trace distance {value:.6g} exceeds 1/3")
     if t <= 0.0:
         return 0.0

@@ -78,6 +78,8 @@ from .matrix_core import (
     hermitian_eig,
 )
 from .measures import (
+    _concurrence_of,
+    _negativity_of,
     _pt_negativity,
     concurrence_from_eig,
     concurrence_x,
@@ -87,12 +89,13 @@ from .measures import (
 from .xstate import (
     XCoeffs,
     XParams,
+    _diagonal_of,
     _entangled_outer,
     _finite_angles,
     _physical_coeffs,
+    _point_entries,
     _x_matrix,
     params_from_entries,
-    to_density,
 )
 
 __all__ = ["CounterpartResult", "DisentangleSolution", "PathPoint", "TargetOutOfRangeError",
@@ -306,13 +309,17 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
 
 
 def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
-    """Full-matrix state of the walk at tau in [0, 1]."""
+    """The walk's point at tau in [0, 1], with both measures.
+
+    Reads p once, in conjugate_x. The rotated point q is physical by
+    construction, so its entries are taken as to_density writes them
+    (xstate._point_entries), unread, and measured by the closed forms of
+    concurrence_x and negativity_x: no 4x4 matrix is built.
+    """
     tau = _read_edge(tau, 0.0, 1.0, ValueError, _TAU)
     q = conjugate_x(p, sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
-    rho = to_density(q)
-    return PathPoint(tau=tau, params=q,
-                     concurrence=concurrence_x(rho),
-                     negativity=negativity_x(rho))
+    e = _point_entries(_diagonal_of(q.theta, q.phi, q.psi), q.x, q.y, q.mu, q.nu)
+    return PathPoint(tau, q, _concurrence_of(*e), _negativity_of(*e))
 
 
 def _path_inputs(p: XParams, sol: DisentangleSolution,
@@ -423,7 +430,7 @@ def _mems_basis(spec: Spectrum) -> np.ndarray:
 
 def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
     """Unitary taking rho to the maximally entangled state of its spectrum."""
-    return _mems_basis(hermitian_eig(as_matrix(rho)))
+    return _mems_basis(hermitian_eig(rho))
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:

@@ -38,6 +38,7 @@ from .matrix_core import (
     _hermitian_gate,
     _in_scale,
     _read_edge,
+    _read_tol,
     _scale_problem,
     as_matrix,
     hermitian_eigvals,
@@ -289,29 +290,40 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     tolist(), through matrix_core._scale_problem. Raises ValueError for a
     non-finite or out-of-scale input, then NotXFormError naming the
     largest off-X magnitude if it exceeds tol, then NonHermitianError if
-    a coherence differs from the conjugate of its mirror by more than
-    SOLVER_TOL. Returns the real diagonal and the upper coherences (0,3)
-    and (1,2).
+    a coherence differs from the conjugate of its mirror, or a diagonal
+    entry from its own conjugate, by more than SOLVER_TOL: the X entries'
+    part of matrix_core._entry_gate's deviation. Returns the real
+    diagonal and the upper coherences (0,3) and (1,2).
     """
     e = _in_scale(as_matrix(rho).ravel().tolist())
     worst = _off_x_worst(e)
     if not worst <= tol:
         raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")
     d1, _, _, rho_14, _, d2, rho_23, _, _, rho_32, d3, _, rho_41, _, _, d4 = e
-    _hermitian_gate(max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate())))
+    _hermitian_gate(max(abs(rho_14 - rho_41.conjugate()), abs(rho_23 - rho_32.conjugate()),
+                        2.0 * abs(d1.imag), 2.0 * abs(d2.imag),
+                        2.0 * abs(d3.imag), 2.0 * abs(d4.imag)))
     return d1.real, d2.real, d3.real, d4.real, rho_14, rho_23
+
+
+def _point_entries(d, x: float, y: float, mu: float, nu: float) -> tuple:
+    """(d1, d2, d3, d4, rho_14, rho_23) of the chart point with diagonal d,
+    weights x, y >= 0 and phases mu, nu: the entries to_density writes,
+    rho_14 = sqrt(x) e^{i mu} and rho_23 = sqrt(y) e^{i nu}. Unread."""
+    return (*d, math.sqrt(x) * cmath.exp(1j * mu), math.sqrt(y) * cmath.exp(1j * nu))
 
 
 def to_density(p: XParams) -> np.ndarray:
     """Assemble the 4x4 density matrix for physical parameters."""
-    _, (d1, d2, d3, d4), x, y = _physical_coeffs(p)
-    return _x_matrix(d1, d2, d3, d4,
-                     math.sqrt(x) * cmath.exp(1j * p.mu), math.sqrt(y) * cmath.exp(1j * p.nu))
+    _, d, x, y = _physical_coeffs(p)
+    return _x_matrix(*_point_entries(d, x, y, p.mu, p.nu))
 
 
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:
     """True iff every off-X entry has magnitude <= tol; False for a
-    non-finite or out-of-scale input (see matrix_core._scale_problem)."""
+    non-finite or out-of-scale input (see matrix_core._scale_problem).
+    ValueError for a tol outside (0, inf) (matrix_core._read_tol)."""
+    _read_tol(tol)
     e = as_matrix(rho).ravel().tolist()
     return not _scale_problem(e) and bool(_off_x_worst(e) <= tol)
 
@@ -355,15 +367,17 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
 def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     """Invert to_density. Requires the input to be X-form within tol.
 
+    Reads tol first (matrix_core._read_tol): ValueError outside (0, inf).
     Reads the matrix through _x_entries: ValueError for a non-finite or
     out-of-scale input, NotXFormError for an off-X entry above tol,
-    NonHermitianError for a coherence pair asymmetric beyond SOLVER_TOL;
-    the phases come from the upper coherences (0,3) and (1,2). Each
-    diagonal entry is read on [0, 1] and the trace on [1, 1]
-    (matrix_core._read_edge): outside them by more than ROUNDOFF,
-    UnphysicalError, as the chart has no point for such a matrix.
+    NonHermitianError for a coherence pair or a diagonal entry
+    non-Hermitian beyond SOLVER_TOL; the phases come from the upper
+    coherences (0,3) and (1,2). Each diagonal entry is read on [0, 1] and
+    the trace on [1, 1] (matrix_core._read_edge): outside them by more
+    than ROUNDOFF, UnphysicalError, as the chart has no point for such a
+    matrix.
     """
-    *d, rho_14, rho_23 = _x_entries(rho, tol)
+    *d, rho_14, rho_23 = _x_entries(rho, _read_tol(tol))
     read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
             for v in d]
     _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
@@ -410,8 +424,10 @@ def classify_rank(p: XParams, tol: float = DEFAULT_TOL) -> RankClass:
     The class of the first condition of _rank_conditions that holds, else
     rank 4 kind 1. The most degenerate configurations come first, so that
     overlapping tolerance bands resolve to the lowest rank. Raises
+    ValueError for a tol outside (0, inf) (matrix_core._read_tol), then
     UnphysicalError for unphysical parameters.
     """
+    _read_tol(tol)
     co, _, x, y = _physical_coeffs(p)
     return _rank_class(co, x, y, tol)
 
@@ -450,11 +466,6 @@ def is_separable(p: XParams) -> bool:
     SOLVER_TOL. Raises UnphysicalError for unphysical parameters.
     """
     co, _, x, y = _physical_coeffs(p)
-    return _separable(co, x, y)
-
-
-def _separable(co: XCoeffs, x: float, y: float) -> bool:
-    """is_separable's rule on a physical state's XCoeffs co and weights."""
     return _entangled_outer(co, x, y) is None
 
 

@@ -428,6 +428,17 @@ def test_exit_parse_non_finite_or_bool(tmp_path, capsys, cell):
     assert "entry (0,0)" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000], ids=["not_utf8", "deep"])
+def test_exit_parse_undecodable_file(tmp_path, capsys, content):
+    # a UnicodeDecodeError exited 3, a RecursionError raised out of main
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main(["measure", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: invalid JSON: ")
+    assert "Traceback" not in err
+
+
 BAD_TOLS = ["nan", "-1", "0", "inf", "-inf", "abc"]
 
 

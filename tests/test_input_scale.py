@@ -17,6 +17,7 @@ import pytest
 
 from xtangle import (
     CounterpartResult,
+    OutOfRegimeError,
     Spectrum,
     XParams,
     concurrence_general,
@@ -123,7 +124,7 @@ def test_out_of_scale_input_fails_the_predicates(name):
         for fn in PREDICATES.values():
             assert fn(m) is False
         # a route's tolerance does not admit it either
-        assert is_x_form(m, tol=math.inf) is False
+        assert is_x_form(m, tol=np.finfo(float).max) is False
 
 
 @pytest.mark.parametrize("coherence", [complex(1.5e308, 1.5e308), 1e200], ids=["huge", "1e200"])
@@ -149,6 +150,15 @@ def test_fannes_ree_bound_reads_each_argument(value):
     m[0, 3] = m[3, 0] = value
     _raises_exactly(lambda a: fannes_ree_bound(a, a), m, NON_FINITE)
     _raises_exactly(lambda a: fannes_ree_bound(MAX_MIXED, a), m, NON_FINITE)
+
+
+def test_fannes_ree_bound_does_not_read_the_difference():
+    # two admitted arguments whose difference sums to 1.8e100: it is no
+    # input, so the bound's range decides, as for (I, -I)
+    m = np.full((4, 4), 0.9 * ENTRY_SCALE / 16)
+    for a in (m, np.eye(4)):
+        with pytest.raises(OutOfRegimeError, match="^trace distance .* exceeds 1/3$"):
+            fannes_ree_bound(a, -a)
 
 
 def test_scale_read_reasons():

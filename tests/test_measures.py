@@ -215,14 +215,14 @@ def test_is_x_form_false_on_nan_off_x(where):
     m = MAX_MIXED.astype(complex)
     m[where] = np.nan
     assert not is_x_form(m)
-    assert not is_x_form(m, tol=np.inf)
+    assert not is_x_form(m, tol=np.finfo(float).max)
     m[where] = np.inf
     assert not is_x_form(m)
 
 
 def test_from_density_nan_tol_accepts_no_matrix():
-    # the off-X test is not (worst <= tol), which a NaN tol fails
-    with pytest.raises(NotXFormError):
+    # the tol is read before the matrix (matrix_core._read_tol)
+    with pytest.raises(ValueError, match=r"^tol=nan is not a number in \(0, inf\)$"):
         from_density(MAX_MIXED, tol=np.nan)
 
 
@@ -281,10 +281,21 @@ def test_half_a_coherence_is_not_hermitian(fn, where):
 @pytest.mark.parametrize("fn", HERMITIAN_ROUTES, ids=lambda fn: fn.__name__)
 def test_hermitian_gate_is_solver_tol(fn):
     # a coherence pair asymmetric within SOLVER_TOL passes, beyond it fails
-    for i, j, dev in ((0, 3, SOLVER_TOL), (2, 1, 1j * SOLVER_TOL)):
+    # on the diagonal the deviation is 2 |Im d_i|
+    for i, j, dev in ((0, 3, SOLVER_TOL), (2, 1, 1j * SOLVER_TOL), (1, 1, 0.5j * SOLVER_TOL)):
         m = to_density(random_xparams(41, "entangled"))
         m[i, j] += 0.9 * dev
         fn(m)
         m[i, j] += 1.2 * dev
         with pytest.raises(NonHermitianError):
             fn(m)
+
+
+@pytest.mark.parametrize("fn", [*HERMITIAN_ROUTES, concurrence_general],
+                         ids=lambda fn: fn.__name__)
+def test_imaginary_diagonal_is_not_hermitian(fn):
+    # the X routes gave 0.0 and a chart point here, the general ones raised
+    m = MAX_MIXED.astype(complex)
+    m[0, 0] += 0.3j
+    with pytest.raises(NonHermitianError):
+        fn(m)

@@ -1,6 +1,7 @@
 """X-state chart: coefficients, construction, inversion, classification."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from xtangle import (
     is_physical,
     is_separable,
     is_x_form,
+    minset_state,
     numerical_rank,
     random_xparams,
     to_density,
@@ -311,3 +313,17 @@ def test_rank_rule_on_every_test_combination():
     stacked = XCoeffs(*map(np.array, zip(*map(dataclasses.astuple, cos))))
     ranks, kinds = _classify_arrays(stacked, np.array(xs), np.array(ys))
     assert list(zip(ranks.tolist(), kinds.tolist())) == list(RANK_RULE_TABLE)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf, -np.inf, "1e-9", 1j], ids=repr)
+@pytest.mark.parametrize("route", [
+    lambda tol: classify_rank(from_density(minset_state(1.0, 0.6)), tol=tol),
+    lambda tol: is_x_form(MAX_MIXED, tol=tol),
+    lambda tol: from_density(MAX_MIXED, tol=tol),
+], ids=["classify_rank", "is_x_form", "from_density"])
+def test_tol_keywords_are_read(route, tol):
+    # classify_rank gave RankClass(4, 1) at tol nan or -1 (rank 1 at the
+    # default), is_x_form False, from_density "... exceeds nan"
+    message = f"tol={tol!r} is not a number in (0, inf)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        route(tol)
