@@ -306,7 +306,7 @@ def trace_norm(a) -> float:
 
 
 def _trace_norm(m: np.ndarray) -> float:
-    """trace_norm of a finite 4x4 matrix, unread."""
+    """trace_norm of a finite 4x4 matrix, without trace_norm's scale read."""
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

@@ -132,7 +132,7 @@ def concurrence_x(rho) -> float:
 
 
 def _concurrence_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
-    """concurrence_x of the X entries (xstate._x_entries' tuple), unread."""
+    """concurrence_x of the X entries (xstate._x_entries' tuple), not read."""
     outer, root_14 = _floored_block(d1, d4, abs(rho_14))
     inner, root_23 = _floored_block(d2, d3, abs(rho_23))
     return 2.0 * max(0.0, inner - root_14, outer - root_23)
@@ -197,7 +197,7 @@ def negativity_x(rho) -> float:
 
 
 def _negativity_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
-    """negativity_x of the X entries (xstate._x_entries' tuple), unread."""
+    """negativity_x of the X entries (xstate._x_entries' tuple), not read."""
     t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
                                     abs(rho_14) ** 2, abs(rho_23) ** 2)
     return float(-min(0.0, t1, t2) + 0.0)
