@@ -14,9 +14,10 @@ concurrence_x and negativity_x on their matrices; x_unitary at the same
 four angles; classify_rank on 64 seeded draws over the eight rank/kind
 classes; and cp_boundary, boundary_scalars (concurrence 0) and
 minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
-the edges 1/3, 5/9 and 1 among them. Prints one JSON
+the edges 1/3, 5/9 and 1 among them; and diagram_csv (both kinds) and
+diagram_data ("cp") on the 20x20 grid, one input each. Prints one JSON
 object {name: us_per_call}. Each input's time is its fastest of 100 calls,
-and a layer's figure is the mean of those over the inputs. Each round
+and a layer's figure is the mean of those over its inputs. Each round
 calls every layer on every input, so a slow spell of a shared machine
 falls on all layers alike. Import the package under test through
 PYTHONPATH:
@@ -42,10 +43,13 @@ CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 STARTS = {"concurrence": xt.concurrence_along, "negativity": xt.negativity_along}
 STATES = 64
 ROUNDS = 100
+# the diagram grid, the one the benchmark's diagram workload draws
+GRID = 20
 
 
 def layers() -> dict:
-    """{name: (function, its argument tuples)}, STATES inputs each."""
+    """{name: (function, its argument tuples)}: STATES inputs each, one
+    for the diagram, whose calls are deterministic and cost the same."""
     seeds = [xt.child_seed(1, i) for i in range(STATES)]
     kinds = [KINDS[i % len(KINDS)] for i in range(STATES)]
     states = [(xt.random_density(s, k),) for s, k in zip(seeds, kinds)]
@@ -93,13 +97,16 @@ def layers() -> dict:
         "boundary_scalars": (xt.boundary_scalars, [(p, 0.0) for p in purities]),
         "minset_state": (xt.minset_state,
                          [(p, 0.5 * xt.cp_boundary(p)) for p in purities]),
+        "diagram_csv_cp": (xt.diagram_csv, [("cp", GRID)]),
+        "diagram_csv_negativity_purity": (xt.diagram_csv, [("negativity_purity", GRID)]),
+        "diagram_data_cp": (xt.diagram_data, [("cp", GRID)]),
     }
 
 
 def main() -> None:
     timed = layers()
     clock = time.perf_counter
-    best = {name: [float("inf")] * STATES for name in timed}
+    best = {name: [float("inf")] * len(inputs) for name, (_, inputs) in timed.items()}
     for _ in range(ROUNDS):
         for name, (fn, inputs) in timed.items():
             row = best[name]
@@ -107,7 +114,7 @@ def main() -> None:
                 t0 = clock()
                 fn(*args)
                 row[i] = min(row[i], clock() - t0)
-    print(json.dumps({name: 1e6 * sum(row) / STATES for name, row in best.items()}))
+    print(json.dumps({name: 1e6 * sum(row) / len(row) for name, row in best.items()}))
 
 
 if __name__ == "__main__":

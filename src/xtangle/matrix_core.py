@@ -68,13 +68,18 @@ def _read_edge(value, lo, hi, error, message):
     """value on the closed range [lo, hi], the package's one edge rule.
 
     A value inside the range is returned as is; one within ROUNDOFF
-    outside it reads as that edge. Anything else, NaN included, raises
+    outside it reads as that edge. Anything else, NaN and values that are
+    not real numbers (a str, None, a complex) included, raises
     error(message.format(value=value, lo=lo, hi=hi)).
     """
-    if lo <= value <= hi:
-        return value
-    if lo - ROUNDOFF <= value <= hi + ROUNDOFF:
-        return lo if value < lo else hi
+    try:
+        if lo <= value <= hi:
+            return value
+        if lo - ROUNDOFF <= value <= hi + ROUNDOFF:
+            return lo if value < lo else hi
+    except (TypeError, ValueError):
+        # not comparable with a float, or an array of several values
+        pass
     raise error(message.format(value=value, lo=lo, hi=hi))
 
 
@@ -293,8 +298,14 @@ _PT_INDEX = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4
 
 
 def partial_transpose(a) -> np.ndarray:
-    """Transpose the second qubit: entry (2i+j, 2k+l) -> (2i+l, 2k+j)."""
-    return as_matrix(a).take(_PT_INDEX)
+    """Transpose the second qubit: entry (2i+j, 2k+l) -> (2i+l, 2k+j).
+
+    Raises ValueError for a non-finite or out-of-scale input (see
+    _scale_problem).
+    """
+    m = as_matrix(a)
+    _in_scale(m.ravel().tolist())
+    return m.take(_PT_INDEX)
 
 
 def trace_norm(a) -> float:

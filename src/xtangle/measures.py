@@ -18,13 +18,13 @@ import numpy as np
 from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
+    _PT_INDEX,
     _hermitian_matrix,
     _in_scale,
     _read_edge,
     _trace_norm,
     as_matrix,
     hermitian_eig,
-    partial_transpose,
 )
 from .xstate import (
     XParams,
@@ -176,8 +176,9 @@ def negativity_general(rho) -> float:
 
 
 def _pt_negativity(m: np.ndarray) -> float:
-    """negativity_general of a 4x4 matrix that has passed its gate."""
-    return max(0.0, -float(np.linalg.eigvalsh(partial_transpose(m)).min()))
+    """negativity_general of a 4x4 matrix that has passed its gate; its
+    partial transpose is taken without partial_transpose's scale read."""
+    return max(0.0, -float(np.linalg.eigvalsh(m.take(_PT_INDEX)).min()))
 
 
 def negativity_x(rho) -> float:

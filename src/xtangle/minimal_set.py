@@ -17,6 +17,7 @@ its inputs pass their range gates (1 - 2p is exact for p in [1/2, 1]).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,13 +150,14 @@ def cp_boundary(p: float) -> float:
     return scalar_v(p)
 
 
-def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+def _member_entries(p: np.ndarray, c: np.ndarray, top) -> tuple[np.ndarray, ...]:
     """(d1, d2, d3, d4, rho_14, rho_23) of the members at purities p and
     concurrences c, each an array shaped like c.
 
-    p is an ascending 1-D array of purities and c holds one row of
-    concurrences in [0, cp_boundary(p)] per purity. The coherences are
-    real. Rows with p < 5/9 give the rank-3 member
+    p is an ascending 1-D array of purities in [1/3, 1], the 1-D sequence
+    top holds their ceilings cp_boundary(p), and c holds one row of
+    concurrences in [0, top] per purity. The coherences are real. Rows with p < 5/9 give
+    the rank-3 member
 
         (1 - 2w, w, 0, w), rho_14 = c/2,                w = scalar_w(p, c),
 
@@ -163,27 +165,26 @@ def _member_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 
         (1 - u, (u + s)/2, (u - s)/2, 0), rho_23 = c/2, s = sqrt(u^2 - c^2),
 
-    with u = scalar_u(p), and rows with p >= 1 the pure member
+    and rows with p >= 1 the pure member
 
         ((1 + s)/2, 0, 0, (1 - s)/2), rho_14 = c/2,     s = sqrt(1 - c^2),
 
-    The purity scalars are taken once per row; a DomainError is raised
-    where scalar_u or scalar_v raises one. The concurrences are not read
-    again: a c outside its row's range is the caller's error.
+    where the ceiling is v = scalar_v(p) below 5/9 (0 = v(1/3) at 1/3) and
+    u = scalar_u(p) from 5/9 on. Nothing is read again: a purity or
+    concurrence outside its range is the caller's error.
     """
     d1, d2, d3, d4, rho_14, rho_23 = np.zeros((6,) + c.shape)
     lo, hi = np.searchsorted(p, (P_RANK2_MIN, 1.0))
     # a batch of one (minset_state) fills one slice; the empty ones are skipped
     if lo > 0:
         c3 = c[:lo]
-        v = np.array([scalar_v(x) for x in p[:lo].tolist()])[:, None]
+        v = np.array(top[:lo])[:, None]
         w = 1.0 / 3.0 - 0.5 * np.sqrt((v * v - c3 * c3) / 3.0)
         d1[:lo] = 1.0 - 2.0 * w
-        d2[:lo] = w
-        d4[:lo] = w
+        d2[:lo] = d4[:lo] = w
         rho_14[:lo] = 0.5 * c3
     if hi > lo:
-        u = np.array([scalar_u(x) for x in p[lo:hi].tolist()])[:, None]
+        u = np.array(top[lo:hi])[:, None]
         c2 = c[lo:hi]
         s = np.sqrt(u * u - c2 * c2)
         d1[lo:hi] = 1.0 - u
@@ -207,9 +208,10 @@ def minset_state(p: float, c: float) -> np.ndarray:
     this is a batch of one).
     """
     p = _read_edge(p, P_SEP_MAX, 1.0, DomainError, "purity {value!r} outside [1/3, 1]")
-    c = _read_edge(c, 0.0, cp_boundary(p), OutOfDiagramError,
+    top = cp_boundary(p)
+    c = _read_edge(c, 0.0, top, OutOfDiagramError,
                    "concurrence {value!r} outside [0, cp_boundary(p)] = [0, {hi!r}]")
-    return _x_matrix(*(e.item() for e in _member_entries(np.array([p]), np.array([[c]]))))
+    return _x_matrix(*(e.item() for e in _member_entries(np.array([p]), np.array([[c]]), [top])))
 
 
 def theorem_params(p: float, c: float, variant: str) -> XParams:
@@ -267,6 +269,44 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
     raise DomainError(f"unknown variant {variant!r}")
 
 
+def _diagram_pass(kind: str, grid_n: int):
+    """diagram_data's grid, one purity at a time: (p, tail, cells).
+
+    tail holds the cells every row of purity p ends with: the cp kind's
+    u, v, q, r (None where undefined), none for negativity_purity. cells
+    yields that purity's (c, negativity, rank, kind). Raises ValueError
+    for an unknown kind or a grid_n that is not an integer of at least 2.
+
+    The whole grid is one array pass over the members' entries
+    (_member_entries), with no matrix and no chart: the negativity comes
+    from xstate.partial_transpose_lows and the rank/kind from
+    xstate._classify_arrays, classify_rank's rule on arrays. Each
+    purity's ceiling cp_boundary(p) is computed once, to lay out its
+    concurrences and to build its members.
+    """
+    if kind not in DIAGRAM_KINDS:
+        raise ValueError(f"unknown diagram kind {kind!r}")
+    try:
+        n = operator.index(grid_n)
+    except TypeError:
+        raise ValueError(f"grid_n={grid_n!r} is not an integer") from None
+    if n < 2:
+        raise ValueError("grid_n must be at least 2")
+    ps = np.linspace(P_SEP_MAX, 1.0, n)
+    # one linspace per row: a linspace over an array of stops rounds differently
+    c = np.array([np.linspace(0.0, cp_boundary(p), n) for p in ps.tolist()])
+    # each row ends exactly at its stop, the purity's ceiling
+    d1, d2, d3, d4, rho_14, rho_23 = _member_entries(ps, c, c[:, -1])
+    x, y = rho_14 * rho_14, rho_23 * rho_23
+    co = _coeffs_of(d1, d2, d3, d4)
+    t1, t2 = partial_transpose_lows(co.b_cal, d1 + d4, co.g_low, co.h_low, x, y)
+    neg = -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
+    rank, rkind = _classify_arrays(co, x, y)
+    tail_fns = (scalar_u, scalar_v, scalar_q, scalar_r) if kind == "cp" else ()
+    for p, *row in zip(ps.tolist(), c.tolist(), neg.tolist(), rank.tolist(), rkind.tolist()):
+        yield p, tuple(_or_none(fn, p) for fn in tail_fns), zip(*row)
+
+
 def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     """Grid rows for the diagram CSVs.
 
@@ -274,40 +314,15 @@ def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     (uniform on [0, cp_boundary(p)]). Each row carries the member state's
     negativity and classified rank/kind; kind="cp" appends the boundary
     scalars u, v, q, r (None where undefined). The cells are Python
-    floats and ints.
+    floats and ints. grid_n is read as an integer (operator.index) of at
+    least 2; anything else raises ValueError.
 
-    The whole grid is one array pass over the members' entries
-    (_member_entries), with no matrix and no chart: the negativity comes
-    from xstate.partial_transpose_lows and the rank/kind from
-    xstate._classify_arrays, classify_rank's rule on arrays. The values
-    are those of classify_rank(from_density(minset_state(p, c))) and,
-    to round-off, negativity_x(minset_state(p, c)): its squares are libm
-    pow, these are products.
+    The values are those of classify_rank(from_density(minset_state(p, c)))
+    and, to round-off, negativity_x(minset_state(p, c)): its squares are
+    libm pow, the diagram's are products (see _diagram_pass).
     """
-    if kind not in DIAGRAM_KINDS:
-        raise ValueError(f"unknown diagram kind {kind!r}")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    ps = np.linspace(P_SEP_MAX, 1.0, grid_n)
-    # one linspace per row: a linspace over an array of stops rounds differently
-    c = np.array([np.linspace(0.0, cp_boundary(p), grid_n) for p in ps.tolist()])
-    d1, d2, d3, d4, rho_14, rho_23 = _member_entries(ps, c)
-    x = rho_14 * rho_14
-    y = rho_23 * rho_23
-    co = _coeffs_of(d1, d2, d3, d4)
-    t1, t2 = partial_transpose_lows(co.b_cal, d1 + d4, co.g_low, co.h_low, x, y)
-    neg = -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
-    rank, rkind = _classify_arrays(co, x, y)
-
-    rows = []
-    for p, c_row, neg_row, rank_row, kind_row in zip(
-            ps.tolist(), c.tolist(), neg.tolist(), rank.tolist(), rkind.tolist()):
-        tail = ()
-        if kind == "cp":
-            tail = tuple(_or_none(fn, p) for fn in (scalar_u, scalar_v, scalar_q, scalar_r))
-        rows.extend((p, cc, nn, rr, kk) + tail
-                    for cc, nn, rr, kk in zip(c_row, neg_row, rank_row, kind_row))
-    return rows
+    return [(p, c, neg, rank, rkind) + tail for p, tail, cells in _diagram_pass(kind, grid_n)
+            for c, neg, rank, rkind in cells]
 
 
 def _cell(val) -> str:
@@ -317,17 +332,12 @@ def _cell(val) -> str:
 def diagram_csv(kind: str, grid_n: int) -> str:
     """CSV text for diagram_data: 12 significant digits, LF line endings.
 
-    The cells a purity's row shares (p and the cp kind's u, v, q, r) are
+    Each purity's lines come straight from the grid pass (_diagram_pass);
+    the cells its rows share (p and the cp kind's u, v, q, r) are
     formatted once per purity.
     """
-    rows = diagram_data(kind, grid_n)
-    header = "p,c,negativity,rank,kind"
-    if kind == "cp":
-        header += ",u,v,q,r"
-    lines = [header]
-    for start in range(0, len(rows), grid_n):
-        first = rows[start]
-        tail = "".join("," + _cell(val) for val in first[5:])
-        line = _cell(first[0]) + ",%.12g,%.12g,%d,%d" + tail
-        lines.extend(line % row[1:5] for row in rows[start:start + grid_n])
+    lines = ["p,c,negativity,rank,kind" + (",u,v,q,r" if kind == "cp" else "")]
+    for p, tail, cells in _diagram_pass(kind, grid_n):
+        line = _cell(p) + ",%.12g,%.12g,%d,%d" + "".join("," + _cell(val) for val in tail)
+        lines.extend(line % cell for cell in cells)
     return "\n".join(lines) + "\n"

@@ -156,6 +156,42 @@ def test_nan_raises(name):
         call(NAN)
 
 
+# name: (call passing a value that is not a real number, its site's error
+# and message); each raised a bare TypeError from the range comparison,
+# the array numpy's truth-value ValueError
+NON_NUMBERS = {
+    "minset_state_str": (lambda: minset_state("a", 0.0), DomainError,
+                         "purity 'a' outside [1/3, 1]"),
+    "cp_boundary_none": (lambda: cp_boundary(None), DomainError, "purity None outside [1/4, 1]"),
+    "cp_boundary_complex": (lambda: cp_boundary(1j), DomainError, "purity 1j outside [1/4, 1]"),
+    "scalar_w_none": (lambda: scalar_w(0.5, None), DomainError,
+                      f"w undefined: concurrence None outside [0, v] = [0, {scalar_v(0.5)!r}]"),
+    "theorem_params_str": (lambda: theorem_params(0.7, "a", "r2k3"), DomainError,
+                           "concurrence 'a' outside [0, 1]"),
+    "solve_tau_str": (lambda: solve_tau(WALK, SOL, "0.1"), TargetOutOfRangeError,
+                      f"target '0.1' outside [0, {C0!r}] for concurrence"),
+    "evolve_none": (lambda: evolve(WALK, SOL, None), ValueError, "tau None outside [0, 1]"),
+    "concurrence_along_str": (lambda: concurrence_along(WALK, SOL, "x"), ValueError,
+                              "tau 'x' outside [0, 1]"),
+    "to_density_str": (lambda: to_density(XParams(0.3, 0.3, 0.3, "a", 0.0)), ValueError,
+                       "weight x='a' is negative or NaN"),
+    "eof_from_concurrence_str": (lambda: eof_from_concurrence("a"), ValueError,
+                                 "concurrence 'a' outside [0, 1]"),
+    # an array of several values has no truth value
+    "minset_state_array": (lambda: minset_state(np.array([0.5, 0.6]), 0.0), DomainError,
+                           "purity array([0.5, 0.6]) outside [1/3, 1]"),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_NUMBERS))
+def test_a_non_number_raises_the_sites_error(name):
+    call, error, message = NON_NUMBERS[name]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_read_edge():
     assert _read_edge(0.5, 0.0, 1.0, ValueError, "{value}") == 0.5
     assert _read_edge(-0.5 * ROUNDOFF, 0.0, 1.0, ValueError, "{value}") == 0.0

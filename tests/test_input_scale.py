@@ -36,6 +36,7 @@ from xtangle import (
     negativity_general,
     negativity_x,
     numerical_rank,
+    partial_transpose,
     purity_general,
     random_density,
     random_unitary,
@@ -75,6 +76,7 @@ RAISING = {
     "negativity_x": (negativity_x, OUT_OF_SCALE),
     "from_density": (from_density, OUT_OF_SCALE),
     "trace_norm": (trace_norm, OUT_OF_SCALE),
+    "partial_transpose": (partial_transpose, OUT_OF_SCALE),
     "fannes_rho1": (lambda m: fannes_ree_bound(m, MAX_MIXED), OUT_OF_SCALE),
     # the difference of equal inputs is 0, which hid them
     "fannes_both": (lambda m: fannes_ree_bound(m, m), OUT_OF_SCALE),
@@ -150,6 +152,18 @@ def test_fannes_ree_bound_reads_each_argument(value):
     m[0, 3] = m[3, 0] = value
     _raises_exactly(lambda a: fannes_ree_bound(a, a), m, NON_FINITE)
     _raises_exactly(lambda a: fannes_ree_bound(MAX_MIXED, a), m, NON_FINITE)
+
+
+@pytest.mark.parametrize("value, reason", [
+    (np.nan, NON_FINITE), (np.inf, NON_FINITE), (complex(0.0, -np.inf), NON_FINITE),
+    (1e200, OUT_OF_SCALE), (complex(1.5e308, 1.5e308), OUT_OF_SCALE),
+], ids=["nan", "inf", "imag_inf", "1e200", "huge"])
+def test_partial_transpose_reads_its_input(value, reason):
+    # it returned the NaN, inf or out-of-scale entries transposed
+    m = MAX_MIXED.astype(complex)
+    m[0, 3] = value
+    _raises_exactly(partial_transpose, m, reason)
+    assert partial_transpose(MAX_MIXED).tobytes() == MAX_MIXED.astype(complex).tobytes()
 
 
 def test_fannes_ree_bound_does_not_read_the_difference():

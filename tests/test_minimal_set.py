@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from xtangle import minimal_set
 from xtangle import (
     BoundaryScalars,
     DomainError,
@@ -331,6 +332,81 @@ def test_diagram_data_rejects():
 def test_diagram_csv_frozen(kind, digest):
     # the full diagrams at grid 40, byte for byte
     assert hashlib.sha256(diagram_csv(kind, 40).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, grid_n, digest", [
+    ("cp", 2, "1fb57b987ea21b961e250769ec50630452f589d6d76f3bf9dac6ff1df2dcd116"),
+    ("cp", 3, "475c269155f72acd10641fbbc0c7a00dcd05bd5c9b9d7ecc470249f363480cbe"),
+    ("cp", 40, "c575796d6c5a02d5b239481b5cf10b063c02ddf545431646e40b351494238fa6"),
+    ("negativity_purity", 2, "f3a115d7f5044ccf1d9737aabc49f5207e056f2d634ded107b862d048993dd64"),
+    ("negativity_purity", 3, "52bb895c8d4ab4e14016aecb6f064ce377e2b5711f20a7a1830b660335b38580"),
+    ("negativity_purity", 40, "32de81bd428db66e9f6b39b5f732a09d77e7f6c2f765da8763dc53492907ba24"),
+])
+def test_diagram_data_frozen(kind, grid_n, digest):
+    # every cell at full precision (repr), the cp kind's u, v, q, r included
+    assert hashlib.sha256(repr(diagram_data(kind, grid_n)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p, c, digest", [
+    (1.0 / 3.0, 0.0, "54630e2b4274b0fbe7ded52e70ae42dd7b42de78bb1366b0225da6721ca87409"),
+    (0.45, 0.2, "a82892ac1d67af3298ee86317c791d06203a76aaeaa9af803ded2e557edd2205"),
+    (P_JUNCTION, 0.0, "4855db90fcbf9ab7402366658c9958ec02d44298b29b5e3b8f9b8d6008cc7e9e"),
+    (P_JUNCTION, 2.0 / 3.0, "6fe31cab65467c6e878b099b9967528b5d1c534d6ab033fffa4f13e63fa59504"),
+    (0.7, 0.3, "d1dba828ac64a4cf5a8ded6f52ff4e34c274a98c1ec2387dde23f91428bc739b"),
+    (1.0, 0.0, "8034367eec76495180b08e634d0bf4236b83a30d9ce7be3fd843fe8860f4de41"),
+    (1.0, 0.6, "839f67f8e8400ac167b90bddd3c420935b43f55b9f63a277b3972d6569e724f5"),
+    (1.0, 1.0, "765c6024b5d7e983de2e17ee52973a5dd074746b1811b4a75464400a70e98228"),
+])
+def test_minset_state_frozen(p, c, digest):
+    # one member of each rank, both sides of the junction 5/9 at its ceiling 2/3
+    assert hashlib.sha256(minset_state(p, c).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grid_n", [2.5, 20.0, "20", None, 1j, np.float64(20.0)],
+                         ids=["2.5", "20.0", "str", "None", "1j", "float64"])
+@pytest.mark.parametrize("route", [diagram_data, diagram_csv])
+def test_diagram_grid_n_must_be_an_integer(route, grid_n):
+    # 2.5 raised a TypeError from inside np.linspace, "20" one from the
+    # comparison with 2
+    with pytest.raises(ValueError) as err:
+        route("cp", grid_n)
+    assert str(err.value) == f"grid_n={grid_n!r} is not an integer"
+
+
+@pytest.mark.parametrize("route", [diagram_data, diagram_csv])
+def test_diagram_grid_n_reads_integers(route):
+    assert route("cp", np.int64(20)) == route("cp", 20)
+    for grid_n in (1, 0, -3, True, np.int64(1)):
+        with pytest.raises(ValueError, match=r"^grid_n must be at least 2$"):
+            route("cp", grid_n)
+
+
+def _counting(fn, calls):
+    def counted(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("call, counted, want", [
+    (lambda: diagram_csv("negativity_purity", 20), ("scalar_u", "scalar_v"), 19),
+    (lambda: diagram_data("negativity_purity", 20), ("scalar_u", "scalar_v"), 19),
+    # the cp kind's u and v columns add 20 calls each
+    (lambda: diagram_csv("cp", 20), ("scalar_u", "scalar_v"), 59),
+    (lambda: minset_state(0.7, 0.3), ("scalar_u",), 1),
+], ids=["csv_negativity_purity", "data_negativity_purity", "csv_cp", "minset_state"])
+def test_each_ceiling_is_computed_once(monkeypatch, call, counted, want):
+    # each purity's ceiling cp_boundary(p) lays out its concurrences and
+    # builds its members; the CSV comes from the grid pass, not from
+    # diagram_data's rows
+    calls = []
+    for name in counted:
+        monkeypatch.setattr(minimal_set, name, _counting(getattr(minimal_set, name), calls))
+    # diagram_csv builds no rows; the calls above name this module's
+    # diagram_data, not minimal_set's
+    monkeypatch.setattr(minimal_set, "diagram_data", None)
+    call()
+    assert len(calls) == want
 
 
 def test_diagram_csv_format():

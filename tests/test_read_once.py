@@ -22,10 +22,13 @@ from xtangle import (
     coeffs,
     concurrence_x,
     conjugate_x,
+    counterpart_details,
     disentangle_params,
     evolve,
     fannes_ree_bound,
+    negativity_general,
     negativity_x,
+    partial_transpose,
     random_density,
     random_xparams,
     to_density,
@@ -118,6 +121,12 @@ ROUTES = {
     "concurrence_x": (lambda: concurrence_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),
     "negativity_x": (lambda: negativity_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),
     "to_density": (lambda: to_density(WALK), {"_valid_angles": 1, "_x_matrix": 1}),
+    "partial_transpose": (lambda: partial_transpose(NEAR), {"_scale_problem": 1}),
+    # the gated matrix's partial transpose is taken unread
+    "negativity_general": (lambda: negativity_general(NEAR), {"_scale_problem": 1}),
+    # the input once, then the X-form output once (negativity_x)
+    "counterpart_negativity": (lambda: counterpart_details(NEAR, "negativity"),
+                               {"_scale_problem": 2, "_x_entries": 1}),
 }
 
 
