@@ -15,12 +15,12 @@ four angles; classify_rank on 64 seeded draws over the eight rank/kind
 classes; and cp_boundary, boundary_scalars (concurrence 0) and
 minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
 the edges 1/3, 5/9 and 1 among them; and diagram_csv (both kinds) and
-diagram_data ("cp") on the 20x20 grid, one input each. Prints one JSON
-object {name: us_per_call}. Each input's time is its fastest of 100 calls,
-and a layer's figure is the mean of those over its inputs. Each round
-calls every layer on every input, so a slow spell of a shared machine
-falls on all layers alike. Import the package under test through
-PYTHONPATH:
+diagram_data ("cp") on the 20x20 grid, and diagram_csv("cp", 100), one
+input each. Prints one JSON object {name: us_per_call}. Each input's time
+is its fastest of 100 calls, and a layer's figure is the mean of those
+over its inputs. Each round calls every layer on every input, so a slow
+spell of a shared machine falls on all layers alike. Import the package
+under test through PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/layer_timings.py
 """
@@ -100,6 +100,7 @@ def layers() -> dict:
         "diagram_csv_cp": (xt.diagram_csv, [("cp", GRID)]),
         "diagram_csv_negativity_purity": (xt.diagram_csv, [("negativity_purity", GRID)]),
         "diagram_data_cp": (xt.diagram_data, [("cp", GRID)]),
+        "diagram_csv_cp_100": (xt.diagram_csv, [("cp", 100)]),
     }
 
 

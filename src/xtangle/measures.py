@@ -200,7 +200,7 @@ def negativity_x(rho) -> float:
 def _negativity_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
     """negativity_x of the X entries (xstate._x_entries' tuple), not read."""
     t1, t2 = partial_transpose_lows(d2 + d3, d1 + d4, d2 - d3, d1 - d4,
-                                    abs(rho_14) ** 2, abs(rho_23) ** 2)
+                                    abs(rho_14) ** 2, abs(rho_23) ** 2, math.sqrt)
     return float(-min(0.0, t1, t2) + 0.0)
 
 

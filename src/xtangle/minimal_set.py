@@ -93,10 +93,7 @@ def scalar_w(p: float, c: float) -> float:
 
 
 def scalar_z(p: float, c: float) -> float:
-    """Rank-3 inner-coherence construction angle parameter.
-
-    4/3 - 2w when 2p <= 1 + c^2, else 2w.
-    """
+    """Rank-3 inner-coherence angle parameter: 4/3 - 2w when 2p <= 1 + c^2, else 2w."""
     w = scalar_w(p, c)
     if 2.0 * p <= 1.0 + c * c:
         return 4.0 / 3.0 - 2.0 * w
@@ -118,22 +115,21 @@ def scalar_r(p: float) -> float:
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:
     """All six scalars at (p, c); out-of-domain entries are None."""
     p = _read_edge(p, 0.25, 1.0, DomainError, _STATES)
-    return BoundaryScalars(
-        u=_or_none(scalar_u, p),
-        v=_or_none(scalar_v, p),
-        w=_or_none(scalar_w, p, c),
-        z=_or_none(scalar_z, p, c),
-        q=_or_none(scalar_q, p),
-        r=_or_none(scalar_r, p),
-    )
-
-
-def _or_none(fn, *args):
-    """fn(*args), or None where it raises DomainError."""
+    u, v, q, r = _cp_tail(p, cp_boundary(p)) if p >= P_SEP_MAX - ROUNDOFF else (None,) * 4
     try:
-        return fn(*args)
+        w, z = scalar_w(p, c), scalar_z(p, c)
     except DomainError:
-        return None
+        w = z = None
+    return BoundaryScalars(u, v, w, z, q, r)
+
+
+def _cp_tail(p: float, top: float) -> tuple:
+    """u, v, q, r at a purity p from 1/3 on, None where undefined, given its
+    ceiling top = cp_boundary(p): v below 5/9 and u from 5/9 on."""
+    if p < 0.5 - ROUNDOFF:
+        return None, top, None, None
+    u, v = (scalar_u(p), top) if p < P_RANK2_MIN else (top, scalar_v(p))
+    return u, v, scalar_q(p), scalar_r(p)
 
 
 def cp_boundary(p: float) -> float:
@@ -269,20 +265,21 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def _diagram_pass(kind: str, grid_n: int):
-    """diagram_data's grid, one purity at a time: (p, tail, cells).
+def _diagram_pass(kind: str, grid_n: int) -> tuple[list, list, np.ndarray]:
+    """diagram_data's grid as (ps, tails, cells), for n = grid_n.
 
-    tail holds the cells every row of purity p ends with: the cp kind's
-    u, v, q, r (None where undefined), none for negativity_purity. cells
-    yields that purity's (c, negativity, rank, kind). Raises ValueError
-    for an unknown kind or a grid_n that is not an integer of at least 2.
+    ps lists the purities; tails, for each, the cells its rows end with
+    (the cp kind's u, v, q, r, none for negativity_purity); cells is an
+    (n, n, 4) object array of each row's c, negativity, rank and kind, as
+    Python floats and ints. Raises ValueError for an unknown kind or a
+    grid_n that is not an integer of at least 2.
 
     The whole grid is one array pass over the members' entries
     (_member_entries), with no matrix and no chart: the negativity comes
     from xstate.partial_transpose_lows and the rank/kind from
     xstate._classify_arrays, classify_rank's rule on arrays. Each
     purity's ceiling cp_boundary(p) is computed once, to lay out its
-    concurrences and to build its members.
+    concurrences and build its members, and as its cp tail's u or v.
     """
     if kind not in DIAGRAM_KINDS:
         raise ValueError(f"unknown diagram kind {kind!r}")
@@ -292,19 +289,20 @@ def _diagram_pass(kind: str, grid_n: int):
         raise ValueError(f"grid_n={grid_n!r} is not an integer") from None
     if n < 2:
         raise ValueError("grid_n must be at least 2")
-    ps = np.linspace(P_SEP_MAX, 1.0, n)
-    # one linspace per row: a linspace over an array of stops rounds differently
-    c = np.array([np.linspace(0.0, cp_boundary(p), n) for p in ps.tolist()])
-    # each row ends exactly at its stop, the purity's ceiling
-    d1, d2, d3, d4, rho_14, rho_23 = _member_entries(ps, c, c[:, -1])
+    ps = np.linspace(P_SEP_MAX, 1.0, n).tolist()
+    tops = [cp_boundary(p) for p in ps]
+    # row i is np.linspace(0.0, tops[i], n) byte for byte, ending exactly at its ceiling
+    c = np.arange(n) * (np.array(tops) / (n - 1))[:, None]
+    c[:, -1] = tops
+    d1, d2, d3, d4, rho_14, rho_23 = _member_entries(np.array(ps), c, tops)
     x, y = rho_14 * rho_14, rho_23 * rho_23
     co = _coeffs_of(d1, d2, d3, d4)
     t1, t2 = partial_transpose_lows(co.b_cal, d1 + d4, co.g_low, co.h_low, x, y)
-    neg = -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
-    rank, rkind = _classify_arrays(co, x, y)
-    tail_fns = (scalar_u, scalar_v, scalar_q, scalar_r) if kind == "cp" else ()
-    for p, *row in zip(ps.tolist(), c.tolist(), neg.tolist(), rank.tolist(), rkind.tolist()):
-        yield p, tuple(_or_none(fn, p) for fn in tail_fns), zip(*row)
+    cells = np.empty(c.shape + (4,), dtype=object)
+    cells[..., 0], cells[..., 1] = c, -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
+    cells[..., 2], cells[..., 3] = _classify_arrays(co, x, y)
+    tails = list(map(_cp_tail, ps, tops)) if kind == "cp" else [()] * n
+    return ps, tails, cells
 
 
 def diagram_data(kind: str, grid_n: int) -> list[tuple]:
@@ -317,12 +315,12 @@ def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     floats and ints. grid_n is read as an integer (operator.index) of at
     least 2; anything else raises ValueError.
 
-    The values are those of classify_rank(from_density(minset_state(p, c)))
-    and, to round-off, negativity_x(minset_state(p, c)): its squares are
-    libm pow, the diagram's are products (see _diagram_pass).
+    The rows are the grid pass's cells (_diagram_pass): those of
+    classify_rank(from_density(minset_state(p, c))) and, to round-off,
+    negativity_x(minset_state(p, c)), whose squares are libm pow, not products.
     """
-    return [(p, c, neg, rank, rkind) + tail for p, tail, cells in _diagram_pass(kind, grid_n)
-            for c, neg, rank, rkind in cells]
+    ps, tails, cells = _diagram_pass(kind, grid_n)
+    return [(p, *cell, *tail) for p, tail, row in zip(ps, tails, cells.tolist()) for cell in row]
 
 
 def _cell(val) -> str:
@@ -332,12 +330,14 @@ def _cell(val) -> str:
 def diagram_csv(kind: str, grid_n: int) -> str:
     """CSV text for diagram_data: 12 significant digits, LF line endings.
 
-    Each purity's lines come straight from the grid pass (_diagram_pass);
-    the cells its rows share (p and the cp kind's u, v, q, r) are
-    formatted once per purity.
+    Formatted from the grid pass (_diagram_pass) one purity at a time:
+    its n lines are one template, filled by one % from that purity's
+    cells, and the cells its rows share (p and the cp kind's u, v, q, r)
+    are written into the template once.
     """
-    lines = ["p,c,negativity,rank,kind" + (",u,v,q,r" if kind == "cp" else "")]
-    for p, tail, cells in _diagram_pass(kind, grid_n):
-        line = _cell(p) + ",%.12g,%.12g,%d,%d" + "".join("," + _cell(val) for val in tail)
-        lines.extend(line % cell for cell in cells)
-    return "\n".join(lines) + "\n"
+    ps, tails, cells = _diagram_pass(kind, grid_n)
+    text = ["p,c,negativity,rank,kind" + (",u,v,q,r" if kind == "cp" else "") + "\n"]
+    for p, tail, row in zip(ps, tails, cells.reshape(len(ps), -1).tolist()):
+        line = _cell(p) + ",%.12g,%.12g,%d,%d" + "".join("," + _cell(val) for val in tail) + "\n"
+        text.append(line * len(ps) % tuple(row))
+    return "".join(text)

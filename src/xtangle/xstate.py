@@ -224,7 +224,7 @@ def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, flo
     return co, d, x, y
 
 
-def partial_transpose_lows(b, c, g_low, h_low, x, y):
+def partial_transpose_lows(b, c, g_low, h_low, x, y, sqrt=np.sqrt):
     """The lower eigenvalues (t1, t2) of the two blocks of the partial transpose.
 
     The partial transpose of an X-state swaps its coherences, so each
@@ -232,10 +232,12 @@ def partial_transpose_lows(b, c, g_low, h_low, x, y):
 
         t1 = b/2 - sqrt((g_low/2)^2 + x),  t2 = c/2 - sqrt((h_low/2)^2 + y)
 
-    Both are returned, not their minimum, which would drop a NaN.
+    Both are returned, not their minimum, which would drop a NaN. sqrt is
+    np.sqrt on arrays; the scalar rules pass math.sqrt, which on Python
+    floats rounds the same and costs no numpy scalar call.
     """
-    t1 = 0.5 * b - np.sqrt((0.5 * g_low) ** 2 + x)
-    t2 = 0.5 * c - np.sqrt((0.5 * h_low) ** 2 + y)
+    t1 = 0.5 * b - sqrt((0.5 * g_low) ** 2 + x)
+    t2 = 0.5 * c - sqrt((0.5 * h_low) ** 2 + y)
     return t1, t2
 
 
@@ -453,7 +455,11 @@ def _classify_arrays(co: XCoeffs, x, y) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.all(_within_positivity(co, x, y)):
         raise UnphysicalError("a coherence weight exceeds the positivity range")
-    first = np.select(_rank_conditions(co, x, y, DEFAULT_TOL), range(7), 7)
+    held = _rank_conditions(co, x, y, DEFAULT_TOL)
+    # the index of the first condition that holds, else 7: written last to first
+    first = np.full(np.shape(held[0]), 7)
+    for i in range(6, -1, -1):
+        first[held[i]] = i
     return _RANKS[first], _KINDS[first]
 
 
@@ -473,7 +479,7 @@ def _entangled_outer(co: XCoeffs, x: float, y: float) -> bool | None:
     """None where is_separable's rule holds on a physical state's XCoeffs
     co and weights; else whether the lower partial-transpose eigenvalue
     is t1, the outer coherence's (see partial_transpose_lows)."""
-    t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low, x, y)
+    t1, t2 = partial_transpose_lows(co.b_cal, co.c_cal, co.g_low, co.h_low, x, y, math.sqrt)
     if min(t1, t2) >= -SOLVER_TOL:
         return None
     return bool(t1 <= t2)

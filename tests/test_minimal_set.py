@@ -334,6 +334,18 @@ def test_diagram_csv_frozen(kind, digest):
     assert hashlib.sha256(diagram_csv(kind, 40).encode()).hexdigest() == digest
 
 
+# grid 13 puts purities on 1/2 and 5/9, where the edge rule and the
+# rank-2/rank-3 split meet
+@pytest.mark.parametrize("kind, grid_n, digest", [
+    ("cp", 13, "a31122b14dcd8dea63bf6d1603e1a34a3f8766b486cbbb2b4b43dbb415dae88d"),
+    ("cp", 101, "e40152e1a9f392f050a738fd85340f2e4788bde4814709496d9567b287ce81bc"),
+    ("negativity_purity", 13, "b3cf4a0dcc2008cec0b981187adbcab26cc14272af84f2e03035b5c1f6c7e9b8"),
+    ("negativity_purity", 101, "55f57313bc64049afffc51c633bc0fd0dcb7c25613dd22f95d8d5e28e11d9002"),
+])
+def test_diagram_csv_frozen_at_the_junctions(kind, grid_n, digest):
+    assert hashlib.sha256(diagram_csv(kind, grid_n).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("kind, grid_n, digest", [
     ("cp", 2, "1fb57b987ea21b961e250769ec50630452f589d6d76f3bf9dac6ff1df2dcd116"),
     ("cp", 3, "475c269155f72acd10641fbbc0c7a00dcd05bd5c9b9d7ecc470249f363480cbe"),
@@ -341,10 +353,25 @@ def test_diagram_csv_frozen(kind, digest):
     ("negativity_purity", 2, "f3a115d7f5044ccf1d9737aabc49f5207e056f2d634ded107b862d048993dd64"),
     ("negativity_purity", 3, "52bb895c8d4ab4e14016aecb6f064ce377e2b5711f20a7a1830b660335b38580"),
     ("negativity_purity", 40, "32de81bd428db66e9f6b39b5f732a09d77e7f6c2f765da8763dc53492907ba24"),
+    # purities on 1/2 and 5/9 at grid 13
+    ("cp", 13, "f8d1644e08df3f5565e013e577d61f0150370c7e1c1f06804419775eda40df42"),
+    ("cp", 101, "819f0f7c5699dad27ccb5ce990b2b9096cdf2f76b90826aad41fd7afa19173a5"),
+    ("negativity_purity", 13, "d8bdd1078361907140fad1f758a58ed272115a174d1bae38d65994deb42d7b62"),
+    ("negativity_purity", 101, "c2c74cd3f78b5675be4d43b6abd84c9a93acb693ca290bd61b9154ac1e223390"),
 ])
 def test_diagram_data_frozen(kind, grid_n, digest):
     # every cell at full precision (repr), the cp kind's u, v, q, r included
     assert hashlib.sha256(repr(diagram_data(kind, grid_n)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grid_n", [*range(2, 201), 256, 400, 1000])
+def test_diagram_concurrences_are_linspace_rows(grid_n):
+    # the pass lays out the grid in one product; each row must still be
+    # the per-purity np.linspace, byte for byte
+    ps, _, cells = minimal_set._diagram_pass("negativity_purity", grid_n)
+    grid = np.array(cells[..., 0].tolist())
+    for p, row in zip(ps, grid):
+        assert row.tobytes() == np.linspace(0.0, cp_boundary(p), grid_n).tobytes()
 
 
 @pytest.mark.parametrize("p, c, digest", [
@@ -391,8 +418,10 @@ def _counting(fn, calls):
 @pytest.mark.parametrize("call, counted, want", [
     (lambda: diagram_csv("negativity_purity", 20), ("scalar_u", "scalar_v"), 19),
     (lambda: diagram_data("negativity_purity", 20), ("scalar_u", "scalar_v"), 19),
-    # the cp kind's u and v columns add 20 calls each
-    (lambda: diagram_csv("cp", 20), ("scalar_u", "scalar_v"), 59),
+    # the cp kind's u and v columns take the ceiling where it is theirs (v
+    # below 5/9, u from 5/9 on) and add 15 calls: v at the 13 purities from
+    # 5/9 on and u at the two in [1/2, 5/9[
+    (lambda: diagram_csv("cp", 20), ("scalar_u", "scalar_v"), 34),
     (lambda: minset_state(0.7, 0.3), ("scalar_u",), 1),
 ], ids=["csv_negativity_purity", "data_negativity_purity", "csv_cp", "minset_state"])
 def test_each_ceiling_is_computed_once(monkeypatch, call, counted, want):
