@@ -2,6 +2,10 @@
 
 Validation, eigendecomposition, partial transpose, trace norm and unitary
 conjugation, and the table of tolerances used throughout the package.
+Every LAPACK solve of the package but ensemble's QR goes through the
+solver layer here, _eigh, _eigvalsh and _svdvals: numpy.linalg's own
+gufuncs, called without its wrappers' per-call checks, with the same
+results bit for bit and the same LinAlgError on a failure to converge.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = ["NonHermitianError", "Spectrum", "as_matrix", "conjugate", "hermitian_eig",
            "hermitian_eigvals", "is_density_matrix", "is_unitary", "partial_transpose",
@@ -32,8 +37,9 @@ ROUNDOFF = 1e-12
 # density matrix, unitarity, the Hermiticity hermitian_eig accepts (it
 # takes conjugated states u rho u^dagger with their round-off asymmetry),
 # the chart's separability test and the CLI's PPT test on the negativity,
-# which are one rule. 100 x ROUNDOFF, to leave room for the eigensolver's
-# and the products' error on top of the input's.
+# which are one rule. 100 x ROUNDOFF, to leave room for the solvers'
+# (_eigh, _eigvalsh, _svdvals) and the products' error on top of the
+# input's.
 SOLVER_TOL = 1e-10
 # User-facing comparisons: the default tol of the X-form, chart and
 # rank/kind tests and of the CLI's --tol, which also gates the sweep's
@@ -62,6 +68,40 @@ ENTRY_SCALE = 1e100
 # the reasons given wherever an input is rejected by its scale read
 NON_FINITE = "non-finite entry"
 OUT_OF_SCALE = f"entry magnitudes sum above {ENTRY_SCALE:g}"
+
+
+# The solver layer calls numpy.linalg's gufuncs for complex input without
+# its wrappers, whose checks and casts cost about as much as LAPACK on a
+# 4x4. Every caller passes a complex 4x4, which is what the wrappers would
+# hand on, so the outputs are theirs bit for bit. The error state is
+# numpy.linalg's, applied as a decorator because numpy 2 refuses to enter
+# one errstate instance twice.
+
+def _lapack_errors(message: str) -> np.errstate:
+    """numpy.linalg's error state: LinAlgError(message) on a LAPACK
+    failure to converge, every other floating-point error ignored."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh(m): ascending eigenvalues and eigenvector columns."""
+    return _umath_linalg.eigh_lo(m, signature="D->dD")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvalsh(m): ascending eigenvalues."""
+    return _umath_linalg.eigvalsh_lo(m, signature="D->d")
+
+
+@_lapack_errors("SVD did not converge")
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """numpy.linalg.svd(m, compute_uv=False): descending singular values."""
+    return _umath_linalg.svd(m, signature="D->d")
 
 
 def _read_edge(value, lo, hi, error, message):
@@ -201,7 +241,7 @@ def is_density_matrix(a) -> tuple[bool, str]:
         m = as_matrix(a)
     except ValueError as exc:
         return False, str(exc)
-    why = _entry_problem(m) or _psd_problem(np.linalg.eigvalsh(m).min())
+    why = _entry_problem(m) or _psd_problem(_eigvalsh(m).min())
     return not why, why
 
 
@@ -238,7 +278,7 @@ def _sorted_eigh(m: np.ndarray) -> Spectrum:
     and the phases are divided out in one numpy step: numpy's complex
     division differs from Python's in the last bits.
     """
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = _eigh(m)
     vecs = vecs[:, ::-1]
     lead = vecs[0]
     if not min(map(abs, lead.tolist())) > ROUNDOFF:
@@ -268,7 +308,7 @@ def hermitian_eigvals(a) -> np.ndarray:
     Same gate as hermitian_eig: ValueError for a non-finite or
     out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
-    return np.linalg.eigvalsh(_hermitian_part(a))[::-1]
+    return _eigvalsh(_hermitian_part(a))[::-1]
 
 
 def density_spectrum(a) -> Spectrum:
@@ -318,7 +358,7 @@ def trace_norm(a) -> float:
 
 def _trace_norm(m: np.ndarray) -> float:
     """trace_norm of a finite 4x4 matrix, without trace_norm's scale read."""
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(_svdvals(m).sum())
 
 
 def is_unitary(u) -> bool:

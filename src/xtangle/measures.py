@@ -19,9 +19,11 @@ from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
     _PT_INDEX,
+    _eigvalsh,
     _hermitian_matrix,
     _in_scale,
     _read_edge,
+    _svdvals,
     _trace_norm,
     as_matrix,
     hermitian_eig,
@@ -84,7 +86,7 @@ def concurrence_from_eig(values: list[float], eigvecs: np.ndarray) -> float:
     roots = np.array([math.sqrt(v) for v in values], dtype=complex)
     s = (eigvecs * roots) @ eigvecs.conj().T
     k = (s[:, ::-1] * _FLIP_SIGNS) @ s.conj()
-    r1, r2, r3, r4 = np.linalg.svd(k, compute_uv=False).tolist()
+    r1, r2, r3, r4 = _svdvals(k).tolist()
     return max(0.0, r1 - r2 - r3 - r4)
 
 
@@ -178,7 +180,7 @@ def negativity_general(rho) -> float:
 def _pt_negativity(m: np.ndarray) -> float:
     """negativity_general of a 4x4 matrix that has passed its gate; its
     partial transpose is taken without partial_transpose's scale read."""
-    return max(0.0, -float(np.linalg.eigvalsh(m.take(_PT_INDEX)).min()))
+    return max(0.0, -float(_eigvalsh(m.take(_PT_INDEX)).min()))
 
 
 def negativity_x(rho) -> float:

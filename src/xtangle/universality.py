@@ -455,12 +455,12 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     entries are read once for the density checks, and everything but a
     negativity target comes from one eigendecomposition of rho
     (matrix_core.density_spectrum): two LAPACK calls per conversion,
-    that eigh and an svd (concurrence target) or an eigvalsh (negativity
-    target). See the module docstring for the walk. The output is
-    X-form, so its measure is a closed form of its entries (see
-    CounterpartResult), read through the X-form guard. The target can
-    exceed the MEMS ceiling only through numerical noise; any excess is
-    clipped and reported.
+    that solve's matrix_core._eigh and a _svdvals (concurrence target) or
+    an _eigvalsh (negativity target). See the module docstring for the
+    walk. The output is X-form, so its measure is a closed form of its
+    entries (see CounterpartResult), read through the X-form guard. The
+    target can exceed the MEMS ceiling only through numerical noise; any
+    excess is clipped and reported.
     """
     rho = as_matrix(rho)
     spec = density_spectrum(rho)

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -572,32 +571,21 @@ def _reference_counterpart(rho, measure):
     return conjugate(rho, w), tau
 
 
-def _counting_solvers(monkeypatch):
-    counts = Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 SOLVER_CALLS = {"concurrence": {"eigh": 1, "svd": 1},
                 "negativity": {"eigh": 1, "eigvalsh": 1}}
 
 
-def test_counterpart_matches_chart_route(monkeypatch):
+def test_counterpart_matches_chart_route(solver_calls):
     kinds = ("hilbert_schmidt", "rank_1", "rank_2", "rank_3", "pure_haar")
     inputs = [random_density(child_seed(92, i), kinds[i % 5]) for i in range(40)]
     inputs += [MAX_MIXED, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
                np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex), BELL_PHI_PLUS]
-    counts = _counting_solvers(monkeypatch)
     for rho in inputs:
         for measure, fn in (("concurrence", concurrence_general),
                             ("negativity", negativity_general)):
-            counts.clear()
+            solver_calls.clear()
             res = counterpart_details(rho, measure)
-            assert counts == SOLVER_CALLS[measure]
+            assert solver_calls == SOLVER_CALLS[measure]
             state, tau = _reference_counterpart(rho, measure)
             np.testing.assert_allclose(res.state, state, rtol=0.0, atol=1e-10)
             assert abs(res.tau - tau) <= 1e-9
