@@ -1,10 +1,12 @@
 """Microseconds per call of the package's layers.
 
-Times hermitian_eig, density_spectrum, is_density_matrix,
+Times hermitian_eig, hermitian_eigvals, density_spectrum,
+is_density_matrix, partial_transpose, trace_norm, purity_general,
 concurrence_general, negativity_general and counterpart_details (both
-measures) on 64 seeded states, and fannes_ree_bound on each of them
-paired with its mix 0.9 rho + 0.1 I/4 (a trace distance of at most
-0.15); random_density and random_unitary on their 64 seeds;
+measures) on 64 seeded states, conjugate on each of them with a seeded
+unitary, and fannes_ree_bound on each paired with its mix
+0.9 rho + 0.1 I/4 (a trace distance of at most 0.15); random_density and
+random_unitary on their 64 seeds, and is_unitary on those unitaries;
 random_xparams on 64 seeds cycling its eleven constraints;
 disentangle_params and solve_tau (half the starting value, the two
 measures in turn) on 64 seeded entangled X-state draws; conjugate_x
@@ -53,6 +55,7 @@ def layers() -> dict:
     seeds = [xt.child_seed(1, i) for i in range(STATES)]
     kinds = [KINDS[i % len(KINDS)] for i in range(STATES)]
     states = [(xt.random_density(s, k),) for s, k in zip(seeds, kinds)]
+    unitaries = [(xt.random_unitary(s),) for s in seeds]
     walks = [xt.random_xparams(xt.child_seed(2, i), "entangled") for i in range(STATES)]
     sols = [xt.disentangle_params(p) for p in walks]
     walk_states = [(xt.to_density(p),) for p in walks]
@@ -68,8 +71,14 @@ def layers() -> dict:
                for i in range(STATES)]
     return {
         "hermitian_eig": (xt.hermitian_eig, states),
+        "hermitian_eigvals": (xt.hermitian_eigvals, states),
         "density_spectrum": (density_spectrum, states),
         "is_density_matrix": (xt.is_density_matrix, states),
+        "partial_transpose": (xt.partial_transpose, states),
+        "trace_norm": (xt.trace_norm, states),
+        "purity_general": (xt.purity_general, states),
+        "conjugate": (xt.conjugate, [(rho, u) for (rho,), (u,) in zip(states, unitaries)]),
+        "is_unitary": (xt.is_unitary, unitaries),
         "concurrence_general": (xt.concurrence_general, states),
         "negativity_general": (xt.negativity_general, states),
         "fannes_ree_bound": (xt.fannes_ree_bound,

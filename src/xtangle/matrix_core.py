@@ -186,6 +186,15 @@ def _in_scale(values):
     return values
 
 
+def _read(a) -> tuple[np.ndarray, list[complex]]:
+    """(as_matrix(a), its 16 row-major entries from one tolist()), behind
+    _scale_problem: the package's one 4x4 reader. ValueError for a wrong
+    shape, then naming _scale_problem's reason. is_unitary and is_x_form
+    call _scale_problem themselves: they answer False where this raises."""
+    m = as_matrix(a)
+    return m, _in_scale(m.ravel().tolist())
+
+
 def _entry_gate(e: list[complex]) -> tuple[float, complex]:
     """(Hermitian deviation, trace) of a 4x4 matrix from its 16 row-major
     entries e, admitted by _scale_problem.
@@ -195,7 +204,7 @@ def _entry_gate(e: list[complex]) -> tuple[float, complex]:
     complex abs can differ from numpy's in the last bit, which moves a
     verdict only for a deviation within an ulp of its tolerance. The trace
     is summed as numpy's pairwise sum does, (e_00 + e_11) + (e_22 + e_33)
-    + 0, so it prints the same. The one entry gate of _entry_problem and
+    + 0, so it prints the same. The one entry gate of _density_problem and
     _hermitian_matrix.
     """
     e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33 = e
@@ -207,25 +216,44 @@ def _entry_gate(e: list[complex]) -> tuple[float, complex]:
     return dev, (e00 + e11) + (e22 + e33) + 0j
 
 
-def _entry_problem(m: np.ndarray) -> str:
-    """The input scale, Hermiticity and unit trace at ROUNDOFF; "" when all hold."""
-    e = m.ravel().tolist()
-    why = _scale_problem(e)
-    if why:
-        return why
+def _sorted_eigh(m: np.ndarray) -> Spectrum:
+    """hermitian_eig's solve and ordering, for a matrix past its gate.
+
+    One eigh of the symmetrised matrix. The columns are reversed once.
+    Each one's lead entry is found in Python, from the first row alone
+    when all four of its entries pass, and the phases are divided out in
+    one numpy step: numpy's complex division differs from Python's in the
+    last bits.
+    """
+    vals, vecs = _eigh(0.5 * (m + m.conj().T))
+    vecs = vecs[:, ::-1]
+    lead = vecs[0]
+    if not min(map(abs, lead.tolist())) > ROUNDOFF:
+        # a unit column always has an entry of magnitude >= 1/2
+        lead = np.array([next(z for z in col if abs(z) > ROUNDOFF)
+                         for col in vecs.T.tolist()])
+    return Spectrum(values=vals[::-1], eigvecs=vecs / (lead / np.abs(lead)))
+
+
+def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
+    """(why, spectrum): the one density check of is_density_matrix and
+    density_spectrum, on a 4x4 matrix m. why names the first failed check,
+    "" when all hold: the input scale (_read), Hermiticity and unit trace
+    at ROUNDOFF from the same entries (_entry_gate), then the PSD floor
+    -SOLVER_TOL on the smallest value of one eigh (_sorted_eigh), whose
+    spectrum is returned; None when an entry check fails."""
+    try:
+        e = _read(m)[1]
+    except ValueError as exc:
+        return str(exc), None
     dev, tr = _entry_gate(e)
     if dev > ROUNDOFF:
-        return "not Hermitian"
+        return "not Hermitian", None
     if abs(tr - 1.0) > ROUNDOFF:
-        return f"trace {tr:.17g} differs from 1"
-    return ""
-
-
-def _psd_problem(lowest: float) -> str:
-    """Positive semidefiniteness from the smallest eigenvalue; "" when it holds."""
-    if lowest >= -SOLVER_TOL:
-        return ""
-    return f"negative eigenvalue {lowest:.3e}"
+        return f"trace {tr:.17g} differs from 1", None
+    spec = _sorted_eigh(m)
+    lowest = spec.values[-1]
+    return ("" if lowest >= -SOLVER_TOL else f"negative eigenvalue {lowest:.3e}"), spec
 
 
 def is_density_matrix(a) -> tuple[bool, str]:
@@ -233,15 +261,16 @@ def is_density_matrix(a) -> tuple[bool, str]:
     semidefiniteness.
 
     Returns (ok, reason). reason is "" when ok, otherwise it names the
-    failed check: NON_FINITE or OUT_OF_SCALE (see _scale_problem), then
-    Hermiticity and trace held to ROUNDOFF and the lowest eigenvalue to
-    -SOLVER_TOL.
+    failed check: a wrong shape (as_matrix), NON_FINITE or OUT_OF_SCALE
+    (see _scale_problem), then Hermiticity and trace held to ROUNDOFF and
+    the lowest eigenvalue to -SOLVER_TOL. It is density_spectrum's one
+    check (_density_problem), so the two agree on every input.
     """
     try:
         m = as_matrix(a)
     except ValueError as exc:
         return False, str(exc)
-    why = _entry_problem(m) or _psd_problem(_eigvalsh(m).min())
+    why = _density_problem(m)[0]
     return not why, why
 
 
@@ -255,37 +284,12 @@ def _hermitian_gate(deviation: float) -> None:
 def _hermitian_matrix(a) -> np.ndarray:
     """as_matrix(a) behind the entry gate of the Hermitian routes.
 
-    Raises ValueError for a non-finite or out-of-scale input, then
+    Raises ValueError for a non-finite or out-of-scale input (_read), then
     NonHermitianError for asymmetry above SOLVER_TOL (see _entry_gate).
     """
-    m = as_matrix(a)
-    _hermitian_gate(_entry_gate(_in_scale(m.ravel().tolist()))[0])
+    m, e = _read(a)
+    _hermitian_gate(_entry_gate(e)[0])
     return m
-
-
-def _hermitian_part(a) -> np.ndarray:
-    """The symmetrised 4x4 matrix of a Hermitian input, behind the
-    eigensolvers' entry gate (_hermitian_matrix)."""
-    m = _hermitian_matrix(a)
-    return 0.5 * (m + m.conj().T)
-
-
-def _sorted_eigh(m: np.ndarray) -> Spectrum:
-    """hermitian_eig's solve and ordering, for an already symmetrised matrix.
-
-    The columns are reversed once. Each one's lead entry is found in
-    Python, from the first row alone when all four of its entries pass,
-    and the phases are divided out in one numpy step: numpy's complex
-    division differs from Python's in the last bits.
-    """
-    vals, vecs = _eigh(m)
-    vecs = vecs[:, ::-1]
-    lead = vecs[0]
-    if not min(map(abs, lead.tolist())) > ROUNDOFF:
-        # a unit column always has an entry of magnitude >= 1/2
-        lead = np.array([next(z for z in col if abs(z) > ROUNDOFF)
-                         for col in vecs.T.tolist()])
-    return Spectrum(values=vals[::-1], eigvecs=vecs / (lead / np.abs(lead)))
 
 
 def hermitian_eig(a) -> Spectrum:
@@ -297,37 +301,32 @@ def hermitian_eig(a) -> Spectrum:
     division over the columns, so repeated calls give identical columns.
     Raises ValueError for a non-finite or out-of-scale input and
     NonHermitianError for asymmetry above SOLVER_TOL; the entries are read
-    once, in Python (see _scale_problem and _entry_gate).
+    once, in Python (see _read and _entry_gate).
     """
-    return _sorted_eigh(_hermitian_part(a))
+    return _sorted_eigh(_hermitian_matrix(a))
 
 
 def hermitian_eigvals(a) -> np.ndarray:
-    """The values of hermitian_eig(a), non-ascending, from a values-only solve.
+    """hermitian_eig(a)'s values, non-ascending, from a values-only solve
+    of the same symmetrised matrix: equal within round-off, not bit for bit.
 
     Same gate as hermitian_eig: ValueError for a non-finite or
     out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
-    return _eigvalsh(_hermitian_part(a))[::-1]
+    m = _hermitian_matrix(a)
+    return _eigvalsh(0.5 * (m + m.conj().T))[::-1]
 
 
 def density_spectrum(a) -> Spectrum:
     """hermitian_eig of a density matrix, validated from that one eigensolve.
 
-    Runs the checks of is_density_matrix and raises ValueError naming the
-    failed check: the entry checks (input scale, Hermiticity and unit
-    trace at ROUNDOFF) from one read of the entries (_entry_problem), then
-    the PSD floor on the returned spectrum's smallest value. Those entry
-    checks are stricter than hermitian_eig's gate, so the symmetrised
-    matrix goes to the solve without that gate. The values and vectors
-    are those of hermitian_eig(a), bit for bit.
+    Runs is_density_matrix's one check (_density_problem) and raises
+    ValueError "not a density matrix: " and the failed check's reason; a
+    wrong shape raises as_matrix's ValueError. The entry checks are
+    stricter than hermitian_eig's gate, which the solve skips. The values
+    and vectors are those of hermitian_eig(a), bit for bit.
     """
-    m = as_matrix(a)
-    why = _entry_problem(m)
-    if why:
-        raise ValueError(f"not a density matrix: {why}")
-    spec = _sorted_eigh(0.5 * (m + m.conj().T))
-    why = _psd_problem(spec.values[-1])
+    why, spec = _density_problem(as_matrix(a))
     if why:
         raise ValueError(f"not a density matrix: {why}")
     return spec
@@ -343,17 +342,13 @@ def partial_transpose(a) -> np.ndarray:
     Raises ValueError for a non-finite or out-of-scale input (see
     _scale_problem).
     """
-    m = as_matrix(a)
-    _in_scale(m.ravel().tolist())
-    return m.take(_PT_INDEX)
+    return _read(a)[0].take(_PT_INDEX)
 
 
 def trace_norm(a) -> float:
     """Sum of singular values (for Hermitian input: sum of |eigenvalues|)."""
-    m = as_matrix(a)
     # read first: LAPACK prints argument errors for an infinite entry
-    _in_scale(m.ravel().tolist())
-    return _trace_norm(m)
+    return _trace_norm(_read(a)[0])
 
 
 def _trace_norm(m: np.ndarray) -> float:
@@ -372,9 +367,6 @@ def is_unitary(u) -> bool:
 
 def conjugate(rho, u) -> np.ndarray:
     """Unitary conjugation u rho u'. Preserves the spectrum; reads both
-    arguments through _scale_problem."""
-    r = as_matrix(rho)
-    m = as_matrix(u)
-    _in_scale(r.ravel().tolist())
-    _in_scale(m.ravel().tolist())
+    arguments through _read."""
+    r, m = _read(rho)[0], _read(u)[0]
     return m @ r @ m.conj().T

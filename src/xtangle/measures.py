@@ -21,11 +21,10 @@ from .matrix_core import (
     _PT_INDEX,
     _eigvalsh,
     _hermitian_matrix,
-    _in_scale,
+    _read,
     _read_edge,
     _svdvals,
     _trace_norm,
-    as_matrix,
     hermitian_eig,
 )
 from .xstate import (
@@ -212,15 +211,12 @@ def fannes_ree_bound(rho1, rho2) -> float:
     For trace distance t = ||rho1 - rho2||_tr <= 1/3 the difference of the
     two relative entropies of entanglement is at most 8t - 2t log2(t); a
     t within ROUNDOFF above 1/3 reads as 1/3. Each argument is read once
-    (matrix_core._scale_problem), and their difference, whose entry
-    magnitudes sum to at most 2 ENTRY_SCALE, goes unread to the SVD.
+    (matrix_core._read), and their difference, whose entry magnitudes sum
+    to at most 2 ENTRY_SCALE, goes unread to the SVD.
     """
-    m1, m2 = as_matrix(rho1), as_matrix(rho2)
     # each read on its own: their difference can cancel an out-of-scale
     # pair, or meet inf - inf
-    _in_scale(m1.ravel().tolist())
-    _in_scale(m2.ravel().tolist())
-    t = _read_edge(_trace_norm(m1 - m2), 0.0, 1.0 / 3.0,
+    t = _read_edge(_trace_norm(_read(rho1)[0] - _read(rho2)[0]), 0.0, 1.0 / 3.0,
                    OutOfRegimeError, "trace distance {value:.6g} exceeds 1/3")
     if t <= 0.0:
         return 0.0

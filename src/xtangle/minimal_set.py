@@ -221,10 +221,12 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
             extended to p in [5/9, 1[ with c < r(p)
       r3k2: rank 3 kind 2, p in [1/2, 5/9[, c <= v(p)
 
-    The fields are Python floats.
+    The fields are Python floats. A p that is not a real number, NaN
+    included, raises DomainError naming it (the edge rule).
     """
     half_pi = 0.5 * np.pi
     c = _read_edge(c, 0.0, 1.0, DomainError, "concurrence {value!r} outside [0, 1]")
+    p = _read_edge(p, -math.inf, math.inf, DomainError, "purity {value!r} is not a real number")
 
     if variant in ("r1k1", "r1k2") and not abs(p - 1.0) <= DEFAULT_TOL:
         raise DomainError(f"{variant} exists only at purity 1")

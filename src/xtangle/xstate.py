@@ -37,6 +37,7 @@ from .matrix_core import (
     SOLVER_TOL,
     _hermitian_gate,
     _in_scale,
+    _read,
     _read_edge,
     _read_tol,
     _scale_problem,
@@ -289,15 +290,15 @@ def _x_entries(rho, tol: float = DEFAULT_TOL) -> tuple[float, float, float, floa
     """(d1, d2, d3, d4, rho_14, rho_23) of an X-form matrix.
 
     The only place the package reads the X layout: all 16 entries in one
-    tolist(), through matrix_core._scale_problem. Raises ValueError for a
-    non-finite or out-of-scale input, then NotXFormError naming the
-    largest off-X magnitude if it exceeds tol, then NonHermitianError if
-    a coherence differs from the conjugate of its mirror, or a diagonal
+    tolist(), through matrix_core._read. Raises ValueError for a wrong
+    shape or a non-finite or out-of-scale input, then NotXFormError naming
+    the largest off-X magnitude if it exceeds tol, then NonHermitianError
+    if a coherence differs from the conjugate of its mirror, or a diagonal
     entry from its own conjugate, by more than SOLVER_TOL: the X entries'
     part of matrix_core._entry_gate's deviation. Returns the real
     diagonal and the upper coherences (0,3) and (1,2).
     """
-    e = _in_scale(as_matrix(rho).ravel().tolist())
+    e = _read(rho)[1]
     worst = _off_x_worst(e)
     if not worst <= tol:
         raise NotXFormError(f"off-X entry of magnitude {worst:.3e} exceeds {tol:.3e}")

@@ -168,6 +168,18 @@ NON_NUMBERS = {
                       f"w undefined: concurrence None outside [0, v] = [0, {scalar_v(0.5)!r}]"),
     "theorem_params_str": (lambda: theorem_params(0.7, "a", "r2k3"), DomainError,
                            "concurrence 'a' outside [0, 1]"),
+    # each variant's purity test; a complex at 1 passed the rank-1
+    # variants' |p - 1| test
+    "theorem_params_r1k1_p_str": (lambda: theorem_params("a", 0.2, "r1k1"), DomainError,
+                                  "purity 'a' is not a real number"),
+    "theorem_params_r1k2_p_complex": (lambda: theorem_params(1 + 0j, 0.2, "r1k2"), DomainError,
+                                      "purity (1+0j) is not a real number"),
+    "theorem_params_r2k3_p_none": (lambda: theorem_params(None, 0.2, "r2k3"), DomainError,
+                                   "purity None is not a real number"),
+    "theorem_params_r3k1_p_str": (lambda: theorem_params("a", 0.2, "r3k1"), DomainError,
+                                  "purity 'a' is not a real number"),
+    "theorem_params_r3k2_p_complex": (lambda: theorem_params(0.52j, 0.2, "r3k2"), DomainError,
+                                      "purity 0.52j is not a real number"),
     "solve_tau_str": (lambda: solve_tau(WALK, SOL, "0.1"), TargetOutOfRangeError,
                       f"target '0.1' outside [0, {C0!r}] for concurrence"),
     "evolve_none": (lambda: evolve(WALK, SOL, None), ValueError, "tau None outside [0, 1]"),

@@ -33,7 +33,6 @@ from xtangle.matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     Spectrum,
-    _psd_problem,
     density_spectrum,
 )
 
@@ -83,10 +82,10 @@ def _sorted_eigh_oracle(m):
     return Spectrum(values=vals, eigvecs=vecs / (lead / np.abs(lead)))
 
 
-def _is_density_matrix_oracle(a):
-    m = as_matrix(a)
-    why = _entry_problem_oracle(m) or _psd_problem(np.linalg.eigvalsh(m).min())
-    return not why, why
+def _psd_problem_oracle(lowest):
+    if lowest >= -SOLVER_TOL:
+        return ""
+    return f"negative eigenvalue {lowest:.3e}"
 
 
 def _density_spectrum_oracle(a):
@@ -95,10 +94,19 @@ def _density_spectrum_oracle(a):
     if why:
         raise ValueError(f"not a density matrix: {why}")
     spec = _sorted_eigh_oracle(0.5 * (m + m.conj().T))
-    why = _psd_problem(spec.values[-1])
+    why = _psd_problem_oracle(spec.values[-1])
     if why:
         raise ValueError(f"not a density matrix: {why}")
     return spec
+
+
+def _is_density_matrix_oracle(a):
+    # density_spectrum's verdict: the two routes share one check
+    try:
+        _density_spectrum_oracle(a)
+    except ValueError as exc:
+        return False, str(exc).removeprefix("not a density matrix: ")
+    return True, ""
 
 
 def _hermitian_eig_oracle(a):

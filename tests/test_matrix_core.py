@@ -16,9 +16,10 @@ from xtangle import (
     partial_transpose,
     purity_general,
     random_density,
+    random_unitary,
     trace_norm,
 )
-from xtangle.matrix_core import OUT_OF_SCALE, density_spectrum
+from xtangle.matrix_core import OUT_OF_SCALE, ROUNDOFF, SOLVER_TOL, density_spectrum
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -255,3 +256,37 @@ def test_density_spectrum_shares_checks():
     spec = density_spectrum(M40)
     np.testing.assert_array_equal(spec.values, hermitian_eig(M40).values)
     np.testing.assert_array_equal(spec.eigvecs, hermitian_eig(M40).eigvecs)
+
+
+# a state whose lowest eigenvalue sits 3e-13 below the PSD floor -1e-10
+_FLOOR_U = random_unitary(5)
+_NEAR_FLOOR = (_FLOOR_U @ np.diag([0.5, 0.3, 0.2 + 1e-10 + 3e-13, -1e-10 - 3e-13])
+               @ _FLOOR_U.conj().T)
+
+
+def _near_floor(k):
+    """_NEAR_FLOOR with a complex asymmetry of 4e-13 to 8e-13, inside the
+    Hermiticity gate ROUNDOFF, added to one lower-triangle entry m[3, j]."""
+    rng = np.random.default_rng(k)
+    m = _NEAR_FLOOR.copy()
+    m[3, rng.integers(3)] += 4e-13 * (1.0 + rng.random()) * np.exp(2j * np.pi * rng.random())
+    return m
+
+
+def test_is_density_matrix_agrees_with_density_spectrum_at_the_floor():
+    # the raw matrix's lower triangle and its symmetrised form differ in
+    # their lowest eigenvalue by up to the asymmetry: one check of one
+    # solve gives both routes one verdict and one reason
+    raw_admitted = 0
+    for k in range(2000):
+        m = _near_floor(k)
+        assert np.abs(m - m.conj().T).max() <= ROUNDOFF
+        try:
+            density_spectrum(m)
+            want = (True, "")
+        except ValueError as exc:
+            want = (False, str(exc).removeprefix("not a density matrix: "))
+        assert is_density_matrix(m) == want, k
+        raw_admitted += bool(np.linalg.eigvalsh(m).min() >= -SOLVER_TOL)
+    # the set holds inputs a solve of the raw lower triangle admits
+    assert raw_admitted > 0

@@ -21,20 +21,28 @@ from xtangle import (
     child_seed,
     coeffs,
     concurrence_x,
+    conjugate,
     conjugate_x,
     counterpart_details,
     disentangle_params,
     evolve,
     fannes_ree_bound,
+    hermitian_eig,
+    hermitian_eigvals,
+    is_density_matrix,
     negativity_general,
     negativity_x,
     partial_transpose,
+    purity_general,
     random_density,
+    random_unitary,
     random_xparams,
     to_density,
+    trace_norm,
 )
 from xtangle import cli, ensemble, matrix_core, measures, minimal_set, universality, xstate
 from xtangle.ensemble import RANK_KIND_TARGETS
+from xtangle.matrix_core import density_spectrum
 
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 TAUS = (0.0, 0.25, 0.5, 1.0)
@@ -111,6 +119,7 @@ SOL = disentangle_params(WALK)
 RHO = to_density(WALK)
 # within trace distance 1/3 of RHO: 0.1 ||RHO - sigma||_tr <= 0.2
 NEAR = 0.9 * RHO + 0.1 * random_density(22)
+U = random_unitary(22)
 
 # route: (call, {read: calls per call}); an omitted read is 0
 ROUTES = {
@@ -122,6 +131,15 @@ ROUTES = {
     "negativity_x": (lambda: negativity_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),
     "to_density": (lambda: to_density(WALK), {"_valid_angles": 1, "_x_matrix": 1}),
     "partial_transpose": (lambda: partial_transpose(NEAR), {"_scale_problem": 1}),
+    # the one density check reads the entries once, then solves
+    "is_density_matrix": (lambda: is_density_matrix(NEAR), {"_scale_problem": 1}),
+    "density_spectrum": (lambda: density_spectrum(NEAR), {"_scale_problem": 1}),
+    "hermitian_eig": (lambda: hermitian_eig(NEAR), {"_scale_problem": 1}),
+    "hermitian_eigvals": (lambda: hermitian_eigvals(NEAR), {"_scale_problem": 1}),
+    "purity_general": (lambda: purity_general(NEAR), {"_scale_problem": 1}),
+    "trace_norm": (lambda: trace_norm(NEAR), {"_scale_problem": 1}),
+    # the state and the unitary, once each
+    "conjugate": (lambda: conjugate(NEAR, U), {"_scale_problem": 2}),
     # the gated matrix's partial transpose is taken unread
     "negativity_general": (lambda: negativity_general(NEAR), {"_scale_problem": 1}),
     # the input once, then the X-form output once (negativity_x)
