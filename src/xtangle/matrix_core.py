@@ -189,8 +189,9 @@ def _in_scale(values):
 def _read(a) -> tuple[np.ndarray, list[complex]]:
     """(as_matrix(a), its 16 row-major entries from one tolist()), behind
     _scale_problem: the package's one 4x4 reader. ValueError for a wrong
-    shape, then naming _scale_problem's reason. is_unitary and is_x_form
-    call _scale_problem themselves: they answer False where this raises."""
+    shape, then naming _scale_problem's reason. is_unitary, is_x_form and
+    _density_problem call _scale_problem themselves: they answer False or
+    return the reason where this raises."""
     m = as_matrix(a)
     return m, _in_scale(m.ravel().tolist())
 
@@ -237,15 +238,16 @@ def _sorted_eigh(m: np.ndarray) -> Spectrum:
 
 def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
     """(why, spectrum): the one density check of is_density_matrix and
-    density_spectrum, on a 4x4 matrix m. why names the first failed check,
-    "" when all hold: the input scale (_read), Hermiticity and unit trace
-    at ROUNDOFF from the same entries (_entry_gate), then the PSD floor
-    -SOLVER_TOL on the smallest value of one eigh (_sorted_eigh), whose
-    spectrum is returned; None when an entry check fails."""
-    try:
-        e = _read(m)[1]
-    except ValueError as exc:
-        return str(exc), None
+    density_spectrum, on a matrix as_matrix has coerced. why names the
+    first failed check, "" when all hold: the input scale (_scale_problem,
+    read without raising, as is_unitary reads it), Hermiticity and unit
+    trace at ROUNDOFF from the same entries (_entry_gate), then the PSD
+    floor -SOLVER_TOL on the smallest value of one eigh (_sorted_eigh),
+    whose spectrum is returned; None when an entry check fails."""
+    e = m.ravel().tolist()
+    why = _scale_problem(e)
+    if why:
+        return why, None
     dev, tr = _entry_gate(e)
     if dev > ROUNDOFF:
         return "not Hermitian", None
@@ -326,7 +328,12 @@ def density_spectrum(a) -> Spectrum:
     stricter than hermitian_eig's gate, which the solve skips. The values
     and vectors are those of hermitian_eig(a), bit for bit.
     """
-    why, spec = _density_problem(as_matrix(a))
+    return _density_spectrum(as_matrix(a))
+
+
+def _density_spectrum(m: np.ndarray) -> Spectrum:
+    """density_spectrum of a matrix as_matrix has coerced."""
+    why, spec = _density_problem(m)
     if why:
         raise ValueError(f"not a density matrix: {why}")
     return spec

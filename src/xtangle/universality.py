@@ -56,7 +56,12 @@ and the rotation reaching a target value has
 A conversion therefore reports branch "g_zero", or "already_separable"
 when the chosen measure's ceiling is exactly 0 and there is nothing to
 walk. Its rotation is x_unitary(0, 0, b tau, 0), the inner block rotated
-by b tau, the walk's angle at the target's tau.
+by b tau, the walk's angle at the target's tau. The output is written in
+closed form: the MEMS of the eigenvalues as solved, not floored, with
+its inner block rotated by that angle (_rotated_block). Its off-X
+entries are exactly 0 and its measure is taken from those entries,
+unread. The unitary is the one product (R O_BASIS) V^dagger, and
+W rho W^dagger equals the output within round-off.
 """
 
 from __future__ import annotations
@@ -70,11 +75,10 @@ import numpy as np
 from .matrix_core import (
     DEFAULT_TOL,
     ROUNDOFF,
-    Spectrum,
+    _density_spectrum,
     _in_scale,
     _read_edge,
     as_matrix,
-    density_spectrum,
     hermitian_eig,
 )
 from .measures import (
@@ -82,9 +86,7 @@ from .measures import (
     _negativity_of,
     _pt_negativity,
     concurrence_from_eig,
-    concurrence_x,
     floored,
-    negativity_x,
 )
 from .xstate import (
     XCoeffs,
@@ -108,7 +110,7 @@ MEASURES = ("concurrence", "negativity")
 
 # eigenbasis-to-X rotation: maps diag(l1..l4), non-ascending, onto the
 # maximally entangled mixed state of that spectrum
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 O_BASIS = np.array(
     [
         [0.0, 0.0, 0.0, 1.0],
@@ -166,7 +168,9 @@ class PathPoint:
 class CounterpartResult:
     """Full record of one conversion.
 
-    state = unitary @ input @ unitary^dagger, tau the path parameter,
+    state is the X-state built in closed form (see counterpart_details):
+    its off-X entries are exactly 0 and it equals unitary @ input @
+    unitary^dagger within round-off. tau is the path parameter,
     target the input's measure value, achieved the output's, clip the
     amount (if any) the target exceeded the MEMS ceiling by and was
     cut back; nonzero clip only ever reflects numerical noise. branch is
@@ -176,7 +180,8 @@ class CounterpartResult:
     input's eigenvalues, non-ascending, which the state shares.
 
     achieved is measured in closed form from the state's two 2x2
-    blocks, by measures.concurrence_x or measures.negativity_x; the
+    blocks, as measures.concurrence_x or measures.negativity_x measure
+    them, bit for bit, but from the entries as written, unread; the
     former takes each block's eigenvalues at or below
     matrix_core.EIG_FLOOR as 0, the floor concurrence_from_eig applies
     to the target.
@@ -423,14 +428,9 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     return _walk_tau(a, dd, floor, partner, b, value0, target, measure)
 
 
-def _mems_basis(spec: Spectrum) -> np.ndarray:
-    """Unitary taking the state with eigendecomposition spec to its MEMS."""
-    return O_BASIS @ spec.eigvecs.conj().T
-
-
 def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
     """Unitary taking rho to the maximally entangled state of its spectrum."""
-    return _mems_basis(hermitian_eig(rho))
+    return O_BASIS @ hermitian_eig(rho).eigvecs.conj().T
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
@@ -451,19 +451,18 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
     """Convert rho to an X-state of equal spectrum and equal measure.
 
-    The returned unitary W satisfies state = W rho W^dagger. The input's
-    entries are read once for the density checks, and everything but a
-    negativity target comes from one eigendecomposition of rho
-    (matrix_core.density_spectrum): two LAPACK calls per conversion,
-    that solve's matrix_core._eigh and a _svdvals (concurrence target) or
-    an _eigvalsh (negativity target). See the module docstring for the
-    walk. The output is X-form, so its measure is a closed form of its
-    entries (see CounterpartResult), read through the X-form guard. The
-    target can exceed the MEMS ceiling only through numerical noise; any
-    excess is clipped and reported.
+    rho is coerced once (matrix_core.as_matrix) and its entries are read
+    once, by the density check. Everything but a negativity target comes
+    from one eigendecomposition of rho (matrix_core.density_spectrum):
+    two LAPACK calls per conversion, that solve's matrix_core._eigh and a
+    _svdvals (concurrence target) or an _eigvalsh (negativity target).
+    See the module docstring for the walk and the closed-form output,
+    whose off-X entries are exactly 0 and whose measure is achieved (see
+    CounterpartResult). The target can exceed the MEMS ceiling only
+    through numerical noise; any excess is clipped and reported.
     """
     rho = as_matrix(rho)
-    spec = density_spectrum(rho)
+    spec = _density_spectrum(rho)
     values = floored(spec.values)
     if measure == "concurrence":
         target = concurrence_from_eig(values, spec.eigvecs)
@@ -489,10 +488,20 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
                         min(target, ceiling), measure)
         angle = b * tau
 
-    w = x_unitary(0.0, 0.0, angle, 0.0) @ _mems_basis(spec)
-    out = w @ rho @ w.conj().T
-    # the X-form routes raise NotXFormError should out not be X-form
-    achieved = concurrence_x(out) if measure == "concurrence" else negativity_x(out)
-    return CounterpartResult(state=out, unitary=w, tau=tau, branch=branch,
-                             measure=measure, target=target, achieved=achieved,
-                             clip=clip, spectrum=spec.values)
+    # the values as solved, not floored: W rho W^dagger equals the state
+    # within round-off even for a value in [-SOLVER_TOL, 0)
+    r1, r2, r3, r4 = spec.values.tolist()
+    mid = 0.5 * (r1 + r3)
+    d2, d3, coherence = _rotated_block(mid, mid, 0.5 * (r1 - r3), 0.0, angle, 0.0)
+    entries = (r4, d2, d3, r2, 0.0, coherence)
+    achieved = (_concurrence_of if measure == "concurrence" else _negativity_of)(*entries)
+    # R O_BASIS, R = x_unitary(0, 0, angle, 0): rows e4, (p, 0, q, 0),
+    # (q, 0, -p, 0) and e2
+    c, s = math.cos(angle), math.sin(angle)
+    p, q = (c + s) * _INV_SQRT2, (c - s) * _INV_SQRT2
+    ro = np.zeros((4, 4), dtype=complex)
+    ro[0, 3] = ro[3, 1] = 1.0
+    ro[1, 0], ro[1, 2], ro[2, 0], ro[2, 2] = p, q, q, -p
+    return CounterpartResult(state=_x_matrix(*entries), unitary=ro @ spec.eigvecs.conj().T,
+                             tau=tau, branch=branch, measure=measure, target=target,
+                             achieved=achieved, clip=clip, spectrum=spec.values)

@@ -207,7 +207,10 @@ def test_sweep_single_check(capsys):
 
 
 def test_sweep_tol_gates_counterpart(capsys):
-    # a conversion's off-X entries are round-off, none as small as 1e-30
+    # a conversion's off-X entries are exactly 0, so its X-form gate passes
+    # at 1e-30; the spectrum gate fails it first, as the output's solved
+    # eigenvalues differ from the input's by round-off (2.1e-17 on seed 7's
+    # first state), and the measure gate would too
     assert cli.main(["sweep", "counterpart", "--count", "2", "--seed", "7",
                      "--tol", "1e-30"]) == 4
     assert "FAIL counterpart" in capsys.readouterr().out

@@ -142,9 +142,9 @@ ROUTES = {
     "conjugate": (lambda: conjugate(NEAR, U), {"_scale_problem": 2}),
     # the gated matrix's partial transpose is taken unread
     "negativity_general": (lambda: negativity_general(NEAR), {"_scale_problem": 1}),
-    # the input once, then the X-form output once (negativity_x)
+    # the input once; the output is built in closed form and not read back
     "counterpart_negativity": (lambda: counterpart_details(NEAR, "negativity"),
-                               {"_scale_problem": 2, "_x_entries": 1}),
+                               {"_scale_problem": 1, "_x_matrix": 1}),
 }
 
 

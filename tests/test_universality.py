@@ -25,12 +25,14 @@ from xtangle import (
     evolve,
     from_density,
     hermitian_eig,
+    hermitian_eigvals,
     is_separable,
     is_unitary,
     is_x_form,
     mems_from_spectrum,
     negativity_along,
     negativity_general,
+    negativity_x,
     partial_transpose,
     random_density,
     random_unitary,
@@ -40,6 +42,7 @@ from xtangle import (
     verstraete_unitary,
     x_unitary,
 )
+from xtangle.matrix_core import SOLVER_TOL
 from xtangle.xstate import params_from_entries
 
 from reference_states import BELL_PHI_PLUS, M40, MAX_MIXED, random_density_np
@@ -492,22 +495,26 @@ def test_counterpart_random_smoke():
             assert res.clip <= 1e-9
 
 
-# sha256 of test_counterpart_frozen's outputs
-COUNTERPART_SHA256 = "fbf3eceb909a35416809d8355bc07cf361464af7648347a1fae25bacfede8360"
+# sha256 of test_counterpart_frozen's outputs, and of its walks alone:
+# (tau, target, branch, clip), which the closed-form output left unmoved
+COUNTERPART_SHA256 = "b3d20c3990c066bf4316cedde8ad72be46712b5d875864e8bd60adb73dc62553"
+COUNTERPART_WALK_SHA256 = "cb127e65a2d5645f8cb87f8a419d4a1eebb3450dedbc68da530c872018342164"
 
 
 def test_counterpart_frozen():
     # the conversion's outputs bit for bit: 64 seeded states over the kinds
     # of test_counterpart_random_smoke, both measures
     kinds = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
-    h = hashlib.sha256()
+    h, walk = hashlib.sha256(), hashlib.sha256()
     for i in range(64):
         rho = random_density(child_seed(12, i), kinds[i % 4])
         for measure in ("concurrence", "negativity"):
             res = counterpart_details(rho, measure)
             h.update(res.state.tobytes() + res.unitary.tobytes())
             h.update(repr((res.tau, res.target, res.achieved)).encode())
+            walk.update(repr((res.tau, res.target, res.branch, res.clip)).encode())
     assert h.hexdigest() == COUNTERPART_SHA256
+    assert walk.hexdigest() == COUNTERPART_WALK_SHA256
 
 
 def test_counterpart_near_separable_spectrum():
@@ -538,6 +545,35 @@ def test_counterpart_measures_its_state_in_closed_form():
             assert abs(concurrence_x(res.state)
                        - concurrence_general(res.state)) <= 1e-12
             np.testing.assert_array_equal(res.spectrum, hermitian_eig(rho).values)
+
+
+# the entries off the diagonal and the anti-diagonal
+OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+def test_counterpart_output_is_closed_form():
+    # the output is written from the solved spectrum, not computed as
+    # W rho W^dagger: its off-X entries are exactly 0 and its measure is
+    # the X route's bit for bit, while conjugation, unitarity and the
+    # spectrum hold within round-off, also for an admitted input whose
+    # lowest solved eigenvalue is negative
+    kinds = ("hilbert_schmidt", "pure_haar", "rank_1", "rank_2", "rank_3", "rank_4")
+    inputs = [random_density(child_seed(94, i), kinds[i % 6]) for i in range(60)]
+    inputs += [MAX_MIXED, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex),
+               np.diag([0.4, 0.3, 0.3, 0.0]).astype(complex), BELL_PHI_PLUS]
+    u = random_unitary(94)
+    below = u @ np.diag([0.5, 0.3, 0.2 + 0.5 * SOLVER_TOL, -0.5 * SOLVER_TOL]) @ u.conj().T
+    assert hermitian_eig(below).values[-1] < 0.0
+    inputs.append(below)
+    for rho in inputs:
+        for measure, fn in (("concurrence", concurrence_x), ("negativity", negativity_x)):
+            res = counterpart_details(rho, measure)
+            w, state = res.unitary, res.state
+            assert not state[OFF_X].any()
+            assert res.achieved == fn(state)
+            assert np.abs(w @ rho @ w.conj().T - state).max() <= 1e-12
+            assert np.abs(w @ w.conj().T - np.eye(4)).max() <= 1e-12
+            assert np.abs(hermitian_eigvals(state) - res.spectrum).max() <= 1e-12
 
 
 def test_counterpart_rejects_non_finite():
