@@ -15,15 +15,20 @@ sweep reproduces the draw on any platform:
     (seed + (index + 1) * golden) modulo 2^64.
   * Complex Gaussian matrices are filled row-major, real part before
     imaginary part, each a unit normal.
+
+A seed (and child_seed's index) is read once, through operator.index,
+so a bool or a numpy integer reads as its int, taken modulo 2^64; any
+other value raises TypeError naming the parameter.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL
+from .matrix_core import DEFAULT_TOL, _qr
 from .xstate import (
     RANK_KIND_PAIRS,
     TWO_PI,
@@ -61,11 +66,20 @@ class ConstraintInfeasibleError(ValueError):
     """No draw satisfying the constraint was found (or can exist)."""
 
 
+def _read_int(value, name: str) -> int:
+    """value as a Python int, read through operator.index; TypeError
+    naming the parameter for a value that is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} {value!r} is not an integer") from None
+
+
 class SplitMix64:
     """Deterministic 64-bit generator; see the module docstring."""
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self._state = _read_int(seed, "seed") & MASK64
         self._cached_normal: float | None = None
 
     def next_u64(self) -> int:
@@ -94,7 +108,7 @@ class SplitMix64:
 def child_seed(seed: int, index: int) -> int:
     """Independent stream seed number `index` derived from `seed`: the
     first output of the generator seeded at seed + index * golden."""
-    return SplitMix64(seed + index * GOLDEN).next_u64()
+    return SplitMix64(_read_int(seed, "seed") + _read_int(index, "index") * GOLDEN).next_u64()
 
 
 # Word k of the stream seeded at s is the mix of its state after k steps,
@@ -118,7 +132,7 @@ def _ginibre(seed: int, rows: int, cols: int) -> np.ndarray:
     words come from one uint64 pass (2 rows cols <= _BLOCK); Box-Muller
     runs on Python floats, since np.log is not math.log to the last bit.
     """
-    z = np.add(_STEPS, seed & MASK64)  # uint64 wraps modulo 2^64
+    z = np.add(_STEPS, _read_int(seed, "seed") & MASK64)  # uint64 wraps modulo 2^64
     z ^= z >> _R30
     z *= _M1
     z ^= z >> _R27
@@ -152,7 +166,9 @@ def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarr
         raise ValueError(f"unknown ensemble kind {measure_kind!r}")
     g = _ginibre(seed, 4, cols)
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    # np.trace(rho).real bit for bit: numpy's sum order (see _entry_gate)
+    e00, e11, e22, e33 = rho.diagonal().tolist()
+    return rho / ((e00 + e11) + (e22 + e33) + 0j).real
 
 
 def _draw_angles(rng: SplitMix64, interior: bool) -> tuple[float, float, float]:
@@ -240,8 +256,8 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
 
 
 def random_unitary(seed: int) -> np.ndarray:
-    """Haar-distributed 4 x 4 unitary (QR of a Ginibre matrix)."""
-    g = _ginibre(seed, 4, 4)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
+    """Haar-distributed 4 x 4 unitary: Q of the QR of a Ginibre matrix, its
+    columns rotated by the phases of R's diagonal. The QR is the solver
+    layer's (matrix_core._qr), numpy.linalg.qr's factors bit for bit."""
+    q, d = _qr(_ginibre(seed, 4, 4))
     return q * (d / np.abs(d))

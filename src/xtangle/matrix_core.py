@@ -2,18 +2,21 @@
 
 Validation, eigendecomposition, partial transpose, trace norm and unitary
 conjugation, and the table of tolerances used throughout the package.
-Every LAPACK solve of the package but ensemble's QR goes through the
-solver layer here, _eigh, _eigvalsh and _svdvals: numpy.linalg's own
-gufuncs, called without its wrappers' per-call checks, with the same
-results bit for bit and the same LinAlgError on a failure to converge.
+Every LAPACK call of the package goes through the solver layer here,
+_eigh, _eigvalsh, _svdvals and _qr: numpy.linalg's own gufuncs, called
+without its wrappers' per-call checks, with the same results bit for bit
+and the same LinAlgError on a failure, under one error state built at
+import.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = ["NonHermitianError", "Spectrum", "as_matrix", "conjugate", "hermitian_eig",
@@ -74,16 +77,34 @@ OUT_OF_SCALE = f"entry magnitudes sum above {ENTRY_SCALE:g}"
 # its wrappers, whose checks and casts cost about as much as LAPACK on a
 # 4x4. Every caller passes a complex 4x4, which is what the wrappers would
 # hand on, so the outputs are theirs bit for bit. The error state is
-# numpy.linalg's, applied as a decorator because numpy 2 refuses to enter
-# one errstate instance twice.
+# numpy.linalg's: a LAPACK failure, which the gufuncs flag as an invalid
+# value, raises LinAlgError with numpy.linalg's message, and every other
+# floating-point error is ignored. It is built once, at import; each solve
+# sets it on numpy's error-state context variable, which is per thread,
+# and restores the caller's after, on a failure too. The state raises
+# FloatingPointError, turned into LinAlgError here, instead of calling a
+# handler: numpy keeps it in a capsule the garbage collector cannot see
+# into, so a handler of this module's would keep each dropped copy of the
+# module alive. Its buffer size is the one at import, where numpy.linalg's
+# wrappers take the caller's.
+_LAPACK_STATE = _make_extobj(all="ignore", invalid="raise")
 
-def _lapack_errors(message: str) -> np.errstate:
-    """numpy.linalg's error state: LinAlgError(message) on a LAPACK
-    failure to converge, every other floating-point error ignored."""
-    def fail(err, flag):
-        raise LinAlgError(message)
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+
+def _lapack_errors(message: str):
+    """Decorate a solver to run under _LAPACK_STATE, raising
+    LinAlgError(message) on a LAPACK failure."""
+    def decorate(solver):
+        @functools.wraps(solver)
+        def solve(m):
+            token = _extobj_contextvar.set(_LAPACK_STATE)
+            try:
+                return solver(m)
+            except FloatingPointError:
+                raise LinAlgError(message) from None
+            finally:
+                _extobj_contextvar.reset(token)
+        return solve
+    return decorate
 
 
 @_lapack_errors("Eigenvalues did not converge")
@@ -102,6 +123,15 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
 def _svdvals(m: np.ndarray) -> np.ndarray:
     """numpy.linalg.svd(m, compute_uv=False): descending singular values."""
     return _umath_linalg.svd(m, signature="D->d")
+
+
+@_lapack_errors("Incorrect argument found while performing QR factorization")
+def _qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.qr(m)'s Q and the diagonal of its R. The factorization
+    writes R over its input, so m is copied."""
+    a = m.copy()
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
 
 
 def _read_edge(value, lo, hi, error, message):

@@ -9,13 +9,13 @@ from xtangle import matrix_core
 sys.path.insert(0, os.path.dirname(__file__))
 
 # matrix_core's solver layer, by the numpy.linalg function each one stands for
-SOLVERS = {"_eigh": "eigh", "_eigvalsh": "eigvalsh", "_svdvals": "svd"}
+SOLVERS = {"_eigh": "eigh", "_eigvalsh": "eigvalsh", "_svdvals": "svd", "_qr": "qr"}
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
     """A Counter of the LAPACK solves made during the test, keyed eigh,
-    eigvalsh and svd: each solver of matrix_core is wrapped in every
+    eigvalsh, svd and qr: each solver of matrix_core is wrapped in every
     xtangle module that binds it."""
     counts = Counter()
     modules = [mod for name, mod in sys.modules.items()

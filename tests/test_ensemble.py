@@ -1,6 +1,8 @@
 """Seeded generators: SplitMix64 stream, densities, constrained X-params."""
 
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -208,3 +210,35 @@ def test_ginibre_reads_the_normal_stream():
             want = np.array([[complex(rng.normal(), rng.normal()) for _ in range(cols)]
                              for _ in range(4)])
             assert _ginibre(seed, 4, cols).tobytes() == want.tobytes()
+
+
+# every read of a seed, by the parameter it reads
+SEED_READS = {
+    "SplitMix64": (lambda v: SplitMix64(v).next_u64(), "seed"),
+    "child_seed's seed": (lambda v: child_seed(v, 3), "seed"),
+    "child_seed's index": (lambda v: child_seed(7, v), "index"),
+    "random_density": (lambda v: random_density(v, "rank_2").tobytes(), "seed"),
+    "random_unitary": (lambda v: random_unitary(v).tobytes(), "seed"),
+    "random_xparams": (lambda v: random_xparams(v, "entangled"), "seed"),
+}
+NOT_INTEGERS = ("a", "7", 1.5, 2.0, None, np.float64(3.0), 1 + 0j, [1])
+INTEGERS = (True, False, np.int64(-3), np.int32(5), np.uint64(7), np.uint64(MASK64),
+            np.int64(-(2**63)))
+
+
+@pytest.mark.parametrize("read", SEED_READS)
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+def test_a_seed_that_is_not_an_integer_raises_naming_it(read, value):
+    call, name = SEED_READS[read]
+    with pytest.raises(TypeError, match=f"^{re.escape(f'{name} {value!r} is not an integer')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("read", SEED_READS)
+@pytest.mark.parametrize("value", INTEGERS, ids=repr)
+def test_an_integer_seed_reads_as_its_int(read, value):
+    # numpy integers included, with no overflow warning or error
+    call, _ = SEED_READS[read]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call(value) == call(int(value))

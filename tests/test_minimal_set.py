@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xtangle import minimal_set
 from xtangle import (
@@ -16,6 +18,7 @@ from xtangle import (
     UnphysicalError,
     XParams,
     boundary_scalars,
+    child_seed,
     classify_rank,
     concurrence_general,
     cp_boundary,
@@ -27,6 +30,7 @@ from xtangle import (
     negativity_x,
     numerical_rank,
     purity_general,
+    random_density,
     scalar_q,
     scalar_r,
     scalar_u,
@@ -37,7 +41,7 @@ from xtangle import (
     to_density,
     trace_norm,
 )
-from xtangle.matrix_core import DEFAULT_TOL, ROUNDOFF
+from xtangle.matrix_core import DEFAULT_TOL, ROUNDOFF, SOLVER_TOL
 from xtangle.xstate import _classify_arrays, _coeffs_of
 
 from reference_states import (
@@ -600,3 +604,26 @@ def test_scalars_are_python_floats():
         cmax = cp_boundary(p)
         found += [_where_defined(fn, p, c) for fn in (scalar_w, scalar_z) for c in (0.0, cmax)]
         assert all(v is None or type(v) is float for v in found), p
+
+
+DENSITY_KINDS = ("hilbert_schmidt", "pure_haar", "rank_1", "rank_2", "rank_3", "rank_4")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**16),
+       kind=st.sampled_from(DENSITY_KINDS))
+# purity below 1/3, which about 1 in 1,500 draws reaches
+@example(seed=909, index=267, kind="hilbert_schmidt")
+@example(seed=909, index=346, kind="rank_4")
+def test_every_seeded_state_has_its_point_in_the_minimal_set(seed, index, kind):
+    # the paper's last claim: the minimal set's members and the points of
+    # the CP diagram of generic states correspond one to one
+    rho = random_density(child_seed(seed, index), kind)
+    p, c = purity_general(rho), concurrence_general(rho)
+    assert c <= cp_boundary(p) + SOLVER_TOL
+    if p < 1.0 / 3.0:
+        assert c <= SOLVER_TOL
+    else:
+        member = minset_state(p, c)
+        assert abs(purity_general(member) - p) <= SOLVER_TOL
+        assert abs(concurrence_general(member) - c) <= SOLVER_TOL
