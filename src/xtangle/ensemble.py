@@ -28,18 +28,8 @@ import operator
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, _qr
-from .xstate import (
-    RANK_KIND_PAIRS,
-    TWO_PI,
-    RankClass,
-    XCoeffs,
-    XParams,
-    _coeffs_of,
-    _diagonal_of,
-    _entangled_outer,
-    _rank_class,
-)
+from .matrix_core import _qr
+from .xstate import RANK_KIND_PAIRS, TWO_PI, XParams, _coeffs_of, _diagonal_of, _entangled_outer
 
 __all__ = ["ConstraintInfeasibleError", "SplitMix64", "child_seed", "random_density",
            "random_unitary", "random_xparams"]
@@ -52,7 +42,10 @@ _MIX2 = 0x94D049BB133111EB
 _ULP53 = 2.0 ** -53
 
 _HALF_PI = 0.5 * math.pi
-# keep pinned diagonals comfortably away from the classifier tolerance
+# keep pinned draws away from the classifier tolerance: on this box
+# g_cal >= 2.4e-7 and h_cal >= 1.08e-5, so every classify_rank condition a
+# pinned draw must fail misses its DEFAULT_TOL band by >= 12 DEFAULT_TOL
+# (least for classes (3, 2) and (4, 1), where g_cal - y = 0.05 g_cal)
 _ANGLE_LO = 0.15
 _ANGLE_HI = _HALF_PI - 0.15
 _FRACTION_LO = 0.05
@@ -191,8 +184,10 @@ _PINNED_DRAWS = {
 }
 
 
-def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> tuple[XParams, XCoeffs]:
-    """A draw of the class (rank, kind) and the XCoeffs of its diagonal."""
+def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
+    """A draw built in the class (rank, kind): its pins set x or y to exactly
+    0 or their tops and b_cal or c_cal to exactly 0, and the margin of
+    _ANGLE_LO's box keeps every other classify_rank condition from holding."""
     mu = rng.uniform(0.0, TWO_PI)
     nu = rng.uniform(0.0, TWO_PI)
     drawn = _draw_angles(rng, interior=True)
@@ -203,7 +198,19 @@ def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> tuple[XParams, XCoeff
     cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
     return XParams(theta, phi, psi,
                    fractions.get(x_factor, x_factor) * cf.h_cal,
-                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu), cf
+                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu)
+
+
+def _free_draw(rng: SplitMix64, separable: bool) -> tuple:
+    """(XParams, the XCoeffs of its diagonal) of a draw over the whole chart.
+    separable caps both weights below min(g_cal, h_cal), so both partial-
+    transpose lows are >= 0, as g_low^2 + 4 g_cal = b_cal^2 (and for h)."""
+    theta, phi, psi = _draw_angles(rng, interior=False)
+    mu = rng.uniform(0.0, TWO_PI)
+    nu = rng.uniform(0.0, TWO_PI)
+    cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
+    x_cap, y_cap = (min(cf.g_cal, cf.h_cal),) * 2 if separable else (cf.h_cal, cf.g_cal)
+    return XParams(theta, phi, psi, rng.uniform(0.0, x_cap), rng.uniform(0.0, y_cap), mu, nu), cf
 
 
 # every "rank_R_kind_K" constraint random_xparams reads, R in 1..4, K in 1..3
@@ -216,43 +223,29 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     """Random physical X-state parameters under a constraint.
 
     constraint: "any", "entangled", "separable", or "rank_R_kind_K".
-    A draw is checked by is_separable's rule, xstate._entangled_outer
-    giving None ("entangled", "separable"), or classify_rank's,
-    xstate._rank_class at DEFAULT_TOL (rank/kind targets), on the chart
-    it was drawn from, and redrawn on failure; after MAX_TRIES the
-    constraint is declared infeasible.
+    "any", "separable" and every rank/kind target are drawn in their
+    class by construction (_free_draw, _pinned_draw). Only an "entangled"
+    draw is tested, by is_separable's rule (xstate._entangled_outer) on
+    the chart it was drawn from, and redrawn on failure; after MAX_TRIES
+    tries it is declared infeasible.
     """
     rng = SplitMix64(seed)
-    want: tuple[int, int] | None = None
-    if constraint not in ("any", "entangled", "separable"):
-        want = _RANK_KINDS.get(constraint)
-        if want is None:
-            raise ValueError(f"unknown constraint {constraint!r}")
-        if want not in RANK_KIND_PAIRS:
-            raise ConstraintInfeasibleError(
-                f"no X-state has rank {want[0]} with kind {want[1]}"
-            )
-
-    target = None if want is None else RankClass(*want)
-    for _ in range(MAX_TRIES):
-        if want is not None:
-            p, cf = _pinned_draw(rng, *want)
-            if _rank_class(cf, p.x, p.y, DEFAULT_TOL) == target:
+    if constraint in ("any", "separable"):
+        return _free_draw(rng, constraint == "separable")[0]
+    if constraint == "entangled":
+        for _ in range(MAX_TRIES):
+            p, cf = _free_draw(rng, False)
+            if _entangled_outer(cf, p.x, p.y) is not None:
                 return p
-            continue
-
-        theta, phi, psi = _draw_angles(rng, interior=False)
-        mu = rng.uniform(0.0, TWO_PI)
-        nu = rng.uniform(0.0, TWO_PI)
-        cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
-        separable = constraint == "separable"
-        x_cap, y_cap = (min(cf.g_cal, cf.h_cal),) * 2 if separable else (cf.h_cal, cf.g_cal)
-        p = XParams(theta, phi, psi, rng.uniform(0.0, x_cap), rng.uniform(0.0, y_cap), mu, nu)
-        if constraint == "any" or (_entangled_outer(cf, p.x, p.y) is None) == separable:
-            return p
-    raise ConstraintInfeasibleError(
-        f"no draw met {constraint!r} within {MAX_TRIES} tries (seed {seed})"
-    )
+        raise ConstraintInfeasibleError(
+            f"no draw met {constraint!r} within {MAX_TRIES} tries (seed {seed})"
+        )
+    want = _RANK_KINDS.get(constraint)
+    if want is None:
+        raise ValueError(f"unknown constraint {constraint!r}")
+    if want not in RANK_KIND_PAIRS:
+        raise ConstraintInfeasibleError(f"no X-state has rank {want[0]} with kind {want[1]}")
+    return _pinned_draw(rng, *want)
 
 
 def random_unitary(seed: int) -> np.ndarray:

@@ -493,7 +493,8 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     r1, r2, r3, r4 = spec.values.tolist()
     mid = 0.5 * (r1 + r3)
     d2, d3, coherence = _rotated_block(mid, mid, 0.5 * (r1 - r3), 0.0, angle, 0.0)
-    entries = (r4, d2, d3, r2, 0.0, coherence)
+    # the walk's phases are 0: a real coherence, so rho_32's imaginary part is +0.0
+    entries = (r4, d2, d3, r2, 0.0, coherence.real)
     achieved = (_concurrence_of if measure == "concurrence" else _negativity_of)(*entries)
     # R O_BASIS, R = x_unitary(0, 0, angle, 0): rows e4, (p, 0, q, 0),
     # (q, 0, -p, 0) and e2

@@ -25,6 +25,9 @@ from xtangle.matrix_core import SOLVER_TOL
 
 from reference_states import BELL_PHI_PLUS, M30A, M30B, M40, MAX_MIXED
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+
 EXPECTED_MEASURE_KEYS = {"purity", "concurrence", "entanglement_of_formation",
                          "negativity", "x_form", "rank", "separable"}
 
@@ -299,11 +302,37 @@ def test_import_builds_no_parser():
         "xtangle.cli.main(['sweep', '--count', '0'])\n"
         "assert built\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _run_module(*argv):
+    """python -m xtangle.cli argv in a fresh interpreter, on this tree's src."""
+    return subprocess.run([sys.executable, "-m", "xtangle.cli", *argv], env=SRC_ENV,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_sweep():
+    done = _run_module("sweep", "--count", "2", "--seed", "3", "all")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"ok {name} (count=2)" for name in cli.SWEEP_CHECKS]
+
+
+def test_module_entry_point_usage_error():
+    done = _run_module("measure")
+    assert done.returncode == 1
+    assert "usage error" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_readme_quick_start_runs():
+    # the README's library block, as the file holds it
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_exit_usage(capsys):

@@ -1,11 +1,14 @@
 """Seeded generators: SplitMix64 stream, densities, constrained X-params."""
 
 import hashlib
+import itertools
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtangle import ensemble
 from xtangle import (
@@ -26,7 +29,8 @@ from xtangle import (
     random_xparams,
     to_density,
 )
-from xtangle.ensemble import MASK64, RANK_KIND_TARGETS, _ginibre
+from xtangle.ensemble import MASK64, RANK_KIND_TARGETS, _ginibre, _pinned_draw
+from xtangle.matrix_core import DEFAULT_TOL
 
 # reference stream: published test vectors for this generator, seed 0
 SEED0_U64 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -49,6 +53,7 @@ FROZEN_DRAWS_SHA256 = "058b9007510db5a5cc6f2d66dd79fa5a93ed0f68b8c875333e68b0e48
 FROZEN_GINIBRE_SHA256 = "ba088f325af2903ad5e44269585e31c493f309204b1cca3bb232fd11cb286eb0"
 
 DENSITY_KINDS = ("hilbert_schmidt", "pure_haar", "rank_1", "rank_2", "rank_3", "rank_4")
+RANK_KINDS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
 
 
 def test_splitmix_reference_stream():
@@ -120,8 +125,7 @@ def test_random_xparams_valid():
 
 
 def test_random_xparams_rank_kind_targets():
-    targets = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
-    for rank, kind in targets:
+    for rank, kind in RANK_KINDS:
         for i in range(15):
             p = random_xparams(child_seed(61, 10 * rank + kind + 100 * i),
                                f"rank_{rank}_kind_{kind}")
@@ -149,6 +153,54 @@ def test_random_xparams_gives_up_after_max_tries(monkeypatch):
     with pytest.raises(ConstraintInfeasibleError,
                        match=r"^no draw met 'entangled' within 0 tries \(seed 5\)$"):
         random_xparams(5, "entangled")
+
+
+class _EndsRng:
+    """A stand-in for SplitMix64 whose uniform(lo, hi) returns lo or hi,
+    one call after another as ends gives them (False for lo)."""
+
+    def __init__(self, ends):
+        self._ends = iter(ends)
+
+    def uniform(self, lo=0.0, hi=1.0):
+        return hi if next(self._ends) else lo
+
+
+@pytest.mark.parametrize("rank, kind", RANK_KINDS)
+def test_pinned_draw_is_in_its_class_at_every_corner(rank, kind):
+    # _pinned_draw's seven uniforms are mu, nu, the three interior angles
+    # and the two fractions: every corner of the angle box (the pins kept)
+    # with every fraction end, where g_cal and h_cal reach their lows.
+    # The class must hold at ten times classify_rank's default tolerance.
+    for ends in itertools.product((False, True), repeat=7):
+        p = _pinned_draw(_EndsRng(ends), rank, kind)
+        assert classify_rank(p, tol=10 * DEFAULT_TOL) == RankClass(rank, kind), ends
+
+
+def test_only_entangled_draws_are_retried(monkeypatch):
+    # every other constraint is drawn in its class: with no tries left it
+    # still returns, and the same draw (test_random_xparams_gives_up_after_max_tries
+    # covers entangled)
+    constraints = ("any", "separable", *RANK_KIND_TARGETS)
+    seeds = [child_seed(65, i) for i in range(200)]
+    want = {c: [random_xparams(s, c) for s in seeds] for c in constraints}
+    monkeypatch.setattr(ensemble, "MAX_TRIES", 0)
+    for c in constraints:
+        assert [random_xparams(s, c) for s in seeds] == want[c]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, MASK64), index=st.integers(0, 2**32),
+       constraint=st.sampled_from(("any", "entangled", "separable", *RANK_KIND_TARGETS)))
+def test_every_draw_meets_its_constraint(seed, index, constraint):
+    p = random_xparams(child_seed(seed, index), constraint)
+    if constraint == "any":
+        assert is_physical(p)
+    elif constraint in ("entangled", "separable"):
+        assert is_separable(p) == (constraint == "separable")
+    else:
+        rank, kind = map(int, constraint.split("_")[1::2])
+        assert classify_rank(p) == RankClass(rank, kind)
 
 
 def test_random_xparams_unknown_constraint():

@@ -1,8 +1,8 @@
 """Every X matrix the package builds, entry by entry and bit for bit.
 
-to_density, mems_from_spectrum and minset_state share one builder. Each
-is compared against matrices written entry by entry here, including the
-sign of every zero: a real coherence conjugated after being stored as
+to_density, mems_from_spectrum, minset_state and counterpart_details
+share one builder. The first three are compared against matrices written
+entry by entry here, including the sign of every zero: a real coherence conjugated after being stored as
 complex gets an imaginary part of -0.0, which assert_allclose cannot see
 but the CLI prints.
 """
@@ -15,10 +15,12 @@ import pytest
 
 from xtangle import (
     child_seed,
+    counterpart_details,
     cp_boundary,
     diagonal,
     mems_from_spectrum,
     minset_state,
+    random_density,
     random_xparams,
     scalar_u,
     scalar_w,
@@ -107,6 +109,22 @@ def test_mems_from_spectrum_bitwise():
 def test_minset_state_bitwise():
     for p, c in _grid():
         _assert_bitwise(minset_state(p, c), _minset_written(p, c))
+
+
+@pytest.mark.parametrize("measure", ["concurrence", "negativity"])
+def test_counterpart_details_imaginary_parts_are_plus_zero(measure):
+    # the conversion's coherence is real (its walk's phases are 0), so no
+    # entry's imaginary part is -0.0: the kinds of the convert workload,
+    # then the maximally mixed state, which is already separable
+    kinds = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
+    states = [random_density(child_seed(2026, i), kinds[i % 4]) for i in range(40)]
+    branches = set()
+    for rho in states + [np.eye(4, dtype=complex) / 4.0]:
+        res = counterpart_details(rho, measure)
+        branches.add(res.branch)
+        assert not np.signbit(res.state.imag).any()
+        assert not res.state.imag.any()
+    assert branches == {"g_zero", "already_separable"}
 
 
 @pytest.mark.parametrize("build, digest", [
