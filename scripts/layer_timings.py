@@ -2,9 +2,10 @@
 
 Times hermitian_eig, hermitian_eigvals, density_spectrum,
 is_density_matrix, partial_transpose, trace_norm, purity_general,
-concurrence_general, negativity_general and counterpart_details (both
-measures) on 64 seeded states, conjugate on each of them with a seeded
-unitary, and fannes_ree_bound on each paired with its mix
+concurrence_general, negativity_general, counterpart_details (both
+measures) and verstraete_unitary on 64 seeded states, mems_from_spectrum
+on their spectra, conjugate on each of them with a seeded unitary, and
+fannes_ree_bound on each paired with its mix
 0.9 rho + 0.1 I/4 (a trace distance of at most 0.15); random_density and
 random_unitary on their 64 seeds, and is_unitary on those unitaries;
 random_xparams on 64 seeds cycling its eleven constraints;
@@ -87,6 +88,9 @@ def layers() -> dict:
             lambda rho: xt.counterpart_details(rho, "concurrence"), states),
         "counterpart_details_negativity": (
             lambda rho: xt.counterpart_details(rho, "negativity"), states),
+        "verstraete_unitary": (xt.verstraete_unitary, states),
+        "mems_from_spectrum": (xt.mems_from_spectrum,
+                               [(xt.hermitian_eigvals(rho),) for (rho,) in states]),
         "random_density": (xt.random_density, list(zip(seeds, kinds))),
         "random_unitary": (xt.random_unitary, [(s,) for s in seeds]),
         "random_xparams": (xt.random_xparams,

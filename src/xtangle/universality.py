@@ -55,13 +55,18 @@ and the rotation reaching a target value has
 
 A conversion therefore reports branch "g_zero", or "already_separable"
 when the chosen measure's ceiling is exactly 0 and there is nothing to
-walk. Its rotation is x_unitary(0, 0, b tau, 0), the inner block rotated
-by b tau, the walk's angle at the target's tau. The output is written in
-closed form: the MEMS of the eigenvalues as solved, not floored, with
-its inner block rotated by that angle (_rotated_block). Its off-X
-entries are exactly 0 and its measure is taken from those entries,
-unread. The unitary is the one product (R O_BASIS) V^dagger, and
-W rho W^dagger equals the output within round-off.
+walk. Its rotation R is x_unitary(0, 0, b tau, 0), the inner block
+rotated by b tau, the walk's angle at the target's tau. So the
+X-counterpart is the rotated MEMS, and one writer each gives it at that
+angle: _mems_entries its entries, in real closed form, from the
+eigenvalues as solved, not floored; _mems_basis the product R O of the
+rotation and the basis change O onto the MEMS. The unitary is
+W = (R O) V^dagger, with V the eigenvectors, and W rho W^dagger equals
+the output within round-off. The output's off-X entries are exactly 0
+and its measure is taken from its entries, unread. At angle 0 both
+writers are exact (cos 0 = 1, sin 0 = 0), so verstraete_unitary and
+mems_from_spectrum, their angle-0 cases, are a conversion at tau = 0
+bit for bit.
 """
 
 from __future__ import annotations
@@ -94,10 +99,10 @@ from .xstate import (
     _diagonal_of,
     _entangled_outer,
     _finite_angles,
+    _params_of,
     _physical_coeffs,
     _point_entries,
     _x_matrix,
-    params_from_entries,
 )
 
 __all__ = ["CounterpartResult", "DisentangleSolution", "PathPoint", "TargetOutOfRangeError",
@@ -108,19 +113,8 @@ __all__ = ["CounterpartResult", "DisentangleSolution", "PathPoint", "TargetOutOf
 # the measures a conversion or a walk can hold fixed
 MEASURES = ("concurrence", "negativity")
 
-# eigenbasis-to-X rotation: maps diag(l1..l4), non-ascending, onto the
-# maximally entangled mixed state of that spectrum
+# the MEMS basis change's nonzero entries off e2 and e4 (_mems_basis)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-O_BASIS = np.array(
-    [
-        [0.0, 0.0, 0.0, 1.0],
-        [_INV_SQRT2, 0.0, _INV_SQRT2, 0.0],
-        [_INV_SQRT2, 0.0, -_INV_SQRT2, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
-
 
 # the walk's tau gate, read through matrix_core._read_edge; a NaN fails it
 _TAU = "tau {value!r} outside [0, 1]"
@@ -168,9 +162,12 @@ class PathPoint:
 class CounterpartResult:
     """Full record of one conversion.
 
-    state is the X-state built in closed form (see counterpart_details):
+    state is the X-state built in closed form (see counterpart_details),
+    the MEMS of spectrum with its inner block rotated by the walk's angle:
     its off-X entries are exactly 0 and it equals unitary @ input @
-    unitary^dagger within round-off. tau is the path parameter,
+    unitary^dagger within round-off. At tau = 0 state and unitary are
+    mems_from_spectrum(spectrum) and verstraete_unitary(input), bit for
+    bit. tau is the path parameter,
     target the input's measure value, achieved the output's, clip the
     amount (if any) the target exceeded the MEMS ceiling by and was
     cut back; nonzero clip only ever reflects numerical noise. branch is
@@ -225,13 +222,14 @@ def conjugate_x(p: XParams, b1: float, b2: float = 0.0,
     round-off. Reads p as to_density does (xstate._physical_coeffs):
     ValueError for an invalid point, UnphysicalError for one outside the
     positivity range. Then raises ValueError for a non-finite angle, as
-    x_unitary does.
+    x_unitary does. The rotated entries go to the chart's inverse unread
+    (xstate._params_of).
     """
     _, (d1, d2, d3, d4), x, y = _physical_coeffs(p)
     _finite_angles(b1, b2, b3, b4)
     d1n, d4n, outer = _rotated_block(d1, d4, math.sqrt(x), p.mu, b1, b2)
     d2n, d3n, inner = _rotated_block(d2, d3, math.sqrt(y), p.nu, b3, b4)
-    return params_from_entries(d1n, d2n, d3n, d4n, outer, inner)
+    return _params_of(d1n, d2n, d3n, d4n, outer, inner)
 
 
 def _rotated_block(d_a, d_b, root, phase, b, b_phase):
@@ -428,13 +426,44 @@ def solve_tau(p: XParams, sol: DisentangleSolution, target: float,
     return _walk_tau(a, dd, floor, partner, b, value0, target, measure)
 
 
+def _mems_basis(angle: float) -> np.ndarray:
+    """R(angle) O: O maps diag(l1..l4), non-ascending, onto the MEMS of
+    that spectrum, and R = x_unitary(0, 0, angle, 0) rotates its inner
+    block. The real rows e4, (p, 0, q, 0), (q, 0, -p, 0) and e2, with
+    p, q = (cos angle +- sin angle) / sqrt 2; at angle 0, p = q = 1/sqrt 2
+    exactly, so R(0) O is O."""
+    c, s = math.cos(angle), math.sin(angle)
+    p, q = (c + s) * _INV_SQRT2, (c - s) * _INV_SQRT2
+    ro = np.zeros((4, 4), dtype=complex)
+    ro[0, 3] = ro[3, 1] = 1.0
+    ro[1, 0], ro[1, 2], ro[2, 0], ro[2, 2] = p, q, q, -p
+    return ro
+
+
+def _mems_entries(r1, r2, r3, r4, angle: float) -> tuple:
+    """(d1, d2, d3, d4, rho_14, rho_23) of the MEMS of the eigenvalues
+    r1 >= r2 >= r3 >= r4 with its inner block rotated by angle, the state
+    _mems_basis(angle) takes diag(r1..r4) to: diagonal
+    (r4, m + h sin 2a, m - h sin 2a, r2) and real inner coherence
+    h cos 2a, with m = (r1 + r3)/2 and h = (r1 - r3)/2. At angle 0,
+    sin 0 = 0 and cos 0 = 1 exactly, so these are the MEMS's own entries.
+    Unread."""
+    m, h = 0.5 * (r1 + r3), 0.5 * (r1 - r3)
+    shift = h * math.sin(2.0 * angle)
+    return r4, m + shift, m - shift, r2, 0.0, h * math.cos(2.0 * angle)
+
+
 def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
-    """Unitary taking rho to the maximally entangled state of its spectrum."""
-    return O_BASIS @ hermitian_eig(rho).eigvecs.conj().T
+    """Unitary taking rho to the maximally entangled mixed state (MEMS) of
+    its spectrum: _mems_basis(0) @ V^dagger, V the eigenvectors of rho,
+    which is a conversion's unitary at tau = 0, bit for bit."""
+    return _mems_basis(0.0) @ hermitian_eig(rho).eigvecs.conj().T
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
-    """Maximally entangled mixed X-state with the given four eigenvalues.
+    """Maximally entangled mixed X-state with the given four eigenvalues:
+    _mems_entries at angle 0, which is a conversion's state at tau = 0,
+    bit for bit.
 
     Raises ValueError for four values that are non-finite or out of
     scale, read as one input by matrix_core._scale_problem.
@@ -443,9 +472,7 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
     if vals.shape != (4,):
         raise ValueError("spectrum must hold exactly four values")
     _in_scale(vals.tolist())
-    l1, l2, l3, l4 = np.sort(vals)[::-1]
-    mid = 0.5 * (l1 + l3)
-    return _x_matrix(l4, mid, mid, l2, 0.0, 0.5 * (l1 - l3))
+    return _x_matrix(*_mems_entries(*np.sort(vals)[::-1].tolist(), 0.0))
 
 
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
@@ -456,10 +483,12 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     from one eigendecomposition of rho (matrix_core.density_spectrum):
     two LAPACK calls per conversion, that solve's matrix_core._eigh and a
     _svdvals (concurrence target) or an _eigvalsh (negativity target).
-    See the module docstring for the walk and the closed-form output,
-    whose off-X entries are exactly 0 and whose measure is achieved (see
-    CounterpartResult). The target can exceed the MEMS ceiling only
-    through numerical noise; any excess is clipped and reported.
+    See the module docstring for the walk. At the walk's angle the state
+    is _mems_entries of the eigenvalues as solved and the unitary
+    _mems_basis @ V^dagger: off-X entries exactly 0, and the measure
+    achieved (see CounterpartResult). The target can exceed the MEMS
+    ceiling only through numerical noise; any excess is clipped and
+    reported.
     """
     rho = as_matrix(rho)
     spec = _density_spectrum(rho)
@@ -490,19 +519,9 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     # the values as solved, not floored: W rho W^dagger equals the state
     # within round-off even for a value in [-SOLVER_TOL, 0)
-    r1, r2, r3, r4 = spec.values.tolist()
-    mid = 0.5 * (r1 + r3)
-    d2, d3, coherence = _rotated_block(mid, mid, 0.5 * (r1 - r3), 0.0, angle, 0.0)
-    # the walk's phases are 0: a real coherence, so rho_32's imaginary part is +0.0
-    entries = (r4, d2, d3, r2, 0.0, coherence.real)
+    entries = _mems_entries(*spec.values.tolist(), angle)
     achieved = (_concurrence_of if measure == "concurrence" else _negativity_of)(*entries)
-    # R O_BASIS, R = x_unitary(0, 0, angle, 0): rows e4, (p, 0, q, 0),
-    # (q, 0, -p, 0) and e2
-    c, s = math.cos(angle), math.sin(angle)
-    p, q = (c + s) * _INV_SQRT2, (c - s) * _INV_SQRT2
-    ro = np.zeros((4, 4), dtype=complex)
-    ro[0, 3] = ro[3, 1] = 1.0
-    ro[1, 0], ro[1, 2], ro[2, 0], ro[2, 2] = p, q, q, -p
-    return CounterpartResult(state=_x_matrix(*entries), unitary=ro @ spec.eigvecs.conj().T,
+    return CounterpartResult(state=_x_matrix(*entries),
+                             unitary=_mems_basis(angle) @ spec.eigvecs.conj().T,
                              tau=tau, branch=branch, measure=measure, target=target,
                              achieved=achieved, clip=clip, spectrum=spec.values)

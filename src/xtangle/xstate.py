@@ -17,8 +17,9 @@ only reader of an X matrix and _x_matrix its only builder.
 
 The chart and its walk (universality) run on Python floats: math's and
 cmath's cos, sin, sqrt and exp gave numpy 2.4's bits on 3x10^5 inputs
-each (x86-64); params_from_entries keeps np.arccos and np.angle, which
-math.acos missed on 27,044 of 3x10^5 and cmath.phase on 21,879.
+each (x86-64); the chart's inverse (_params_of) keeps np.arccos and
+np.angle, which math.acos missed on 27,044 of 3x10^5 and cmath.phase on
+21,879.
 """
 
 from __future__ import annotations
@@ -343,9 +344,17 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
     sin(theta) vanishes, phi = psi = 0; if sin(phi) vanishes, psi = 0.
     Phases below the coherence magnitude tol are set to 0. Raises
     ValueError for a non-finite or out-of-scale argument, the six read
-    as one input by matrix_core._scale_problem.
+    as one input by matrix_core._scale_problem, then inverts them
+    (_params_of).
     """
     _in_scale((d1, d2, d3, d4, coh_outer, coh_inner))
+    return _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol)
+
+
+def _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol: float = DEFAULT_TOL) -> XParams:
+    """params_from_entries behind its scale read: the chart's inverse of
+    values the package read (from_density) or computed (conjugate_x)
+    itself. Unread."""
     x = abs(coh_outer) ** 2
     y = abs(coh_inner) ** 2
     # np.arccos and np.angle: math.acos and cmath.phase differ in the last bit
@@ -384,7 +393,7 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
             for v in d]
     _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
-    return params_from_entries(*read, rho_14, rho_23, tol=tol)
+    return _params_of(*read, rho_14, rho_23, tol)
 
 
 def char_poly(p: XParams) -> CharPolyCoeffs:

@@ -27,6 +27,7 @@ from xtangle import (
     disentangle_params,
     evolve,
     fannes_ree_bound,
+    from_density,
     hermitian_eig,
     hermitian_eigvals,
     is_density_matrix,
@@ -43,6 +44,7 @@ from xtangle import (
 from xtangle import cli, ensemble, matrix_core, measures, minimal_set, universality, xstate
 from xtangle.ensemble import RANK_KIND_TARGETS
 from xtangle.matrix_core import density_spectrum
+from xtangle.xstate import params_from_entries
 
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 TAUS = (0.0, 0.25, 0.5, 1.0)
@@ -123,8 +125,15 @@ U = random_unitary(22)
 
 # route: (call, {read: calls per call}); an omitted read is 0
 ROUTES = {
-    # conjugate_x reads the walk's point; the point it returns is not read
-    "evolve": (lambda: evolve(WALK, SOL, 0.5), {"_scale_problem": 1, "_valid_angles": 1}),
+    # conjugate_x reads the walk's point through the chart; the rotated
+    # entries and the point they give are not read
+    "evolve": (lambda: evolve(WALK, SOL, 0.5), {"_valid_angles": 1}),
+    "conjugate_x": (lambda: conjugate_x(WALK, 0.3, 0.1, 0.2, 0.4), {"_valid_angles": 1}),
+    # the matrix once, in _x_entries; its entries go to the chart's inverse unread
+    "from_density": (lambda: from_density(RHO), {"_scale_problem": 1, "_x_entries": 1}),
+    # the six values once, as one input
+    "params_from_entries": (lambda: params_from_entries(0.4, 0.3, 0.2, 0.1, 0.05j, 0.1),
+                            {"_scale_problem": 1}),
     # each argument once; their difference goes to the SVD unread
     "fannes_ree_bound": (lambda: fannes_ree_bound(RHO, NEAR), {"_scale_problem": 2}),
     "concurrence_x": (lambda: concurrence_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),

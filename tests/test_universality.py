@@ -414,6 +414,39 @@ def test_verstraete_unitary_hits_mems():
         np.testing.assert_allclose(out, target, atol=1e-9)
 
 
+def _tau_zero_inputs():
+    """States whose conversion stops at tau = 0: I/4 and low-purity
+    mixtures, whose MEMS is separable (already_separable), and MEMS
+    inputs, as they are and under a seeded local unitary, which keeps
+    them at their own ceiling (g_zero). diag(0.5, 0.5, 0, 0) is a product
+    state, so it walks to tau = 1; its spectrum's MEMS, of rank 2 with
+    l1 = l2, is taken instead."""
+    mems = [mems_from_spectrum(s) for s in ((0.5, 0.5, 0.0, 0.0), (0.55, 0.25, 0.15, 0.05),
+                                            (0.7, 0.2, 0.1, 0.0))]
+    rng = np.random.default_rng(29)
+    rotated = []
+    for m in mems[1:]:
+        u1, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        u2, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        rotated.append(conjugate(m, np.kron(u1, u2)))
+    mixtures = [0.2 * random_density(child_seed(30, i)) + 0.8 * MAX_MIXED for i in range(3)]
+    return [MAX_MIXED, *mems, *rotated, *mixtures]
+
+
+@pytest.mark.parametrize("measure", ["concurrence", "negativity"])
+def test_counterpart_at_tau_zero_is_the_mems_and_its_unitary(measure):
+    # the conversion's writers at angle 0 are mems_from_spectrum and
+    # verstraete_unitary, byte for byte
+    branches = set()
+    for rho in _tau_zero_inputs():
+        res = counterpart_details(rho, measure)
+        assert res.tau == 0.0
+        branches.add(res.branch)
+        assert res.state.tobytes() == mems_from_spectrum(res.spectrum).tobytes()
+        assert res.unitary.tobytes() == verstraete_unitary(rho).tobytes()
+    assert branches == {"already_separable", "g_zero"}
+
+
 def test_mems_from_spectrum_reference():
     m = mems_from_spectrum((0.4, 0.3, 0.2, 0.1))
     np.testing.assert_allclose(np.diag(m).real, [0.1, 0.3, 0.3, 0.3], atol=1e-15)
@@ -497,7 +530,7 @@ def test_counterpart_random_smoke():
 
 # sha256 of test_counterpart_frozen's outputs, and of its walks alone:
 # (tau, target, branch, clip), which the closed-form output left unmoved
-COUNTERPART_SHA256 = "e0d8edf602964d57dac52dd46c0a06c83d431ee78e58c6ddac15890b4515edcc"
+COUNTERPART_SHA256 = "e3449cd0572849243a81c771621eab92551f39780b9b83d7f7e25eed9eb58401"
 COUNTERPART_WALK_SHA256 = "cb127e65a2d5645f8cb87f8a419d4a1eebb3450dedbc68da530c872018342164"
 
 
