@@ -5,9 +5,13 @@ is_density_matrix, partial_transpose, trace_norm, purity_general,
 concurrence_general, negativity_general, counterpart_details (both
 measures) and verstraete_unitary on 64 seeded states, mems_from_spectrum
 on their spectra, conjugate on each of them with a seeded unitary, and
-fannes_ree_bound on each paired with its mix
-0.9 rho + 0.1 I/4 (a trace distance of at most 0.15); random_density and
-random_unitary on their 64 seeds, and is_unitary on those unitaries;
+hermitian_eig, hermitian_eigvals and density_spectrum again on those
+conjugated states (rows *_conjugated), which are Hermitian only within
+round-off and so are solved as their Hermitian part, where the seeded
+states, exactly Hermitian, go to the solver as given; fannes_ree_bound
+on each paired with its mix 0.9 rho + 0.1 I/4 (a trace distance of at
+most 0.15); random_density and random_unitary on their 64 seeds, and
+is_unitary on those unitaries;
 random_xparams on 64 seeds cycling its eleven constraints;
 disentangle_params and solve_tau (half the starting value, the two
 measures in turn) on 64 seeded entangled X-state draws; conjugate_x
@@ -57,6 +61,7 @@ def layers() -> dict:
     kinds = [KINDS[i % len(KINDS)] for i in range(STATES)]
     states = [(xt.random_density(s, k),) for s, k in zip(seeds, kinds)]
     unitaries = [(xt.random_unitary(s),) for s in seeds]
+    conjugated = [(xt.conjugate(rho, u),) for (rho,), (u,) in zip(states, unitaries)]
     walks = [xt.random_xparams(xt.child_seed(2, i), "entangled") for i in range(STATES)]
     sols = [xt.disentangle_params(p) for p in walks]
     walk_states = [(xt.to_density(p),) for p in walks]
@@ -74,6 +79,9 @@ def layers() -> dict:
         "hermitian_eig": (xt.hermitian_eig, states),
         "hermitian_eigvals": (xt.hermitian_eigvals, states),
         "density_spectrum": (density_spectrum, states),
+        "hermitian_eig_conjugated": (xt.hermitian_eig, conjugated),
+        "hermitian_eigvals_conjugated": (xt.hermitian_eigvals, conjugated),
+        "density_spectrum_conjugated": (density_spectrum, conjugated),
         "is_density_matrix": (xt.is_density_matrix, states),
         "partial_transpose": (xt.partial_transpose, states),
         "trace_norm": (xt.trace_norm, states),

@@ -161,7 +161,8 @@ def cmd_measure(args) -> int:
     # density_spectrum's "not a density matrix" ValueError exits 3
     rho = read_state(args.in_path)
     spec = density_spectrum(rho)
-    concurrence = concurrence_from_eig(floored(spec.values), spec.eigvecs)
+    concurrence = concurrence_from_eig(floored(spec.values.tolist()), spec.eigvecs,
+                                       spec.eigvecs.conj().T)
     neg = negativity_general(rho)
     _report([
         ("purity", purity_general(rho)),

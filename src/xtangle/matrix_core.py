@@ -236,7 +236,7 @@ def _entry_gate(e: list[complex]) -> tuple[float, complex]:
     verdict only for a deviation within an ulp of its tolerance. The trace
     is summed as numpy's pairwise sum does, (e_00 + e_11) + (e_22 + e_33)
     + 0, so it prints the same. The one entry gate of _density_problem and
-    _hermitian_matrix.
+    _hermitian_read.
     """
     e00, e01, e02, e03, e10, e11, e12, e13, e20, e21, e22, e23, e30, e31, e32, e33 = e
     dev = max(abs(e01 - e10.conjugate()), abs(e02 - e20.conjugate()),
@@ -247,16 +247,29 @@ def _entry_gate(e: list[complex]) -> tuple[float, complex]:
     return dev, (e00 + e11) + (e22 + e33) + 0j
 
 
-def _sorted_eigh(m: np.ndarray) -> Spectrum:
-    """hermitian_eig's solve and ordering, for a matrix past its gate.
+def _solve_input(m: np.ndarray, deviation: float) -> np.ndarray:
+    """The matrix the eigensolvers take for m, whose Hermitian deviation
+    (_entry_gate) is deviation: m as given when it equals its adjoint
+    exactly (deviation 0.0), otherwise its Hermitian part
+    0.5 (m + m^dagger). For an exactly Hermitian m the two are equal
+    entry for entry, m + m^dagger being 2 m without rounding, and can
+    differ only in the signs of zero parts; the solve skips building the
+    second."""
+    return m if deviation == 0.0 else 0.5 * (m + m.conj().T)
 
-    One eigh of the symmetrised matrix. The columns are reversed once.
+
+def _sorted_eigh(m: np.ndarray, deviation: float) -> Spectrum:
+    """hermitian_eig's solve and ordering, for a matrix m past its gate
+    and its Hermitian deviation (_entry_gate).
+
+    One eigh of m as given when it equals its adjoint exactly, otherwise
+    of its Hermitian part (_solve_input). The columns are reversed once.
     Each one's lead entry is found in Python, from the first row alone
     when all four of its entries pass, and the phases are divided out in
     one numpy step: numpy's complex division differs from Python's in the
     last bits.
     """
-    vals, vecs = _eigh(0.5 * (m + m.conj().T))
+    vals, vecs = _eigh(_solve_input(m, deviation))
     vecs = vecs[:, ::-1]
     lead = vecs[0]
     if not min(map(abs, lead.tolist())) > ROUNDOFF:
@@ -272,7 +285,8 @@ def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
     first failed check, "" when all hold: the input scale (_scale_problem,
     read without raising, as is_unitary reads it), Hermiticity and unit
     trace at ROUNDOFF from the same entries (_entry_gate), then the PSD
-    floor -SOLVER_TOL on the smallest value of one eigh (_sorted_eigh),
+    floor -SOLVER_TOL on the smallest value of one eigh (_sorted_eigh,
+    of m as given when its deviation is 0.0, else of its Hermitian part),
     whose spectrum is returned; None when an entry check fails."""
     e = m.ravel().tolist()
     why = _scale_problem(e)
@@ -283,7 +297,7 @@ def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
         return "not Hermitian", None
     if abs(tr - 1.0) > ROUNDOFF:
         return f"trace {tr:.17g} differs from 1", None
-    spec = _sorted_eigh(m)
+    spec = _sorted_eigh(m, dev)
     lowest = spec.values[-1]
     return ("" if lowest >= -SOLVER_TOL else f"negative eigenvalue {lowest:.3e}"), spec
 
@@ -313,40 +327,45 @@ def _hermitian_gate(deviation: float) -> None:
         raise NonHermitianError(f"matrix is not Hermitian within {SOLVER_TOL:g}")
 
 
-def _hermitian_matrix(a) -> np.ndarray:
-    """as_matrix(a) behind the entry gate of the Hermitian routes.
+def _hermitian_read(a) -> tuple[np.ndarray, float]:
+    """(as_matrix(a), its Hermitian deviation) behind the entry gate of
+    the Hermitian routes.
 
     Raises ValueError for a non-finite or out-of-scale input (_read), then
     NonHermitianError for asymmetry above SOLVER_TOL (see _entry_gate).
     """
     m, e = _read(a)
-    _hermitian_gate(_entry_gate(e)[0])
-    return m
+    dev = _entry_gate(e)[0]
+    _hermitian_gate(dev)
+    return m, dev
 
 
 def hermitian_eig(a) -> Spectrum:
     """Eigendecomposition of a Hermitian 4x4 matrix, sorted non-ascending.
 
-    One eigh of the symmetrised matrix. Ties are broken by the solver's
-    deterministic output order; each eigenvector's first component of
-    magnitude > ROUNDOFF is rotated to the positive real axis, in one
-    division over the columns, so repeated calls give identical columns.
-    Raises ValueError for a non-finite or out-of-scale input and
-    NonHermitianError for asymmetry above SOLVER_TOL; the entries are read
-    once, in Python (see _read and _entry_gate).
+    One eigh of the matrix as given when it equals its adjoint exactly,
+    otherwise of its Hermitian part 0.5 (a + a^dagger): the two are equal
+    entry for entry on an exactly Hermitian input, so the only possible
+    difference is the sign of a zero (see _solve_input). Ties are broken
+    by the solver's deterministic output order; each eigenvector's first
+    component of magnitude > ROUNDOFF is rotated to the positive real
+    axis, in one division over the columns, so repeated calls give
+    identical columns. Raises ValueError for a non-finite or out-of-scale
+    input and NonHermitianError for asymmetry above SOLVER_TOL; the
+    entries are read once, in Python (see _read and _entry_gate).
     """
-    return _sorted_eigh(_hermitian_matrix(a))
+    return _sorted_eigh(*_hermitian_read(a))
 
 
 def hermitian_eigvals(a) -> np.ndarray:
     """hermitian_eig(a)'s values, non-ascending, from a values-only solve
-    of the same symmetrised matrix: equal within round-off, not bit for bit.
+    of the same matrix, a as given or its Hermitian part (see
+    hermitian_eig): equal within round-off, not bit for bit.
 
     Same gate as hermitian_eig: ValueError for a non-finite or
     out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
-    m = _hermitian_matrix(a)
-    return _eigvalsh(0.5 * (m + m.conj().T))[::-1]
+    return _eigvalsh(_solve_input(*_hermitian_read(a)))[::-1]
 
 
 def density_spectrum(a) -> Spectrum:
@@ -355,8 +374,11 @@ def density_spectrum(a) -> Spectrum:
     Runs is_density_matrix's one check (_density_problem) and raises
     ValueError "not a density matrix: " and the failed check's reason; a
     wrong shape raises as_matrix's ValueError. The entry checks are
-    stricter than hermitian_eig's gate, which the solve skips. The values
-    and vectors are those of hermitian_eig(a), bit for bit.
+    stricter than hermitian_eig's gate, which the solve skips. The one
+    eigh is of the matrix as given when it equals its adjoint exactly,
+    otherwise of its Hermitian part, with the sign of a zero as the only
+    possible difference (see _solve_input); the values and vectors are
+    those of hermitian_eig(a), bit for bit.
     """
     return _density_spectrum(as_matrix(a))
 

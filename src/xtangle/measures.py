@@ -20,7 +20,7 @@ from .matrix_core import (
     NON_FINITE,
     _PT_INDEX,
     _eigvalsh,
-    _hermitian_matrix,
+    _hermitian_read,
     _read,
     _read_edge,
     _svdvals,
@@ -50,9 +50,10 @@ class OutOfRegimeError(ValueError):
     """Continuity bound requested outside its validity region."""
 
 
-def floored(vals: np.ndarray) -> list[float]:
-    """Eigenvalues as a list of floats, those at or below EIG_FLOOR set to exactly 0."""
-    return [v if v > EIG_FLOOR else 0.0 for v in vals.tolist()]
+def floored(vals: list[float]) -> list[float]:
+    """The eigenvalues vals, a list of floats (a spectrum's
+    values.tolist()), with those at or below EIG_FLOOR set to exactly 0."""
+    return [v if v > EIG_FLOOR else 0.0 for v in vals]
 
 
 def purity_general(rho) -> float:
@@ -61,7 +62,7 @@ def purity_general(rho) -> float:
     Behind hermitian_eig's gate: ValueError for a non-finite or
     out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
-    m = _hermitian_matrix(rho)
+    m = _hermitian_read(rho)[0]
     return float((m @ m).trace().real)
 
 
@@ -71,9 +72,13 @@ def purity_x(p: XParams) -> float:
     return 1.0 - 2.0 * (co.b_cal * co.c_cal + co.g_cal - y + co.h_cal - x)
 
 
-def concurrence_from_eig(values: list[float], eigvecs: np.ndarray) -> float:
+def concurrence_from_eig(values: list[float], eigvecs: np.ndarray,
+                         adjoint: np.ndarray) -> float:
     """Concurrence of the state with eigenvalues values, already floored
-    (see floored), and matching eigenvector columns eigvecs.
+    (see floored), matching eigenvector columns eigvecs, and their
+    adjoint eigvecs^dagger as the caller holds it. The eigenpairs are
+    hermitian_eig's: one eigh of the state as given when it equals its
+    adjoint exactly, otherwise of its Hermitian part.
 
     With K = sqrt(rho) (sy x sy) sqrt(rho)*, the Hermitian product
     K K^dagger equals sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho), so
@@ -83,7 +88,7 @@ def concurrence_from_eig(values: list[float], eigvecs: np.ndarray) -> float:
     root of eigenvalue noise.
     """
     roots = np.array([math.sqrt(v) for v in values], dtype=complex)
-    s = (eigvecs * roots) @ eigvecs.conj().T
+    s = (eigvecs * roots) @ adjoint
     k = (s[:, ::-1] * _FLIP_SIGNS) @ s.conj()
     r1, r2, r3, r4 = _svdvals(k).tolist()
     return max(0.0, r1 - r2 - r3 - r4)
@@ -92,7 +97,8 @@ def concurrence_from_eig(values: list[float], eigvecs: np.ndarray) -> float:
 def concurrence_general(rho) -> float:
     """Concurrence via the spin-flipped product; see concurrence_from_eig."""
     spec = hermitian_eig(rho)
-    return concurrence_from_eig(floored(spec.values), spec.eigvecs)
+    return concurrence_from_eig(floored(spec.values.tolist()), spec.eigvecs,
+                                spec.eigvecs.conj().T)
 
 
 def _floored_block(d_a: float, d_b: float, c: float) -> tuple[float, float]:
@@ -173,13 +179,17 @@ def negativity_general(rho) -> float:
     the eigensolver would read only one triangle of a non-Hermitian
     matrix.
     """
-    return _pt_negativity(_hermitian_matrix(rho))
+    return _pt_negativity(_hermitian_read(rho)[0])
 
 
 def _pt_negativity(m: np.ndarray) -> float:
     """negativity_general of a 4x4 matrix that has passed its gate; its
-    partial transpose is taken without partial_transpose's scale read."""
-    return max(0.0, -float(_eigvalsh(m.take(_PT_INDEX)).min()))
+    partial transpose is taken without partial_transpose's scale read.
+
+    One values-only solve of the partial transpose of m as given, not of
+    its Hermitian part: its first value, the solver's output being
+    ascending, is the lowest."""
+    return max(0.0, -_eigvalsh(m.take(_PT_INDEX)).item(0))
 
 
 def negativity_x(rho) -> float:

@@ -453,11 +453,15 @@ def _mems_entries(r1, r2, r3, r4, angle: float) -> tuple:
     return r4, m + shift, m - shift, r2, 0.0, h * math.cos(2.0 * angle)
 
 
+# O, the basis change onto the MEMS: _mems_basis at angle 0, written once
+_MEMS_BASIS_0 = _mems_basis(0.0)
+
+
 def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
     """Unitary taking rho to the maximally entangled mixed state (MEMS) of
     its spectrum: _mems_basis(0) @ V^dagger, V the eigenvectors of rho,
     which is a conversion's unitary at tau = 0, bit for bit."""
-    return _mems_basis(0.0) @ hermitian_eig(rho).eigvecs.conj().T
+    return _MEMS_BASIS_0 @ hermitian_eig(rho).eigvecs.conj().T
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
@@ -480,9 +484,14 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     rho is coerced once (matrix_core.as_matrix) and its entries are read
     once, by the density check. Everything but a negativity target comes
-    from one eigendecomposition of rho (matrix_core.density_spectrum):
-    two LAPACK calls per conversion, that solve's matrix_core._eigh and a
-    _svdvals (concurrence target) or an _eigvalsh (negativity target).
+    from one eigendecomposition of rho (matrix_core.density_spectrum),
+    of rho as given when it equals its adjoint exactly, otherwise of its
+    Hermitian part, with the sign of a zero as the only possible
+    difference: two LAPACK calls per conversion, that solve's
+    matrix_core._eigh and a _svdvals (concurrence target) or an _eigvalsh
+    of rho's partial transpose (negativity target). The solve is read
+    once: one list of its values feeds the floor and the state's entries,
+    and one V^dagger the concurrence target and the unitary.
     See the module docstring for the walk. At the walk's angle the state
     is _mems_entries of the eigenvalues as solved and the unitary
     _mems_basis @ V^dagger: off-X entries exactly 0, and the measure
@@ -492,9 +501,12 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     """
     rho = as_matrix(rho)
     spec = _density_spectrum(rho)
-    values = floored(spec.values)
+    # the solve read once: its values as one list and V^dagger as one array
+    solved = spec.values.tolist()
+    values = floored(solved)
+    adjoint = spec.eigvecs.conj().T
     if measure == "concurrence":
-        target = concurrence_from_eig(values, spec.eigvecs)
+        target = concurrence_from_eig(values, spec.eigvecs, adjoint)
     elif measure == "negativity":
         # rho passed the density checks, which are stricter than its gate
         target = _pt_negativity(rho)
@@ -519,9 +531,9 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
 
     # the values as solved, not floored: W rho W^dagger equals the state
     # within round-off even for a value in [-SOLVER_TOL, 0)
-    entries = _mems_entries(*spec.values.tolist(), angle)
+    entries = _mems_entries(*solved, angle)
     achieved = (_concurrence_of if measure == "concurrence" else _negativity_of)(*entries)
     return CounterpartResult(state=_x_matrix(*entries),
-                             unitary=_mems_basis(angle) @ spec.eigvecs.conj().T,
+                             unitary=_mems_basis(angle) @ adjoint,
                              tau=tau, branch=branch, measure=measure, target=target,
                              achieved=achieved, clip=clip, spectrum=spec.values)

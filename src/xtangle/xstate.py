@@ -270,14 +270,15 @@ def _x_matrix(d1, d2, d3, d4, rho_14, rho_23) -> np.ndarray:
     """The X matrix with diagonal d1..d4 and upper coherences rho_14, rho_23.
 
     The only place the package writes the X layout. Each lower coherence
-    is np.conj of the upper one as passed: a real coherence stays real,
-    so its lower entry's imaginary part is +0.0, where conjugating it
-    after storing it as complex would give -0.0.
+    is the upper one as passed, conjugated by its own .conjugate() (no
+    numpy scalar is built; np.conj gives the same bits): a real coherence
+    stays real, so its lower entry's imaginary part is +0.0, where
+    conjugating it after storing it as complex would give -0.0.
     """
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = d1, d2, d3, d4
-    m[0, 3], m[3, 0] = rho_14, np.conj(rho_14)
-    m[1, 2], m[2, 1] = rho_23, np.conj(rho_23)
+    m[0, 3], m[3, 0] = rho_14, rho_14.conjugate()
+    m[1, 2], m[2, 1] = rho_23, rho_23.conjugate()
     return m
 
 
@@ -344,17 +345,31 @@ def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
     sin(theta) vanishes, phi = psi = 0; if sin(phi) vanishes, psi = 0.
     Phases below the coherence magnitude tol are set to 0. Raises
     ValueError for a non-finite or out-of-scale argument, the six read
-    as one input by matrix_core._scale_problem, then inverts them
-    (_params_of).
+    as one input by matrix_core._scale_problem, then reads the diagonal
+    as from_density does (_read_diagonal): UnphysicalError for an entry
+    outside [0, 1] or a trace other than 1, beyond ROUNDOFF. Then
+    inverts them (_params_of).
     """
     _in_scale((d1, d2, d3, d4, coh_outer, coh_inner))
-    return _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol)
+    return _params_of(*_read_diagonal((d1, d2, d3, d4)), coh_outer, coh_inner, tol)
+
+
+def _read_diagonal(d) -> list[float]:
+    """The diagonal d = (d1, d2, d3, d4) of a chart point, read: each
+    entry on [0, 1] and their sum on [1, 1] (matrix_core._read_edge).
+    Outside them by more than ROUNDOFF, or not real numbers, they raise
+    UnphysicalError, as the chart has no point for such a diagonal. The
+    one diagonal read of from_density and params_from_entries."""
+    read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
+            for v in d]
+    _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
+    return read
 
 
 def _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol: float = DEFAULT_TOL) -> XParams:
-    """params_from_entries behind its scale read: the chart's inverse of
-    values the package read (from_density) or computed (conjugate_x)
-    itself. Unread."""
+    """params_from_entries behind its scale and diagonal reads: the
+    chart's inverse of values the package read (from_density) or computed
+    (conjugate_x) itself. Unread."""
     x = abs(coh_outer) ** 2
     y = abs(coh_inner) ** 2
     # np.arccos and np.angle: math.acos and cmath.phase differ in the last bit
@@ -385,15 +400,12 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     NonHermitianError for a coherence pair or a diagonal entry
     non-Hermitian beyond SOLVER_TOL; the phases come from the upper
     coherences (0,3) and (1,2). Each diagonal entry is read on [0, 1] and
-    the trace on [1, 1] (matrix_core._read_edge): outside them by more
-    than ROUNDOFF, UnphysicalError, as the chart has no point for such a
+    the trace on [1, 1] (_read_diagonal): outside them by more than
+    ROUNDOFF, UnphysicalError, as the chart has no point for such a
     matrix.
     """
     *d, rho_14, rho_23 = _x_entries(rho, _read_tol(tol))
-    read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
-            for v in d]
-    _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
-    return _params_of(*read, rho_14, rho_23, tol)
+    return _params_of(*_read_diagonal(d), rho_14, rho_23, tol)
 
 
 def char_poly(p: XParams) -> CharPolyCoeffs:

@@ -52,7 +52,7 @@ from xtangle.matrix_core import (
     _scale_problem,
     density_spectrum,
 )
-from xtangle.xstate import params_from_entries
+from xtangle.xstate import UnphysicalError, params_from_entries
 
 from reference_states import MAX_MIXED
 
@@ -276,8 +276,12 @@ def test_chart_and_mems_values_at_the_bound():
     above = math.nextafter(ENTRY_SCALE, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _finite(params_from_entries(ENTRY_SCALE, 0.0, 0.0, 0.0, 0.0, 0.0))
-        assert _finite(params_from_entries(0.0, 0.0, 0.0, 0.0, complex(0.0, ENTRY_SCALE), 0.0))
+        # an at-scale diagonal entry is admitted by the scale read, then
+        # has no chart point: the diagonal read's typed error
+        with pytest.raises(UnphysicalError):
+            params_from_entries(ENTRY_SCALE, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert _finite(params_from_entries(0.25, 0.25, 0.25, 0.25,
+                                           complex(0.0, ENTRY_SCALE), 0.0))
         assert _finite(mems_from_spectrum((ENTRY_SCALE, 0.0, 0.0, 0.0)))
     _raises_exactly(lambda d: params_from_entries(d, 0.0, 0.0, 0.0, 0.0, 0.0), above,
                     OUT_OF_SCALE)

@@ -6,20 +6,30 @@ import pytest
 from xtangle import (
     NonHermitianError,
     as_matrix,
+    child_seed,
     concurrence_general,
     conjugate,
     hermitian_eig,
     hermitian_eigvals,
     is_density_matrix,
     is_unitary,
+    mems_from_spectrum,
     negativity_general,
     partial_transpose,
     purity_general,
     random_density,
     random_unitary,
+    random_xparams,
+    to_density,
     trace_norm,
 )
-from xtangle.matrix_core import OUT_OF_SCALE, ROUNDOFF, SOLVER_TOL, density_spectrum
+from xtangle.matrix_core import (
+    OUT_OF_SCALE,
+    ROUNDOFF,
+    SOLVER_TOL,
+    _eigvalsh,
+    density_spectrum,
+)
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -290,3 +300,87 @@ def test_is_density_matrix_agrees_with_density_spectrum_at_the_floor():
         raw_admitted += bool(np.linalg.eigvalsh(m).min() >= -SOLVER_TOL)
     # the set holds inputs a solve of the raw lower triangle admits
     assert raw_admitted > 0
+
+
+# The solve input: a matrix that equals its adjoint exactly goes to LAPACK
+# as given, any other admitted one as its Hermitian part.
+
+def _hermitian_part(m):
+    return 0.5 * (m + m.conj().T)
+
+
+def _bits(spec):
+    return spec.values.tobytes(), spec.eigvecs.tobytes()
+
+
+CONVERT_KINDS = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
+_SEEDED = {kind: [random_density(child_seed(11, i), kind) for i in range(12)]
+           for kind in CONVERT_KINDS}
+_X_STATES = [to_density(random_xparams(child_seed(12, i))) for i in range(12)]
+_DIAGONAL = [np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), MAX_MIXED.astype(complex)]
+EXACT_INPUTS = {
+    **_SEEDED,
+    "x_state": _X_STATES,
+    "mems": [mems_from_spectrum(hermitian_eigvals(m)) for m in _SEEDED["hilbert_schmidt"]],
+    "diagonal": _DIAGONAL,
+}
+# exactly Hermitian by value, with -0.0 parts where their Hermitian part has +0.0
+NEGATIVE_ZERO_INPUTS = {
+    "seeded_conj": [m.conj() for ms in _SEEDED.values() for m in ms],
+    "real_part_conj": [m.real.astype(complex).conj() for ms in _SEEDED.values() for m in ms],
+    "x_state_conj": [m.conj() for m in _X_STATES],
+    "diagonal_conj": [m.conj() for m in _DIAGONAL],
+}
+
+
+@pytest.mark.parametrize("family", EXACT_INPUTS)
+def test_an_exactly_hermitian_input_solves_as_its_hermitian_part_bitwise(family):
+    for m in EXACT_INPUTS[family]:
+        h = _hermitian_part(m)
+        assert m.tobytes() == h.tobytes()
+        assert hermitian_eigvals(m).tobytes() == _eigvalsh(h)[::-1].tobytes()
+        assert _bits(hermitian_eig(m)) == _bits(hermitian_eig(h))
+        assert _bits(density_spectrum(m)) == _bits(density_spectrum(h))
+
+
+@pytest.mark.parametrize("family", NEGATIVE_ZERO_INPUTS)
+def test_an_input_with_negative_zeros_solves_as_its_hermitian_part_by_value(family):
+    # only the sign of a zero can differ, in the eigenvector entries
+    for m in NEGATIVE_ZERO_INPUTS[family]:
+        h = _hermitian_part(m)
+        assert np.array_equal(m, h) and m.tobytes() != h.tobytes()
+        assert np.array_equal(hermitian_eigvals(m), _eigvalsh(h)[::-1])
+        for got, want in ((hermitian_eig(m), hermitian_eig(h)),
+                          (density_spectrum(m), density_spectrum(h))):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.eigvecs, want.eigvecs)
+
+
+_NEAR_HERMITIAN = {
+    "conjugated": [conjugate(m, random_unitary(child_seed(13, i)))
+                   for i, m in enumerate(_SEEDED["hilbert_schmidt"] + _SEEDED["rank_2"])],
+    "near_floor": [_near_floor(k) for k in range(12)],
+}
+
+
+@pytest.mark.parametrize("family", _NEAR_HERMITIAN)
+def test_a_near_hermitian_input_solves_as_its_hermitian_part(family, solver_inputs):
+    routes = (hermitian_eig, hermitian_eigvals, is_density_matrix)
+    for m in _NEAR_HERMITIAN[family]:
+        assert not np.array_equal(m, m.conj().T)
+        want = _hermitian_part(m).tobytes()
+        for route in routes:
+            solver_inputs.clear()
+            route(m)
+            assert [(name, a.tobytes()) for name, a in solver_inputs] == [
+                ("eigvalsh" if route is hermitian_eigvals else "eigh", want)]
+
+
+def test_negativity_reads_the_lowest_partial_transpose_eigenvalue_bitwise():
+    states = ([m for ms in _SEEDED.values() for m in ms]
+              + [to_density(random_xparams(child_seed(14, i), "separable")) for i in range(12)]
+              + _DIAGONAL)
+    got = [negativity_general(rho) for rho in states]
+    want = [max(0.0, -float(np.linalg.eigvalsh(partial_transpose(rho)).min())) for rho in states]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+    assert 0.0 in got and max(got) > 0.0

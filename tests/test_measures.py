@@ -78,8 +78,9 @@ def test_concurrence_from_eig_matches_array_form_bitwise(kind):
     for seed in range(80):
         spec = density_spectrum(random_density(seed, kind))
         values = np.where(spec.values > EIG_FLOOR, spec.values, 0.0)
-        assert floored(spec.values) == values.tolist()
-        got = concurrence_from_eig(floored(spec.values), spec.eigvecs)
+        assert floored(spec.values.tolist()) == values.tolist()
+        got = concurrence_from_eig(floored(spec.values.tolist()), spec.eigvecs,
+                                   spec.eigvecs.conj().T)
         assert got.hex() == _concurrence_from_eig_oracle(values, spec.eigvecs).hex()
 
 
