@@ -30,14 +30,14 @@ from .matrix_core import (
     hermitian_eigvals,
 )
 from .measures import (
-    concurrence_from_eig,
+    _pt_negativity,
+    _purity,
+    _spectrum_concurrence,
     concurrence_general,
     concurrence_x,
     eof_from_concurrence,
-    floored,
     negativity_general,
     negativity_x,
-    purity_general,
 )
 from .xstate import (
     _rank_above_tol,
@@ -133,11 +133,16 @@ def _emit(out_path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def write_state(path: str, matrix: np.ndarray, unitary: np.ndarray | None = None) -> None:
+def _state_text(matrix: np.ndarray, unitary: np.ndarray | None = None) -> str:
+    """The state file's JSON text, one line: the matrix, then the unitary if given."""
     doc = {"matrix": _matrix_to_obj(matrix)}
     if unitary is not None:
         doc["unitary"] = _matrix_to_obj(unitary)
-    _write_text(path, json.dumps(doc) + "\n")
+    return json.dumps(doc) + "\n"
+
+
+def write_state(path: str, matrix: np.ndarray, unitary: np.ndarray | None = None) -> None:
+    _write_text(path, _state_text(matrix, unitary))
 
 
 def _fmt(value) -> str:
@@ -158,14 +163,15 @@ def _report(pairs) -> None:
 def cmd_measure(args) -> int:
     # three LAPACK calls: the input's eigh serves the validation, the rank
     # and the concurrence (one svd), and the negativity is one eigvalsh;
-    # density_spectrum's "not a density matrix" ValueError exits 3
+    # density_spectrum's "not a density matrix" ValueError exits 3. Its
+    # entry checks are stricter than the measures' gate, so the purity and
+    # the negativity take the matrix unread
     rho = read_state(args.in_path)
     spec = density_spectrum(rho)
-    concurrence = concurrence_from_eig(floored(spec.values.tolist()), spec.eigvecs,
-                                       spec.eigvecs.conj().T)
-    neg = negativity_general(rho)
+    concurrence = _spectrum_concurrence(spec)
+    neg = _pt_negativity(rho)
     _report([
-        ("purity", purity_general(rho)),
+        ("purity", _purity(rho)),
         ("concurrence", concurrence),
         ("entanglement_of_formation", eof_from_concurrence(concurrence)),
         ("negativity", neg),
@@ -201,7 +207,7 @@ def cmd_counterpart(args) -> int:
 
 def cmd_minset(args) -> int:
     rho = minimal_set.minset_state(args.purity, args.concurrence)
-    _emit(args.out_path, json.dumps({"matrix": _matrix_to_obj(rho)}) + "\n")
+    _emit(args.out_path, _state_text(rho))
     return EXIT_OK
 
 
@@ -411,16 +417,13 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:
+        # argparse exits after printing --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

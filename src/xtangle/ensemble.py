@@ -149,14 +149,17 @@ _GINIBRE_COLS = {"hilbert_schmidt": 4, "pure_haar": 1,
 def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarray:
     """Random density matrix: Hilbert-Schmidt, Haar-pure, or fixed rank.
 
-    measure_kind is one of hilbert_schmidt, pure_haar, rank_1 .. rank_4.
+    measure_kind is one of hilbert_schmidt, pure_haar, rank_1 .. rank_4;
+    any other value raises ValueError naming it.
     hilbert_schmidt and rank_4 draw G G^dagger / tr for a square Ginibre
     G; rank_k uses a 4 x k Ginibre; pure_haar is the rank_1 draw, a
     normalized Gaussian vector.
     """
-    cols = _GINIBRE_COLS.get(measure_kind)
-    if cols is None:
-        raise ValueError(f"unknown ensemble kind {measure_kind!r}")
+    try:
+        cols = _GINIBRE_COLS[measure_kind]
+    except (KeyError, TypeError):
+        # TypeError: an unhashable kind, such as a list
+        raise ValueError(f"unknown ensemble kind {measure_kind!r}") from None
     g = _ginibre(seed, 4, cols)
     rho = g @ g.conj().T
     # np.trace(rho).real bit for bit: numpy's sum order (see _entry_gate)
@@ -227,7 +230,8 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     class by construction (_free_draw, _pinned_draw). Only an "entangled"
     draw is tested, by is_separable's rule (xstate._entangled_outer) on
     the chart it was drawn from, and redrawn on failure; after MAX_TRIES
-    tries it is declared infeasible.
+    tries it is declared infeasible. Any other constraint raises
+    ValueError naming it.
     """
     rng = SplitMix64(seed)
     if constraint in ("any", "separable"):
@@ -240,9 +244,11 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
         raise ConstraintInfeasibleError(
             f"no draw met {constraint!r} within {MAX_TRIES} tries (seed {seed})"
         )
-    want = _RANK_KINDS.get(constraint)
-    if want is None:
-        raise ValueError(f"unknown constraint {constraint!r}")
+    try:
+        want = _RANK_KINDS[constraint]
+    except (KeyError, TypeError):
+        # TypeError: an unhashable constraint, such as a list
+        raise ValueError(f"unknown constraint {constraint!r}") from None
     if want not in RANK_KIND_PAIRS:
         raise ConstraintInfeasibleError(f"no X-state has rank {want[0]} with kind {want[1]}")
     return _pinned_draw(rng, *want)

@@ -182,8 +182,14 @@ class Spectrum:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a complex 4x4 ndarray, rejecting any other shape."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce to a complex 4x4 ndarray, rejecting any other shape. Entries
+    numpy cannot read as complex numbers (a str, an object) raise
+    ValueError naming the input, where numpy raised its own message or a
+    bare TypeError."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix {a!r} is not an array of numbers") from None
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
@@ -195,8 +201,8 @@ def _scale_problem(values) -> str:
     ENTRY_SCALE; "" when they are admitted.
 
     The package's one input-scale read: of a 4x4 matrix's 16 entries, from
-    one tolist(), and of the values of params_from_entries and
-    mems_from_spectrum. Only a rejected input is sorted into its reason.
+    one tolist(), and of the four values of mems_from_spectrum. Only a
+    rejected input is sorted into its reason.
     """
     try:
         if sum(map(abs, values)) <= ENTRY_SCALE:

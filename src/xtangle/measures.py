@@ -18,6 +18,7 @@ import numpy as np
 from .matrix_core import (
     EIG_FLOOR,
     NON_FINITE,
+    Spectrum,
     _PT_INDEX,
     _eigvalsh,
     _hermitian_read,
@@ -62,7 +63,11 @@ def purity_general(rho) -> float:
     Behind hermitian_eig's gate: ValueError for a non-finite or
     out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
-    m = _hermitian_read(rho)[0]
+    return _purity(_hermitian_read(rho)[0])
+
+
+def _purity(m: np.ndarray) -> float:
+    """purity_general of a 4x4 matrix that has passed its gate, unread."""
     return float((m @ m).trace().real)
 
 
@@ -96,7 +101,13 @@ def concurrence_from_eig(values: list[float], eigvecs: np.ndarray,
 
 def concurrence_general(rho) -> float:
     """Concurrence via the spin-flipped product; see concurrence_from_eig."""
-    spec = hermitian_eig(rho)
+    return _spectrum_concurrence(hermitian_eig(rho))
+
+
+def _spectrum_concurrence(spec: Spectrum) -> float:
+    """Concurrence of the state whose solved spectrum is spec
+    (hermitian_eig's or density_spectrum's): concurrence_from_eig of its
+    floored values, its eigenvectors and their adjoint."""
     return concurrence_from_eig(floored(spec.values.tolist()), spec.eigvecs,
                                 spec.eigvecs.conj().T)
 
@@ -146,9 +157,13 @@ def _concurrence_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
 
 
 def binary_entropy(t: float) -> float:
-    """-t log2 t - (1-t) log2 (1-t), with 0 log 0 = 0; ValueError for a non-finite t."""
-    if not math.isfinite(t):
-        raise ValueError(NON_FINITE)
+    """-t log2 t - (1-t) log2 (1-t), with 0 log 0 = 0; ValueError for a t
+    that is non-finite (NON_FINITE) or not a real number (naming it)."""
+    try:
+        if not math.isfinite(t):
+            raise ValueError(NON_FINITE)
+    except TypeError:
+        raise ValueError(f"probability {t!r} is not a real number") from None
     if t <= 0.0 or t >= 1.0:
         return 0.0
     return float(-t * np.log2(t) - (1.0 - t) * np.log2(1.0 - t))

@@ -197,7 +197,8 @@ class CounterpartResult:
 
 def x_unitary(b1: float, b2: float = 0.0, b3: float = 0.0, b4: float = 0.0) -> np.ndarray:
     """Unitary rotating the outer block by b1 and the inner block by b3,
-    with phases b2 and b4. Raises ValueError for a non-finite angle.
+    with phases b2 and b4. Raises ValueError for an angle that is
+    non-finite or not a real number (xstate._finite_angles).
     """
     _finite_angles(b1, b2, b3, b4)
     c1, s1 = math.cos(b1), math.sin(b1)
@@ -221,9 +222,9 @@ def conjugate_x(p: XParams, b1: float, b2: float = 0.0,
     Closed form; equals from_density(conjugate(to_density(p), V)) up to
     round-off. Reads p as to_density does (xstate._physical_coeffs):
     ValueError for an invalid point, UnphysicalError for one outside the
-    positivity range. Then raises ValueError for a non-finite angle, as
-    x_unitary does. The rotated entries go to the chart's inverse unread
-    (xstate._params_of).
+    positivity range. Then raises ValueError for an angle that is
+    non-finite or not a real number, as x_unitary does. The rotated
+    entries go to the chart's inverse unread (xstate._params_of).
     """
     _, (d1, d2, d3, d4), x, y = _physical_coeffs(p)
     _finite_angles(b1, b2, b3, b4)
@@ -482,6 +483,8 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
     """Convert rho to an X-state of equal spectrum and equal measure.
 
+    The measure name is checked first: one not in MEASURES raises
+    ValueError before rho is read or solved, as solve_tau checks it.
     rho is coerced once (matrix_core.as_matrix) and its entries are read
     once, by the density check. Everything but a negativity target comes
     from one eigendecomposition of rho (matrix_core.density_spectrum),
@@ -499,6 +502,8 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     ceiling only through numerical noise; any excess is clipped and
     reported.
     """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
     rho = as_matrix(rho)
     spec = _density_spectrum(rho)
     # the solve read once: its values as one list and V^dagger as one array
@@ -507,11 +512,11 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     adjoint = spec.eigvecs.conj().T
     if measure == "concurrence":
         target = concurrence_from_eig(values, spec.eigvecs, adjoint)
-    elif measure == "negativity":
+        measure_of = _concurrence_of
+    else:
         # rho passed the density checks, which are stricter than its gate
         target = _pt_negativity(rho)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
+        measure_of = _negativity_of
 
     # the MEMS walk: inner coherence ((l1 - l3)/2)^2 over an exactly
     # degenerate inner block, floor l2 l4 and partner sum l2 + l4
@@ -532,7 +537,7 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     # the values as solved, not floored: W rho W^dagger equals the state
     # within round-off even for a value in [-SOLVER_TOL, 0)
     entries = _mems_entries(*solved, angle)
-    achieved = (_concurrence_of if measure == "concurrence" else _negativity_of)(*entries)
+    achieved = measure_of(*entries)
     return CounterpartResult(state=_x_matrix(*entries),
                              unitary=_mems_basis(angle) @ adjoint,
                              tau=tau, branch=branch, measure=measure, target=target,

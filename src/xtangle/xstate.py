@@ -37,7 +37,6 @@ from .matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     _hermitian_gate,
-    _in_scale,
     _read,
     _read_edge,
     _read_tol,
@@ -126,9 +125,10 @@ def validate_params(p: XParams) -> None:
 
 
 def _valid_angles(p: XParams) -> None:
-    """The chart's angle checks: ValueError(NON_FINITE) for a NaN or
-    infinite angle or phase of p, then ValueError naming an angle outside
-    [0, pi/2] or a phase outside [0, 2 pi] by more than ROUNDOFF."""
+    """The chart's angle checks: ValueError for an angle or phase of p
+    that is NaN or infinite (NON_FINITE) or not a real number
+    (_finite_angles), then ValueError naming an angle outside [0, pi/2]
+    or a phase outside [0, 2 pi] by more than ROUNDOFF."""
     _finite_angles(p.theta, p.phi, p.psi, p.mu, p.nu)
     half_pi = 0.5 * np.pi
     for name in ("theta", "phi", "psi"):
@@ -152,9 +152,20 @@ def _valid_weights(p: XParams) -> tuple[float, float]:
 
 
 def _finite_angles(*angles: float) -> None:
-    """ValueError(NON_FINITE) unless every angle is finite."""
-    if not all(map(math.isfinite, angles)):
-        raise ValueError(NON_FINITE)
+    """ValueError(NON_FINITE) unless every angle is finite. An angle that
+    is not a real number (a str, None, a complex or an array), which
+    math.isfinite rejects with a TypeError, raises ValueError naming it."""
+    try:
+        if all(map(math.isfinite, angles)):
+            return
+    except TypeError:
+        # the angles before the first one math.isfinite rejects are finite
+        for a in angles:
+            try:
+                math.isfinite(a)
+            except TypeError:
+                raise ValueError(f"angle {a!r} is not a real number") from None
+    raise ValueError(NON_FINITE)
 
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
@@ -337,39 +348,15 @@ def _clamp01(v: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-def params_from_entries(d1, d2, d3, d4, coh_outer, coh_inner,
-                        tol: float = DEFAULT_TOL) -> XParams:
-    """Invert the chart from diagonal entries and complex coherences.
+def _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol: float = DEFAULT_TOL) -> XParams:
+    """The chart's one inverse, of a diagonal (d1, d2, d3, d4) and the
+    complex coherences rho_14 and rho_23 that the package read
+    (from_density) or computed (conjugate_x) itself. Unread.
 
     Convention at degenerate diagonals: theta = arccos(sqrt(d1)); if
     sin(theta) vanishes, phi = psi = 0; if sin(phi) vanishes, psi = 0.
-    Phases below the coherence magnitude tol are set to 0. Raises
-    ValueError for a non-finite or out-of-scale argument, the six read
-    as one input by matrix_core._scale_problem, then reads the diagonal
-    as from_density does (_read_diagonal): UnphysicalError for an entry
-    outside [0, 1] or a trace other than 1, beyond ROUNDOFF. Then
-    inverts them (_params_of).
+    Phases below the coherence magnitude tol are set to 0.
     """
-    _in_scale((d1, d2, d3, d4, coh_outer, coh_inner))
-    return _params_of(*_read_diagonal((d1, d2, d3, d4)), coh_outer, coh_inner, tol)
-
-
-def _read_diagonal(d) -> list[float]:
-    """The diagonal d = (d1, d2, d3, d4) of a chart point, read: each
-    entry on [0, 1] and their sum on [1, 1] (matrix_core._read_edge).
-    Outside them by more than ROUNDOFF, or not real numbers, they raise
-    UnphysicalError, as the chart has no point for such a diagonal. The
-    one diagonal read of from_density and params_from_entries."""
-    read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
-            for v in d]
-    _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
-    return read
-
-
-def _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol: float = DEFAULT_TOL) -> XParams:
-    """params_from_entries behind its scale and diagonal reads: the
-    chart's inverse of values the package read (from_density) or computed
-    (conjugate_x) itself. Unread."""
     x = abs(coh_outer) ** 2
     y = abs(coh_inner) ** 2
     # np.arccos and np.angle: math.acos and cmath.phase differ in the last bit
@@ -399,13 +386,16 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
     out-of-scale input, NotXFormError for an off-X entry above tol,
     NonHermitianError for a coherence pair or a diagonal entry
     non-Hermitian beyond SOLVER_TOL; the phases come from the upper
-    coherences (0,3) and (1,2). Each diagonal entry is read on [0, 1] and
-    the trace on [1, 1] (_read_diagonal): outside them by more than
-    ROUNDOFF, UnphysicalError, as the chart has no point for such a
-    matrix.
+    coherences (0,3) and (1,2). Then reads the diagonal: each entry on
+    [0, 1] and their sum, the trace, on [1, 1] (matrix_core._read_edge).
+    Outside them by more than ROUNDOFF they raise UnphysicalError, as the
+    chart has no point for such a matrix. Then inverts them (_params_of).
     """
     *d, rho_14, rho_23 = _x_entries(rho, _read_tol(tol))
-    return _params_of(*_read_diagonal(d), rho_14, rho_23, tol)
+    read = [_read_edge(v, 0.0, 1.0, UnphysicalError, "diagonal entry {value!r} outside [0, 1]")
+            for v in d]
+    _read_edge(sum(d), 1.0, 1.0, UnphysicalError, "trace {value!r} is not 1")
+    return _params_of(*read, rho_14, rho_23, tol)
 
 
 def char_poly(p: XParams) -> CharPolyCoeffs:

@@ -17,11 +17,14 @@ from xtangle import (
     OutOfRegimeError,
     TargetOutOfRangeError,
     XParams,
+    binary_entropy,
     boundary_scalars,
     concurrence_along,
     conjugate_x,
     cp_boundary,
+    diagonal,
     disentangle_params,
+    eof,
     evolve,
     fannes_ree_bound,
     is_physical,
@@ -29,6 +32,7 @@ from xtangle import (
     minset_state,
     negativity_along,
     purity_x,
+    random_density,
     random_xparams,
     scalar_q,
     scalar_r,
@@ -40,6 +44,7 @@ from xtangle import (
     theorem_params,
     to_density,
     validate_params,
+    x_unitary,
 )
 from xtangle.matrix_core import ROUNDOFF, _read_edge
 from xtangle.measures import eof_from_concurrence
@@ -192,6 +197,34 @@ NON_NUMBERS = {
     # an array of several values has no truth value
     "minset_state_array": (lambda: minset_state(np.array([0.5, 0.6]), 0.0), DomainError,
                            "purity array([0.5, 0.6]) outside [1/3, 1]"),
+    # the chart's angles and the rotation angles: math.isfinite's bare TypeError
+    "to_density_angle_str": (lambda: to_density(XParams("a", 0.1, 0.1, 0.1, 0.1)), ValueError,
+                             "angle 'a' is not a real number"),
+    "diagonal_angle_none": (lambda: diagonal(XParams(0.1, None, 0.1, 0.0, 0.0)), ValueError,
+                            "angle None is not a real number"),
+    "diagonal_phase_complex": (lambda: diagonal(XParams(0.1, 0.1, 0.1, 0.0, 0.0, 1j)),
+                               ValueError, "angle 1j is not a real number"),
+    "x_unitary_str": (lambda: x_unitary("a"), ValueError, "angle 'a' is not a real number"),
+    "x_unitary_array": (lambda: x_unitary(0.1, np.array([0.1, 0.2])), ValueError,
+                        "angle array([0.1, 0.2]) is not a real number"),
+    # compares as one value, but math.isfinite rejects it
+    "x_unitary_one_element_array": (lambda: x_unitary(np.array([0.3])), ValueError,
+                                    "angle array([0.3]) is not a real number"),
+    "conjugate_x_str": (lambda: conjugate_x(WALK, 0.1, "a"), ValueError,
+                        "angle 'a' is not a real number"),
+    "binary_entropy_str": (lambda: binary_entropy("a"), ValueError,
+                           "probability 'a' is not a real number"),
+    # as_matrix: numpy's malformed-string ValueError, or a bare TypeError
+    "eof_str": (lambda: eof("a"), ValueError, "matrix 'a' is not an array of numbers"),
+    "eof_str_entries": (lambda: eof([["a"] * 4] * 4), ValueError,
+                        f"matrix {[['a'] * 4] * 4!r} is not an array of numbers"),
+    "eof_object_entry": (lambda: eof([[Ellipsis] * 4] * 4), ValueError,
+                         f"matrix {[[Ellipsis] * 4] * 4!r} is not an array of numbers"),
+    # an unhashable name: a bare TypeError from the dict lookup
+    "random_density_list": (lambda: random_density(1, ["x"]), ValueError,
+                            "unknown ensemble kind ['x']"),
+    "random_xparams_list": (lambda: random_xparams(1, ["any"]), ValueError,
+                            "unknown constraint ['any']"),
 }
 
 

@@ -1,7 +1,7 @@
 """The package's one input-scale rule.
 
-Every 4x4 input, and the values the chart and the MEMS are built from,
-is read once by matrix_core._scale_problem: a NaN or infinite entry is
+Every 4x4 input, and the four values the MEMS is built from, is read
+once by matrix_core._scale_problem: a NaN or infinite entry is
 rejected as NON_FINITE, entry magnitudes summing above ENTRY_SCALE as
 OUT_OF_SCALE. Every route then either gives that reason or, on an
 admitted input, finite values or its own typed error, never a numpy
@@ -52,7 +52,7 @@ from xtangle.matrix_core import (
     _scale_problem,
     density_spectrum,
 )
-from xtangle.xstate import UnphysicalError, params_from_entries
+from xtangle.xstate import UnphysicalError
 
 from reference_states import MAX_MIXED
 
@@ -127,15 +127,6 @@ def test_out_of_scale_input_fails_the_predicates(name):
             assert fn(m) is False
         # a route's tolerance does not admit it either
         assert is_x_form(m, tol=np.finfo(float).max) is False
-
-
-@pytest.mark.parametrize("coherence", [complex(1.5e308, 1.5e308), 1e200], ids=["huge", "1e200"])
-def test_params_from_entries_reads_its_six_values(coherence):
-    # abs(c) ** 2 raised a bare OverflowError
-    _raises_exactly(lambda c: params_from_entries(0.25, 0.25, 0.25, 0.25, c, 0.0),
-                    coherence, OUT_OF_SCALE)
-    _raises_exactly(lambda c: params_from_entries(0.25, 0.25, 0.25, 0.25, 0.0, c),
-                    coherence, OUT_OF_SCALE)
 
 
 @pytest.mark.parametrize("spectrum", [(1e308, 1e308, 1e308, 0.0), (1e200, 0.25, 0.25, 0.25)],
@@ -279,12 +270,6 @@ def test_chart_and_mems_values_at_the_bound():
         # an at-scale diagonal entry is admitted by the scale read, then
         # has no chart point: the diagonal read's typed error
         with pytest.raises(UnphysicalError):
-            params_from_entries(ENTRY_SCALE, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert _finite(params_from_entries(0.25, 0.25, 0.25, 0.25,
-                                           complex(0.0, ENTRY_SCALE), 0.0))
+            from_density(np.diag([ENTRY_SCALE, 0.0, 0.0, 0.0]).astype(complex))
         assert _finite(mems_from_spectrum((ENTRY_SCALE, 0.0, 0.0, 0.0)))
-    _raises_exactly(lambda d: params_from_entries(d, 0.0, 0.0, 0.0, 0.0, 0.0), above,
-                    OUT_OF_SCALE)
-    _raises_exactly(lambda c: params_from_entries(0.0, 0.0, 0.0, 0.0, 0.0, c), above,
-                    OUT_OF_SCALE)
     _raises_exactly(mems_from_spectrum, (0.0, 0.0, 0.0, above), OUT_OF_SCALE)

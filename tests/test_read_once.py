@@ -44,7 +44,6 @@ from xtangle import (
 from xtangle import cli, ensemble, matrix_core, measures, minimal_set, universality, xstate
 from xtangle.ensemble import RANK_KIND_TARGETS
 from xtangle.matrix_core import density_spectrum
-from xtangle.xstate import params_from_entries
 
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 TAUS = (0.0, 0.25, 0.5, 1.0)
@@ -102,10 +101,10 @@ READS = ("_scale_problem", "_valid_angles", "_x_entries", "_x_matrix")
 MODULES = (matrix_core, xstate, measures, universality, ensemble, minimal_set, cli)
 
 
-def _count_reads(monkeypatch):
-    """{read: calls} for the READS, each wrapped in every module binding it."""
-    calls = dict.fromkeys(READS, 0)
-    for name in READS:
+def _count_reads(monkeypatch, reads=READS):
+    """{read: calls} for the reads, each wrapped in every module binding it."""
+    calls = dict.fromkeys(reads, 0)
+    for name in reads:
         owner = next(module for module in MODULES if hasattr(module, name))
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -131,9 +130,6 @@ ROUTES = {
     "conjugate_x": (lambda: conjugate_x(WALK, 0.3, 0.1, 0.2, 0.4), {"_valid_angles": 1}),
     # the matrix once, in _x_entries; its entries go to the chart's inverse unread
     "from_density": (lambda: from_density(RHO), {"_scale_problem": 1, "_x_entries": 1}),
-    # the six values once, as one input
-    "params_from_entries": (lambda: params_from_entries(0.4, 0.3, 0.2, 0.1, 0.05j, 0.1),
-                            {"_scale_problem": 1}),
     # each argument once; their difference goes to the SVD unread
     "fannes_ree_bound": (lambda: fannes_ree_bound(RHO, NEAR), {"_scale_problem": 2}),
     "concurrence_x": (lambda: concurrence_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),
@@ -163,3 +159,14 @@ def test_reads_per_call(monkeypatch, route):
     calls = _count_reads(monkeypatch)
     call()
     assert calls == {name: want.get(name, 0) for name in READS}
+
+
+def test_measure_command_reads_its_state_once(monkeypatch, tmp_path, capsys):
+    # the density check reads the entries once, and is_x_form scans its
+    # own layout; the purity and the negativity take the checked matrix
+    # unread, where each re-ran the scale read and the entry gate
+    path = str(tmp_path / "near.json")
+    cli.write_state(path, NEAR)
+    calls = _count_reads(monkeypatch, ("_scale_problem", "_entry_gate"))
+    assert cli.main(["measure", "--in", path]) == 0
+    assert calls == {"_scale_problem": 2, "_entry_gate": 1}

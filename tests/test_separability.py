@@ -7,6 +7,7 @@ whose coherence sits just above the opposite block's product.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from xtangle import (
     cli,
     coeffs,
     disentangle_params,
+    from_density,
     is_separable,
     negativity_general,
     random_xparams,
@@ -24,7 +26,6 @@ from xtangle import (
 )
 from xtangle.ensemble import RANK_KIND_TARGETS
 from xtangle.matrix_core import SOLVER_TOL
-from xtangle.xstate import params_from_entries
 
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 # too close to the threshold for the two routes' round-off to settle
@@ -67,7 +68,7 @@ def _boundary_state(leg: str, delta: float, trace: float, split: float) -> XPara
     else:
         d1, d4 = near
         d2, d3 = far
-    base = params_from_entries(d1, d2, d3, d4, 0.0, 0.0)
+    base = from_density(np.diag([d1, d2, d3, d4]).astype(complex))
     cf = coeffs(base)
     if leg == "x":
         return XParams(base.theta, base.phi, base.psi, cf.g_cal + delta, 0.0)

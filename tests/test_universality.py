@@ -43,7 +43,6 @@ from xtangle import (
     x_unitary,
 )
 from xtangle.matrix_core import SOLVER_TOL
-from xtangle.xstate import params_from_entries
 
 from reference_states import BELL_PHI_PLUS, M40, MAX_MIXED, random_density_np
 
@@ -186,7 +185,9 @@ def test_disentangle_picks_the_entangled_leg_inside_the_slack():
     total, product = 0.999, 2.5e-7 - 5e-13
     root = math.sqrt(total * total - 4.0 * product)
     d2, d3 = 0.5 * (total + root), 0.5 * (total - root)
-    p = params_from_entries(5e-4, d2, d3, 5e-4, 0.0, math.sqrt(d2 * d3 + 9e-13))
+    rho = np.diag([5e-4, d2, d3, 5e-4]).astype(complex)
+    rho[1, 2] = rho[2, 1] = math.sqrt(d2 * d3 + 9e-13)
+    p = from_density(rho)
     cf = coeffs(p)
     assert cf.h_cal >= cf.g_cal and p.y > cf.h_cal
     assert negativity_general(to_density(p)) > 1e-10
@@ -471,6 +472,17 @@ def test_mems_from_spectrum_rejects_a_spectrum_not_of_four(spectrum):
 def test_counterpart_rejects_an_unknown_measure():
     with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
         counterpart_details(M40, "bogus")
+
+
+@pytest.mark.parametrize("rho", [MAX_MIXED, np.full((4, 4), np.nan),
+                                 np.diag([1.5, -0.5, 0.0, 0.0]), "a"],
+                         ids=["density", "nan", "negative", "str"])
+def test_counterpart_checks_the_measure_name_before_the_matrix(solver_calls, rho):
+    # the name was checked after the solve: one eigh for a density matrix,
+    # and a bad matrix's reason in place of the name's
+    with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
+        counterpart_details(rho, "bogus")
+    assert sum(solver_calls.values()) == 0, solver_calls
 
 
 def test_counterpart_bell():

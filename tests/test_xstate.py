@@ -27,7 +27,7 @@ from xtangle import (
     validate_params,
 )
 from xtangle.matrix_core import DEFAULT_TOL
-from xtangle.xstate import _classify_arrays, _rank_class, params_from_entries
+from xtangle.xstate import _classify_arrays, _rank_class
 
 from reference_states import BELL_PHI_PLUS, M30A, M40, MAX_MIXED, pure_outer
 
@@ -121,9 +121,12 @@ def test_from_density_rejects_off_x():
 
 @pytest.mark.parametrize("diag", [
     (1.5, -0.5, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5), (0.5, 0.6, -0.1, 0.0),
-], ids=["entry_above_1", "trace_2", "entry_below_0"])
+    (0.4, 0.3, 0.2, 5.0), (0.4, 0.3, 0.2, -7.0),
+], ids=["entry_above_1", "trace_2", "entry_below_0", "d4_above_1", "d4_below_0"])
 def test_from_density_rejects_a_diagonal_the_chart_cannot_hold(diag):
-    # each came back as the chart of another matrix: |00>, diag(.5, .5, 0, 0) twice
+    # the first three came back as the chart of another matrix: |00>,
+    # diag(.5, .5, 0, 0) twice; the chart's inverse never reads d4, so the
+    # last two pin that from_density's diagonal read does
     with pytest.raises(UnphysicalError):
         from_density(np.diag(diag).astype(complex))
 
@@ -131,25 +134,6 @@ def test_from_density_rejects_a_diagonal_the_chart_cannot_hold(diag):
 def test_from_density_reads_the_roundoff_outside_the_diagonal_range_as_the_edge():
     rho = np.diag([1.0 + 5e-13, 0.0, 0.0, -5e-13]).astype(complex)
     assert from_density(rho) == from_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-
-
-@pytest.mark.parametrize("diag", [
-    (0.4, 0.3, 0.2, 5.0), (0.4, 0.3, 0.2, -7.0), (1.5, -0.5, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5),
-    (0.5, 0.6, -0.1, 0.0),
-], ids=["d4_above_1", "d4_below_0", "entry_above_1", "trace_2", "entry_below_0"])
-def test_params_from_entries_reads_its_diagonal_as_from_density_does(diag):
-    # the first two came back as the point of diagonal (0.4, 0.3, 0.2, 0.1)
-    with pytest.raises(UnphysicalError) as got:
-        params_from_entries(*diag, 0.0, 0.0)
-    with pytest.raises(UnphysicalError) as want:
-        from_density(np.diag(diag).astype(complex))
-    assert str(got.value) == str(want.value)
-
-
-def test_params_from_entries_reads_the_roundoff_outside_the_diagonal_range_as_the_edge():
-    assert (params_from_entries(1.0 + 5e-13, 0.0, 0.0, -5e-13, 0.0, 0.0)
-            == params_from_entries(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-            == from_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)))
 
 
 def test_char_poly_max_mixed():
