@@ -1,6 +1,7 @@
 """X-state chart: coefficients, construction, inversion, classification."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -134,6 +135,32 @@ def test_from_density_rejects_a_diagonal_the_chart_cannot_hold(diag):
 def test_from_density_reads_the_roundoff_outside_the_diagonal_range_as_the_edge():
     rho = np.diag([1.0 + 5e-13, 0.0, 0.0, -5e-13]).astype(complex)
     assert from_density(rho) == from_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+
+
+# params_from_entries, the chart's deleted second inverse, shared its
+# diagonal read with from_density; the read now lives in from_density
+# alone, and these two tests keep their names and pin it there.
+@pytest.mark.parametrize("diag, message", [
+    ((1.5, -0.5, 0.0, 0.0), "diagonal entry 1.5 outside [0, 1]"),
+    ((0.5, 0.5, 0.5, 0.5), "trace 2.0 is not 1"),
+    ((0.5, 0.6, -0.1, 0.0), "diagonal entry -0.1 outside [0, 1]"),
+], ids=["entry_above_1", "trace_2", "entry_below_0"])
+def test_params_from_entries_reads_its_diagonal_as_from_density_does(diag, message):
+    # the read names the first entry, else the trace, that it rejects
+    with pytest.raises(UnphysicalError) as got:
+        from_density(np.diag(diag).astype(complex))
+    assert str(got.value) == message
+
+
+def test_params_from_entries_reads_the_roundoff_outside_the_diagonal_range_as_the_edge():
+    # each basis population, with the round-off above 1 on it and below 0
+    # on every other entry in turn, reads as that basis state
+    for k, j in itertools.permutations(range(4), 2):
+        d = np.zeros(4)
+        d[k], d[j] = 1.0 + 5e-13, -5e-13
+        edge = np.zeros(4)
+        edge[k] = 1.0
+        assert from_density(np.diag(d).astype(complex)) == from_density(np.diag(edge).astype(complex))
 
 
 def test_char_poly_max_mixed():
