@@ -24,23 +24,26 @@ from .ensemble import RANK_KIND_TARGETS
 from .matrix_core import (
     DEFAULT_TOL,
     SOLVER_TOL,
+    _hermitian_read,
     _read_tol,
-    conjugate,
+    _sorted_eigvals,
     density_spectrum,
-    hermitian_eigvals,
+    hermitian_eig,
 )
 from .measures import (
+    _concurrence_of,
+    _negativity_of,
     _pt_negativity,
     _purity,
     _spectrum_concurrence,
     concurrence_general,
-    concurrence_x,
     eof_from_concurrence,
-    negativity_general,
-    negativity_x,
 )
 from .xstate import (
+    _entangled_outer,
+    _point_density,
     _rank_above_tol,
+    _rank_class,
     _x_entries,
     block_eigvals,
     classify_rank,
@@ -235,22 +238,29 @@ def cmd_diagram(args) -> int:
     return EXIT_OK
 
 
+# The checks read and solve each state they build once. A matrix the
+# sweep wrote itself (xstate._point_density, universality._counterpart) is
+# taken unread where a public route would gate it again; each check still
+# compares its chart identities with the general (LAPACK) routes.
+
+
 def _check_measures(seed: int, tol: float) -> bool:
     p = ensemble.random_xparams(seed, "any")
     rho = to_density(p)
-    return (abs(concurrence_x(rho) - concurrence_general(rho)) <= tol
-            and abs(negativity_x(rho) - negativity_general(rho)) <= tol)
+    # one X read for both closed forms; concurrence_general gates rho once
+    e = _x_entries(rho)
+    return (abs(_concurrence_of(*e) - concurrence_general(rho)) <= tol
+            and abs(_negativity_of(*e) - _pt_negativity(rho)) <= tol)
 
 
 def _check_classify(seed: int, tol: float) -> bool:
     # rank/kind targets keep the chart tolerance and the eigenvalue
     # threshold commensurate; unconstrained corner draws do not
     p = ensemble.random_xparams(seed, RANK_KIND_TARGETS[seed % 8])
-    rho = to_density(p)
-    rk = classify_rank(p)
-    if rk.rank != numerical_rank(rho):
+    co, x, y, rho = _point_density(p)
+    if _rank_class(co, x, y, DEFAULT_TOL).rank != numerical_rank(rho):
         return False
-    return is_separable(p) == (negativity_general(rho) <= SOLVER_TOL)
+    return (_entangled_outer(co, x, y) is None) == (_pt_negativity(rho) <= SOLVER_TOL)
 
 
 def _check_conservation(seed: int, tol: float) -> bool:
@@ -258,9 +268,10 @@ def _check_conservation(seed: int, tol: float) -> bool:
     p = ensemble.random_xparams(rng.next_u64(), "any")
     angles = [rng.uniform(0.0, 2.0 * np.pi) for _ in range(4)]
     q = universality.conjugate_x(p, *angles)
-    a, b = coeffs(p), coeffs(q)
-    direct = from_density(
-        conjugate(to_density(p), universality.x_unitary(*angles)))
+    a, _, _, rho = _point_density(p)
+    b = coeffs(q)
+    u = universality.x_unitary(*angles)
+    direct = from_density(u @ rho @ u.conj().T)
     return (abs(a.b_cal - b.b_cal) <= tol
             and abs(a.c_cal - b.c_cal) <= tol
             and abs((a.g_cal - p.y) - (b.g_cal - q.y)) <= tol
@@ -272,24 +283,32 @@ def _check_disentangle(seed: int, tol: float) -> bool:
     p = ensemble.random_xparams(seed, "entangled")
     sol = universality.disentangle_params(p)
     q = universality.evolve(p, sol, 1.0).params
-    return is_separable(q) and negativity_general(to_density(q)) <= SOLVER_TOL
+    co, x, y, rho = _point_density(q)
+    return _entangled_outer(co, x, y) is None and _pt_negativity(rho) <= SOLVER_TOL
 
 
 def _check_counterpart(seed: int, tol: float) -> bool:
     rho = ensemble.random_density(seed)
+    # one density check and solve of rho serves both conversions
+    spec = density_spectrum(rho)
     for measure in universality.MEASURES:
-        # the record holds rho's spectrum and measure from the conversion's
-        # own solve of rho (its target is concurrence_general(rho) or
-        # negativity_general(rho) bit for bit), so only the output is
-        # solved afresh; a wrong record fails the check as a wrong output does
-        res = universality.counterpart_details(rho, measure)
+        # the record holds rho's spectrum and measure from that solve (its
+        # target is concurrence_general(rho) or negativity_general(rho) bit
+        # for bit), so only the output is solved afresh, after one gated
+        # read; a wrong record fails the check as a wrong output does
+        res = universality._counterpart(rho, spec, measure)
         out = res.state
         if not is_x_form(out, tol=tol):
             return False
-        if float(np.abs(hermitian_eigvals(out) - res.spectrum).max()) > tol:
+        if measure == "concurrence":
+            solved = hermitian_eig(out)
+            values, general = solved.values, _spectrum_concurrence(solved)
+        else:
+            m, dev = _hermitian_read(out)
+            values, general = _sorted_eigvals(m, dev), _pt_negativity(m)
+        if float(np.abs(values - res.spectrum).max()) > tol:
             return False
-        general = concurrence_general if measure == "concurrence" else negativity_general
-        if abs(general(out) - res.target) > tol:
+        if abs(general - res.target) > tol:
             return False
     return True
 

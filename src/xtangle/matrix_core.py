@@ -185,11 +185,15 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a complex 4x4 ndarray, rejecting any other shape. Entries
     numpy cannot read as complex numbers (a str, an object) raise
     ValueError naming the input, where numpy raised its own message or a
-    bare TypeError."""
+    bare TypeError. A Python int too large for a float raises the scale
+    read's ValueError(OUT_OF_SCALE), where numpy raised a bare
+    OverflowError."""
     try:
         m = np.asarray(a, dtype=complex)
     except (TypeError, ValueError):
         raise ValueError(f"matrix {a!r} is not an array of numbers") from None
+    except OverflowError:
+        raise ValueError(OUT_OF_SCALE) from None
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     return m
@@ -371,7 +375,14 @@ def hermitian_eigvals(a) -> np.ndarray:
     Same gate as hermitian_eig: ValueError for a non-finite or
     out-of-scale input, NonHermitianError for asymmetry above SOLVER_TOL.
     """
-    return _eigvalsh(_solve_input(*_hermitian_read(a)))[::-1]
+    return _sorted_eigvals(*_hermitian_read(a))
+
+
+def _sorted_eigvals(m: np.ndarray, deviation: float) -> np.ndarray:
+    """hermitian_eigvals' solve, non-ascending, for a matrix m past its
+    gate and its Hermitian deviation (_entry_gate), as _sorted_eigh is
+    hermitian_eig's."""
+    return _eigvalsh(_solve_input(m, deviation))[::-1]
 
 
 def density_spectrum(a) -> Spectrum:

@@ -158,10 +158,13 @@ def _concurrence_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
 
 def binary_entropy(t: float) -> float:
     """-t log2 t - (1-t) log2 (1-t), with 0 log 0 = 0; ValueError for a t
-    that is non-finite (NON_FINITE) or not a real number (naming it)."""
+    that is non-finite or a Python int too large for a float (NON_FINITE)
+    or not a real number (naming it)."""
     try:
         if not math.isfinite(t):
             raise ValueError(NON_FINITE)
+    except OverflowError:
+        raise ValueError(NON_FINITE) from None
     except TypeError:
         raise ValueError(f"probability {t!r} is not a real number") from None
     if t <= 0.0 or t >= 1.0:

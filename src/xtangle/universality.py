@@ -79,7 +79,9 @@ import numpy as np
 
 from .matrix_core import (
     DEFAULT_TOL,
+    OUT_OF_SCALE,
     ROUNDOFF,
+    Spectrum,
     _density_spectrum,
     _in_scale,
     _read_edge,
@@ -122,6 +124,16 @@ _TAU = "tau {value!r} outside [0, 1]"
 
 class TargetOutOfRangeError(ValueError):
     """Requested measure value not reachable along the path."""
+
+
+def _measure_name(measure) -> str:
+    """measure as the one of MEASURES it names: the one read of a measure
+    name, by counterpart_details and the walk's solve (_path_inputs).
+    Anything else, an array of names or a one-element array of a valid
+    name included, raises ValueError naming it."""
+    if isinstance(measure, str) and measure in MEASURES:
+        return MEASURES[MEASURES.index(measure)]
+    raise ValueError(f"unknown measure {measure!r}")
 
 
 @dataclass(frozen=True)
@@ -331,11 +343,11 @@ def _path_inputs(p: XParams, sol: DisentangleSolution,
     """(coherence, population difference, floor target, partner sum, angle)
     of the walk's leg (_leg), from one read of the chart
     (xstate._physical_coeffs), which runs on every label; all 0 on
-    "already_separable". Raises ValueError for a branch no solution
-    carries, or one whose leg's own population product is below its floor
-    by more than DEFAULT_TOL."""
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
+    "already_separable". Raises ValueError for a measure name not in
+    MEASURES (_measure_name), then for a branch no solution carries, or
+    one whose leg's own population product is below its floor by more
+    than DEFAULT_TOL."""
+    _measure_name(measure)
     cf, _, x, y = _physical_coeffs(p)
     if sol.branch == "already_separable":
         return 0.0, 0.0, 0.0, 0.0, 0.0
@@ -471,9 +483,13 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
     bit for bit.
 
     Raises ValueError for four values that are non-finite or out of
-    scale, read as one input by matrix_core._scale_problem.
+    scale, read as one input by matrix_core._scale_problem; a Python int
+    too large for a float is out of scale.
     """
-    vals = np.asarray(spectrum, dtype=float)
+    try:
+        vals = np.asarray(spectrum, dtype=float)
+    except OverflowError:
+        raise ValueError(OUT_OF_SCALE) from None
     if vals.shape != (4,):
         raise ValueError("spectrum must hold exactly four values")
     _in_scale(vals.tolist())
@@ -483,29 +499,38 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
 def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> CounterpartResult:
     """Convert rho to an X-state of equal spectrum and equal measure.
 
-    The measure name is checked first: one not in MEASURES raises
-    ValueError before rho is read or solved, as solve_tau checks it.
-    rho is coerced once (matrix_core.as_matrix) and its entries are read
-    once, by the density check. Everything but a negativity target comes
-    from one eigendecomposition of rho (matrix_core.density_spectrum),
-    of rho as given when it equals its adjoint exactly, otherwise of its
-    Hermitian part, with the sign of a zero as the only possible
-    difference: two LAPACK calls per conversion, that solve's
-    matrix_core._eigh and a _svdvals (concurrence target) or an _eigvalsh
-    of rho's partial transpose (negativity target). The solve is read
-    once: one list of its values feeds the floor and the state's entries,
-    and one V^dagger the concurrence target and the unitary.
-    See the module docstring for the walk. At the walk's angle the state
-    is _mems_entries of the eigenvalues as solved and the unitary
-    _mems_basis @ V^dagger: off-X entries exactly 0, and the measure
-    achieved (see CounterpartResult). The target can exceed the MEMS
-    ceiling only through numerical noise; any excess is clipped and
-    reported.
+    The reads, then the conversion (_counterpart). The measure name is
+    read first (_measure_name): anything but one of the MEASURES strings
+    raises ValueError before rho is read or solved, as solve_tau reads
+    it. rho is coerced once (matrix_core.as_matrix) and its entries are
+    read once, by the density check, whose one eigendecomposition
+    (matrix_core.density_spectrum) the conversion takes: of rho as given
+    when it equals its adjoint exactly, otherwise of its Hermitian part,
+    with the sign of a zero as the only possible difference.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    rho = as_matrix(rho)
-    spec = _density_spectrum(rho)
+    measure = _measure_name(measure)
+    m = as_matrix(rho)
+    return _counterpart(m, _density_spectrum(m), measure)
+
+
+def _counterpart(rho: np.ndarray, spec: Spectrum, measure: str) -> CounterpartResult:
+    """counterpart_details of a matrix past its reads: rho as coerced and
+    density-checked, spec its density_spectrum and measure one of
+    MEASURES. Neither is read again, so one solve of rho serves a
+    conversion under each measure.
+
+    Everything but a negativity target comes from spec: two LAPACK calls
+    per conversion, spec's matrix_core._eigh and a _svdvals (concurrence
+    target) or an _eigvalsh of rho's partial transpose (negativity
+    target). The solve is read once: one list of its values feeds the
+    floor and the state's entries, and one V^dagger the concurrence
+    target and the unitary. See the module docstring for the walk. At the
+    walk's angle the state is _mems_entries of the eigenvalues as solved
+    and the unitary _mems_basis @ V^dagger: off-X entries exactly 0, and
+    the measure achieved (see CounterpartResult). The target can exceed
+    the MEMS ceiling only through numerical noise; any excess is clipped
+    and reported.
+    """
     # the solve read once: its values as one list and V^dagger as one array
     solved = spec.values.tolist()
     values = floored(solved)

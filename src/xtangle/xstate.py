@@ -152,12 +152,16 @@ def _valid_weights(p: XParams) -> tuple[float, float]:
 
 
 def _finite_angles(*angles: float) -> None:
-    """ValueError(NON_FINITE) unless every angle is finite. An angle that
-    is not a real number (a str, None, a complex or an array), which
-    math.isfinite rejects with a TypeError, raises ValueError naming it."""
+    """ValueError(NON_FINITE) unless every angle is finite; a Python int
+    too large for a float, on which math.isfinite overflows, is not. An
+    angle that is not a real number (a str, None, a complex or an array),
+    which math.isfinite rejects with a TypeError, raises ValueError
+    naming it."""
     try:
         if all(map(math.isfinite, angles)):
             return
+    except OverflowError:
+        pass
     except TypeError:
         # the angles before the first one math.isfinite rejects are finite
         for a in angles:
@@ -329,10 +333,18 @@ def _point_entries(d, x: float, y: float, mu: float, nu: float) -> tuple:
     return (*d, math.sqrt(x) * cmath.exp(1j * mu), math.sqrt(y) * cmath.exp(1j * nu))
 
 
+def _point_density(p: XParams) -> tuple[XCoeffs, float, float, np.ndarray]:
+    """(co, x, y, rho) of physical parameters p from one read of the chart
+    (_physical_coeffs): coeffs(p) and the weights as read, which the
+    rank/kind and separability rules take (_rank_class, _entangled_outer),
+    and to_density(p), the matrix of its entries (_point_entries)."""
+    co, d, x, y = _physical_coeffs(p)
+    return co, x, y, _x_matrix(*_point_entries(d, x, y, p.mu, p.nu))
+
+
 def to_density(p: XParams) -> np.ndarray:
     """Assemble the 4x4 density matrix for physical parameters."""
-    _, d, x, y = _physical_coeffs(p)
-    return _x_matrix(*_point_entries(d, x, y, p.mu, p.nu))
+    return _point_density(p)[3]
 
 
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:

@@ -238,9 +238,9 @@ def _off_x(res):
     lambda res: dataclasses.replace(res, target=res.target + 1e-6),
 ], ids=["off_x_state", "spectrum", "target"])
 def test_sweep_counterpart_fails_on_a_faulty_record(monkeypatch, capsys, fault):
-    convert = cli.universality.counterpart_details
-    monkeypatch.setattr(cli.universality, "counterpart_details",
-                        lambda rho, measure: fault(convert(rho, measure)))
+    convert = cli.universality._counterpart
+    monkeypatch.setattr(cli.universality, "_counterpart",
+                        lambda rho, spec, measure: fault(convert(rho, spec, measure)))
     assert cli.main(["sweep", "--count", "1", "--seed", "3", "counterpart"]) == 4
     seed = cli.ensemble.child_seed(3, 0)
     assert capsys.readouterr().out.splitlines() == [f"FAIL counterpart seed={seed}", "1 failure(s)"]

@@ -27,6 +27,7 @@ from xtangle import (
     eof,
     evolve,
     fannes_ree_bound,
+    hermitian_eig,
     is_physical,
     is_separable,
     minset_state,
@@ -46,7 +47,7 @@ from xtangle import (
     validate_params,
     x_unitary,
 )
-from xtangle.matrix_core import ROUNDOFF, _read_edge
+from xtangle.matrix_core import NON_FINITE, OUT_OF_SCALE, ROUNDOFF, _read_edge
 from xtangle.measures import eof_from_concurrence
 
 NAN = float("nan")
@@ -220,6 +221,15 @@ NON_NUMBERS = {
                         f"matrix {[['a'] * 4] * 4!r} is not an array of numbers"),
     "eof_object_entry": (lambda: eof([[Ellipsis] * 4] * 4), ValueError,
                          f"matrix {[[Ellipsis] * 4] * 4!r} is not an array of numbers"),
+    # a Python int too large for a float: a bare OverflowError from
+    # as_matrix's np.asarray or from math.isfinite
+    "eof_huge_int": (lambda: eof([[10**400] * 4] * 4), ValueError, OUT_OF_SCALE),
+    "hermitian_eig_huge_int": (lambda: hermitian_eig([[10**400] * 4] * 4), ValueError,
+                               OUT_OF_SCALE),
+    "x_unitary_huge_int": (lambda: x_unitary(10**400), ValueError, NON_FINITE),
+    "to_density_huge_int": (lambda: to_density(XParams(10**400, 0, 0, 0, 0)), ValueError,
+                            NON_FINITE),
+    "binary_entropy_huge_int": (lambda: binary_entropy(10**400), ValueError, NON_FINITE),
     # an unhashable name: a bare TypeError from the dict lookup
     "random_density_list": (lambda: random_density(1, ["x"]), ValueError,
                             "unknown ensemble kind ['x']"),

@@ -129,8 +129,9 @@ def test_out_of_scale_input_fails_the_predicates(name):
         assert is_x_form(m, tol=np.finfo(float).max) is False
 
 
-@pytest.mark.parametrize("spectrum", [(1e308, 1e308, 1e308, 0.0), (1e200, 0.25, 0.25, 0.25)],
-                         ids=["sum_overflows", "1e200"])
+@pytest.mark.parametrize("spectrum", [(1e308, 1e308, 1e308, 0.0), (1e200, 0.25, 0.25, 0.25),
+                                      (10**400, 0, 0, 0)],
+                         ids=["sum_overflows", "1e200", "huge_int"])
 def test_mems_from_spectrum_reads_its_four_values(spectrum):
     # the sum 1e308 + 1e308 warned of an overflow
     _raises_exactly(mems_from_spectrum, spectrum, OUT_OF_SCALE)

@@ -19,7 +19,9 @@ from xtangle import (
     PathPoint,
     XParams,
     child_seed,
+    classify_rank,
     coeffs,
+    concurrence_general,
     concurrence_x,
     conjugate,
     conjugate_x,
@@ -31,8 +33,11 @@ from xtangle import (
     hermitian_eig,
     hermitian_eigvals,
     is_density_matrix,
+    is_separable,
+    is_x_form,
     negativity_general,
     negativity_x,
+    numerical_rank,
     partial_transpose,
     purity_general,
     random_density,
@@ -40,10 +45,11 @@ from xtangle import (
     random_xparams,
     to_density,
     trace_norm,
+    x_unitary,
 )
 from xtangle import cli, ensemble, matrix_core, measures, minimal_set, universality, xstate
 from xtangle.ensemble import RANK_KIND_TARGETS
-from xtangle.matrix_core import density_spectrum
+from xtangle.matrix_core import DEFAULT_TOL, SOLVER_TOL, density_spectrum
 
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 TAUS = (0.0, 0.25, 0.5, 1.0)
@@ -170,3 +176,152 @@ def test_measure_command_reads_its_state_once(monkeypatch, tmp_path, capsys):
     calls = _count_reads(monkeypatch, ("_scale_problem", "_entry_gate"))
     assert cli.main(["measure", "--in", path]) == 0
     assert calls == {"_scale_problem": 2, "_entry_gate": 1}
+
+
+# ---- the sweep ---------------------------------------------------------------
+# Each check reads and solves every state it builds once. The checks
+# before that change, which passed those states through the public gated
+# routes again, are kept here as the oracle their verdicts must match.
+
+def _oracle_measures(seed, tol):
+    p = random_xparams(seed, "any")
+    rho = to_density(p)
+    return (abs(concurrence_x(rho) - concurrence_general(rho)) <= tol
+            and abs(negativity_x(rho) - negativity_general(rho)) <= tol)
+
+
+def _oracle_classify(seed, tol):
+    p = random_xparams(seed, RANK_KIND_TARGETS[seed % 8])
+    rho = to_density(p)
+    rk = classify_rank(p)
+    if rk.rank != numerical_rank(rho):
+        return False
+    return is_separable(p) == (negativity_general(rho) <= SOLVER_TOL)
+
+
+def _oracle_conservation(seed, tol):
+    rng = ensemble.SplitMix64(seed)
+    p = random_xparams(rng.next_u64(), "any")
+    angles = [rng.uniform(0.0, 2.0 * np.pi) for _ in range(4)]
+    q = conjugate_x(p, *angles)
+    a, b = coeffs(p), coeffs(q)
+    direct = from_density(conjugate(to_density(p), x_unitary(*angles)))
+    return (abs(a.b_cal - b.b_cal) <= tol
+            and abs(a.c_cal - b.c_cal) <= tol
+            and abs((a.g_cal - p.y) - (b.g_cal - q.y)) <= tol
+            and abs((a.h_cal - p.x) - (b.h_cal - q.x)) <= tol
+            and abs(direct.x - q.x) <= tol and abs(direct.y - q.y) <= tol)
+
+
+def _oracle_disentangle(seed, tol):
+    p = random_xparams(seed, "entangled")
+    sol = disentangle_params(p)
+    q = evolve(p, sol, 1.0).params
+    return is_separable(q) and negativity_general(to_density(q)) <= SOLVER_TOL
+
+
+def _oracle_counterpart(seed, tol):
+    rho = random_density(seed)
+    for measure in universality.MEASURES:
+        res = counterpart_details(rho, measure)
+        out = res.state
+        if not is_x_form(out, tol=tol):
+            return False
+        if float(np.abs(hermitian_eigvals(out) - res.spectrum).max()) > tol:
+            return False
+        general = concurrence_general if measure == "concurrence" else negativity_general
+        if abs(general(out) - res.target) > tol:
+            return False
+    return True
+
+
+ORACLES = {
+    "measures": _oracle_measures,
+    "classify": _oracle_classify,
+    "conservation": _oracle_conservation,
+    "disentangle": _oracle_disentangle,
+    "counterpart": _oracle_counterpart,
+}
+VERDICT_SEEDS = [child_seed(11, i) for i in range(1000)]
+
+
+def _verdict(check, seed, tol):
+    """The check's verdict as the sweep reports it: True, False or the
+    type of the exception it raised."""
+    try:
+        return bool(check(seed, tol))
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-30], ids=["default_tol", "1e-30"])
+@pytest.mark.parametrize("name", cli.SWEEP_CHECKS)
+def test_sweep_checks_give_the_oracles_verdicts(name, tol):
+    check, oracle = cli._CHECK_FNS[name], ORACLES[name]
+    verdicts = [_verdict(check, seed, tol) for seed in VERDICT_SEEDS]
+    assert verdicts == [_verdict(oracle, seed, tol) for seed in VERDICT_SEEDS]
+    if tol == DEFAULT_TOL:
+        assert all(v is True for v in verdicts)
+
+
+def test_sweep_counterpart_spectrum_residual_moves_by_round_off_only(monkeypatch):
+    # the concurrence side's output spectrum now comes from the eigh that
+    # also gives its general concurrence, in place of an eigvalsh; the
+    # records, the negativity side and both measures are the oracle's bit
+    # for bit (see test_sweep_checks_give_the_oracles_verdicts at 1e-30)
+    solved, records = [], []
+    eig, convert = cli.hermitian_eig, universality._counterpart
+
+    def recorded_eig(m):
+        solved.append((m, eig(m)))
+        return solved[-1][1]
+
+    def recorded_convert(rho, spec, measure):
+        records.append(convert(rho, spec, measure))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "hermitian_eig", recorded_eig)
+    monkeypatch.setattr(universality, "_counterpart", recorded_convert)
+    for seed in VERDICT_SEEDS[:200]:
+        assert cli._check_counterpart(seed, DEFAULT_TOL)
+    assert len(solved) == 200 and len(records) == 400
+    worst = max(float(np.abs(spec.values - hermitian_eigvals(out)).max()) for out, spec in solved)
+    assert worst <= 1e-15
+    for i, seed in enumerate(VERDICT_SEEDS[:200]):
+        rho = random_density(seed)
+        for j, measure in enumerate(universality.MEASURES):
+            assert repr(records[2 * i + j]) == repr(counterpart_details(rho, measure))
+
+
+# check: {read or solve: calls per seed}, an omitted one 0. The drawn point
+# is read once through the chart (xstate._point_density), and a matrix the
+# check built is not gated again, except where a general route that solves
+# it takes it: concurrence_general and numerical_rank, and the conversion's
+# output through hermitian_eig (concurrence) or one _hermitian_read
+# (negativity). The conservation check's rotated point and the disentangle
+# check's walk are read through the public chart routes.
+SWEEP_READS = ("_scale_problem", "_entry_gate", "_valid_angles", "_x_entries")
+SWEEP_COUNTS = {
+    "measures": {"_scale_problem": 2, "_entry_gate": 1, "_valid_angles": 1, "_x_entries": 1,
+                 "eigh": 1, "svd": 1, "eigvalsh": 1},
+    "classify": {"_scale_problem": 1, "_entry_gate": 1, "_valid_angles": 1, "eigvalsh": 2},
+    "conservation": {"_scale_problem": 1, "_valid_angles": 3, "_x_entries": 1},
+    "disentangle": {"_valid_angles": 3, "eigvalsh": 1},
+    # rho's density check and one solve serve both conversions; each output
+    # is scanned by is_x_form, then read and solved once
+    "counterpart": {"_scale_problem": 5, "_entry_gate": 3, "eigh": 2, "svd": 2, "eigvalsh": 3},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("check", [*cli.SWEEP_CHECKS, "all"])
+def test_sweep_reads_and_solves_per_seed(monkeypatch, solver_calls, capsys, check, seed):
+    calls = _count_reads(monkeypatch, SWEEP_READS)
+    assert cli.main(["sweep", "--count", "1", "--seed", str(seed), check]) == 0
+    counted = {name: n for name, n in (calls | solver_calls).items() if n}
+    names = cli.SWEEP_CHECKS if check == "all" else (check,)
+    want = {}
+    for name in names:
+        for key, n in SWEEP_COUNTS[name].items():
+            want[key] = want.get(key, 0) + n
+    assert counted == want

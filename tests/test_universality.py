@@ -469,9 +469,31 @@ def test_mems_from_spectrum_rejects_a_spectrum_not_of_four(spectrum):
         mems_from_spectrum(spectrum)
 
 
+# names that are not one of MEASURES: an array of several names raised
+# numpy's truth-value error, and a one-element array of a valid name was
+# accepted, its record's measure an array
+BAD_NAMES = ("bogus", np.array(["a", "b"]), np.array(["concurrence"]), None, ["negativity"])
+
+
+def _raises_unknown_measure(call, name):
+    with pytest.raises(ValueError) as err:
+        call(name)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"unknown measure {name!r}"
+
+
 def test_counterpart_rejects_an_unknown_measure():
-    with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
-        counterpart_details(M40, "bogus")
+    for name in BAD_NAMES:
+        _raises_unknown_measure(lambda m: counterpart_details(M40, m), name)
+    # a str subclass naming a measure reads as that name
+    assert type(counterpart_details(M40, np.str_("negativity")).measure) is str
+
+
+def test_solve_tau_rejects_an_unknown_measure():
+    p = random_xparams(child_seed(5, 0), "entangled")
+    sol = disentangle_params(p)
+    for name in BAD_NAMES:
+        _raises_unknown_measure(lambda m: solve_tau(p, sol, 0.1, m), name)
 
 
 @pytest.mark.parametrize("rho", [MAX_MIXED, np.full((4, 4), np.nan),
@@ -480,8 +502,8 @@ def test_counterpart_rejects_an_unknown_measure():
 def test_counterpart_checks_the_measure_name_before_the_matrix(solver_calls, rho):
     # the name was checked after the solve: one eigh for a density matrix,
     # and a bad matrix's reason in place of the name's
-    with pytest.raises(ValueError, match="^unknown measure 'bogus'$"):
-        counterpart_details(rho, "bogus")
+    for name in BAD_NAMES:
+        _raises_unknown_measure(lambda m: counterpart_details(rho, m), name)
     assert sum(solver_calls.values()) == 0, solver_calls
 
 
