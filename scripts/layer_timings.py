@@ -16,10 +16,11 @@ random_xparams on 64 seeds cycling its eleven constraints;
 disentangle_params and solve_tau (half the starting value, the two
 measures in turn) on 64 seeded entangled X-state draws; conjugate_x
 (four seeded angles), evolve (tau = 1/2 of the disentangling walk),
-to_density and is_separable on those draws, and from_density,
-concurrence_x and negativity_x on their matrices; x_unitary at the same
-four angles; classify_rank on 64 seeded draws over the eight rank/kind
-classes; and cp_boundary, boundary_scalars (concurrence 0) and
+to_density, is_separable, validate_params, diagonal, coeffs and
+char_poly on those draws, and from_density, concurrence_x and
+negativity_x on their matrices; x_unitary at the same four angles;
+classify_rank on 64 seeded draws over the eight rank/kind classes; and
+cp_boundary, boundary_scalars (concurrence 0) and
 minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
 the edges 1/3, 5/9 and 1 among them; and diagram_csv (both kinds) and
 diagram_data ("cp") on the 20x20 grid, and diagram_csv("cp", 100), one
@@ -113,6 +114,10 @@ def layers() -> dict:
         "concurrence_x": (xt.concurrence_x, walk_states),
         "negativity_x": (xt.negativity_x, walk_states),
         "is_separable": (xt.is_separable, [(p,) for p in walks]),
+        "validate_params": (xt.validate_params, [(p,) for p in walks]),
+        "diagonal": (xt.diagonal, [(p,) for p in walks]),
+        "coeffs": (xt.coeffs, [(p,) for p in walks]),
+        "char_poly": (xt.char_poly, [(p,) for p in walks]),
         "classify_rank": (xt.classify_rank, classes),
         "cp_boundary": (xt.cp_boundary, [(p,) for p in purities]),
         "boundary_scalars": (xt.boundary_scalars, [(p, 0.0) for p in purities]),

@@ -41,15 +41,14 @@ from .measures import (
 )
 from .xstate import (
     _entangled_outer,
+    _physical_coeffs,
     _point_density,
     _rank_above_tol,
     _rank_class,
     _x_entries,
     block_eigvals,
-    classify_rank,
     coeffs,
     from_density,
-    is_separable,
     is_x_form,
     numerical_rank,
     to_density,
@@ -219,12 +218,13 @@ def cmd_classify(args) -> int:
     rho = read_state(args.in_path)
     density_spectrum(rho)
     p = from_density(rho, tol=args.tol)
-    rk = classify_rank(p, tol=args.tol)
-    cf = coeffs(p)
+    # one chart read serves the rank/kind, separability and coefficients
+    cf, _, x, y = _physical_coeffs(p)
+    rk = _rank_class(cf, x, y, args.tol)
     _report([
         ("rank", rk.rank),
         ("kind", rk.kind),
-        ("separable", is_separable(p)),
+        ("separable", _entangled_outer(cf, x, y) is None),
         ("x", p.x),
         ("y", p.y),
         ("g_cal", cf.g_cal),

@@ -229,11 +229,25 @@ def _in_scale(values):
 def _read(a) -> tuple[np.ndarray, list[complex]]:
     """(as_matrix(a), its 16 row-major entries from one tolist()), behind
     _scale_problem: the package's one 4x4 reader. ValueError for a wrong
-    shape, then naming _scale_problem's reason. is_unitary, is_x_form and
-    _density_problem call _scale_problem themselves: they answer False or
-    return the reason where this raises."""
+    shape, then naming _scale_problem's reason. The predicates answer
+    False where this raises for the scale (_predicate_read), and
+    _density_problem calls _scale_problem itself to return the reason."""
     m = as_matrix(a)
     return m, _in_scale(m.ravel().tolist())
+
+
+def _predicate_read(a) -> tuple[np.ndarray, list[complex]] | tuple[None, None]:
+    """_read(a) for the predicates is_unitary and xstate.is_x_form, or
+    (None, None) where _read rejects the input's scale (NON_FINITE or
+    OUT_OF_SCALE, a Python int too large for a float included), which
+    they answer False. A wrong shape, or entries that are not numbers,
+    raise as in as_matrix."""
+    try:
+        return _read(a)
+    except ValueError as exc:
+        if exc.args[0] in (NON_FINITE, OUT_OF_SCALE):
+            return None, None
+        raise
 
 
 def _entry_gate(e: list[complex]) -> tuple[float, complex]:
@@ -293,11 +307,11 @@ def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
     """(why, spectrum): the one density check of is_density_matrix and
     density_spectrum, on a matrix as_matrix has coerced. why names the
     first failed check, "" when all hold: the input scale (_scale_problem,
-    read without raising, as is_unitary reads it), Hermiticity and unit
-    trace at ROUNDOFF from the same entries (_entry_gate), then the PSD
-    floor -SOLVER_TOL on the smallest value of one eigh (_sorted_eigh,
-    of m as given when its deviation is 0.0, else of its Hermitian part),
-    whose spectrum is returned; None when an entry check fails."""
+    read without raising), Hermiticity and unit trace at ROUNDOFF from
+    the same entries (_entry_gate), then the PSD floor -SOLVER_TOL on the
+    smallest value of one eigh (_sorted_eigh, of m as given when its
+    deviation is 0.0, else of its Hermitian part), whose spectrum is
+    returned; None when an entry check fails."""
     e = m.ravel().tolist()
     why = _scale_problem(e)
     if why:
@@ -434,9 +448,9 @@ def _trace_norm(m: np.ndarray) -> float:
 
 def is_unitary(u) -> bool:
     """True iff u'u = I within SOLVER_TOL; False for a non-finite or
-    out-of-scale input (see _scale_problem)."""
-    m = as_matrix(u)
-    if _scale_problem(m.ravel().tolist()):
+    out-of-scale input (see _predicate_read)."""
+    m, _ = _predicate_read(u)
+    if m is None:
         return False
     return bool(np.abs(m.conj().T @ m - np.eye(4)).max() <= SOLVER_TOL)
 

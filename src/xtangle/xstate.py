@@ -37,11 +37,10 @@ from .matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     _hermitian_gate,
+    _predicate_read,
     _read,
     _read_edge,
     _read_tol,
-    _scale_problem,
-    as_matrix,
     hermitian_eigvals,
 )
 
@@ -120,35 +119,10 @@ class CharPolyCoeffs:
 
 
 def validate_params(p: XParams) -> None:
-    """Range-check angles, phases and coherence weights."""
-    _valid_weights(p)
-
-
-def _valid_angles(p: XParams) -> None:
-    """The chart's angle checks: ValueError for an angle or phase of p
-    that is NaN or infinite (NON_FINITE) or not a real number
-    (_finite_angles), then ValueError naming an angle outside [0, pi/2]
-    or a phase outside [0, 2 pi] by more than ROUNDOFF."""
-    _finite_angles(p.theta, p.phi, p.psi, p.mu, p.nu)
-    half_pi = 0.5 * np.pi
-    for name in ("theta", "phi", "psi"):
-        v = getattr(p, name)
-        if not (-ROUNDOFF <= v <= half_pi + ROUNDOFF):
-            raise ValueError(f"{name}={v!r} outside [0, pi/2]")
-    for name in ("mu", "nu"):
-        v = getattr(p, name)
-        if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
-            raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
-
-
-def _valid_weights(p: XParams) -> tuple[float, float]:
-    """The coherence weights (x, y) of p after validate_params' checks,
-    the chart's one read of them: the angle checks (_valid_angles), then
-    a weight in [-ROUNDOFF, 0) reads as 0 (matrix_core._read_edge), a more
-    negative or a NaN one raises."""
-    _valid_angles(p)
-    return (_read_edge(p.x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN"),
-            _read_edge(p.y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN"))
+    """Read p through the chart (_physical_coeffs): ValueError for an
+    angle, phase or weight out of range, UnphysicalError for a point
+    outside the positivity range."""
+    _physical_coeffs(p)
 
 
 def _finite_angles(*angles: float) -> None:
@@ -173,12 +147,10 @@ def _finite_angles(*angles: float) -> None:
 
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:
-    """The four diagonal entries implied by (theta, phi, psi).
-
-    Raises ValueError as the chart's angle checks do (_valid_angles).
-    """
-    _valid_angles(p)
-    return _diagonal_of(p.theta, p.phi, p.psi)
+    """The four diagonal entries implied by (theta, phi, psi), of a point
+    read through the chart (_physical_coeffs), which raises as
+    validate_params does."""
+    return _physical_coeffs(p)[1]
 
 
 def _diagonal_of(theta: float, phi: float, psi: float) -> tuple[float, float, float, float]:
@@ -199,8 +171,8 @@ def _diagonal_of(theta: float, phi: float, psi: float) -> tuple[float, float, fl
 
 
 def coeffs(p: XParams) -> XCoeffs:
-    """Derived diagonal scalars; see XCoeffs. Gated as diagonal is."""
-    return _coeffs_of(*diagonal(p))
+    """Derived diagonal scalars; see XCoeffs. Read as diagonal is."""
+    return _physical_coeffs(p)[0]
 
 
 def _coeffs_of(d1: float, d2: float, d3: float, d4: float) -> XCoeffs:
@@ -223,14 +195,30 @@ def _within_positivity(co: XCoeffs, x, y):
 
 
 def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, float]:
-    """(coeffs(p), diagonal(p), x, y) of valid parameters whose matrix has
-    no negative eigenvalue, from one evaluation of the chart and one read
-    of the weights (_valid_weights).
+    """(coeffs(p), diagonal(p), x, y): the chart's one reader of a point,
+    behind every public route that takes an XParams.
 
-    Runs validate_params' checks, then raises UnphysicalError unless
-    x <= h_cal and y <= g_cal within ROUNDOFF.
+    Raises ValueError for an angle or phase that is NaN or infinite
+    (NON_FINITE) or not a real number (_finite_angles), then for an angle
+    outside [0, pi/2] or a phase outside [0, 2 pi] by more than ROUNDOFF,
+    then for a weight below 0 by more than ROUNDOFF or NaN; a weight in
+    [-ROUNDOFF, 0) reads as 0 (matrix_core._read_edge). Then raises
+    UnphysicalError unless x <= h_cal and y <= g_cal within ROUNDOFF, the
+    positivity range, which an infinite weight or a Python int too large
+    for a float is outside.
     """
-    x, y = _valid_weights(p)
+    _finite_angles(p.theta, p.phi, p.psi, p.mu, p.nu)
+    half_pi = 0.5 * np.pi
+    for name in ("theta", "phi", "psi"):
+        v = getattr(p, name)
+        if not (-ROUNDOFF <= v <= half_pi + ROUNDOFF):
+            raise ValueError(f"{name}={v!r} outside [0, pi/2]")
+    for name in ("mu", "nu"):
+        v = getattr(p, name)
+        if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
+            raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
+    x = _read_edge(p.x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN")
+    y = _read_edge(p.y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN")
     d = _diagonal_of(p.theta, p.phi, p.psi)
     co = _coeffs_of(*d)
     if not _within_positivity(co, x, y):
@@ -349,11 +337,11 @@ def to_density(p: XParams) -> np.ndarray:
 
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:
     """True iff every off-X entry has magnitude <= tol; False for a
-    non-finite or out-of-scale input (see matrix_core._scale_problem).
+    non-finite or out-of-scale input (see matrix_core._predicate_read).
     ValueError for a tol outside (0, inf) (matrix_core._read_tol)."""
     _read_tol(tol)
-    e = as_matrix(rho).ravel().tolist()
-    return not _scale_problem(e) and bool(_off_x_worst(e) <= tol)
+    e = _predicate_read(rho)[1]
+    return e is not None and bool(_off_x_worst(e) <= tol)
 
 
 def _clamp01(v: float) -> float:
@@ -411,9 +399,10 @@ def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:
 
 
 def char_poly(p: XParams) -> CharPolyCoeffs:
-    """Characteristic-polynomial coefficients in closed form."""
-    x, y = _valid_weights(p)
-    co = _coeffs_of(*_diagonal_of(p.theta, p.phi, p.psi))
+    """Characteristic-polynomial coefficients in closed form, of a point
+    read through the chart (_physical_coeffs), which raises as
+    validate_params does."""
+    co, _, x, y = _physical_coeffs(p)
     b, c, g, h = co.b_cal, co.c_cal, co.g_cal, co.h_cal
     return CharPolyCoeffs(
         a1=1.0,

@@ -117,9 +117,13 @@ def test_out_of_scale_input_raises_its_reason(route, name):
     _raises_exactly(fn, OUT_OF_SCALE_INPUTS[name], message)
 
 
-@pytest.mark.parametrize("name", sorted(OUT_OF_SCALE_INPUTS))
+# and a Python int too large for a float, which as_matrix rejects
+PREDICATE_INPUTS = OUT_OF_SCALE_INPUTS | {"huge_int": [[10**400] * 4] * 4}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATE_INPUTS))
 def test_out_of_scale_input_fails_the_predicates(name):
-    m = OUT_OF_SCALE_INPUTS[name]
+    m = PREDICATE_INPUTS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_density_matrix(m) == (False, OUT_OF_SCALE)

@@ -1,8 +1,8 @@
 """Each public route reads each of its arguments once.
 
 A read is one of the package's input gates: the scale read
-(matrix_core._scale_problem), the chart's angle read
-(xstate._valid_angles) and the X-layout read (xstate._x_entries). No
+(matrix_core._scale_problem), the chart read
+(xstate._physical_coeffs) and the X-layout read (xstate._x_entries). No
 route reads a value the package computed itself, and the walk step
 builds no 4x4 matrix (xstate._x_matrix): it measures the rotated point's
 entries in closed form. The old walk step, which built the rotated
@@ -18,14 +18,17 @@ import pytest
 from xtangle import (
     PathPoint,
     XParams,
+    char_poly,
     child_seed,
     classify_rank,
     coeffs,
+    concurrence_along,
     concurrence_general,
     concurrence_x,
     conjugate,
     conjugate_x,
     counterpart_details,
+    diagonal,
     disentangle_params,
     evolve,
     fannes_ree_bound,
@@ -33,18 +36,23 @@ from xtangle import (
     hermitian_eig,
     hermitian_eigvals,
     is_density_matrix,
+    is_physical,
     is_separable,
     is_x_form,
+    negativity_along,
     negativity_general,
     negativity_x,
     numerical_rank,
     partial_transpose,
     purity_general,
+    purity_x,
     random_density,
     random_unitary,
     random_xparams,
+    solve_tau,
     to_density,
     trace_norm,
+    validate_params,
     x_unitary,
 )
 from xtangle import cli, ensemble, matrix_core, measures, minimal_set, universality, xstate
@@ -103,7 +111,7 @@ def test_evolve_matches_the_matrix_route_bit_for_bit(tau):
     assert branches == {"already_separable", "GgtH", "HgtG", "h_zero", "g_zero"}
 
 
-READS = ("_scale_problem", "_valid_angles", "_x_entries", "_x_matrix")
+READS = ("_scale_problem", "_physical_coeffs", "_x_entries", "_x_matrix")
 MODULES = (matrix_core, xstate, measures, universality, ensemble, minimal_set, cli)
 
 
@@ -123,6 +131,7 @@ def _count_reads(monkeypatch, reads=READS):
 
 WALK = random_xparams(child_seed(22, 0), "entangled")
 SOL = disentangle_params(WALK)
+HALF_C0 = 0.5 * concurrence_along(WALK, SOL, 0.0)
 RHO = to_density(WALK)
 # within trace distance 1/3 of RHO: 0.1 ||RHO - sigma||_tr <= 0.2
 NEAR = 0.9 * RHO + 0.1 * random_density(22)
@@ -132,15 +141,25 @@ U = random_unitary(22)
 ROUTES = {
     # conjugate_x reads the walk's point through the chart; the rotated
     # entries and the point they give are not read
-    "evolve": (lambda: evolve(WALK, SOL, 0.5), {"_valid_angles": 1}),
-    "conjugate_x": (lambda: conjugate_x(WALK, 0.3, 0.1, 0.2, 0.4), {"_valid_angles": 1}),
+    "evolve": (lambda: evolve(WALK, SOL, 0.5), {"_physical_coeffs": 1}),
+    "conjugate_x": (lambda: conjugate_x(WALK, 0.3, 0.1, 0.2, 0.4), {"_physical_coeffs": 1}),
     # the matrix once, in _x_entries; its entries go to the chart's inverse unread
     "from_density": (lambda: from_density(RHO), {"_scale_problem": 1, "_x_entries": 1}),
     # each argument once; their difference goes to the SVD unread
     "fannes_ree_bound": (lambda: fannes_ree_bound(RHO, NEAR), {"_scale_problem": 2}),
     "concurrence_x": (lambda: concurrence_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),
     "negativity_x": (lambda: negativity_x(RHO), {"_scale_problem": 1, "_x_entries": 1}),
-    "to_density": (lambda: to_density(WALK), {"_valid_angles": 1, "_x_matrix": 1}),
+    "to_density": (lambda: to_density(WALK), {"_physical_coeffs": 1, "_x_matrix": 1}),
+    # every other route that takes an XParams reads it once, through the
+    # chart, and builds no matrix; the walk's solution is not read
+    **{name: (lambda fn=fn: fn(WALK), {"_physical_coeffs": 1}) for name, fn in (
+        ("validate_params", validate_params), ("diagonal", diagonal), ("coeffs", coeffs),
+        ("char_poly", char_poly), ("is_physical", is_physical), ("purity_x", purity_x),
+        ("classify_rank", classify_rank), ("is_separable", is_separable),
+        ("disentangle_params", disentangle_params))},
+    "solve_tau": (lambda: solve_tau(WALK, SOL, HALF_C0), {"_physical_coeffs": 1}),
+    "concurrence_along": (lambda: concurrence_along(WALK, SOL, 0.5), {"_physical_coeffs": 1}),
+    "negativity_along": (lambda: negativity_along(WALK, SOL, 0.5), {"_physical_coeffs": 1}),
     "partial_transpose": (lambda: partial_transpose(NEAR), {"_scale_problem": 1}),
     # the one density check reads the entries once, then solves
     "is_density_matrix": (lambda: is_density_matrix(NEAR), {"_scale_problem": 1}),
@@ -176,6 +195,18 @@ def test_measure_command_reads_its_state_once(monkeypatch, tmp_path, capsys):
     calls = _count_reads(monkeypatch, ("_scale_problem", "_entry_gate"))
     assert cli.main(["measure", "--in", path]) == 0
     assert calls == {"_scale_problem": 2, "_entry_gate": 1}
+
+
+def test_classify_command_reads_its_point_once(monkeypatch, tmp_path, capsys):
+    # one chart read serves the rank/kind, the separability and the
+    # printed coefficients, where classify_rank, coeffs and is_separable
+    # each read the point; the density check and from_density's X read
+    # each read the matrix
+    path = str(tmp_path / "walk.json")
+    cli.write_state(path, RHO)
+    calls = _count_reads(monkeypatch, ("_scale_problem", "_physical_coeffs"))
+    assert cli.main(["classify", "--in", path]) == 0
+    assert calls == {"_scale_problem": 2, "_physical_coeffs": 1}
 
 
 # ---- the sweep ---------------------------------------------------------------
@@ -300,13 +331,13 @@ def test_sweep_counterpart_spectrum_residual_moves_by_round_off_only(monkeypatch
 # output through hermitian_eig (concurrence) or one _hermitian_read
 # (negativity). The conservation check's rotated point and the disentangle
 # check's walk are read through the public chart routes.
-SWEEP_READS = ("_scale_problem", "_entry_gate", "_valid_angles", "_x_entries")
+SWEEP_READS = ("_scale_problem", "_entry_gate", "_physical_coeffs", "_x_entries")
 SWEEP_COUNTS = {
-    "measures": {"_scale_problem": 2, "_entry_gate": 1, "_valid_angles": 1, "_x_entries": 1,
+    "measures": {"_scale_problem": 2, "_entry_gate": 1, "_physical_coeffs": 1, "_x_entries": 1,
                  "eigh": 1, "svd": 1, "eigvalsh": 1},
-    "classify": {"_scale_problem": 1, "_entry_gate": 1, "_valid_angles": 1, "eigvalsh": 2},
-    "conservation": {"_scale_problem": 1, "_valid_angles": 3, "_x_entries": 1},
-    "disentangle": {"_valid_angles": 3, "eigvalsh": 1},
+    "classify": {"_scale_problem": 1, "_entry_gate": 1, "_physical_coeffs": 1, "eigvalsh": 2},
+    "conservation": {"_scale_problem": 1, "_physical_coeffs": 3, "_x_entries": 1},
+    "disentangle": {"_physical_coeffs": 3, "eigvalsh": 1},
     # rho's density check and one solve serve both conversions; each output
     # is scanned by is_x_form, then read and solved once
     "counterpart": {"_scale_problem": 5, "_entry_gate": 3, "eigh": 2, "svd": 2, "eigvalsh": 3},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -13,17 +14,24 @@ from xtangle import (
     XCoeffs,
     XParams,
     char_poly,
+    child_seed,
     classify_rank,
     coeffs,
+    concurrence_along,
     conjugate_x,
     diagonal,
+    disentangle_params,
+    evolve,
     from_density,
     is_physical,
     is_separable,
     is_x_form,
     minset_state,
+    negativity_along,
     numerical_rank,
+    purity_x,
     random_xparams,
+    solve_tau,
     to_density,
     validate_params,
 )
@@ -306,6 +314,42 @@ def test_chart_route_rejects_an_angle_out_of_range(fn, field, value, message):
     with pytest.raises(ValueError) as err:
         fn(p)
     assert str(err.value) == message
+
+
+# every public route that takes an XParams; the walk's routes take the
+# solution of a valid point
+WALK = random_xparams(child_seed(33, 0), "entangled")
+SOL = disentangle_params(WALK)
+XPARAMS_ROUTES = dict(zip(CHART_ROUTE_IDS, CHART_ROUTES)) | {
+    "purity_x": purity_x,
+    "is_separable": is_separable,
+    "classify_rank": classify_rank,
+    "evolve": lambda p: evolve(p, SOL, 0.5),
+    "disentangle_params": disentangle_params,
+    "solve_tau": lambda p: solve_tau(p, SOL, 0.0),
+    "concurrence_along": lambda p: concurrence_along(p, SOL, 0.5),
+    "negativity_along": lambda p: negativity_along(p, SOL, 0.5),
+}
+# points outside the positivity range x <= h_cal (h_cal = d1 d4 ~ 6e-4 here)
+UNPHYSICAL = {
+    "inf_weight": XParams(0.3, 0.3, 0.3, math.inf, 0.0),
+    "huge_int_weight": XParams(0.3, 0.3, 0.3, 10**400, 0.0),
+    "above_ceiling": XParams(0.3, 0.3, 0.3, 0.5, 0.0),
+}
+
+
+@pytest.mark.parametrize("point", sorted(UNPHYSICAL))
+@pytest.mark.parametrize("route", sorted(XPARAMS_ROUTES))
+def test_every_chart_route_rejects_a_point_outside_positivity(route, point):
+    # validate_params, diagonal and coeffs accepted all three points, and
+    # char_poly gave a4=nan for the infinite weight and raised a bare
+    # OverflowError for the huge int
+    fn, p = XPARAMS_ROUTES[route], UNPHYSICAL[point]
+    if fn is is_physical:
+        assert fn(p) is False
+    else:
+        with pytest.raises(UnphysicalError):
+            fn(p)
 
 
 # the rank rule on every combination of its six tests: bit i of the index
