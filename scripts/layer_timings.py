@@ -24,10 +24,13 @@ cp_boundary, boundary_scalars (concurrence 0) and
 minset_state (half the ceiling) at 64 purities spread over [1/3, 1],
 the edges 1/3, 5/9 and 1 among them; and diagram_csv (both kinds) and
 diagram_data ("cp") on the 20x20 grid, and diagram_csv("cp", 100), one
-input each. Prints one JSON object {name: us_per_call}. Each input's time
-is its fastest of 100 calls, and a layer's figure is the mean of those
-over its inputs. Each round calls every layer on every input, so a slow
-spell of a shared machine falls on all layers alike. Import the package
+input each; and each check of `xtangle sweep` (rows sweep_measures ...
+sweep_counterpart, the functions cli._CHECK_FNS runs) on 64 child seeds
+at the default tol, microseconds per seed. Prints one JSON object
+{name: us_per_call}. Each input's time is its fastest of 100 calls,
+and a layer's figure is the mean of those over its inputs. Each round
+calls every layer on every input, so a slow spell of a shared machine
+falls on all layers alike. Import the package
 under test through PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/layer_timings.py
@@ -42,8 +45,9 @@ import time
 import numpy as np
 
 import xtangle as xt
+from xtangle import cli
 from xtangle.ensemble import RANK_KIND_TARGETS
-from xtangle.matrix_core import density_spectrum
+from xtangle.matrix_core import DEFAULT_TOL, density_spectrum
 from xtangle.universality import MEASURES
 
 KINDS = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
@@ -76,6 +80,7 @@ def layers() -> dict:
     purities[21] = 5.0 / 9.0
     classes = [(xt.random_xparams(xt.child_seed(3, i), RANK_KIND_TARGETS[i % len(RANK_KIND_TARGETS)]),)
                for i in range(STATES)]
+    check_seeds = [(xt.child_seed(5, i), DEFAULT_TOL) for i in range(STATES)]
     return {
         "hermitian_eig": (xt.hermitian_eig, states),
         "hermitian_eigvals": (xt.hermitian_eigvals, states),
@@ -127,6 +132,7 @@ def layers() -> dict:
         "diagram_csv_negativity_purity": (xt.diagram_csv, [("negativity_purity", GRID)]),
         "diagram_data_cp": (xt.diagram_data, [("cp", GRID)]),
         "diagram_csv_cp_100": (xt.diagram_csv, [("cp", 100)]),
+        **{f"sweep_{name}": (check, check_seeds) for name, check in cli._CHECK_FNS.items()},
     }
 
 

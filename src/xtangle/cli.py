@@ -26,6 +26,7 @@ from .matrix_core import (
     SOLVER_TOL,
     _hermitian_read,
     _read_tol,
+    _sorted_eigh,
     _sorted_eigvals,
     density_spectrum,
     hermitian_eig,
@@ -36,22 +37,21 @@ from .measures import (
     _pt_negativity,
     _purity,
     _spectrum_concurrence,
-    concurrence_general,
     eof_from_concurrence,
 )
 from .xstate import (
     _entangled_outer,
     _physical_coeffs,
     _point_density,
+    _point_entries,
     _rank_above_tol,
     _rank_class,
     _x_entries,
+    _x_matrix,
     block_eigvals,
     coeffs,
     from_density,
     is_x_form,
-    numerical_rank,
-    to_density,
 )
 
 EXIT_OK = 0
@@ -239,17 +239,23 @@ def cmd_diagram(args) -> int:
 
 
 # The checks read and solve each state they build once. A matrix the
-# sweep wrote itself (xstate._point_density, universality._counterpart) is
-# taken unread where a public route would gate it again; each check still
-# compares its chart identities with the general (LAPACK) routes.
+# sweep wrote itself (xstate._x_matrix, through _point_density, and
+# universality._counterpart) is taken unread where a public route would
+# gate it again: _x_matrix writes each lower coherence as the conjugate of
+# the upper one and a real diagonal, so its Hermitian deviation
+# (matrix_core._entry_gate) is exactly 0.0 and the solvers take it as
+# written. Each check still compares its chart identities with the
+# general (LAPACK) routes.
 
 
 def _check_measures(seed: int, tol: float) -> bool:
     p = ensemble.random_xparams(seed, "any")
-    rho = to_density(p)
-    # one X read for both closed forms; concurrence_general gates rho once
-    e = _x_entries(rho)
-    return (abs(_concurrence_of(*e) - concurrence_general(rho)) <= tol
+    _, d, x, y = _physical_coeffs(p)
+    # the entries written are those _x_entries would read back
+    e = _point_entries(d, x, y, p.mu, p.nu)
+    rho = _x_matrix(*e)
+    general = _spectrum_concurrence(_sorted_eigh(rho, 0.0))
+    return (abs(_concurrence_of(*e) - general) <= tol
             and abs(_negativity_of(*e) - _pt_negativity(rho)) <= tol)
 
 
@@ -258,7 +264,7 @@ def _check_classify(seed: int, tol: float) -> bool:
     # threshold commensurate; unconstrained corner draws do not
     p = ensemble.random_xparams(seed, RANK_KIND_TARGETS[seed % 8])
     co, x, y, rho = _point_density(p)
-    if _rank_class(co, x, y, DEFAULT_TOL).rank != numerical_rank(rho):
+    if _rank_class(co, x, y, DEFAULT_TOL).rank != _rank_above_tol(_sorted_eigvals(rho, 0.0)):
         return False
     return (_entangled_outer(co, x, y) is None) == (_pt_negativity(rho) <= SOLVER_TOL)
 

@@ -282,25 +282,29 @@ def _solve_input(m: np.ndarray, deviation: float) -> np.ndarray:
     return m if deviation == 0.0 else 0.5 * (m + m.conj().T)
 
 
+# the column indices of a 4x4 matrix, for picking one entry per column
+_COLUMNS = np.arange(4)
+
+
 def _sorted_eigh(m: np.ndarray, deviation: float) -> Spectrum:
     """hermitian_eig's solve and ordering, for a matrix m past its gate
     and its Hermitian deviation (_entry_gate).
 
     One eigh of m as given when it equals its adjoint exactly, otherwise
     of its Hermitian part (_solve_input). The columns are reversed once.
-    Each one's lead entry is found in Python, from the first row alone
-    when all four of its entries pass, and the phases are divided out in
-    one numpy step: numpy's complex division differs from Python's in the
-    last bits.
+    Each one's lead entry is the first row's when all four of those pass,
+    checked in Python; otherwise, as on every X-state, whose first row
+    holds exact zeros, each column's first entry above ROUNDOFF, found in
+    one numpy step. The phases are divided out in one numpy step: numpy's
+    complex division differs from Python's in the last bits.
     """
     vals, vecs = _eigh(_solve_input(m, deviation))
     vecs = vecs[:, ::-1]
     lead = vecs[0]
     if not min(map(abs, lead.tolist())) > ROUNDOFF:
         # a unit column always has an entry of magnitude >= 1/2
-        lead = np.array([next(z for z in col if abs(z) > ROUNDOFF)
-                         for col in vecs.T.tolist()])
-    return Spectrum(values=vals[::-1], eigvecs=vecs / (lead / np.abs(lead)))
+        lead = vecs[(np.abs(vecs) > ROUNDOFF).argmax(axis=0), _COLUMNS]
+    return Spectrum(vals[::-1], vecs / (lead / np.abs(lead)))
 
 
 def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
@@ -403,15 +407,32 @@ def density_spectrum(a) -> Spectrum:
     """hermitian_eig of a density matrix, validated from that one eigensolve.
 
     Runs is_density_matrix's one check (_density_problem) and raises
-    ValueError "not a density matrix: " and the failed check's reason; a
-    wrong shape raises as_matrix's ValueError. The entry checks are
+    ValueError "not a density matrix: " and the failed check's reason, a
+    Python int too large for a float's OUT_OF_SCALE included
+    (_density_matrix); a wrong shape or entries that are not numbers
+    raise as_matrix's ValueError. The entry checks are
     stricter than hermitian_eig's gate, which the solve skips. The one
     eigh is of the matrix as given when it equals its adjoint exactly,
     otherwise of its Hermitian part, with the sign of a zero as the only
     possible difference (see _solve_input); the values and vectors are
     those of hermitian_eig(a), bit for bit.
     """
-    return _density_spectrum(as_matrix(a))
+    return _density_spectrum(_density_matrix(a))
+
+
+def _density_matrix(a) -> np.ndarray:
+    """as_matrix(a) for the routes that take a density matrix
+    (density_spectrum, universality.counterpart_details). Its
+    OUT_OF_SCALE, which it gives for a Python int too large for a float,
+    raises as "not a density matrix: " and that reason, the message
+    _density_spectrum gives every other rejected scale; a wrong shape or
+    entries that are not numbers raise as in as_matrix."""
+    try:
+        return as_matrix(a)
+    except ValueError as exc:
+        if exc.args[0] == OUT_OF_SCALE:
+            raise ValueError(f"not a density matrix: {OUT_OF_SCALE}") from None
+        raise
 
 
 def _density_spectrum(m: np.ndarray) -> Spectrum:

@@ -82,10 +82,10 @@ from .matrix_core import (
     OUT_OF_SCALE,
     ROUNDOFF,
     Spectrum,
+    _density_matrix,
     _density_spectrum,
     _in_scale,
     _read_edge,
-    as_matrix,
     hermitian_eig,
 )
 from .measures import (
@@ -502,14 +502,16 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     The reads, then the conversion (_counterpart). The measure name is
     read first (_measure_name): anything but one of the MEASURES strings
     raises ValueError before rho is read or solved, as solve_tau reads
-    it. rho is coerced once (matrix_core.as_matrix) and its entries are
-    read once, by the density check, whose one eigendecomposition
+    it. rho is coerced once (matrix_core._density_matrix, which gives a
+    Python int too large for a float density_spectrum's "not a density
+    matrix: " prefix) and its entries are read once, by the density
+    check, whose one eigendecomposition
     (matrix_core.density_spectrum) the conversion takes: of rho as given
     when it equals its adjoint exactly, otherwise of its Hermitian part,
     with the sign of a zero as the only possible difference.
     """
     measure = _measure_name(measure)
-    m = as_matrix(rho)
+    m = _density_matrix(rho)
     return _counterpart(m, _density_spectrum(m), measure)
 
 
@@ -563,7 +565,7 @@ def _counterpart(rho: np.ndarray, spec: Spectrum, measure: str) -> CounterpartRe
     # within round-off even for a value in [-SOLVER_TOL, 0)
     entries = _mems_entries(*solved, angle)
     achieved = measure_of(*entries)
-    return CounterpartResult(state=_x_matrix(*entries),
-                             unitary=_mems_basis(angle) @ adjoint,
-                             tau=tau, branch=branch, measure=measure, target=target,
-                             achieved=achieved, clip=clip, spectrum=spec.values)
+    # positional: state, unitary, tau, branch, measure, target, achieved,
+    # clip, spectrum
+    return CounterpartResult(_x_matrix(*entries), _mems_basis(angle) @ adjoint,
+                             tau, branch, measure, target, achieved, clip, spec.values)

@@ -17,9 +17,11 @@ only reader of an X matrix and _x_matrix its only builder.
 
 The chart and its walk (universality) run on Python floats: math's and
 cmath's cos, sin, sqrt and exp gave numpy 2.4's bits on 3x10^5 inputs
-each (x86-64); the chart's inverse (_params_of) keeps np.arccos and
-np.angle, which math.acos missed on 27,044 of 3x10^5 and cmath.phase on
-21,879.
+each (x86-64); the chart's inverse (_params_of) keeps np.arccos, and
+takes its phases with np.arctan2 of the imaginary and real parts, which
+is np.angle's own arithmetic on the same float64 values without its
+wrapper. math.acos missed np.arccos on 27,044 of 3x10^5 inputs and
+cmath.phase missed np.angle on 21,879: both still differ in the last bit.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ __all__ = ["CharPolyCoeffs", "NotXFormError", "RankClass", "UnphysicalError", "X
            "validate_params"]
 
 TWO_PI = 2.0 * np.pi
+# the tops of the chart's angle range [0, pi/2] and phase range [0, 2 pi],
+# with their ROUNDOFF slack
+_ANGLE_TOP = 0.5 * np.pi + ROUNDOFF
+_PHASE_TOP = TWO_PI + ROUNDOFF
 
 
 class UnphysicalError(ValueError):
@@ -178,14 +184,8 @@ def coeffs(p: XParams) -> XCoeffs:
 def _coeffs_of(d1: float, d2: float, d3: float, d4: float) -> XCoeffs:
     """XCoeffs of the diagonal (d1, d2, d3, d4)."""
     b = d2 + d3
-    return XCoeffs(
-        b_cal=b,
-        c_cal=1.0 - b,
-        g_cal=d2 * d3,
-        h_cal=d1 * d4,
-        g_low=d2 - d3,
-        h_low=d1 - d4,
-    )
+    # positional: b_cal, c_cal, g_cal, h_cal, g_low, h_low
+    return XCoeffs(b, 1.0 - b, d2 * d3, d1 * d4, d2 - d3, d1 - d4)
 
 
 def _within_positivity(co: XCoeffs, x, y):
@@ -207,19 +207,23 @@ def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, flo
     positivity range, which an infinite weight or a Python int too large
     for a float is outside.
     """
-    _finite_angles(p.theta, p.phi, p.psi, p.mu, p.nu)
-    half_pi = 0.5 * np.pi
-    for name in ("theta", "phi", "psi"):
-        v = getattr(p, name)
-        if not (-ROUNDOFF <= v <= half_pi + ROUNDOFF):
-            raise ValueError(f"{name}={v!r} outside [0, pi/2]")
-    for name in ("mu", "nu"):
-        v = getattr(p, name)
-        if not (-ROUNDOFF <= v <= TWO_PI + ROUNDOFF):
-            raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
+    theta, phi, psi, mu, nu = p.theta, p.phi, p.psi, p.mu, p.nu
+    _finite_angles(theta, phi, psi, mu, nu)
+    if not (-ROUNDOFF <= theta <= _ANGLE_TOP and -ROUNDOFF <= phi <= _ANGLE_TOP
+            and -ROUNDOFF <= psi <= _ANGLE_TOP
+            and -ROUNDOFF <= mu <= _PHASE_TOP and -ROUNDOFF <= nu <= _PHASE_TOP):
+        # the same comparisons again, one name at a time, to name the first
+        for name in ("theta", "phi", "psi"):
+            v = getattr(p, name)
+            if not (-ROUNDOFF <= v <= _ANGLE_TOP):
+                raise ValueError(f"{name}={v!r} outside [0, pi/2]")
+        for name in ("mu", "nu"):
+            v = getattr(p, name)
+            if not (-ROUNDOFF <= v <= _PHASE_TOP):
+                raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
     x = _read_edge(p.x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN")
     y = _read_edge(p.y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN")
-    d = _diagonal_of(p.theta, p.phi, p.psi)
+    d = _diagonal_of(theta, phi, psi)
     co = _coeffs_of(*d)
     if not _within_positivity(co, x, y):
         raise UnphysicalError(
@@ -359,7 +363,9 @@ def _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol: float = DEFAULT_TOL) -
     """
     x = abs(coh_outer) ** 2
     y = abs(coh_inner) ** 2
-    # np.arccos and np.angle: math.acos and cmath.phase differ in the last bit
+    # np.arccos, and np.angle's arithmetic, np.arctan2 of the imaginary and
+    # real parts, without its wrapper: math.acos and cmath.phase differ in
+    # the last bit
     theta = np.arccos(math.sqrt(_clamp01(d1)))
     st2 = 1.0 - _clamp01(d1)
     if st2 <= DEGENERATE:
@@ -372,10 +378,12 @@ def _params_of(d1, d2, d3, d4, coh_outer, coh_inner, tol: float = DEFAULT_TOL) -
             psi = 0.0
         else:
             psi = np.arccos(math.sqrt(_clamp01(d3 / sp2)))
-    mu = float(np.angle(coh_outer)) % TWO_PI if abs(coh_outer) >= tol else 0.0
-    nu = float(np.angle(coh_inner)) % TWO_PI if abs(coh_inner) >= tol else 0.0
-    return XParams(theta=float(theta), phi=float(phi), psi=float(psi),
-                   x=float(x), y=float(y), mu=mu, nu=nu)
+    mu = (float(np.arctan2(coh_outer.imag, coh_outer.real)) % TWO_PI
+          if abs(coh_outer) >= tol else 0.0)
+    nu = (float(np.arctan2(coh_inner.imag, coh_inner.real)) % TWO_PI
+          if abs(coh_inner) >= tol else 0.0)
+    # positional: theta, phi, psi, x, y, mu, nu
+    return XParams(float(theta), float(phi), float(psi), float(x), float(y), mu, nu)
 
 
 def from_density(rho, tol: float = DEFAULT_TOL) -> XParams:

@@ -220,7 +220,7 @@ def test_sweep_tol_gates_counterpart(capsys):
 
 
 def test_sweep_classify_fails_on_a_rank_mismatch(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "numerical_rank", lambda rho: 0)
+    monkeypatch.setattr(cli, "_rank_above_tol", lambda values: 0)
     assert cli.main(["sweep", "classify", "--count", "1", "--seed", "5"]) == 4
     seed = cli.ensemble.child_seed(5, 0)
     assert capsys.readouterr().out.splitlines() == [f"FAIL classify seed={seed}", "1 failure(s)"]

@@ -95,7 +95,9 @@ def _out_of_scale_inputs():
     # Hermitian and X-form, with a coherence far above the scale
     coherence = MAX_MIXED.astype(complex)
     coherence[0, 3] = coherence[3, 0] = 1e200
-    return {"huge_01": huge, "coherence_1e200": coherence}
+    # Python ints too large for a float, which as_matrix rejects
+    huge_int = [[10**400] * 4] * 4
+    return {"huge_01": huge, "coherence_1e200": coherence, "huge_int": huge_int}
 
 
 OUT_OF_SCALE_INPUTS = _out_of_scale_inputs()
@@ -117,13 +119,19 @@ def test_out_of_scale_input_raises_its_reason(route, name):
     _raises_exactly(fn, OUT_OF_SCALE_INPUTS[name], message)
 
 
-# and a Python int too large for a float, which as_matrix rejects
-PREDICATE_INPUTS = OUT_OF_SCALE_INPUTS | {"huge_int": [[10**400] * 4] * 4}
+@pytest.mark.parametrize("route", ["density_spectrum", "counterpart_concurrence",
+                                   "counterpart_negativity"])
+def test_prefixed_routes_keep_as_matrix_message_for_shape_and_type(route):
+    # only as_matrix's OUT_OF_SCALE takes the prefix
+    fn = RAISING[route][0]
+    _raises_exactly(fn, np.eye(3), "expected a 4x4 matrix, got shape (3, 3)")
+    _raises_exactly(fn, [["a"] * 4] * 4, f"matrix {[['a'] * 4] * 4!r} is not an array of numbers")
+    _raises_exactly(fn, [[10**400] * 3] * 3, PREFIXED)
 
 
-@pytest.mark.parametrize("name", sorted(PREDICATE_INPUTS))
+@pytest.mark.parametrize("name", sorted(OUT_OF_SCALE_INPUTS))
 def test_out_of_scale_input_fails_the_predicates(name):
-    m = PREDICATE_INPUTS[name]
+    m = OUT_OF_SCALE_INPUTS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_density_matrix(m) == (False, OUT_OF_SCALE)

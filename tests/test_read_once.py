@@ -325,17 +325,17 @@ def test_sweep_counterpart_spectrum_residual_moves_by_round_off_only(monkeypatch
 
 
 # check: {read or solve: calls per seed}, an omitted one 0. The drawn point
-# is read once through the chart (xstate._point_density), and a matrix the
-# check built is not gated again, except where a general route that solves
-# it takes it: concurrence_general and numerical_rank, and the conversion's
-# output through hermitian_eig (concurrence) or one _hermitian_read
-# (negativity). The conservation check's rotated point and the disentangle
-# check's walk are read through the public chart routes.
+# is read once through the chart (xstate._physical_coeffs), and an X matrix
+# the check wrote (xstate._x_matrix) is neither read nor gated again: its
+# Hermitian deviation is exactly 0.0, so the general solves take it as
+# written. The conversion's output is gated once, through hermitian_eig
+# (concurrence) or one _hermitian_read (negativity). The conservation
+# check's rotated point and the disentangle check's walk are read through
+# the public chart routes.
 SWEEP_READS = ("_scale_problem", "_entry_gate", "_physical_coeffs", "_x_entries")
 SWEEP_COUNTS = {
-    "measures": {"_scale_problem": 2, "_entry_gate": 1, "_physical_coeffs": 1, "_x_entries": 1,
-                 "eigh": 1, "svd": 1, "eigvalsh": 1},
-    "classify": {"_scale_problem": 1, "_entry_gate": 1, "_physical_coeffs": 1, "eigvalsh": 2},
+    "measures": {"_physical_coeffs": 1, "eigh": 1, "svd": 1, "eigvalsh": 1},
+    "classify": {"_physical_coeffs": 1, "eigvalsh": 2},
     "conservation": {"_scale_problem": 1, "_physical_coeffs": 3, "_x_entries": 1},
     "disentangle": {"_physical_coeffs": 3, "eigvalsh": 1},
     # rho's density check and one solve serve both conversions; each output
