@@ -26,7 +26,10 @@ the edges 1/3, 5/9 and 1 among them; and diagram_csv (both kinds) and
 diagram_data ("cp") on the 20x20 grid, and diagram_csv("cp", 100), one
 input each; and each check of `xtangle sweep` (rows sweep_measures ...
 sweep_counterpart, the functions cli._CHECK_FNS runs) on 64 child seeds
-at the default tol, microseconds per seed. Prints one JSON object
+at the default tol, microseconds per seed; and the construction of two
+records (rows record_xparams and record_counterpart_result) from the
+field values of the 64 entangled draws and of the 64 states' conversions
+(the two measures in turn). Prints one JSON object
 {name: us_per_call}. Each input's time is its fastest of 100 calls,
 and a layer's figure is the mean of those over its inputs. Each round
 calls every layer on every input, so a slow spell of a shared machine
@@ -38,6 +41,7 @@ under test through PYTHONPATH:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -81,6 +85,7 @@ def layers() -> dict:
     classes = [(xt.random_xparams(xt.child_seed(3, i), RANK_KIND_TARGETS[i % len(RANK_KIND_TARGETS)]),)
                for i in range(STATES)]
     check_seeds = [(xt.child_seed(5, i), DEFAULT_TOL) for i in range(STATES)]
+    conversions = [xt.counterpart_details(rho, MEASURES[i % 2]) for i, (rho,) in enumerate(states)]
     return {
         "hermitian_eig": (xt.hermitian_eig, states),
         "hermitian_eigvals": (xt.hermitian_eigvals, states),
@@ -133,7 +138,15 @@ def layers() -> dict:
         "diagram_data_cp": (xt.diagram_data, [("cp", GRID)]),
         "diagram_csv_cp_100": (xt.diagram_csv, [("cp", 100)]),
         **{f"sweep_{name}": (check, check_seeds) for name, check in cli._CHECK_FNS.items()},
+        "record_xparams": (xt.XParams, [field_values(p) for p in walks]),
+        "record_counterpart_result": (xt.CounterpartResult,
+                                      [field_values(r) for r in conversions]),
     }
+
+
+def field_values(record) -> tuple:
+    """record's field values in order, the arguments that rebuild it."""
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record))
 
 
 def main() -> None:

@@ -277,7 +277,7 @@ def _check_conservation(seed: int, tol: float) -> bool:
     a, _, _, rho = _point_density(p)
     b = coeffs(q)
     u = universality.x_unitary(*angles)
-    direct = from_density(u @ rho @ u.conj().T)
+    direct = from_density(u.dot(rho).dot(u.conj().T))
     return (abs(a.b_cal - b.b_cal) <= tol
             and abs(a.c_cal - b.c_cal) <= tol
             and abs((a.g_cal - p.y) - (b.g_cal - q.y)) <= tol

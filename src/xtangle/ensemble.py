@@ -161,7 +161,7 @@ def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarr
         # TypeError: an unhashable kind, such as a list
         raise ValueError(f"unknown ensemble kind {measure_kind!r}") from None
     g = _ginibre(seed, 4, cols)
-    rho = g @ g.conj().T
+    rho = g.dot(g.conj().T)
     # np.trace(rho).real bit for bit: numpy's sum order (see _entry_gate)
     e00, e11, e22, e33 = rho.diagonal().tolist()
     return rho / ((e00 + e11) + (e22 + e33) + 0j).real

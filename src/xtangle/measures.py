@@ -68,7 +68,7 @@ def purity_general(rho) -> float:
 
 def _purity(m: np.ndarray) -> float:
     """purity_general of a 4x4 matrix that has passed its gate, unread."""
-    return float((m @ m).trace().real)
+    return float(m.dot(m).trace().real)
 
 
 def purity_x(p: XParams) -> float:
@@ -93,8 +93,8 @@ def concurrence_from_eig(values: list[float], eigvecs: np.ndarray,
     root of eigenvalue noise.
     """
     roots = np.array([math.sqrt(v) for v in values], dtype=complex)
-    s = (eigvecs * roots) @ adjoint
-    k = (s[:, ::-1] * _FLIP_SIGNS) @ s.conj()
+    s = (eigvecs * roots).dot(adjoint)
+    k = (s[:, ::-1] * _FLIP_SIGNS).dot(s.conj())
     r1, r2, r3, r4 = _svdvals(k).tolist()
     return max(0.0, r1 - r2 - r3 - r4)
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, ROUNDOFF, _read_edge
+from .matrix_core import DEFAULT_TOL, ROUNDOFF, _read_edge, _record
 from .xstate import (
     XParams,
     _classify_arrays,
@@ -56,7 +55,7 @@ class OutOfDiagramError(ValueError):
     """Concurrence above the admissible maximum for the given purity."""
 
 
-@dataclass(frozen=True)
+@_record
 class BoundaryScalars:
     """Auxiliary scalars of the constructions; None where undefined."""
 
@@ -113,8 +112,15 @@ def scalar_r(p: float) -> float:
 
 
 def boundary_scalars(p: float, c: float) -> BoundaryScalars:
-    """All six scalars at (p, c); out-of-domain entries are None."""
+    """All six scalars at (p, c); out-of-domain entries are None.
+
+    A p outside [1/4, 1], or a c that is not a real number, NaN included,
+    raises DomainError naming it (the edge rule); a real c outside
+    [0, v(p)] leaves w and z None.
+    """
     p = _read_edge(p, 0.25, 1.0, DomainError, _STATES)
+    c = _read_edge(c, -math.inf, math.inf, DomainError,
+                   "concurrence {value!r} is not a real number")
     u, v, q, r = _cp_tail(p, cp_boundary(p)) if p >= P_SEP_MAX - ROUNDOFF else (None,) * 4
     try:
         w, z = scalar_w(p, c), scalar_z(p, c)

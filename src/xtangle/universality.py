@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +85,7 @@ from .matrix_core import (
     _density_spectrum,
     _in_scale,
     _read_edge,
+    _record,
     hermitian_eig,
 )
 from .measures import (
@@ -136,7 +136,7 @@ def _measure_name(measure) -> str:
     raise ValueError(f"unknown measure {measure!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class DisentangleSolution:
     """Block-rotation angles removing all entanglement at tau = 1.
 
@@ -160,7 +160,7 @@ class DisentangleSolution:
     branch: str
 
 
-@dataclass(frozen=True)
+@_record
 class PathPoint:
     """State of the walk at one tau, with both measures evaluated."""
 
@@ -170,7 +170,7 @@ class PathPoint:
     negativity: float
 
 
-@dataclass(frozen=True)
+@_record
 class CounterpartResult:
     """Full record of one conversion.
 
@@ -474,7 +474,7 @@ def verstraete_unitary(rho: np.ndarray) -> np.ndarray:
     """Unitary taking rho to the maximally entangled mixed state (MEMS) of
     its spectrum: _mems_basis(0) @ V^dagger, V the eigenvectors of rho,
     which is a conversion's unitary at tau = 0, bit for bit."""
-    return _MEMS_BASIS_0 @ hermitian_eig(rho).eigvecs.conj().T
+    return _MEMS_BASIS_0.dot(hermitian_eig(rho).eigvecs.conj().T)
 
 
 def mems_from_spectrum(spectrum) -> np.ndarray:
@@ -567,5 +567,5 @@ def _counterpart(rho: np.ndarray, spec: Spectrum, measure: str) -> CounterpartRe
     achieved = measure_of(*entries)
     # positional: state, unitary, tau, branch, measure, target, achieved,
     # clip, spectrum
-    return CounterpartResult(_x_matrix(*entries), _mems_basis(angle) @ adjoint,
+    return CounterpartResult(_x_matrix(*entries), _mems_basis(angle).dot(adjoint),
                              tau, branch, measure, target, achieved, clip, spec.values)

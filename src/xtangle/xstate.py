@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .matrix_core import (
     _read,
     _read_edge,
     _read_tol,
+    _record,
     hermitian_eigvals,
 )
 
@@ -66,7 +66,7 @@ class NotXFormError(ValueError):
     """Matrix has weight outside the main and anti-diagonals."""
 
 
-@dataclass(frozen=True)
+@_record
 class XParams:
     """The seven X-state coordinates."""
 
@@ -79,7 +79,7 @@ class XParams:
     nu: float = 0.0
 
 
-@dataclass(frozen=True)
+@_record
 class XCoeffs:
     """Scalars derived from the diagonal.
 
@@ -102,7 +102,7 @@ class XCoeffs:
 RANK_KIND_PAIRS = frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)})
 
 
-@dataclass(frozen=True)
+@_record
 class RankClass:
     """Rank in {1,2,3,4} and which boundary configuration produced it."""
 
@@ -114,7 +114,7 @@ class RankClass:
             raise ValueError(f"no rank-{self.rank} class of kind {self.kind}")
 
 
-@dataclass(frozen=True)
+@_record
 class CharPolyCoeffs:
     """Coefficients of lam^4 - a1 lam^3 + a2 lam^2 - a3 lam + a4."""
 
@@ -198,7 +198,8 @@ def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, flo
     """(coeffs(p), diagonal(p), x, y): the chart's one reader of a point,
     behind every public route that takes an XParams.
 
-    Raises ValueError for an angle or phase that is NaN or infinite
+    Raises ValueError naming a point that lacks the seven fields, one that
+    is not an XParams; then for an angle or phase that is NaN or infinite
     (NON_FINITE) or not a real number (_finite_angles), then for an angle
     outside [0, pi/2] or a phase outside [0, 2 pi] by more than ROUNDOFF,
     then for a weight below 0 by more than ROUNDOFF or NaN; a weight in
@@ -207,7 +208,10 @@ def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, flo
     positivity range, which an infinite weight or a Python int too large
     for a float is outside.
     """
-    theta, phi, psi, mu, nu = p.theta, p.phi, p.psi, p.mu, p.nu
+    try:
+        theta, phi, psi, x, y, mu, nu = p.theta, p.phi, p.psi, p.x, p.y, p.mu, p.nu
+    except AttributeError:
+        raise ValueError(f"point {p!r} is not an XParams") from None
     _finite_angles(theta, phi, psi, mu, nu)
     if not (-ROUNDOFF <= theta <= _ANGLE_TOP and -ROUNDOFF <= phi <= _ANGLE_TOP
             and -ROUNDOFF <= psi <= _ANGLE_TOP
@@ -221,8 +225,8 @@ def _physical_coeffs(p: XParams) -> tuple[XCoeffs, tuple[float, ...], float, flo
             v = getattr(p, name)
             if not (-ROUNDOFF <= v <= _PHASE_TOP):
                 raise ValueError(f"{name}={v!r} outside [0, 2 pi]")
-    x = _read_edge(p.x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN")
-    y = _read_edge(p.y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN")
+    x = _read_edge(x, 0.0, math.inf, ValueError, "weight x={value!r} is negative or NaN")
+    y = _read_edge(y, 0.0, math.inf, ValueError, "weight y={value!r} is negative or NaN")
     d = _diagonal_of(theta, phi, psi)
     co = _coeffs_of(*d)
     if not _within_positivity(co, x, y):

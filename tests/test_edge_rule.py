@@ -172,6 +172,16 @@ NON_NUMBERS = {
     "cp_boundary_complex": (lambda: cp_boundary(1j), DomainError, "purity 1j outside [1/4, 1]"),
     "scalar_w_none": (lambda: scalar_w(0.5, None), DomainError,
                       f"w undefined: concurrence None outside [0, v] = [0, {scalar_v(0.5)!r}]"),
+    # each returned w = z = None
+    "boundary_scalars_c_nan": (lambda: boundary_scalars(0.5, NAN), DomainError,
+                               "concurrence nan is not a real number"),
+    "boundary_scalars_c_str": (lambda: boundary_scalars(0.5, "a"), DomainError,
+                               "concurrence 'a' is not a real number"),
+    "boundary_scalars_c_none": (lambda: boundary_scalars(0.5, None), DomainError,
+                                "concurrence None is not a real number"),
+    "boundary_scalars_c_array": (lambda: boundary_scalars(0.5, np.array([0.1, 0.2])),
+                                 DomainError,
+                                 "concurrence array([0.1, 0.2]) is not a real number"),
     "theorem_params_str": (lambda: theorem_params(0.7, "a", "r2k3"), DomainError,
                            "concurrence 'a' outside [0, 1]"),
     # each variant's purity test; a complex at 1 passed the rank-1
@@ -257,6 +267,13 @@ def test_read_edge():
         _read_edge(2.0, 0.0, 1.0, ValueError, "{no}")
     with pytest.raises(OutOfDiagramError, match=r"^2\.0 outside \[0\.0, 1\.0\]$"):
         _read_edge(2.0, 0.0, 1.0, OutOfDiagramError, "{value!r} outside [{lo!r}, {hi!r}]")
+
+
+@pytest.mark.parametrize("c", [-0.5, 2.0])
+def test_boundary_scalars_leave_w_and_z_none_for_a_real_c_outside_0_v(c):
+    s = boundary_scalars(0.5, c)
+    assert s.w is None and s.z is None
+    assert s.v == scalar_v(0.5)
 
 
 def test_boundary_scalars_read_a_purity_above_one_as_one():

@@ -288,3 +288,56 @@ def test_the_package_calls_numpy_linalg_only_through_the_solver_layer():
 ])
 def test_the_linalg_guard_sees_each_way_to_a_wrapper(source, found):
     assert linalg_uses(source) == found
+
+
+def spelling_uses(source):
+    """(line, what) of each spelling the package keeps one of: a matrix
+    product written a @ b or a @= b, where it writes a.dot(b), and a class
+    decorated with dataclass, where its records go through _record."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(
+                    target, "id", None)
+                if name == "dataclass":
+                    found.append((dec.lineno, "dataclass"))
+    return sorted(found)
+
+
+def test_the_package_spells_products_and_records_one_way():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        assert spelling_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("c = a @ b", [(1, "@")]),
+    ("c = a.dot(b)\nc @= b", [(2, "@")]),
+    ("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A:\n    x: int",
+     [(2, "dataclass")]),
+    ("import dataclasses\n@dataclasses.dataclass\nclass A:\n    x: int", [(2, "dataclass")]),
+    ("@_record\nclass A:\n    x: int\n\n@functools.wraps(f)\ndef g(m):\n    return m.dot(m)",
+     []),
+])
+def test_the_spelling_guard_sees_each_spelling(source, found):
+    assert spelling_uses(source) == found
+
+
+def _operand_layouts(seed):
+    """Pairs of seeded complex 4x4 operands in the layouts the package
+    multiplies: C order, a transposed adjoint and negative strides."""
+    a, b = (_ginibre(seed + i, 4, 4) for i in (0, 1))
+    return [(a, b), (a, b.conj().T), (a.conj().T, b), (a[:, ::-1], b),
+            (a, b[::-1, ::-1]), (a[::-1].conj().T, b[:, ::-1])]
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 2))
+def test_dot_gives_the_bytes_of_matmul(seed):
+    for a, b in _operand_layouts(seed):
+        assert same_bytes(a.dot(b), a @ b)
+        assert same_bytes(a.dot(b).dot(a.conj().T), a @ b @ a.conj().T)

@@ -352,6 +352,20 @@ def test_every_chart_route_rejects_a_point_outside_positivity(route, point):
             fn(p)
 
 
+# points that are not an XParams, on which each route raised a bare AttributeError
+NOT_POINTS = {"int": 1, "none": None, "tuple": (0.1,) * 7}
+
+
+@pytest.mark.parametrize("point", sorted(NOT_POINTS))
+@pytest.mark.parametrize("route", sorted(XPARAMS_ROUTES))
+def test_every_chart_route_rejects_a_point_that_is_not_an_xparams(route, point):
+    p = NOT_POINTS[point]
+    with pytest.raises(ValueError) as err:
+        XPARAMS_ROUTES[route](p)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"point {p!r} is not an XParams"
+
+
 # the rank rule on every combination of its six tests: bit i of the index
 # is test i of (x at h_cal, y at g_cal, x at 0, y at 0, b_cal at 0,
 # c_cal at 0); frozen from the rule's table form
