@@ -139,30 +139,34 @@ def _read_edge(value, lo, hi, error, message):
 
     A value inside the range is returned as is; one within ROUNDOFF
     outside it reads as that edge. Anything else, NaN and values that are
-    not real numbers (a str, None, a complex) included, raises
+    not real numbers (a str, None, a complex, an array) included, raises
     error(message.format(value=value, lo=lo, hi=hi)).
     """
-    try:
-        if lo <= value <= hi:
-            return value
-        if lo - ROUNDOFF <= value <= hi + ROUNDOFF:
-            return lo if value < lo else hi
-    except (TypeError, ValueError):
-        # not comparable with a float, or an array of several values
-        pass
+    # an array of one value compares as that value, but is not a number
+    if not (isinstance(value, np.ndarray) and value.ndim):
+        try:
+            if lo <= value <= hi:
+                return value
+            if lo - ROUNDOFF <= value <= hi + ROUNDOFF:
+                return lo if value < lo else hi
+        except (TypeError, ValueError):
+            # not comparable with a float
+            pass
     raise error(message.format(value=value, lo=lo, hi=hi))
 
 
 def _read_tol(tol):
     """tol as a tolerance: a real number in (0, inf), the range of every
-    tol keyword and of the CLI's --tol. Anything else, NaN included,
-    raises ValueError naming it."""
-    try:
-        if 0.0 < tol < np.inf:
-            return tol
-    except (TypeError, ValueError):
-        # not comparable with a float, or an array of several values
-        pass
+    tol keyword and of the CLI's --tol. Anything else, NaN and an array
+    included, raises ValueError naming it."""
+    # an array of one value compares as that value, but is not a number
+    if not (isinstance(tol, np.ndarray) and tol.ndim):
+        try:
+            if 0.0 < tol < np.inf:
+                return tol
+        except (TypeError, ValueError):
+            # not comparable with a float
+            pass
     raise ValueError(f"tol={tol!r} is not a number in (0, inf)")
 
 
@@ -218,15 +222,10 @@ def as_matrix(a) -> np.ndarray:
     ValueError naming the input, where numpy raised its own message or a
     bare TypeError. A Python int too large for a float raises the scale
     read's ValueError(OUT_OF_SCALE), where numpy raised a bare
-    OverflowError."""
-    try:
-        m = np.asarray(a, dtype=complex)
-    except (TypeError, ValueError):
-        raise ValueError(f"matrix {a!r} is not an array of numbers") from None
-    except OverflowError:
-        raise ValueError(OUT_OF_SCALE) from None
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    OverflowError. The coercion of _scan, without its scale verdict."""
+    m = _scan(a)[0]
+    if m is None:
+        raise ValueError(OUT_OF_SCALE)
     return m
 
 
@@ -236,8 +235,8 @@ def _scale_problem(values) -> str:
     ENTRY_SCALE; "" when they are admitted.
 
     The package's one input-scale read: of a 4x4 matrix's 16 entries, from
-    one tolist(), and of the four values of mems_from_spectrum. Only a
-    rejected input is sorted into its reason.
+    one tolist() (_scan), and of the four values of mems_from_spectrum.
+    Only a rejected input is sorted into its reason.
     """
     try:
         if sum(map(abs, values)) <= ENTRY_SCALE:
@@ -248,37 +247,37 @@ def _scale_problem(values) -> str:
     return OUT_OF_SCALE if all(map(cmath.isfinite, values)) else NON_FINITE
 
 
-def _in_scale(values):
-    """values behind _scale_problem: ValueError naming its reason if it
-    rejects them."""
-    why = _scale_problem(values)
-    if why:
-        raise ValueError(why)
-    return values
+def _scan(a) -> tuple[np.ndarray | None, list[complex] | None, str]:
+    """(m, e, why): the package's one 4x4 reader. m is the input coerced
+    to a complex 4x4 ndarray, e its 16 row-major entries from one
+    tolist(), and why the input scale's verdict (_scale_problem): "",
+    NON_FINITE or OUT_OF_SCALE. A Python int too large for a float is
+    OUT_OF_SCALE with m and e None, found in the one coercion step. A
+    wrong shape, or entries numpy cannot read as complex numbers, raise
+    ValueError (as_matrix).
+
+    Its consumers take why as they need it: _read raises it, the
+    predicates is_unitary and xstate.is_x_form answer False for it, and
+    the density check (_density_problem) returns it."""
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix {a!r} is not an array of numbers") from None
+    except OverflowError:
+        return None, None, OUT_OF_SCALE
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    e = m.ravel().tolist()
+    return m, e, _scale_problem(e)
 
 
 def _read(a) -> tuple[np.ndarray, list[complex]]:
-    """(as_matrix(a), its 16 row-major entries from one tolist()), behind
-    _scale_problem: the package's one 4x4 reader. ValueError for a wrong
-    shape, then naming _scale_problem's reason. The predicates answer
-    False where this raises for the scale (_predicate_read), and
-    _density_problem calls _scale_problem itself to return the reason."""
-    m = as_matrix(a)
-    return m, _in_scale(m.ravel().tolist())
-
-
-def _predicate_read(a) -> tuple[np.ndarray, list[complex]] | tuple[None, None]:
-    """_read(a) for the predicates is_unitary and xstate.is_x_form, or
-    (None, None) where _read rejects the input's scale (NON_FINITE or
-    OUT_OF_SCALE, a Python int too large for a float included), which
-    they answer False. A wrong shape, or entries that are not numbers,
-    raise as in as_matrix."""
-    try:
-        return _read(a)
-    except ValueError as exc:
-        if exc.args[0] in (NON_FINITE, OUT_OF_SCALE):
-            return None, None
-        raise
+    """(m, e) of _scan(a) for the routes that take any admitted 4x4:
+    ValueError naming its reason for an input it rejects."""
+    m, e, why = _scan(a)
+    if why:
+        raise ValueError(why)
+    return m, e
 
 
 def _entry_gate(e: list[complex]) -> tuple[float, complex]:
@@ -338,27 +337,28 @@ def _sorted_eigh(m: np.ndarray, deviation: float) -> Spectrum:
     return Spectrum(vals[::-1], vecs / (lead / np.abs(lead)))
 
 
-def _density_problem(m: np.ndarray) -> tuple[str, Spectrum | None]:
-    """(why, spectrum): the one density check of is_density_matrix and
-    density_spectrum, on a matrix as_matrix has coerced. why names the
-    first failed check, "" when all hold: the input scale (_scale_problem,
-    read without raising), Hermiticity and unit trace at ROUNDOFF from
-    the same entries (_entry_gate), then the PSD floor -SOLVER_TOL on the
+def _density_problem(a) -> tuple[str, np.ndarray | None, Spectrum | None]:
+    """(why, m, spectrum): the one density check of is_density_matrix,
+    density_spectrum and universality.counterpart_details, on the raw
+    input a. why names the first failed check, "" when all hold: the
+    input scale (_scan), Hermiticity and unit trace at ROUNDOFF from the
+    same entries (_entry_gate), then the PSD floor -SOLVER_TOL on the
     smallest value of one eigh (_sorted_eigh, of m as given when its
     deviation is 0.0, else of its Hermitian part), whose spectrum is
-    returned; None when an entry check fails."""
-    e = m.ravel().tolist()
-    why = _scale_problem(e)
+    returned with m, the coerced input; None where a check before the
+    solve fails. A wrong shape or entries that are not numbers raise
+    as_matrix's ValueError."""
+    m, e, why = _scan(a)
     if why:
-        return why, None
+        return why, m, None
     dev, tr = _entry_gate(e)
     if dev > ROUNDOFF:
-        return "not Hermitian", None
+        return "not Hermitian", m, None
     if abs(tr - 1.0) > ROUNDOFF:
-        return f"trace {tr:.17g} differs from 1", None
+        return f"trace {tr:.17g} differs from 1", m, None
     spec = _sorted_eigh(m, dev)
     lowest = spec.values[-1]
-    return ("" if lowest >= -SOLVER_TOL else f"negative eigenvalue {lowest:.3e}"), spec
+    return ("" if lowest >= -SOLVER_TOL else f"negative eigenvalue {lowest:.3e}"), m, spec
 
 
 def is_density_matrix(a) -> tuple[bool, str]:
@@ -366,16 +366,18 @@ def is_density_matrix(a) -> tuple[bool, str]:
     semidefiniteness.
 
     Returns (ok, reason). reason is "" when ok, otherwise it names the
-    failed check: a wrong shape (as_matrix), NON_FINITE or OUT_OF_SCALE
-    (see _scale_problem), then Hermiticity and trace held to ROUNDOFF and
-    the lowest eigenvalue to -SOLVER_TOL. It is density_spectrum's one
-    check (_density_problem), so the two agree on every input.
+    failed check: a wrong shape or entries that are not numbers
+    (as_matrix), NON_FINITE or OUT_OF_SCALE (see _scale_problem), then
+    Hermiticity and trace held to ROUNDOFF and the lowest eigenvalue to
+    -SOLVER_TOL. It is density_spectrum's one check (_density_problem),
+    so the two agree on every input. A LAPACK failure raises.
     """
     try:
-        m = as_matrix(a)
+        why = _density_problem(a)[0]
+    except LinAlgError:
+        raise
     except ValueError as exc:
         return False, str(exc)
-    why = _density_problem(m)[0]
     return not why, why
 
 
@@ -440,7 +442,7 @@ def density_spectrum(a) -> Spectrum:
     Runs is_density_matrix's one check (_density_problem) and raises
     ValueError "not a density matrix: " and the failed check's reason, a
     Python int too large for a float's OUT_OF_SCALE included
-    (_density_matrix); a wrong shape or entries that are not numbers
+    (_density_read); a wrong shape or entries that are not numbers
     raise as_matrix's ValueError. The entry checks are
     stricter than hermitian_eig's gate, which the solve skips. The one
     eigh is of the matrix as given when it equals its adjoint exactly,
@@ -448,30 +450,18 @@ def density_spectrum(a) -> Spectrum:
     possible difference (see _solve_input); the values and vectors are
     those of hermitian_eig(a), bit for bit.
     """
-    return _density_spectrum(_density_matrix(a))
+    return _density_read(a)[1]
 
 
-def _density_matrix(a) -> np.ndarray:
-    """as_matrix(a) for the routes that take a density matrix
-    (density_spectrum, universality.counterpart_details). Its
-    OUT_OF_SCALE, which it gives for a Python int too large for a float,
-    raises as "not a density matrix: " and that reason, the message
-    _density_spectrum gives every other rejected scale; a wrong shape or
-    entries that are not numbers raise as in as_matrix."""
-    try:
-        return as_matrix(a)
-    except ValueError as exc:
-        if exc.args[0] == OUT_OF_SCALE:
-            raise ValueError(f"not a density matrix: {OUT_OF_SCALE}") from None
-        raise
-
-
-def _density_spectrum(m: np.ndarray) -> Spectrum:
-    """density_spectrum of a matrix as_matrix has coerced."""
-    why, spec = _density_problem(m)
+def _density_read(a) -> tuple[np.ndarray, Spectrum]:
+    """(m, spectrum) of _density_problem(a) for the routes that take a
+    density matrix (density_spectrum, universality.counterpart_details):
+    ValueError "not a density matrix: " and the reason for an input it
+    rejects."""
+    why, m, spec = _density_problem(a)
     if why:
         raise ValueError(f"not a density matrix: {why}")
-    return spec
+    return m, spec
 
 
 # flat indices of the partial transpose: entry (2i+j, 2k+l) <- (2i+l, 2k+j)
@@ -501,12 +491,10 @@ def _trace_norm(m: np.ndarray) -> float:
 # Products are written a.dot(b): on these 4x4 operands it reaches the same
 # BLAS zgemm as a @ b, bit for bit, without matmul's ~0.45 us gufunc dispatch.
 def is_unitary(u) -> bool:
-    """True iff u'u = I within SOLVER_TOL; False for a non-finite or
-    out-of-scale input (see _predicate_read)."""
-    m, _ = _predicate_read(u)
-    if m is None:
-        return False
-    return bool(np.abs(m.conj().T.dot(m) - np.eye(4)).max() <= SOLVER_TOL)
+    """True iff u'u = I within SOLVER_TOL; False for an input whose scale
+    _scan rejects, a Python int too large for a float included."""
+    m, _, why = _scan(u)
+    return not why and bool(np.abs(m.conj().T.dot(m) - np.eye(4)).max() <= SOLVER_TOL)
 
 
 def conjugate(rho, u) -> np.ndarray:

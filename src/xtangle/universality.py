@@ -81,11 +81,10 @@ from .matrix_core import (
     OUT_OF_SCALE,
     ROUNDOFF,
     Spectrum,
-    _density_matrix,
-    _density_spectrum,
-    _in_scale,
+    _density_read,
     _read_edge,
     _record,
+    _scale_problem,
     hermitian_eig,
 )
 from .measures import (
@@ -324,16 +323,28 @@ def disentangle_params(p: XParams) -> DisentangleSolution:
     )
 
 
+def _solution_angles(sol: DisentangleSolution) -> tuple[str, float, float, float, float]:
+    """(branch, b1, b2, b3, b4) of a walk solution, its one read. Raises
+    ValueError naming a sol that lacks those fields, one that is not a
+    DisentangleSolution."""
+    try:
+        return sol.branch, sol.b1, sol.b2, sol.b3, sol.b4
+    except AttributeError:
+        raise ValueError(f"solution {sol!r} is not a DisentangleSolution") from None
+
+
 def evolve(p: XParams, sol: DisentangleSolution, tau: float) -> PathPoint:
     """The walk's point at tau in [0, 1], with both measures.
 
-    Reads p once, in conjugate_x. The rotated point q is physical by
-    construction, so its entries are taken as to_density writes them
-    (xstate._point_entries), unread, and measured by the closed forms of
-    concurrence_x and negativity_x: no 4x4 matrix is built.
+    Reads tau, then sol (_solution_angles), then p once, in conjugate_x.
+    The rotated point q is physical by construction, so its entries are
+    taken as to_density writes them (xstate._point_entries), unread, and
+    measured by the closed forms of concurrence_x and negativity_x: no
+    4x4 matrix is built.
     """
     tau = _read_edge(tau, 0.0, 1.0, ValueError, _TAU)
-    q = conjugate_x(p, sol.b1 * tau, sol.b2, sol.b3 * tau, sol.b4)
+    _, b1, b2, b3, b4 = _solution_angles(sol)
+    q = conjugate_x(p, b1 * tau, b2, b3 * tau, b4)
     e = _point_entries(_diagonal_of(q.theta, q.phi, q.psi), q.x, q.y, q.mu, q.nu)
     return PathPoint(tau, q, _concurrence_of(*e), _negativity_of(*e))
 
@@ -344,20 +355,22 @@ def _path_inputs(p: XParams, sol: DisentangleSolution,
     of the walk's leg (_leg), from one read of the chart
     (xstate._physical_coeffs), which runs on every label; all 0 on
     "already_separable". Raises ValueError for a measure name not in
-    MEASURES (_measure_name), then for a branch no solution carries, or
-    one whose leg's own population product is below its floor by more
-    than DEFAULT_TOL."""
+    MEASURES (_measure_name), then for a sol that is not a
+    DisentangleSolution (_solution_angles), then for a branch no solution
+    carries, or one whose leg's own population product is below its floor
+    by more than DEFAULT_TOL."""
     _measure_name(measure)
     cf, _, x, y = _physical_coeffs(p)
-    if sol.branch == "already_separable":
+    branch, b1, _, b3, _ = _solution_angles(sol)
+    if branch == "already_separable":
         return 0.0, 0.0, 0.0, 0.0, 0.0
-    outer = sol.branch in ("HgtG", "h_zero")
-    if not outer and sol.branch not in ("GgtH", "g_zero"):
-        raise ValueError(f"unknown solution branch {sol.branch!r}")
+    outer = branch in ("HgtG", "h_zero")
+    if not outer and branch not in ("GgtH", "g_zero"):
+        raise ValueError(f"unknown solution branch {branch!r}")
     a, dd, floor, partner = _leg(cf, x, y, outer)
     if (cf.h_cal if outer else cf.g_cal) < floor - DEFAULT_TOL:
         raise ValueError("solution branch does not match the state")
-    return a, dd, floor, partner, sol.b1 if outer else sol.b3
+    return a, dd, floor, partner, b1 if outer else b3
 
 
 def _coherence_at(a: float, dd: float, b: float, tau: float) -> float:
@@ -482,17 +495,22 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
     _mems_entries at angle 0, which is a conversion's state at tau = 0,
     bit for bit.
 
-    Raises ValueError for four values that are non-finite or out of
-    scale, read as one input by matrix_core._scale_problem; a Python int
-    too large for a float is out of scale.
+    Raises ValueError naming a spectrum numpy cannot read as real numbers,
+    then for four values that are non-finite or out of scale, read as one
+    input by matrix_core._scale_problem, a Python int too large for a
+    float included.
     """
     try:
         vals = np.asarray(spectrum, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"spectrum {spectrum!r} is not an array of real numbers") from None
     except OverflowError:
         raise ValueError(OUT_OF_SCALE) from None
     if vals.shape != (4,):
         raise ValueError("spectrum must hold exactly four values")
-    _in_scale(vals.tolist())
+    why = _scale_problem(vals.tolist())
+    if why:
+        raise ValueError(why)
     return _x_matrix(*_mems_entries(*np.sort(vals)[::-1].tolist(), 0.0))
 
 
@@ -502,17 +520,15 @@ def counterpart_details(rho: np.ndarray, measure: str = "concurrence") -> Counte
     The reads, then the conversion (_counterpart). The measure name is
     read first (_measure_name): anything but one of the MEASURES strings
     raises ValueError before rho is read or solved, as solve_tau reads
-    it. rho is coerced once (matrix_core._density_matrix, which gives a
-    Python int too large for a float density_spectrum's "not a density
-    matrix: " prefix) and its entries are read once, by the density
-    check, whose one eigendecomposition
-    (matrix_core.density_spectrum) the conversion takes: of rho as given
-    when it equals its adjoint exactly, otherwise of its Hermitian part,
-    with the sign of a zero as the only possible difference.
+    it. rho is coerced and its entries read once, by density_spectrum's
+    check (matrix_core._density_read), which raises its "not a density
+    matrix: " ValueError, and the conversion takes the matrix as coerced
+    and that check's one eigendecomposition: of rho as given when it
+    equals its adjoint exactly, otherwise of its Hermitian part, with the
+    sign of a zero as the only possible difference.
     """
     measure = _measure_name(measure)
-    m = _density_matrix(rho)
-    return _counterpart(m, _density_spectrum(m), measure)
+    return _counterpart(*_density_read(rho), measure)
 
 
 def _counterpart(rho: np.ndarray, spec: Spectrum, measure: str) -> CounterpartResult:

@@ -38,11 +38,11 @@ from .matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     _hermitian_gate,
-    _predicate_read,
     _read,
     _read_edge,
     _read_tol,
     _record,
+    _scan,
     hermitian_eigvals,
 )
 
@@ -344,12 +344,13 @@ def to_density(p: XParams) -> np.ndarray:
 
 
 def is_x_form(rho, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-X entry has magnitude <= tol; False for a
-    non-finite or out-of-scale input (see matrix_core._predicate_read).
-    ValueError for a tol outside (0, inf) (matrix_core._read_tol)."""
+    """True iff every off-X entry has magnitude <= tol; False for an input
+    whose scale matrix_core._scan rejects, a Python int too large for a
+    float included. ValueError for a tol outside (0, inf)
+    (matrix_core._read_tol)."""
     _read_tol(tol)
-    e = _predicate_read(rho)[1]
-    return e is not None and bool(_off_x_worst(e) <= tol)
+    _, e, why = _scan(rho)
+    return not why and bool(_off_x_worst(e) <= tol)
 
 
 def _clamp01(v: float) -> float:

@@ -30,6 +30,7 @@ from xtangle import (
     hermitian_eig,
     is_physical,
     is_separable,
+    mems_from_spectrum,
     minset_state,
     negativity_along,
     purity_x,
@@ -245,7 +246,58 @@ NON_NUMBERS = {
                             "unknown ensemble kind ['x']"),
     "random_xparams_list": (lambda: random_xparams(1, ["any"]), ValueError,
                             "unknown constraint ['any']"),
+    # an array of one value compares as that value: a bare TypeError where
+    # math took it, or a silent array result
+    "cp_boundary_one_element_array": (lambda: cp_boundary(np.array([0.6])), DomainError,
+                                      "purity array([0.6]) outside [1/4, 1]"),
+    "minset_state_one_element_array": (lambda: minset_state(np.array([0.6]), 0.0), DomainError,
+                                       "purity array([0.6]) outside [1/3, 1]"),
+    "minset_state_c_one_element_array": (lambda: minset_state(0.7, np.array([0.1])),
+                                         OutOfDiagramError,
+                                         "concurrence array([0.1]) outside [0, cp_boundary(p)]"
+                                         f" = [0, {cp_boundary(0.7)!r}]"),
+    **{f"scalar_{n}_one_element_array": (lambda fn=fn: fn(np.array([0.6])), DomainError, msg)
+       for n, fn, msg in (("u", scalar_u, "purity array([0.6]) outside [1/2, 1]"),
+                          ("v", scalar_v, "v undefined at purity array([0.6])"),
+                          ("q", scalar_q, "purity array([0.6]) outside [1/2, 1]"),
+                          ("r", scalar_r, "purity array([0.6]) outside [1/2, 1]"))},
+    **{f"scalar_{n}_one_element_array": (
+        lambda fn=fn: fn(0.5, np.array([0.1])), DomainError,
+        f"w undefined: concurrence array([0.1]) outside [0, v] = [0, {scalar_v(0.5)!r}]")
+       for n, fn in (("w", scalar_w), ("z", scalar_z))},
+    "theorem_params_one_element_array": (lambda: theorem_params(0.7, np.array([0.1]), "r2k3"),
+                                         DomainError, "concurrence array([0.1]) outside [0, 1]"),
+    "theorem_params_p_one_element_array": (
+        lambda: theorem_params(np.array([0.7]), 0.1, "r2k3"), DomainError,
+        "purity array([0.7]) is not a real number"),
+    "solve_tau_one_element_array": (lambda: solve_tau(WALK, SOL, np.array([0.1])),
+                                    TargetOutOfRangeError,
+                                    f"target array([0.1]) outside [0, {C0!r}] for concurrence"),
+    "concurrence_along_one_element_array": (lambda: concurrence_along(WALK, SOL, np.array([0.5])),
+                                            ValueError, "tau array([0.5]) outside [0, 1]"),
+    "negativity_along_one_element_array": (lambda: negativity_along(WALK, SOL, np.array([0.5])),
+                                           ValueError, "tau array([0.5]) outside [0, 1]"),
+    # mems_from_spectrum: numpy's bare TypeError for a complex or an object
+    "mems_from_spectrum_complex": (lambda: mems_from_spectrum([1j, 0, 0, 0]), ValueError,
+                                   "spectrum [1j, 0, 0, 0] is not an array of real numbers"),
+    "mems_from_spectrum_object": (lambda: mems_from_spectrum([Ellipsis, 0, 0, 0]), ValueError,
+                                  "spectrum [Ellipsis, 0, 0, 0] is not an array of real numbers"),
 }
+
+
+# fannes_ree_bound's call builds a matrix from its value
+ARRAY_SITES = [name for name in SITES if name != "fannes_ree_bound"]
+
+
+@pytest.mark.parametrize("name", ARRAY_SITES)
+def test_an_array_of_one_value_raises_the_sites_error(name):
+    # it compared as its value, then raised a bare TypeError where math
+    # took it, or gave an array or a wrong result
+    call, lo, hi, error = SITES[name]
+    inside = (lo if hi is None else 0.5 * (lo + hi)) if lo is not None else hi
+    with pytest.raises(ValueError) as err:
+        call(np.array([inside]))
+    assert type(err.value) is error
 
 
 @pytest.mark.parametrize("name", list(NON_NUMBERS))

@@ -315,6 +315,40 @@ def test_the_package_spells_products_and_records_one_way():
         assert spelling_uses(path.read_text(encoding="utf-8")) == [], path.name
 
 
+def caught_args_reads(source):
+    """(line, name) of each read of a caught exception's .args: a handler
+    that tells its errors apart by their messages, where the package's
+    readers return their reason (matrix_core._scan)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.name:
+            found += [(inner.lineno, node.name) for inner in ast.walk(node)
+                      if isinstance(inner, ast.Attribute) and inner.attr == "args"
+                      and isinstance(inner.value, ast.Name) and inner.value.id == node.name]
+    return sorted(found)
+
+
+def test_the_package_reads_no_caught_exceptions_args():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        assert caught_args_reads(path.read_text(encoding="utf-8")) == [], path.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("try:\n    f()\nexcept ValueError as exc:\n    if exc.args[0] == 'x':\n        pass",
+     [(4, "exc")]),
+    ("try:\n    f()\nexcept (TypeError, ValueError) as e:\n    raise\n"
+     "except OSError as err:\n    g(err.args)", [(6, "err")]),
+    # str() of the exception, the args of another object and a handler
+    # without a name are not reads of its args
+    ("try:\n    f()\nexcept ValueError as exc:\n    ok = False, str(exc)\n"
+     "except TypeError:\n    ns.args\nparser.args", []),
+])
+def test_the_args_guard_sees_each_read(source, found):
+    assert caught_args_reads(source) == found
+
+
 @pytest.mark.parametrize("source, found", [
     ("c = a @ b", [(1, "@")]),
     ("c = a.dot(b)\nc @= b", [(2, "@")]),

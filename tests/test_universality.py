@@ -469,6 +469,27 @@ def test_mems_from_spectrum_rejects_a_spectrum_not_of_four(spectrum):
         mems_from_spectrum(spectrum)
 
 
+# solutions that are not a DisentangleSolution, on which each walk route
+# raised a bare AttributeError
+NOT_SOLUTIONS = {"int": 1, "none": None, "tuple": (0.1,) * 9}
+WALK_ROUTES = {
+    "evolve": lambda p, sol: evolve(p, sol, 0.5),
+    "solve_tau": lambda p, sol: solve_tau(p, sol, 0.1),
+    "concurrence_along": lambda p, sol: concurrence_along(p, sol, 0.5),
+    "negativity_along": lambda p, sol: negativity_along(p, sol, 0.5),
+}
+
+
+@pytest.mark.parametrize("sol", sorted(NOT_SOLUTIONS))
+@pytest.mark.parametrize("route", sorted(WALK_ROUTES))
+def test_every_walk_route_rejects_a_solution_that_is_not_a_disentangle_solution(route, sol):
+    p, s = random_xparams(child_seed(5, 0), "entangled"), NOT_SOLUTIONS[sol]
+    with pytest.raises(ValueError) as err:
+        WALK_ROUTES[route](p, s)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"solution {s!r} is not a DisentangleSolution"
+
+
 # names that are not one of MEASURES: an array of several names raised
 # numpy's truth-value error, and a one-element array of a valid name was
 # accepted, its record's measure an array

@@ -403,7 +403,9 @@ def test_rank_rule_on_every_test_combination():
     assert list(zip(ranks.tolist(), kinds.tolist())) == list(RANK_RULE_TABLE)
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf, -np.inf, "1e-9", 1j], ids=repr)
+# an array of one value compared as that value and was taken as the tol
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf, -np.inf, "1e-9", 1j,
+                                 np.array([1e-9])], ids=repr)
 @pytest.mark.parametrize("route", [
     lambda tol: classify_rank(from_density(minset_state(1.0, 0.6)), tol=tol),
     lambda tol: is_x_form(MAX_MIXED, tol=tol),
