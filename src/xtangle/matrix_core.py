@@ -134,6 +134,14 @@ def _qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _umath_linalg.qr_reduced(a, tau, signature="DD->D"), a.diagonal()
 
 
+def _numpy_non_real(value) -> bool:
+    """True for a numpy array of one or more dimensions or a complex numpy
+    value: an array of one value compares as that value, and numpy orders
+    a complex value by its real part, but neither is a real number."""
+    return isinstance(value, (np.ndarray, np.generic)) and (
+        value.ndim > 0 or value.dtype.kind == "c")
+
+
 def _read_edge(value, lo, hi, error, message):
     """value on the closed range [lo, hi], the package's one edge rule.
 
@@ -142,8 +150,7 @@ def _read_edge(value, lo, hi, error, message):
     not real numbers (a str, None, a complex, an array) included, raises
     error(message.format(value=value, lo=lo, hi=hi)).
     """
-    # an array of one value compares as that value, but is not a number
-    if not (isinstance(value, np.ndarray) and value.ndim):
+    if type(value) is float or not _numpy_non_real(value):
         try:
             if lo <= value <= hi:
                 return value
@@ -159,8 +166,7 @@ def _read_tol(tol):
     """tol as a tolerance: a real number in (0, inf), the range of every
     tol keyword and of the CLI's --tol. Anything else, NaN and an array
     included, raises ValueError naming it."""
-    # an array of one value compares as that value, but is not a number
-    if not (isinstance(tol, np.ndarray) and tol.ndim):
+    if not _numpy_non_real(tol):
         try:
             if 0.0 < tol < np.inf:
                 return tol

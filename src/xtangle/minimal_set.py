@@ -23,6 +23,7 @@ import numpy as np
 
 from .matrix_core import DEFAULT_TOL, ROUNDOFF, _read_edge, _record
 from .xstate import (
+    _RANK_CLASSES,
     XParams,
     _classify_arrays,
     _coeffs_of,
@@ -38,6 +39,10 @@ P_RANK2_MIN = 5.0 / 9.0
 P_SEP_MAX = 1.0 / 3.0
 # diagram_data's kinds: "cp" adds the boundary scalars to "negativity_purity"'s columns
 DIAGRAM_KINDS = ("cp", "negativity_purity")
+# the rank and kind of each class of xstate._classify_arrays: diagram_data's
+# ints and diagram_csv's text
+_CLASS_PAIRS = tuple((rc.rank, rc.kind) for rc in _RANK_CLASSES)
+_CLASS_TEXT = tuple(f"{rc.rank},{rc.kind}" for rc in _RANK_CLASSES)
 
 # messages of ranges read through _read_edge, which reads a value within
 # ROUNDOFF outside a range as its edge
@@ -177,28 +182,26 @@ def _member_entries(p: np.ndarray, c: np.ndarray, top) -> tuple[np.ndarray, ...]
     """
     d1, d2, d3, d4, rho_14, rho_23 = np.zeros((6,) + c.shape)
     lo, hi = np.searchsorted(p, (P_RANK2_MIN, 1.0))
+    top = np.array(top)[:, None]
+    # each square root below is of top^2 - c^2 (1 - c^2 at purity 1)
+    gap, half_c = top * top - c * c, 0.5 * c
     # a batch of one (minset_state) fills one slice; the empty ones are skipped
     if lo > 0:
-        c3 = c[:lo]
-        v = np.array(top[:lo])[:, None]
-        w = 1.0 / 3.0 - 0.5 * np.sqrt((v * v - c3 * c3) / 3.0)
+        w = 1.0 / 3.0 - 0.5 * np.sqrt(gap[:lo] / 3.0)
         d1[:lo] = 1.0 - 2.0 * w
         d2[:lo] = d4[:lo] = w
-        rho_14[:lo] = 0.5 * c3
+        rho_14[:lo] = half_c[:lo]
     if hi > lo:
-        u = np.array(top[lo:hi])[:, None]
-        c2 = c[lo:hi]
-        s = np.sqrt(u * u - c2 * c2)
+        u, s = top[lo:hi], np.sqrt(gap[lo:hi])
         d1[lo:hi] = 1.0 - u
         d2[lo:hi] = 0.5 * (u + s)
         d3[lo:hi] = 0.5 * (u - s)
-        rho_23[lo:hi] = 0.5 * c2
+        rho_23[lo:hi] = half_c[lo:hi]
     if hi < len(p):
-        c1 = c[hi:]
-        s = np.sqrt(1.0 - c1 * c1)
+        s = np.sqrt(gap[hi:])
         d1[hi:] = 0.5 * (1.0 + s)
         d4[hi:] = 0.5 * (1.0 - s)
-        rho_14[hi:] = 0.5 * c1
+        rho_14[hi:] = half_c[hi:]
     return d1, d2, d3, d4, rho_14, rho_23
 
 
@@ -273,18 +276,19 @@ def theorem_params(p: float, c: float, variant: str) -> XParams:
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def _diagram_pass(kind: str, grid_n: int) -> tuple[list, list, np.ndarray]:
-    """diagram_data's grid as (ps, tails, cells), for n = grid_n.
+def _diagram_pass(kind: str, grid_n: int) -> tuple:
+    """diagram_data's grid as (ps, tails, c, negativity, classes), for n = grid_n.
 
     ps lists the purities; tails, for each, the cells its rows end with
-    (the cp kind's u, v, q, r, none for negativity_purity); cells is an
-    (n, n, 4) object array of each row's c, negativity, rank and kind, as
-    Python floats and ints. Raises ValueError for an unknown kind or a
-    grid_n that is not an integer of at least 2.
+    (the cp kind's u, v, q, r, none for negativity_purity); c and
+    negativity are (n, n) float arrays, a row per purity, and classes the
+    (n, n) integer array of each cell's class, an index into
+    xstate._RANK_CLASSES (xstate._classify_arrays). Raises ValueError for
+    an unknown kind or a grid_n that is not an integer of at least 2.
 
     The whole grid is one array pass over the members' entries
     (_member_entries), with no matrix and no chart: the negativity comes
-    from xstate.partial_transpose_lows and the rank/kind from
+    from xstate.partial_transpose_lows and the class from
     xstate._classify_arrays, classify_rank's rule on arrays. Each
     purity's ceiling cp_boundary(p) is computed once, to lay out its
     concurrences and build its members, and as its cp tail's u or v.
@@ -306,11 +310,9 @@ def _diagram_pass(kind: str, grid_n: int) -> tuple[list, list, np.ndarray]:
     x, y = rho_14 * rho_14, rho_23 * rho_23
     co = _coeffs_of(d1, d2, d3, d4)
     t1, t2 = partial_transpose_lows(co.b_cal, d1 + d4, co.g_low, co.h_low, x, y)
-    cells = np.empty(c.shape + (4,), dtype=object)
-    cells[..., 0], cells[..., 1] = c, -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
-    cells[..., 2], cells[..., 3] = _classify_arrays(co, x, y)
+    negativity = -np.minimum(np.minimum(t1, t2), 0.0) + 0.0
     tails = list(map(_cp_tail, ps, tops)) if kind == "cp" else [()] * n
-    return ps, tails, cells
+    return ps, tails, c, negativity, _classify_arrays(co, x, y)
 
 
 def diagram_data(kind: str, grid_n: int) -> list[tuple]:
@@ -323,29 +325,32 @@ def diagram_data(kind: str, grid_n: int) -> list[tuple]:
     floats and ints. grid_n is read as an integer (operator.index) of at
     least 2; anything else raises ValueError.
 
-    The rows are the grid pass's cells (_diagram_pass): those of
+    The rows are the grid pass's columns (_diagram_pass), its classes
+    read as ranks and kinds through _CLASS_PAIRS: those of
     classify_rank(from_density(minset_state(p, c))) and, to round-off,
     negativity_x(minset_state(p, c)), whose squares are libm pow, not products.
     """
-    ps, tails, cells = _diagram_pass(kind, grid_n)
-    return [(p, *cell, *tail) for p, tail, row in zip(ps, tails, cells.tolist()) for cell in row]
-
-
-def _cell(val) -> str:
-    return "" if val is None else f"{val:.12g}"
+    ps, tails, c, negativity, classes = _diagram_pass(kind, grid_n)
+    columns = zip(ps, tails, c.tolist(), negativity.tolist(), classes.tolist())
+    return [(p, ci, neg, *_CLASS_PAIRS[k], *tail) for p, tail, *row in columns
+            for ci, neg, k in zip(*row)]
 
 
 def diagram_csv(kind: str, grid_n: int) -> str:
     """CSV text for diagram_data: 12 significant digits, LF line endings.
 
-    Formatted from the grid pass (_diagram_pass) one purity at a time:
-    its n lines are one template, filled by one % from that purity's
-    cells, and the cells its rows share (p and the cp kind's u, v, q, r)
-    are written into the template once.
+    Formatted from the grid pass's columns (_diagram_pass) one purity at
+    a time: its n lines are one template, filled by one % from its c and
+    negativity floats and its classes' rank,kind text (_CLASS_TEXT),
+    interleaved in one list; the cells its rows share (p and the cp
+    kind's u, v, q, r) are written into the template once.
     """
-    ps, tails, cells = _diagram_pass(kind, grid_n)
+    ps, tails, c, negativity, classes = _diagram_pass(kind, grid_n)
     text = ["p,c,negativity,rank,kind" + (",u,v,q,r" if kind == "cp" else "") + "\n"]
-    for p, tail, row in zip(ps, tails, cells.reshape(len(ps), -1).tolist()):
-        line = _cell(p) + ",%.12g,%.12g,%d,%d" + "".join("," + _cell(val) for val in tail) + "\n"
-        text.append(line * len(ps) % tuple(row))
+    cells = [None] * (3 * len(ps))
+    for p, tail, cs, negs, ks in zip(ps, tails, c.tolist(), negativity.tolist(), classes.tolist()):
+        cells[::3], cells[1::3], cells[2::3] = cs, negs, [_CLASS_TEXT[k] for k in ks]
+        ends = "".join(["," if val is None else ",%.12g" % val for val in tail])
+        line = "%.12g" % p + ",%.12g,%.12g,%s" + ends + "\n"
+        text.append(line * len(ps) % tuple(cells))
     return "".join(text)

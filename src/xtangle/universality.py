@@ -496,11 +496,14 @@ def mems_from_spectrum(spectrum) -> np.ndarray:
     bit for bit.
 
     Raises ValueError naming a spectrum numpy cannot read as real numbers,
-    then for four values that are non-finite or out of scale, read as one
-    input by matrix_core._scale_problem, a Python int too large for a
-    float included.
+    a complex array included, then for four values that are non-finite or
+    out of scale, read as one input by matrix_core._scale_problem, a
+    Python int too large for a float included.
     """
     try:
+        if np.iscomplexobj(spectrum):
+            # the cast would drop the imaginary parts with only a ComplexWarning
+            raise TypeError
         vals = np.asarray(spectrum, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"spectrum {spectrum!r} is not an array of real numbers") from None

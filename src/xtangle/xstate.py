@@ -428,7 +428,6 @@ def char_poly(p: XParams) -> CharPolyCoeffs:
 # the classes of _rank_conditions' seven conditions in order, then the
 # class where none holds: the sorted pairs, most degenerate first
 _RANK_CLASSES = tuple(RankClass(*pair) for pair in sorted(RANK_KIND_PAIRS))
-_RANKS, _KINDS = np.array(sorted(RANK_KIND_PAIRS)).T
 
 
 def _rank_conditions(co: XCoeffs, x, y, tol: float) -> tuple:
@@ -469,10 +468,10 @@ def _rank_class(co: XCoeffs, x: float, y: float, tol: float) -> RankClass:
     return _RANK_CLASSES[-1]
 
 
-def _classify_arrays(co: XCoeffs, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, kind) integer arrays of X-states given elementwise by the
-    XCoeffs co of their diagonals and their weights x = |rho_14|^2 and
-    y = |rho_23|^2.
+def _classify_arrays(co: XCoeffs, x, y) -> np.ndarray:
+    """The classes of X-states given elementwise by the XCoeffs co of
+    their diagonals and their weights x = |rho_14|^2 and y = |rho_23|^2,
+    as an integer array of indices into _RANK_CLASSES.
 
     classify_rank's rule at DEFAULT_TOL on arrays of entries rather than
     on chart parameters. Raises UnphysicalError, as _physical_coeffs
@@ -486,7 +485,7 @@ def _classify_arrays(co: XCoeffs, x, y) -> tuple[np.ndarray, np.ndarray]:
     first = np.full(np.shape(held[0]), 7)
     for i in range(6, -1, -1):
         first[held[i]] = i
-    return _RANKS[first], _KINDS[first]
+    return first
 
 
 def is_separable(p: XParams) -> bool:

@@ -282,6 +282,10 @@ NON_NUMBERS = {
                                    "spectrum [1j, 0, 0, 0] is not an array of real numbers"),
     "mems_from_spectrum_object": (lambda: mems_from_spectrum([Ellipsis, 0, 0, 0]), ValueError,
                                   "spectrum [Ellipsis, 0, 0, 0] is not an array of real numbers"),
+    # a complex ndarray: numpy's cast dropped the imaginary parts with a ComplexWarning
+    "mems_from_spectrum_complex_array": (
+        lambda: mems_from_spectrum(np.array([0.4, 0.3, 0.2, 0.1 + 0j])), ValueError,
+        "spectrum array([0.4+0.j, 0.3+0.j, 0.2+0.j, 0.1+0.j]) is not an array of real numbers"),
 }
 
 
@@ -297,6 +301,21 @@ def test_an_array_of_one_value_raises_the_sites_error(name):
     inside = (lo if hi is None else 0.5 * (lo + hi)) if lo is not None else hi
     with pytest.raises(ValueError) as err:
         call(np.array([inside]))
+    assert type(err.value) is error
+
+
+@pytest.mark.parametrize("spell", [np.complex128, np.array], ids=["scalar", "0-d array"])
+@pytest.mark.parametrize("name", ARRAY_SITES)
+def test_a_complex_numpy_value_raises_the_sites_error(name, spell):
+    # numpy orders a complex value by its real part, so it passed the
+    # range comparison, and math dropped its imaginary part with only a
+    # ComplexWarning
+    call, lo, hi, error = SITES[name]
+    inside = (lo if hi is None else 0.5 * (lo + hi)) if lo is not None else hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call(spell(inside + 0.1j))
     assert type(err.value) is error
 
 

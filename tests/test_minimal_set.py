@@ -42,7 +42,7 @@ from xtangle import (
     trace_norm,
 )
 from xtangle.matrix_core import DEFAULT_TOL, ROUNDOFF, SOLVER_TOL
-from xtangle.xstate import _classify_arrays, _coeffs_of
+from xtangle.xstate import _RANK_CLASSES, _classify_arrays, _coeffs_of
 
 from reference_states import (
     BELL_PHI_PLUS,
@@ -372,8 +372,7 @@ def test_diagram_data_frozen(kind, grid_n, digest):
 def test_diagram_concurrences_are_linspace_rows(grid_n):
     # the pass lays out the grid in one product; each row must still be
     # the per-purity np.linspace, byte for byte
-    ps, _, cells = minimal_set._diagram_pass("negativity_purity", grid_n)
-    grid = np.array(cells[..., 0].tolist())
+    ps, _, grid, _, _ = minimal_set._diagram_pass("negativity_purity", grid_n)
     for p, row in zip(ps, grid):
         assert row.tobytes() == np.linspace(0.0, cp_boundary(p), grid_n).tobytes()
 
@@ -457,6 +456,31 @@ def test_diagram_csv_format():
     assert diagram_csv("cp", 3) == text
 
 
+def _naive_cell(v) -> str:
+    if v is None:
+        return ""
+    return "%d" % v if type(v) is int else "%.12g" % v
+
+
+def _naive_csv(kind, grid_n):
+    """diagram_data's rows written one cell at a time: %.12g floats, %d
+    ints, "" for None, joined by commas, LF line endings."""
+    lines = ["p,c,negativity,rank,kind" + (",u,v,q,r" if kind == "cp" else "")]
+    lines += [",".join(map(_naive_cell, row)) for row in diagram_data(kind, grid_n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", minimal_set.DIAGRAM_KINDS)
+@pytest.mark.parametrize("grid_n", [*range(2, 61), 101])
+def test_diagram_csv_writes_the_diagram_data_rows(kind, grid_n):
+    # the CSV against the rows it writes, without the sha256 pins; line by
+    # line, so that a failure reports its first line, not a diff of the texts
+    got, want = diagram_csv(kind, grid_n).split("\n"), _naive_csv(kind, grid_n).split("\n")
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        assert got_line == want_line
+
+
 def _scalar_route(grid_n):
     """(p, c, negativity, rank, kind) of every diagram cell, each member
     built as a matrix and measured through the public scalar routes."""
@@ -530,10 +554,10 @@ def test_classify_arrays_matches_classify_rank():
     # the diagram's array classification against the scalar route, one
     # member of each class and both sides of each band edge at once
     entries = np.array([m for m, _ in MEMBERS]).T
-    ranks, kinds = _classify_arrays(_coeffs_of(*entries[:4]), entries[4], entries[5])
-    for (member, want), rank, kind in zip(MEMBERS, ranks.tolist(), kinds.tolist()):
+    classes = _classify_arrays(_coeffs_of(*entries[:4]), entries[4], entries[5])
+    for (member, want), i in zip(MEMBERS, classes.tolist()):
         got = classify_rank(from_density(_x_state(*member)))
-        assert (got.rank, got.kind) == (rank, kind) == want, member
+        assert got == _RANK_CLASSES[i] and (got.rank, got.kind) == want, member
 
 
 def test_classify_arrays_rejects_unphysical():

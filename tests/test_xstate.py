@@ -36,7 +36,7 @@ from xtangle import (
     validate_params,
 )
 from xtangle.matrix_core import DEFAULT_TOL
-from xtangle.xstate import _classify_arrays, _rank_class
+from xtangle.xstate import _RANK_CLASSES, _classify_arrays, _rank_class
 
 from reference_states import BELL_PHI_PLUS, M30A, M40, MAX_MIXED, pure_outer
 
@@ -399,13 +399,15 @@ def test_rank_rule_on_every_test_combination():
         assert (rc.rank, rc.kind) == want, (co, x, y)
     cos, xs, ys = zip(*crafted)
     stacked = XCoeffs(*map(np.array, zip(*map(dataclasses.astuple, cos))))
-    ranks, kinds = _classify_arrays(stacked, np.array(xs), np.array(ys))
-    assert list(zip(ranks.tolist(), kinds.tolist())) == list(RANK_RULE_TABLE)
+    classes = _classify_arrays(stacked, np.array(xs), np.array(ys))
+    assert [(_RANK_CLASSES[i].rank, _RANK_CLASSES[i].kind)
+            for i in classes.tolist()] == list(RANK_RULE_TABLE)
 
 
-# an array of one value compared as that value and was taken as the tol
+# an array of one value compared as that value and was taken as the tol,
+# and a complex numpy value compared by its real part
 @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf, -np.inf, "1e-9", 1j,
-                                 np.array([1e-9])], ids=repr)
+                                 np.array([1e-9]), np.complex128(1e-9 + 1j)], ids=repr)
 @pytest.mark.parametrize("route", [
     lambda tol: classify_rank(from_density(minset_state(1.0, 0.6)), tol=tol),
     lambda tol: is_x_form(MAX_MIXED, tol=tol),
