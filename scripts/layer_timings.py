@@ -26,7 +26,10 @@ the edges 1/3, 5/9 and 1 among them; and diagram_csv (both kinds) and
 diagram_data ("cp") on the 20x20 grid, and diagram_csv("cp", 100), one
 input each; and each check of `xtangle sweep` (rows sweep_measures ...
 sweep_counterpart, the functions cli._CHECK_FNS runs) on 64 child seeds
-at the default tol, microseconds per seed; and the construction of two
+at the default tol, microseconds per seed, and the whole command, the
+five checks and the CLI's own share (row sweep_main: one in-process
+cli.main(["sweep", "--count", "1", "--seed", s, "all"]) for each of
+those seeds s, its output captured); and the construction of two
 records (rows record_xparams and record_counterpart_result) from the
 field values of the 64 entangled draws and of the 64 states' conversions
 (the two measures in turn). Prints one JSON object
@@ -41,7 +44,9 @@ under test through PYTHONPATH:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import time
@@ -138,10 +143,18 @@ def layers() -> dict:
         "diagram_data_cp": (xt.diagram_data, [("cp", GRID)]),
         "diagram_csv_cp_100": (xt.diagram_csv, [("cp", 100)]),
         **{f"sweep_{name}": (check, check_seeds) for name, check in cli._CHECK_FNS.items()},
+        "sweep_main": (sweep_main, [(["sweep", "--count", "1", "--seed", str(s), "all"],)
+                                    for s, _ in check_seeds]),
         "record_xparams": (xt.XParams, [field_values(p) for p in walks]),
         "record_counterpart_result": (xt.CounterpartResult,
                                       [field_values(r) for r in conversions]),
     }
+
+
+def sweep_main(argv: list) -> int:
+    """cli.main(argv) with its output captured."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
 
 
 def field_values(record) -> tuple:

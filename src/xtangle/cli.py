@@ -24,12 +24,13 @@ from .ensemble import RANK_KIND_TARGETS
 from .matrix_core import (
     DEFAULT_TOL,
     SOLVER_TOL,
-    _hermitian_read,
+    _entry_gate,
+    _hermitian_gate,
     _read_tol,
+    _scan,
     _sorted_eigh,
     _sorted_eigvals,
     density_spectrum,
-    hermitian_eig,
 )
 from .measures import (
     _concurrence_of,
@@ -41,6 +42,7 @@ from .measures import (
 )
 from .xstate import (
     _entangled_outer,
+    _off_x_worst,
     _physical_coeffs,
     _point_density,
     _point_entries,
@@ -300,17 +302,21 @@ def _check_counterpart(seed: int, tol: float) -> bool:
     for measure in universality.MEASURES:
         # the record holds rho's spectrum and measure from that solve (its
         # target is concurrence_general(rho) or negativity_general(rho) bit
-        # for bit), so only the output is solved afresh, after one gated
-        # read; a wrong record fails the check as a wrong output does
+        # for bit), so only the output is solved afresh; a wrong record
+        # fails the check as a wrong output does
         res = universality._counterpart(rho, spec, measure)
-        out = res.state
-        if not is_x_form(out, tol=tol):
+        # one read of the output serves is_x_form's verdict and the
+        # Hermitian routes' entry gate: hermitian_eig is
+        # _sorted_eigh(*_hermitian_read(a)), the same solve
+        m, e, why = _scan(res.state)
+        if why or not _off_x_worst(e) <= tol:
             return False
+        dev = _entry_gate(e)[0]
+        _hermitian_gate(dev)
         if measure == "concurrence":
-            solved = hermitian_eig(out)
+            solved = _sorted_eigh(m, dev)
             values, general = solved.values, _spectrum_concurrence(solved)
         else:
-            m, dev = _hermitian_read(out)
             values, general = _sorted_eigvals(m, dev), _pt_negativity(m)
         if float(np.abs(values - res.spectrum).max()) > tol:
             return False
@@ -335,12 +341,13 @@ def cmd_sweep(args) -> int:
     if unknown:
         raise UsageError(f"unknown check(s) {unknown}; pick from {SWEEP_CHECKS}")
     names = list(SWEEP_CHECKS) if "all" in args.checks else list(args.checks)
+    # each run's child seeds, derived once and shared by every check
+    seeds = [ensemble.child_seed(args.seed, i) for i in range(args.count)]
     failures = 0
     for name in names:
         fn = _CHECK_FNS[name]
         failed = 0
-        for i in range(args.count):
-            child = ensemble.child_seed(args.seed, i)
+        for child in seeds:
             try:
                 ok = fn(child, args.tol)
             except Exception as exc:
@@ -379,7 +386,16 @@ _count = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
 _grid = _checked(int, lambda v: v >= 2, "must be an integer >= 2")
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
+    """(the xtangle parser, {command: its parser}): the one parser tree
+    and the choices of its add_subparsers action, built on the first
+    main call of a process.
+
+    Building them takes a large share of a short command's run time, and
+    an argparse parser keeps no state between parse_args calls, so main
+    reuses them. Not built at import: importing the module stays cheap.
+    """
     parser = _Parser(prog="xtangle",
                      description="Two-qubit X-state measures and conversions")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -425,23 +441,18 @@ def build_parser() -> _Parser:
     add_tol(p)
     p.add_argument("checks", nargs="*", default=["all"], metavar="CHECK")
     p.set_defaults(fn=cmd_sweep)
-    return parser
-
-
-@functools.cache
-def _parser() -> _Parser:
-    """build_parser's parser, built on the first main call of a process.
-
-    Building one takes a large share of a short command's run time, and
-    an argparse parser keeps no state between parse_args calls, so main
-    reuses it. Not built at import: importing the module stays cheap.
-    """
-    return build_parser()
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser, commands = _parsers()
+        # a command word goes straight to its own parser, which reads the
+        # rest as the top-level parser would hand it on; anything else (no
+        # arguments, -h, --, an unknown word) is the top-level parser's
+        command = commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -100,8 +100,12 @@ class SplitMix64:
 
 def child_seed(seed: int, index: int) -> int:
     """Independent stream seed number `index` derived from `seed`: the
-    first output of the generator seeded at seed + index * golden."""
-    return SplitMix64(_read_int(seed, "seed") + _read_int(index, "index") * GOLDEN).next_u64()
+    first output of the generator seeded at seed + index * golden, mixed
+    here as next_u64 mixes it, without building the generator."""
+    z = (_read_int(seed, "seed") + (_read_int(index, "index") + 1) * GOLDEN) & MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return z ^ (z >> 31)
 
 
 # Word k of the stream seeded at s is the mix of its state after k steps,

@@ -22,6 +22,7 @@ from .matrix_core import (
     _PT_INDEX,
     _eigvalsh,
     _hermitian_read,
+    _numpy_non_real,
     _read,
     _read_edge,
     _svdvals,
@@ -159,7 +160,10 @@ def _concurrence_of(d1, d2, d3, d4, rho_14, rho_23) -> float:
 def binary_entropy(t: float) -> float:
     """-t log2 t - (1-t) log2 (1-t), with 0 log 0 = 0; ValueError for a t
     that is non-finite or a Python int too large for a float (NON_FINITE)
-    or not a real number (naming it)."""
+    or not a real number (naming it), a complex numpy value included,
+    which math.isfinite takes as its real part with a ComplexWarning."""
+    if type(t) is not float and _numpy_non_real(t):
+        raise ValueError(f"probability {t!r} is not a real number")
     try:
         if not math.isfinite(t):
             raise ValueError(NON_FINITE)

@@ -38,6 +38,7 @@ from .matrix_core import (
     ROUNDOFF,
     SOLVER_TOL,
     _hermitian_gate,
+    _numpy_non_real,
     _read,
     _read_edge,
     _read_tol,
@@ -134,22 +135,22 @@ def validate_params(p: XParams) -> None:
 def _finite_angles(*angles: float) -> None:
     """ValueError(NON_FINITE) unless every angle is finite; a Python int
     too large for a float, on which math.isfinite overflows, is not. An
-    angle that is not a real number (a str, None, a complex or an array),
-    which math.isfinite rejects with a TypeError, raises ValueError
-    naming it."""
-    try:
-        if all(map(math.isfinite, angles)):
-            return
-    except OverflowError:
-        pass
-    except TypeError:
-        # the angles before the first one math.isfinite rejects are finite
-        for a in angles:
-            try:
-                math.isfinite(a)
-            except TypeError:
-                raise ValueError(f"angle {a!r} is not a real number") from None
-    raise ValueError(NON_FINITE)
+    angle that is not a real number (a str, None, a complex or an array,
+    a complex numpy value included), which math.isfinite rejects with a
+    TypeError or takes as its real part with a ComplexWarning, raises
+    ValueError naming it. The first angle that fails decides; a Python
+    float skips the numpy test, as matrix_core._read_edge's does."""
+    for a in angles:
+        if type(a) is not float and _numpy_non_real(a):
+            raise ValueError(f"angle {a!r} is not a real number")
+        try:
+            if math.isfinite(a):
+                continue
+        except OverflowError:
+            pass
+        except TypeError:
+            raise ValueError(f"angle {a!r} is not a real number") from None
+        raise ValueError(NON_FINITE)
 
 
 def diagonal(p: XParams) -> tuple[float, float, float, float]:

@@ -341,7 +341,14 @@ def test_exit_usage(capsys):
     assert cli.main(["sweep", "nonsense", "--count", "2"]) == 1
     capsys.readouterr()
     assert cli.main(["bogus-command"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("usage error: argument command: invalid choice: ")
+    # no command, or "--" before it: the top-level parser's errors
+    assert cli.main([]) == 1
+    assert capsys.readouterr().err == "usage error: the following arguments are required: command\n"
+    assert cli.main(["--", "sweep", "--count", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument command: invalid choice: '--' ")
 
 
 def test_exit_parse(tmp_path, capsys):
@@ -428,6 +435,68 @@ def test_sweep_check_that_raises_fails_its_seed(monkeypatch, capsys):
 def test_help_exits_ok(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: xtangle")
+    assert cli.main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: xtangle [-h] ")
+    assert cli.main(["sweep", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: xtangle sweep [-h] ")
+
+
+# a valid argv for each command
+COMMAND_ARGVS = {
+    "measure": ["measure", "--in", "state.json", "--tol", "1e-6"],
+    "counterpart": ["counterpart", "--in", "state.json", "--out", "x.json",
+                    "--preserve", "negativity"],
+    "minset": ["minset", "--purity", "0.54", "--concurrence", "0.4", "--out", "m.json"],
+    "classify": ["classify", "--in", "state.json"],
+    "diagram": ["diagram", "--kind", "negativity_purity", "--grid", "5"],
+    "sweep": ["sweep", "--count", "3", "--seed", "9", "--tol", "1e-8", "measures", "classify"],
+}
+
+
+def test_main_parses_a_command_at_its_own_parser(monkeypatch):
+    # main hands a command's arguments to that command's parser, which
+    # gives the top-level parser's namespace without its command name
+    parser, commands = cli._parsers()
+    assert sorted(commands) == sorted(COMMAND_ARGVS)
+    parse, seen = cli._Parser.parse_args, []
+
+    def recorded(self, args=None, namespace=None):
+        ns = parse(self, args, namespace)
+        seen.append((self, dict(vars(ns))))
+        ns.fn = lambda args: cli.EXIT_OK
+        return ns
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    for name, argv in COMMAND_ARGVS.items():
+        seen.clear()
+        assert cli.main(argv) == 0
+        [(used, got)] = seen
+        assert used is commands[name]
+        want = vars(parse(parser, argv))
+        assert want.pop("command") == name
+        assert got == want
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["sweep", "-h"], ["measure", "--help"], ["-h", "sweep"],
+    ["bogus"], ["Sweep"], ["--", "sweep", "--count", "0"], ["sweep", "--", "--count"],
+    ["sweep", "--count", "-1"], ["sweep", "--count", "abc", "classify"], ["sweep", "-x"],
+    ["sweep", "--count", "1", "extra", "--bogus"], ["sweep", "nonsense"], ["measure"],
+    ["classify", "--in"], ["diagram", "--grid", "1"],
+    ["sweep", "--count", "2", "--seed", "3", "all"], ["sweep", "--c", "1", "--seed=-4"],
+], ids=" ".join)
+def test_main_answers_as_the_top_level_parser(monkeypatch, capsys, argv):
+    # the same stdout, stderr and exit code as with every argv parsed at
+    # the top-level parser, which serves help and errors
+    def outcome():
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = outcome()
+    parser = cli._parsers()[0]
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    assert got == outcome()
 
 
 def test_file_not_found(capsys):

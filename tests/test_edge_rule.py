@@ -226,6 +226,24 @@ NON_NUMBERS = {
                         "angle 'a' is not a real number"),
     "binary_entropy_str": (lambda: binary_entropy("a"), ValueError,
                            "probability 'a' is not a real number"),
+    # a complex numpy value: math took its real part with only a ComplexWarning
+    "x_unitary_complex_scalar": (lambda: x_unitary(np.complex128(0.3 + 0.1j)), ValueError,
+                                 "angle np.complex128(0.3+0.1j) is not a real number"),
+    "x_unitary_complex_0d_array": (lambda: x_unitary(0.1, np.array(0.3 + 0.1j)), ValueError,
+                                   "angle array(0.3+0.1j) is not a real number"),
+    "to_density_angle_complex_scalar": (
+        lambda: to_density(XParams(np.complex128(0.3 + 0.1j), 0.3, 0.3, 0.0, 0.0)), ValueError,
+        "angle np.complex128(0.3+0.1j) is not a real number"),
+    "diagonal_phase_complex_0d_array": (
+        lambda: diagonal(XParams(0.1, 0.1, 0.1, 0.0, 0.0, np.array(1.0 + 0.1j))), ValueError,
+        "angle array(1.+0.1j) is not a real number"),
+    "conjugate_x_complex_scalar": (lambda: conjugate_x(WALK, 0.1, np.complex128(0.2j)),
+                                   ValueError, "angle np.complex128(0.2j) is not a real number"),
+    "binary_entropy_complex_scalar": (lambda: binary_entropy(np.complex128(0.3 + 0.1j)),
+                                      ValueError,
+                                      "probability np.complex128(0.3+0.1j) is not a real number"),
+    "binary_entropy_complex_0d_array": (lambda: binary_entropy(np.array(0.3 + 0.1j)), ValueError,
+                                        "probability array(0.3+0.1j) is not a real number"),
     # as_matrix: numpy's malformed-string ValueError, or a bare TypeError
     "eof_str": (lambda: eof("a"), ValueError, "matrix 'a' is not an array of numbers"),
     "eof_str_entries": (lambda: eof([["a"] * 4] * 4), ValueError,

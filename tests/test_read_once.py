@@ -301,17 +301,17 @@ def test_sweep_counterpart_spectrum_residual_moves_by_round_off_only(monkeypatch
     # records, the negativity side and both measures are the oracle's bit
     # for bit (see test_sweep_checks_give_the_oracles_verdicts at 1e-30)
     solved, records = [], []
-    eig, convert = cli.hermitian_eig, universality._counterpart
+    eig, convert = cli._sorted_eigh, universality._counterpart
 
-    def recorded_eig(m):
-        solved.append((m, eig(m)))
+    def recorded_eig(m, deviation):
+        solved.append((m, eig(m, deviation)))
         return solved[-1][1]
 
     def recorded_convert(rho, spec, measure):
         records.append(convert(rho, spec, measure))
         return records[-1]
 
-    monkeypatch.setattr(cli, "hermitian_eig", recorded_eig)
+    monkeypatch.setattr(cli, "_sorted_eigh", recorded_eig)
     monkeypatch.setattr(universality, "_counterpart", recorded_convert)
     for seed in VERDICT_SEEDS[:200]:
         assert cli._check_counterpart(seed, DEFAULT_TOL)
@@ -328,8 +328,8 @@ def test_sweep_counterpart_spectrum_residual_moves_by_round_off_only(monkeypatch
 # is read once through the chart (xstate._physical_coeffs), and an X matrix
 # the check wrote (xstate._x_matrix) is neither read nor gated again: its
 # Hermitian deviation is exactly 0.0, so the general solves take it as
-# written. The conversion's output is gated once, through hermitian_eig
-# (concurrence) or one _hermitian_read (negativity). The conservation
+# written. The conversion's output is read once (matrix_core._scan), and
+# that read serves its X-form verdict and its entry gate. The conservation
 # check's rotated point and the disentangle check's walk are read through
 # the public chart routes.
 SWEEP_READS = ("_scale_problem", "_entry_gate", "_physical_coeffs", "_x_entries")
@@ -339,8 +339,8 @@ SWEEP_COUNTS = {
     "conservation": {"_scale_problem": 1, "_physical_coeffs": 3, "_x_entries": 1},
     "disentangle": {"_physical_coeffs": 3, "eigvalsh": 1},
     # rho's density check and one solve serve both conversions; each output
-    # is scanned by is_x_form, then read and solved once
-    "counterpart": {"_scale_problem": 5, "_entry_gate": 3, "eigh": 2, "svd": 2, "eigvalsh": 3},
+    # is read once, for its X form and its entry gate, and solved once
+    "counterpart": {"_scale_problem": 3, "_entry_gate": 3, "eigh": 2, "svd": 2, "eigvalsh": 3},
 }
 
 
@@ -356,3 +356,18 @@ def test_sweep_reads_and_solves_per_seed(monkeypatch, solver_calls, capsys, chec
         for key, n in SWEEP_COUNTS[name].items():
             want[key] = want.get(key, 0) + n
     assert counted == want
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("check", ["all", "classify"])
+def test_sweep_derives_each_child_seed_once(monkeypatch, capsys, check, count):
+    # one child seed per state, shared by every check the run makes
+    derived = []
+
+    def counted(seed, index):
+        derived.append((seed, index))
+        return child_seed(seed, index)
+
+    monkeypatch.setattr(ensemble, "child_seed", counted)
+    assert cli.main(["sweep", "--count", str(count), "--seed", "5", check]) == 0
+    assert derived == [(5, i) for i in range(count)]
