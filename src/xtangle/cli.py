@@ -272,9 +272,10 @@ def _check_classify(seed: int, tol: float) -> bool:
 
 
 def _check_conservation(seed: int, tol: float) -> bool:
-    rng = ensemble.SplitMix64(seed)
-    p = ensemble.random_xparams(rng.next_u64(), "any")
-    angles = [rng.uniform(0.0, 2.0 * np.pi) for _ in range(4)]
+    # the stream's first word seeds the draw and its next four uniforms,
+    # read as one block, are the angles: uniform(0.0, 2 pi) four times
+    p = ensemble.random_xparams(ensemble.SplitMix64(seed).next_u64(), "any")
+    angles = [2.0 * np.pi * u for u in ensemble._uniforms(seed + ensemble.GOLDEN, 4)]
     q = universality.conjugate_x(p, *angles)
     a, _, _, rho = _point_density(p)
     b = coeffs(q)
@@ -318,9 +319,9 @@ def _check_counterpart(seed: int, tol: float) -> bool:
             values, general = solved.values, _spectrum_concurrence(solved)
         else:
             values, general = _sorted_eigvals(m, dev), _pt_negativity(m)
-        if float(np.abs(values - res.spectrum).max()) > tol:
-            return False
-        if abs(general - res.target) > tol:
+        # a NaN residual fails: it is not <= tol
+        if not (float(np.abs(values - res.spectrum).max()) <= tol
+                and abs(general - res.target) <= tol):
             return False
     return True
 

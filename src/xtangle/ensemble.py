@@ -15,6 +15,10 @@ sweep reproduces the draw on any platform:
     (seed + (index + 1) * golden) modulo 2^64.
   * Complex Gaussian matrices are filled row-major, real part before
     imaginary part, each a unit normal.
+  * random_xparams draws read seven uniforms, as one block (_uniforms):
+    free draws theta, phi, psi, mu, nu, x, y; pinned draws mu, nu,
+    theta, phi, psi and two fractions. Try t of an entangled draw reads
+    words 7 t + 1 .. 7 t + 7.
 
 A seed (and child_seed's index) is read once, through operator.index,
 so a bool or a numpy integer reads as its int, taken modulo 2^64; any
@@ -28,7 +32,7 @@ import operator
 
 import numpy as np
 
-from .matrix_core import _qr
+from .matrix_core import _qr, _read_edge
 from .xstate import RANK_KIND_PAIRS, TWO_PI, XParams, _coeffs_of, _diagonal_of, _entangled_outer
 
 __all__ = ["ConstraintInfeasibleError", "SplitMix64", "child_seed", "random_density",
@@ -45,11 +49,15 @@ _HALF_PI = 0.5 * math.pi
 # keep pinned draws away from the classifier tolerance: on this box
 # g_cal >= 2.4e-7 and h_cal >= 1.08e-5, so every classify_rank condition a
 # pinned draw must fail misses its DEFAULT_TOL band by >= 12 DEFAULT_TOL
-# (least for classes (3, 2) and (4, 1), where g_cal - y = 0.05 g_cal)
+# (least for classes (3, 2) and (4, 1), where g_cal - y = 0.05 g_cal).
+# Interior angles are drawn on [0.15, pi/2 - 0.15], fractions on
+# [0.05, 0.95], each as lo + span u.
 _ANGLE_LO = 0.15
-_ANGLE_HI = _HALF_PI - 0.15
+_ANGLE_SPAN = (_HALF_PI - 0.15) - _ANGLE_LO
 _FRACTION_LO = 0.05
-_FRACTION_HI = 0.95
+_FRACTION_SPAN = 0.95 - _FRACTION_LO
+# the finite floats, the range of a bound of SplitMix64.uniform
+_FINITE = (-float(np.finfo(float).max), float(np.finfo(float).max))
 
 # draws random_xparams makes before declaring a constraint infeasible
 MAX_TRIES = 10_000
@@ -68,6 +76,13 @@ def _read_int(value, name: str) -> int:
         raise TypeError(f"{name} {value!r} is not an integer") from None
 
 
+def _mix(z: int) -> int:
+    """The output mix of the stream state z (0 <= z < 2^64)."""
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Deterministic 64-bit generator; see the module docstring."""
 
@@ -77,12 +92,14 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
+        return _mix(self._state)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        """lo + (hi - lo) u for the next word's u in [0, 1); hi < lo is
+        allowed. A bound that is not a finite real number (NaN, an
+        infinity, a complex, an array, a str) raises ValueError naming it."""
+        lo = _read_edge(lo, *_FINITE, ValueError, "lo={value!r} is not a finite real number")
+        hi = _read_edge(hi, *_FINITE, ValueError, "hi={value!r} is not a finite real number")
         return lo + (hi - lo) * ((self.next_u64() >> 11) * _ULP53)
 
     def normal(self) -> float:
@@ -102,10 +119,21 @@ def child_seed(seed: int, index: int) -> int:
     """Independent stream seed number `index` derived from `seed`: the
     first output of the generator seeded at seed + index * golden, mixed
     here as next_u64 mixes it, without building the generator."""
-    z = (_read_int(seed, "seed") + (_read_int(index, "index") + 1) * GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
+    return _mix((_read_int(seed, "seed") + (_read_int(index, "index") + 1) * GOLDEN) & MASK64)
+
+
+def _uniforms(state: int, k: int) -> list[float]:
+    """The next k uniforms in [0, 1) of the stream at state `state` (a
+    Python int, read modulo 2^64): SplitMix64(state).uniform() k times,
+    bit for bit, with the output mix inlined in one loop on the bare
+    state and no generator built."""
+    out = []
+    for _ in range(k):
+        state = (state + GOLDEN) & MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        out.append(((z ^ (z >> 31)) >> 11) * _ULP53)
+    return out
 
 
 # Word k of the stream seeded at s is the mix of its state after k steps,
@@ -171,53 +199,47 @@ def random_density(seed: int, measure_kind: str = "hilbert_schmidt") -> np.ndarr
     return rho / ((e00 + e11) + (e22 + e33) + 0j).real
 
 
-def _draw_angles(rng: SplitMix64, interior: bool) -> tuple[float, float, float]:
-    lo, hi = (_ANGLE_LO, _ANGLE_HI) if interior else (0.0, _HALF_PI)
-    return rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)
+# the values a pinned draw's chart reads: its three interior angles and
+# two fractions, drawn, and the pins
+_PIN_READS = ("theta", "phi", "psi", "frac", "frac2", "pi/2", "0", "1")
+# (rank, kind) -> the reads of its theta, phi and psi and of the factors
+# taking x from h_cal and y from g_cal
+_PINNED_DRAWS = {pair: operator.itemgetter(*map(_PIN_READS.index, row.split())) for pair, row in {
+    (1, 1): "theta pi/2 pi/2 1 0",
+    (1, 2): "pi/2 phi 0 0 1",
+    (2, 1): "theta pi/2 pi/2 frac 0",
+    (2, 2): "pi/2 phi 0 0 frac",
+    (2, 3): "theta phi psi 1 1",
+    (3, 1): "theta phi psi frac 1",
+    (3, 2): "theta phi psi 1 frac",
+    (4, 1): "theta phi psi frac frac2",
+}.items()}
 
 
-# (rank, kind) -> the (theta, phi, psi) pins (None keeps the drawn angle)
-# and the factors taking x from h_cal and y from g_cal: a number, or the
-# name of a drawn fraction
-_PINNED_DRAWS = {
-    (1, 1): ((None, _HALF_PI, _HALF_PI), 1.0, 0.0),
-    (1, 2): ((_HALF_PI, None, 0.0), 0.0, 1.0),
-    (2, 1): ((None, _HALF_PI, _HALF_PI), "frac", 0.0),
-    (2, 2): ((_HALF_PI, None, 0.0), 0.0, "frac"),
-    (2, 3): ((None, None, None), 1.0, 1.0),
-    (3, 1): ((None, None, None), "frac", 1.0),
-    (3, 2): ((None, None, None), 1.0, "frac"),
-    (4, 1): ((None, None, None), "frac", "frac2"),
-}
-
-
-def _pinned_draw(rng: SplitMix64, rank: int, kind: int) -> XParams:
-    """A draw built in the class (rank, kind): its pins set x or y to exactly
+def _pinned_draw(u: list[float], rank: int, kind: int) -> XParams:
+    """The draw in the class (rank, kind) of the seven uniforms u, read as
+    mu, nu, theta, phi, psi, frac, frac2: its pins set x or y to exactly
     0 or their tops and b_cal or c_cal to exactly 0, and the margin of
     _ANGLE_LO's box keeps every other classify_rank condition from holding."""
-    mu = rng.uniform(0.0, TWO_PI)
-    nu = rng.uniform(0.0, TWO_PI)
-    drawn = _draw_angles(rng, interior=True)
-    fractions = {"frac": rng.uniform(_FRACTION_LO, _FRACTION_HI),
-                 "frac2": rng.uniform(_FRACTION_LO, _FRACTION_HI)}
-    pins, x_factor, y_factor = _PINNED_DRAWS[rank, kind]
-    theta, phi, psi = (a if pin is None else pin for a, pin in zip(drawn, pins))
+    mu, nu, theta, phi, psi, frac, frac2 = u
+    theta, phi, psi, x_factor, y_factor = _PINNED_DRAWS[rank, kind]((
+        _ANGLE_LO + _ANGLE_SPAN * theta, _ANGLE_LO + _ANGLE_SPAN * phi,
+        _ANGLE_LO + _ANGLE_SPAN * psi, _FRACTION_LO + _FRACTION_SPAN * frac,
+        _FRACTION_LO + _FRACTION_SPAN * frac2, _HALF_PI, 0.0, 1.0))
     cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
-    return XParams(theta, phi, psi,
-                   fractions.get(x_factor, x_factor) * cf.h_cal,
-                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu)
+    return XParams(theta, phi, psi, x_factor * cf.h_cal, y_factor * cf.g_cal,
+                   TWO_PI * mu, TWO_PI * nu)
 
 
-def _free_draw(rng: SplitMix64, separable: bool) -> tuple:
-    """(XParams, the XCoeffs of its diagonal) of a draw over the whole chart.
+def _free_draw(u: list[float], separable: bool) -> tuple:
+    """(XParams, the XCoeffs of its diagonal) of the draw over the whole
+    chart of the seven uniforms u, read as theta, phi, psi, mu, nu, x, y.
     separable caps both weights below min(g_cal, h_cal), so both partial-
     transpose lows are >= 0, as g_low^2 + 4 g_cal = b_cal^2 (and for h)."""
-    theta, phi, psi = _draw_angles(rng, interior=False)
-    mu = rng.uniform(0.0, TWO_PI)
-    nu = rng.uniform(0.0, TWO_PI)
+    theta, phi, psi = _HALF_PI * u[0], _HALF_PI * u[1], _HALF_PI * u[2]
     cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
     x_cap, y_cap = (min(cf.g_cal, cf.h_cal),) * 2 if separable else (cf.h_cal, cf.g_cal)
-    return XParams(theta, phi, psi, rng.uniform(0.0, x_cap), rng.uniform(0.0, y_cap), mu, nu), cf
+    return XParams(theta, phi, psi, x_cap * u[5], y_cap * u[6], TWO_PI * u[3], TWO_PI * u[4]), cf
 
 
 # every "rank_R_kind_K" constraint random_xparams reads, R in 1..4, K in 1..3
@@ -237,12 +259,13 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
     tries it is declared infeasible. Any other constraint raises
     ValueError naming it.
     """
-    rng = SplitMix64(seed)
+    state = _read_int(seed, "seed")
     if constraint in ("any", "separable"):
-        return _free_draw(rng, constraint == "separable")[0]
+        return _free_draw(_uniforms(state, 7), constraint == "separable")[0]
     if constraint == "entangled":
-        for _ in range(MAX_TRIES):
-            p, cf = _free_draw(rng, False)
+        # try t reads words 7 t + 1 .. 7 t + 7 of the stream
+        for t in range(MAX_TRIES):
+            p, cf = _free_draw(_uniforms(state + 7 * t * GOLDEN, 7), False)
             if _entangled_outer(cf, p.x, p.y) is not None:
                 return p
         raise ConstraintInfeasibleError(
@@ -255,7 +278,7 @@ def random_xparams(seed: int, constraint: str = "any") -> XParams:
         raise ValueError(f"unknown constraint {constraint!r}") from None
     if want not in RANK_KIND_PAIRS:
         raise ConstraintInfeasibleError(f"no X-state has rank {want[0]} with kind {want[1]}")
-    return _pinned_draw(rng, *want)
+    return _pinned_draw(_uniforms(state, 7), *want)
 
 
 def random_unitary(seed: int) -> np.ndarray:

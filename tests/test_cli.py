@@ -246,6 +246,21 @@ def test_sweep_counterpart_fails_on_a_faulty_record(monkeypatch, capsys, fault):
     assert capsys.readouterr().out.splitlines() == [f"FAIL counterpart seed={seed}", "1 failure(s)"]
 
 
+@pytest.mark.parametrize("fault", [
+    lambda res: dataclasses.replace(res, spectrum=res.spectrum * np.nan),
+    lambda res: dataclasses.replace(res, target=float("nan")),
+], ids=["nan_spectrum", "nan_target"])
+def test_sweep_counterpart_fails_on_a_nan_record(monkeypatch, capsys, fault):
+    # a NaN residual is not within tol: compared as "> tol" it passed
+    convert = cli.universality._counterpart
+    monkeypatch.setattr(cli.universality, "_counterpart",
+                        lambda rho, spec, measure: fault(convert(rho, spec, measure)))
+    assert cli.main(["sweep", "--count", "3", "--seed", "3", "counterpart"]) == 4
+    seeds = [cli.ensemble.child_seed(3, i) for i in range(3)]
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"FAIL counterpart seed={seed}" for seed in seeds), "3 failure(s)"]
+
+
 def test_rank_kind_targets_order():
     # the classify check picks RANK_KIND_TARGETS[seed % 8]
     assert cli.RANK_KIND_TARGETS == (

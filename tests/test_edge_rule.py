@@ -15,6 +15,7 @@ from xtangle import (
     DomainError,
     OutOfDiagramError,
     OutOfRegimeError,
+    SplitMix64,
     TargetOutOfRangeError,
     XParams,
     binary_entropy,
@@ -250,6 +251,27 @@ NON_NUMBERS = {
                         f"matrix {[['a'] * 4] * 4!r} is not an array of numbers"),
     "eof_object_entry": (lambda: eof([[Ellipsis] * 4] * 4), ValueError,
                          f"matrix {[[Ellipsis] * 4] * 4!r} is not an array of numbers"),
+    # SplitMix64.uniform's bounds: it returned NaN, inf, a complex or an
+    # array, and raised a bare TypeError for a str
+    "uniform_lo_nan": (lambda: SplitMix64(0).uniform(NAN, 1.0), ValueError,
+                       "lo=nan is not a finite real number"),
+    "uniform_hi_inf": (lambda: SplitMix64(0).uniform(0.0, np.inf), ValueError,
+                       "hi=inf is not a finite real number"),
+    "uniform_lo_minus_inf": (lambda: SplitMix64(0).uniform(-np.inf), ValueError,
+                             "lo=-inf is not a finite real number"),
+    "uniform_hi_complex": (lambda: SplitMix64(0).uniform(0.0, 1j), ValueError,
+                           "hi=1j is not a finite real number"),
+    "uniform_hi_complex_scalar": (lambda: SplitMix64(0).uniform(0.0, np.complex128(1 + 1j)),
+                                  ValueError,
+                                  "hi=np.complex128(1+1j) is not a finite real number"),
+    "uniform_lo_array": (lambda: SplitMix64(0).uniform(np.array([0.0, 1.0]), 2.0), ValueError,
+                         "lo=array([0., 1.]) is not a finite real number"),
+    "uniform_hi_one_element_array": (lambda: SplitMix64(0).uniform(0.0, np.array([0.5])),
+                                     ValueError, "hi=array([0.5]) is not a finite real number"),
+    "uniform_lo_str": (lambda: SplitMix64(0).uniform("a", 1.0), ValueError,
+                       "lo='a' is not a finite real number"),
+    "uniform_hi_float64_nan": (lambda: SplitMix64(0).uniform(0.0, np.float64(NAN)), ValueError,
+                               "hi=np.float64(nan) is not a finite real number"),
     # a Python int too large for a float: a bare OverflowError from
     # as_matrix's np.asarray or from math.isfinite
     "eof_huge_int": (lambda: eof([[10**400] * 4] * 4), ValueError, OUT_OF_SCALE),
@@ -259,6 +281,8 @@ NON_NUMBERS = {
     "to_density_huge_int": (lambda: to_density(XParams(10**400, 0, 0, 0, 0)), ValueError,
                             NON_FINITE),
     "binary_entropy_huge_int": (lambda: binary_entropy(10**400), ValueError, NON_FINITE),
+    "uniform_hi_huge_int": (lambda: SplitMix64(0).uniform(0.0, 2**1024), ValueError,
+                            f"hi={2**1024!r} is not a finite real number"),
     # an unhashable name: a bare TypeError from the dict lookup
     "random_density_list": (lambda: random_density(1, ["x"]), ValueError,
                             "unknown ensemble kind ['x']"),

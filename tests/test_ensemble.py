@@ -81,6 +81,20 @@ def test_splitmix_uniform_range():
         assert 2.0 <= v < 5.0
 
 
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (5.0, 2.0), (1.0, 1.0), (0, 1), (True, 3), (np.float64(-1.5), np.int64(2)),
+    (-FLOAT_MAX, 0.0), (FLOAT_MAX, FLOAT_MAX),
+])
+def test_splitmix_uniform_reads_finite_real_bounds(lo, hi):
+    # hi < lo, ints, bools, real numpy values and the largest floats are
+    # bounds: the value is lo + (hi - lo) u of the stream's next uniform
+    u = SplitMix64(9).uniform()
+    assert repr(SplitMix64(9).uniform(lo, hi)) == repr(lo + (hi - lo) * u)
+
+
 def test_child_seed_frozen():
     assert child_seed(42, 0) == 13679457532755275413
     assert child_seed(42, 1) == 2949826092126892291
@@ -155,25 +169,14 @@ def test_random_xparams_gives_up_after_max_tries(monkeypatch):
         random_xparams(5, "entangled")
 
 
-class _EndsRng:
-    """A stand-in for SplitMix64 whose uniform(lo, hi) returns lo or hi,
-    one call after another as ends gives them (False for lo)."""
-
-    def __init__(self, ends):
-        self._ends = iter(ends)
-
-    def uniform(self, lo=0.0, hi=1.0):
-        return hi if next(self._ends) else lo
-
-
 @pytest.mark.parametrize("rank, kind", RANK_KINDS)
 def test_pinned_draw_is_in_its_class_at_every_corner(rank, kind):
     # _pinned_draw's seven uniforms are mu, nu, the three interior angles
     # and the two fractions: every corner of the angle box (the pins kept)
     # with every fraction end, where g_cal and h_cal reach their lows.
     # The class must hold at ten times classify_rank's default tolerance.
-    for ends in itertools.product((False, True), repeat=7):
-        p = _pinned_draw(_EndsRng(ends), rank, kind)
+    for ends in itertools.product((0.0, 1.0), repeat=7):
+        p = _pinned_draw(list(ends), rank, kind)
         assert classify_rank(p, tol=10 * DEFAULT_TOL) == RankClass(rank, kind), ends
 
 

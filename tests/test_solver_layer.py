@@ -315,6 +315,52 @@ def test_the_package_spells_products_and_records_one_way():
         assert spelling_uses(path.read_text(encoding="utf-8")) == [], path.name
 
 
+# the output mix's first multiplier, by the names ensemble binds it to
+# (_M1 is its numpy block) and as a literal
+MIX_NAMES = {"_MIX1", "_M1"}
+MIX1 = 0xBF58476D1CE4E5B9
+
+
+def mix_spellings(source):
+    """The names of the functions that apply the SplitMix64 output mix:
+    those reading _MIX1 or _M1, or spelling its first multiplier."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Name) and inner.id in MIX_NAMES
+                        or isinstance(inner, ast.Constant) and inner.value == MIX1):
+                    found.add(getattr(node, "name", "<lambda>"))
+    return sorted(found)
+
+
+def test_the_package_spells_the_output_mix_three_times():
+    # next_u64 and child_seed share the scalar _mix, the chart draws'
+    # block loop inlines it and _ginibre mixes its words in numpy
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) >= 8
+    spellings = [(path.name, name) for path in sources
+                 for name in mix_spellings(path.read_text(encoding="utf-8"))]
+    assert spellings == [("ensemble.py", "_ginibre"), ("ensemble.py", "_mix"),
+                         ("ensemble.py", "_uniforms")]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(z):\n    return ((z ^ (z >> 30)) * _MIX1) & MASK64", ["f"]),
+    ("class G:\n    def next_u64(self):\n        z = self.s\n        return z * _M1", ["next_u64"]),
+    ("def f(z):\n    return z * 0xBF58476D1CE4E5B9", ["f"]),
+    ("mix = lambda z: z * _MIX1", ["<lambda>"]),
+    ("def outer(z):\n    def inner(w):\n        return w * _MIX1\n    return inner(z)",
+     ["inner", "outer"]),
+    # a call of the shared helper, the second multiplier and a read at
+    # module level are not spellings
+    ("def f(z):\n    return _mix(z)\ndef g(z):\n    return z * _MIX2\n"
+     "_M1 = np.full(32, _MIX1)", []),
+])
+def test_the_mix_guard_sees_each_spelling(source, found):
+    assert mix_spellings(source) == found
+
+
 def caught_args_reads(source):
     """(line, name) of each read of a caught exception's .args: a handler
     that tells its errors apart by their messages, where the package's

@@ -9,6 +9,9 @@
   deviation of exactly 0.0 and reads back as the entries it was written
   from, so a sweep check may solve it as written and measure those
   entries unread.
+- random_xparams reads each draw's seven uniforms as one block
+  (ensemble._uniforms) and builds the chart point from them; the per-word
+  SplitMix64.uniform draws it replaced are kept here as the oracle.
 """
 
 import math
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from xtangle import (
+    SplitMix64,
     XParams,
     child_seed,
     concurrence_general,
@@ -31,7 +35,7 @@ from xtangle import (
     to_density,
     universality,
 )
-from xtangle.ensemble import RANK_KIND_TARGETS
+from xtangle.ensemble import GOLDEN, MAX_TRIES, RANK_KIND_TARGETS, _read_int, _uniforms
 from xtangle.matrix_core import (
     DEFAULT_TOL,
     ROUNDOFF,
@@ -43,7 +47,15 @@ from xtangle.matrix_core import (
     _sorted_eigvals,
 )
 from xtangle.measures import _spectrum_concurrence
-from xtangle.xstate import _physical_coeffs, _point_entries, _x_entries, _x_matrix
+from xtangle.xstate import (
+    _coeffs_of,
+    _diagonal_of,
+    _entangled_outer,
+    _physical_coeffs,
+    _point_entries,
+    _x_entries,
+    _x_matrix,
+)
 
 CONSTRAINTS = ("any", "entangled", "separable", *RANK_KIND_TARGETS)
 KINDS = ("hilbert_schmidt", "rank_3", "rank_2", "pure_haar")
@@ -189,3 +201,102 @@ def test_written_x_matrix_solved_as_written_is_the_general_route():
         rho = _x_matrix(*e)
         assert _spectrum_concurrence(_sorted_eigh(rho, 0.0)) == concurrence_general(rho)
         assert _sorted_eigvals(rho, 0.0).tobytes() == hermitian_eigvals(rho).tobytes()
+
+
+# ---- the chart draws' block of seven words ------------------------------------
+
+_HALF_PI = 0.5 * math.pi
+_ANGLE_LO, _ANGLE_HI = 0.15, _HALF_PI - 0.15
+_FRACTION_LO, _FRACTION_HI = 0.05, 0.95
+
+
+def _draw_angles(rng, interior):
+    lo, hi = (_ANGLE_LO, _ANGLE_HI) if interior else (0.0, _HALF_PI)
+    return rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi)
+
+
+# (rank, kind) -> the (theta, phi, psi) pins (None keeps the drawn angle)
+# and the factors taking x from h_cal and y from g_cal: a number, or the
+# name of a drawn fraction
+_PINNED_DRAWS = {
+    (1, 1): ((None, _HALF_PI, _HALF_PI), 1.0, 0.0),
+    (1, 2): ((_HALF_PI, None, 0.0), 0.0, 1.0),
+    (2, 1): ((None, _HALF_PI, _HALF_PI), "frac", 0.0),
+    (2, 2): ((_HALF_PI, None, 0.0), 0.0, "frac"),
+    (2, 3): ((None, None, None), 1.0, 1.0),
+    (3, 1): ((None, None, None), "frac", 1.0),
+    (3, 2): ((None, None, None), 1.0, "frac"),
+    (4, 1): ((None, None, None), "frac", "frac2"),
+}
+
+
+def _pinned_draw(rng, rank, kind):
+    mu = rng.uniform(0.0, TWO_PI)
+    nu = rng.uniform(0.0, TWO_PI)
+    drawn = _draw_angles(rng, interior=True)
+    fractions = {"frac": rng.uniform(_FRACTION_LO, _FRACTION_HI),
+                 "frac2": rng.uniform(_FRACTION_LO, _FRACTION_HI)}
+    pins, x_factor, y_factor = _PINNED_DRAWS[rank, kind]
+    theta, phi, psi = (a if pin is None else pin for a, pin in zip(drawn, pins))
+    cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
+    return XParams(theta, phi, psi,
+                   fractions.get(x_factor, x_factor) * cf.h_cal,
+                   fractions.get(y_factor, y_factor) * cf.g_cal, mu, nu)
+
+
+def _free_draw(rng, separable):
+    theta, phi, psi = _draw_angles(rng, interior=False)
+    mu = rng.uniform(0.0, TWO_PI)
+    nu = rng.uniform(0.0, TWO_PI)
+    cf = _coeffs_of(*_diagonal_of(theta, phi, psi))
+    x_cap, y_cap = (min(cf.g_cal, cf.h_cal),) * 2 if separable else (cf.h_cal, cf.g_cal)
+    return XParams(theta, phi, psi, rng.uniform(0.0, x_cap), rng.uniform(0.0, y_cap), mu, nu), cf
+
+
+def _per_word_xparams(seed, constraint):
+    """random_xparams(seed, constraint) drawn one SplitMix64.uniform call
+    at a time, its draws as they were written before the block reader."""
+    rng = SplitMix64(seed)
+    if constraint in ("any", "separable"):
+        return _free_draw(rng, constraint == "separable")[0]
+    if constraint == "entangled":
+        for _ in range(MAX_TRIES):
+            p, cf = _free_draw(rng, False)
+            if _entangled_outer(cf, p.x, p.y) is not None:
+                return p
+        raise AssertionError(f"no entangled draw for seed {seed}")
+    rank, kind = map(int, constraint.split("_")[1::2])
+    return _pinned_draw(rng, rank, kind)
+
+
+def test_block_draws_are_the_per_word_draws():
+    # 20,000 child seeds x the eleven constraints, compared by the repr of
+    # the record, which is that of every field; an entangled draw's
+    # retries read the blocks that follow, as the per-word stream did
+    for i in range(20_000):
+        seed = child_seed(44, i)
+        for constraint in CONSTRAINTS:
+            got, want = random_xparams(seed, constraint), _per_word_xparams(seed, constraint)
+            assert repr(got) == repr(want), (seed, constraint)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 33])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -3, True, np.uint64(5)],
+                         ids=["0", "1", "2^64-1", "-3", "True", "uint64_5"])
+def test_block_reader_is_the_uniform_stream(seed, k):
+    # random_xparams hands the block reader its seed read as an int
+    rng = SplitMix64(seed)
+    want = [rng.uniform() for _ in range(k)]
+    assert [repr(u) for u in _uniforms(_read_int(seed, "seed"), k)] == [repr(u) for u in want]
+
+
+def test_conservation_angles_are_the_streams_next_four_uniforms():
+    # the sweep's conservation check seeds its draw with the stream's first
+    # word and reads its angles as the block of the next four
+    for i in range(200):
+        seed = child_seed(45, i)
+        rng = SplitMix64(seed)
+        rng.next_u64()
+        want = [rng.uniform(0.0, TWO_PI) for _ in range(4)]
+        got = [TWO_PI * u for u in _uniforms(seed + GOLDEN, 4)]
+        assert [repr(a) for a in got] == [repr(a) for a in want], seed
